@@ -1,5 +1,6 @@
 """Cycle-lattice bases of undirected multigraphs, with exact verification."""
 
+from .certificate import Certificate, ComponentCertificate, certify
 from .cycle_structure import (
     Cosimplification,
     FundamentalCycleMatrix,
@@ -52,6 +53,7 @@ from .multigraph import (
     component_subgraphs,
     connected_components,
     edge_disjoint_paths,
+    forest_from_edges,
     format_edge_list,
     is_connected,
     minor,

@@ -1,0 +1,366 @@
+"""Certificates: the exact lattice determinant of a basis, from its structure.
+
+A set of vectors is certified when, on every component of the
+cosimplification, the absolute determinant of the vectors lying there
+equals 2^(n-1), the determinant of the cycle lattice.  Two paths compute
+that determinant exactly without a dense m x m elimination:
+
+- The generic path applies the unimodular row operation
+  x -> (x_N, x_T - F x_N), where F is the fundamental-cycle matrix of a
+  spanning tree.  Fundamental cycles become unit columns and doubled tree
+  edges singleton 2s.  It then expands along singleton rows and columns
+  and passes only the residual block, at most RESIDUAL_CAP square, to the
+  dense determinant.
+- The chain path replays the steps of a compatible chain backwards.  When
+  each step's cycles are the last k, and the older cycles avoid the new
+  edge and hold both halves of each divided edge or neither, the matrix is
+  block triangular after subtracting row `first` from row `second`.  The
+  determinant is then the product of the k x k blocks on the rows
+  (new edge, second - first), each of which must be 2^(#splits).  When a
+  check fails the component falls back to the generic path.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .cycle_structure import Cosimplification, cosimplify, fundamental_cycle_matrix
+from .errors import ArgumentError, CapacityError
+from .multigraph import (
+    EdgeId,
+    Multigraph,
+    SpanningForest,
+    VertexId,
+    connected_components,
+    forest_from_edges,
+    spanning_forest,
+)
+from .oracle import IntegerMatrix, exact_determinant
+
+# Largest residual block, after peeling, that goes to dense elimination.
+RESIDUAL_CAP = 400
+
+
+@dataclass(frozen=True)
+class ComponentCertificate:
+    """Exact |det| of the vectors lying in one component, and how it was found.
+
+    kind is "chain", "generic", or "unmatched" when the vectors lying in
+    the component are not one per edge (the determinant is then 0).
+    """
+
+    n: int
+    m: int
+    determinant: int
+    kind: str
+
+    @property
+    def expected(self) -> int:
+        return 2 ** (self.n - 1)
+
+    @property
+    def ok(self) -> bool:
+        return self.determinant == self.expected
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Exact |det| of a set of vectors, per component of the cosimplification.
+
+    determinant is the product over the components.  in_cycle_space is
+    False when some vector is nonzero on a bridge or unequal across a series
+    class; there are then no components and the determinant is 0.  size is
+    the rank of the lattice, the edge count of the cosimplification.
+    """
+
+    determinant: int
+    certified: bool
+    size: int
+    components: tuple[ComponentCertificate, ...]
+    in_cycle_space: bool = True
+
+
+def certify(
+    G: Multigraph,
+    vectors: list[dict[EdgeId, int]],
+    tree: SpanningForest | None = None,
+    chain=None,
+) -> Certificate:
+    """Exact |det| of the vectors, and whether it is 2^(n-1) per component.
+
+    tree is a spanning forest of G that the vectors were built on, and
+    chain a compatible chain (or a list of them, one per component of the
+    cosimplification) whose final basis they are.  Both hints change only
+    how fast the answer comes, never the answer: a tree that is not a
+    spanning forest of G is replaced by spanning_forest(G), and a chain that
+    does not match the vectors falls back to the generic path.  Raises
+    ArgumentError on a nonzero entry at an edge G lacks, and CapacityError
+    when the generic path leaves a residual block above RESIDUAL_CAP.
+    """
+    T = forest_from_edges(G, tree.tree_edges) if tree is not None else None
+    T = T or spanning_forest(G)
+    cos = cosimplify(G, forest=T)
+    hat = cos.hat_graph
+    projected = _project(cos, vectors)
+    if projected is None:
+        return Certificate(0, False, hat.m, (), in_cycle_space=False)
+
+    comps = connected_components(hat)
+    home_of = {v: i for i, (vs, _es) in enumerate(comps) for v in vs}
+    members: list[list[dict[EdgeId, int]]] = [[] for _ in comps]
+    for vec in projected:
+        homes = {home_of[hat.edges[e][0]] for e in vec}
+        if len(homes) == 1:
+            members[homes.pop()].append(vec)
+    if chain is None:
+        chain = []
+    elif not isinstance(chain, (list, tuple)):
+        chain = [chain]
+    chains = {}  # component index -> the chain whose base vertex lies in it
+    for c in chain:
+        base = next(iter((c.sequence.vertex_map or {}).values()), None)
+        chains[home_of.get(base, -1)] = c
+
+    fcm = None
+    results = []
+    for i, (vs, es) in enumerate(comps):
+        vecs = members[i]
+        if len(vecs) != len(es):
+            results.append(ComponentCertificate(len(vs), len(es), 0, "unmatched"))
+            continue
+        det, kind = None, "chain"
+        if i in chains:
+            det = _chain_determinant(hat, vs, es, vecs, chains[i].sequence)
+        if det is None:
+            if fcm is None:
+                hat_tree = frozenset(t for t in T.tree_edges if cos.projection[t] == t)
+                roots = tuple(c_vs[0] for c_vs, _ in comps)
+                forest = SpanningForest(hat, hat_tree, roots)
+                fcm = fundamental_cycle_matrix(hat, forest).columns
+            det, kind = _generic_determinant(es, vecs, fcm), "generic"
+        results.append(ComponentCertificate(len(vs), len(es), det, kind))
+    total = 1
+    for r in results:
+        total *= r.determinant
+    return Certificate(total, all(r.ok for r in results), hat.m, tuple(results))
+
+
+def _project(
+    cos: Cosimplification, vectors: list[dict[EdgeId, int]]
+) -> list[dict[EdgeId, int]] | None:
+    """Vectors over the cosimplification's edges; None when one has no image.
+
+    A vector has an image when it vanishes on bridges and is constant on
+    each series class; the class's representative then carries the value.
+    """
+    identity = cos.hat_graph.m == cos.parent.m  # no bridge, no series class
+    out = []
+    for vec in vectors:
+        support = {e: c for e, c in vec.items() if c}
+        if not support.keys() <= cos.projection.keys():
+            unknown = min(support.keys() - cos.projection.keys())
+            raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
+        if identity:
+            out.append(support)
+            continue
+        proj: dict[EdgeId, int] = {}
+        seen: dict[EdgeId, int] = {}
+        for e, c in support.items():
+            rep = cos.projection[e]
+            if rep is None or proj.setdefault(rep, c) != c:
+                return None
+            seen[rep] = seen.get(rep, 0) + 1
+        if any(count != len(cos.section[rep]) for rep, count in seen.items()):
+            return None
+        out.append(proj)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# generic path: unimodular reduction, then peeling
+# ---------------------------------------------------------------------------
+
+
+def _generic_determinant(
+    edges: tuple[EdgeId, ...],
+    vectors: list[dict[EdgeId, int]],
+    fcm: dict[EdgeId, frozenset[EdgeId]],
+) -> int:
+    """|det| of the square matrix with these columns, rows indexed by edges.
+
+    fcm maps each non-tree edge to the tree edges of its fundamental cycle.
+    """
+    columns = []
+    for vec in vectors:
+        y: dict[EdgeId, int] = {}
+        for e, c in vec.items():
+            y[e] = y.get(e, 0) + c
+            for t in fcm.get(e, ()):
+                y[t] = y.get(t, 0) - c
+        columns.append({r: a for r, a in y.items() if a})
+    factor, rows, cols = _peel(edges, columns)
+    if factor == 0:
+        return 0
+    if len(cols) > RESIDUAL_CAP:
+        raise CapacityError(
+            f"residual block of {len(cols)}x{len(cols)} after peeling exceeds "
+            f"the cap of {RESIDUAL_CAP}"
+        )
+    block = IntegerMatrix.from_rows([[col.get(r, 0) for col in cols] for r in rows])
+    return abs(factor * exact_determinant(block))
+
+
+def _peel(
+    edges: tuple[EdgeId, ...], columns: list[dict[EdgeId, int]]
+) -> tuple[int, list[EdgeId], list[dict[EdgeId, int]]]:
+    """Laplace expansion along singleton rows and columns, up to sign.
+
+    Returns the product of the pivots taken and the residual rows and
+    columns; the product is 0 when a row or column runs empty.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns)}
+    rows: dict[EdgeId, dict[int, int]] = {e: {} for e in edges}
+    for j, col in cols.items():
+        for r, a in col.items():
+            rows[r][j] = a
+    if any(not line for line in rows.values()) or any(not col for col in cols.values()):
+        return 0, [], []
+    pending = [(True, j) for j, col in cols.items() if len(col) == 1]
+    pending += [(False, r) for r, line in rows.items() if len(line) == 1]
+    factor = 1
+    while pending:
+        is_col, key = pending.pop()
+        line = cols.get(key) if is_col else rows.get(key)
+        if line is None or len(line) != 1:
+            continue
+        ((other, a),) = line.items()
+        j, r = (key, other) if is_col else (other, key)
+        factor *= a
+        for r2 in cols.pop(j):
+            if r2 != r:
+                del rows[r2][j]
+                if len(rows[r2]) <= 1:
+                    if not rows[r2]:
+                        return 0, [], []
+                    pending.append((False, r2))
+        for j2 in rows.pop(r):
+            if j2 != j:
+                del cols[j2][r]
+                if len(cols[j2]) <= 1:
+                    if not cols[j2]:
+                        return 0, [], []
+                    pending.append((True, j2))
+    return factor, sorted(rows), [cols[j] for j in sorted(cols)]
+
+
+# ---------------------------------------------------------------------------
+# chain path: bordered blocks of the extension steps, replayed backwards
+# ---------------------------------------------------------------------------
+
+
+def _chain_determinant(
+    H: Multigraph,
+    vertices: tuple[VertexId, ...],
+    edges: tuple[EdgeId, ...],
+    vectors: list[dict[EdgeId, int]],
+    sequence,
+) -> int | None:
+    """|det| of the vectors from the chain's steps, or None when a check fails.
+
+    The vectors are the component's (vertices, edges) of H, in chain order,
+    one per edge; as each step adds k edges, the steps take them all.
+    """
+    grown = _grown_edges(sequence)
+    if grown is None or not _maps_onto(H, vertices, edges, grown, sequence):
+        return None
+    to_grown = {g: r for r, g in sequence.edge_map.items()}
+    cols = [{to_grown[e]: c for e, c in vec.items()} for vec in vectors]
+    members: dict[EdgeId, set[int]] = {}
+    for j, col in enumerate(cols):
+        for e in col:
+            members.setdefault(e, set()).add(j)
+
+    det = 1
+    top = len(cols)
+    for step in reversed(sequence.steps):
+        splits = step.splits()
+        k = 1 + len(splits)
+        new = cols[top - k : top]
+        block = [[col.get(step.new_edge, 0) for col in new]]
+        block += [[col.get(s.second, 0) - col.get(s.first, 0) for col in new] for s in splits]
+        d = abs(_small_determinant(block))
+        if d != 2 ** len(splits):
+            return None
+        det *= d
+        for j in range(top - k, top):
+            for e in cols[j]:
+                members[e].discard(j)
+        top -= k
+        # the older columns must vanish on the new rows
+        if members.pop(step.new_edge, None):
+            return None
+        for s in splits:
+            held = members.pop(s.first, set())
+            if held != members.pop(s.second, set()):
+                return None
+            for j in held:
+                value = cols[j].pop(s.first)
+                if cols[j].pop(s.second) != value:
+                    return None
+                cols[j][s.old] = value
+            if held:
+                members[s.old] = held
+    return det
+
+
+def _grown_edges(sequence) -> dict[EdgeId, tuple[VertexId, VertexId]] | None:
+    """Edges of the fully grown graph, replayed on dicts; None when invalid.
+
+    The base must be a single vertex without edges, whose basis is empty.
+    """
+    base = sequence.base
+    if base.n != 1 or base.m != 0:
+        return None
+    vertices = set(base.vertices)
+    edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
+    for step in sequence.steps:
+        splits = step.splits()
+        fresh = [step.new_edge] + [x for s in splits for x in (s.first, s.second)]
+        if len(set(fresh)) != len(fresh) or any(x in edges for x in fresh):
+            return None
+        for s in splits:
+            if s.old not in edges or s.vertex in vertices:
+                return None
+            u, v = edges.pop(s.old)
+            vertices.add(s.vertex)
+            edges[s.first] = (u, s.vertex)
+            edges[s.second] = (s.vertex, v)
+        if not set(step.endpoints) <= vertices:
+            return None
+        edges[step.new_edge] = step.endpoints
+    return edges
+
+
+def _maps_onto(H, vertices, edges, grown, sequence) -> bool:
+    """Do edge_map and vertex_map carry the grown graph onto this component?"""
+    em, vm = sequence.edge_map or {}, sequence.vertex_map or {}
+    if set(em) != set(grown) or sorted(em.values()) != sorted(edges):
+        return False
+    if sorted(vm.values()) != sorted(vertices):
+        return False
+    for r, (u, v) in grown.items():
+        if u not in vm or v not in vm:
+            return False
+        if sorted((vm[u], vm[v])) != sorted(H.edges[em[r]]):
+            return False
+    return True
+
+
+def _small_determinant(K: list[list[int]]) -> int:
+    """Determinant of a 1x1, 2x2 or 3x3 matrix."""
+    if len(K) == 1:
+        return K[0][0]
+    if len(K) == 2:
+        return K[0][0] * K[1][1] - K[0][1] * K[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = K
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

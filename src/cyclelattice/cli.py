@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from .certificate import certify
 from .cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
@@ -40,6 +41,7 @@ from .multigraph import (
     Multigraph,
     component_subgraphs,
     connected_components,
+    forest_from_edges,
     format_edge_list,
     is_connected,
     parse_edge_list,
@@ -47,7 +49,6 @@ from .multigraph import (
 from .oracle import (
     IntegerMatrix,
     enumerate_cycles,
-    exact_determinant,
     group_span_size,
     hermite_normal_form,
     hnf_lattices_equal,
@@ -217,83 +218,13 @@ def _entry_vector(entry: dict) -> dict[int, int]:
     return {e: mult for e in entry["edges"]}
 
 
-def _project_vectors_to_hat(G: Multigraph, vectors: list[dict[int, int]]):
-    """Project vectors through the cosimplification; None when impossible."""
-    cos = cosimplify(G)
-    partition = bridges_and_series_classes(G)
-    projected: list[dict[int, int]] = []
-    for vec in vectors:
-        for e in partition.bridges:
-            if vec.get(e, 0) != 0:
-                return None, cos
-        proj: dict[int, int] = {}
-        ok = True
-        for cls in partition.classes:
-            values = {vec.get(e, 0) for e in cls}
-            if len(values) != 1:
-                ok = False
-                break
-            value = values.pop()
-            if value:
-                rep = cos.projection[next(iter(cls))]
-                proj[rep] = value
-        if not ok:
-            return None, cos
-        projected.append(proj)
-    return projected, cos
+def _build_basis(G: Multigraph, T, method: str) -> tuple[list[dict], object]:
+    """Entries for the JSON document, built on the spanning forest T.
 
-
-def _component_determinants(
-    hat: Multigraph, vectors: list[dict[int, int]]
-) -> tuple[list[tuple[int, int, bool]], bool]:
-    """Per-component (det, expected, ok) over the cosimplified graph."""
-    results = []
-    all_ok = True
-    comps = component_subgraphs(hat)
-    for comp in comps:
-        comp_edges = set(comp.edges)
-        comp_vecs = [v for v in vectors if v and set(v) <= comp_edges]
-        expected = 2 ** (comp.n - 1)
-        if len(comp_vecs) != comp.m:
-            results.append((0, expected, False))
-            all_ok = False
-            continue
-        M = IntegerMatrix.from_vectors(comp_vecs, list(comp.sorted_edges))
-        det = abs(exact_determinant(M))
-        ok = det == expected
-        results.append((det, expected, ok))
-        all_ok = all_ok and ok
-    return results, all_ok
-
-
-def _certify_vectors(G: Multigraph, vectors: list[dict[int, int]]):
-    """Determinant certification of basis vectors, via the cosimplification.
-
-    Returns (determinant_string, ok).  For a 3-edge-connected graph this is
-    the exact m x m determinant against 2^(n-1); otherwise the vectors are
-    projected to the cosimplification and certified per component.
+    The second value is the certification hint for `certify`: the chain, or
+    one chain per component, of a topological basis; otherwise None.
     """
-    if is_three_edge_connected(G):
-        if len(vectors) != G.m:
-            return "0", False
-        M = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
-        det = abs(exact_determinant(M))
-        return str(det), det == 2 ** (G.n - 1)
-    projected, cos = _project_vectors_to_hat(G, vectors)
-    if projected is None:
-        return "0", False
-    results, all_ok = _component_determinants(cos.hat_graph, projected)
-    total = 1
-    for det, _expected, _ok in results:
-        total *= det
-    return str(total), all_ok
-
-
-def _build_basis(G: Multigraph, config: RunConfig) -> tuple[list[dict], CycleBasis | None]:
-    """Entries for the JSON document plus the CycleBasis when cycles-only."""
-    root = _resolve_vertex(G, config.tree_seed) if config.tree_seed else None
-    T = spanning_forest(G, prefer_root=root)
-    if config.method == "simple":
+    if method == "simple":
         if is_three_edge_connected(G):
             sb = simple_basis(G, T)
             entries = [
@@ -327,20 +258,18 @@ def _build_basis(G: Multigraph, config: RunConfig) -> tuple[list[dict], CycleBas
                     }
                 )
         return entries, None
-    if config.method == "semi-fundamental":
+    if method == "semi-fundamental":
         basis, _triples = semi_fundamental_basis(G, T)
-        return _vector_entries_of_basis(basis), basis
+        return _vector_entries_of_basis(basis), None
     # topological
     if is_three_edge_connected(G):
-        basis = compatible_chain(G, keep_prefixes=False).final_basis
-        return _vector_entries_of_basis(basis), basis
+        chain = compatible_chain(G, keep_prefixes=False)
+        return _vector_entries_of_basis(chain.final_basis), chain
     cos = cosimplify(G, forest=T)
     comps = component_subgraphs(cos.hat_graph)
-    comp_bases = [
-        compatible_chain(comp, keep_prefixes=False).final_basis for comp in comps
-    ]
-    basis = lift_basis(cos, comp_bases)
-    return _vector_entries_of_basis(basis), basis
+    chains = [compatible_chain(comp, keep_prefixes=False) for comp in comps]
+    basis = lift_basis(cos, [chain.final_basis for chain in chains])
+    return _vector_entries_of_basis(basis), chains
 
 
 def cmd_basis(config: RunConfig) -> int:
@@ -348,14 +277,15 @@ def cmd_basis(config: RunConfig) -> int:
     _require_connected(G)
     root = _resolve_vertex(G, config.tree_seed) if config.tree_seed else None
     T = spanning_forest(G, prefer_root=root)
-    entries, _basis = _build_basis(G, config)
+    entries, chains = _build_basis(G, T, config.method)
     vectors = [_entry_vector(entry) for entry in entries]
-    det, certified = _certify_vectors(G, vectors)
+    cert = certify(G, vectors, tree=T, chain=chains)
+    certified = cert.certified
     doc = {
         "graph": format_edge_list(G),
         "tree": sorted(T.tree_edges),
         "cycles": entries,
-        "determinant": det,
+        "determinant": str(cert.determinant),
         "certified": certified,
     }
     if config.verify_flag and G.m <= HNF_ORACLE_EDGE_LIMIT:
@@ -371,51 +301,86 @@ def cmd_basis(config: RunConfig) -> int:
     return 0
 
 
+def _load_document(path: str) -> dict:
+    """A basis document: a JSON object with a list of entries under "cycles"."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise ParseError(f"basis document is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("basis document is not a JSON object")
+    if not isinstance(doc.get("cycles"), list):
+        raise ParseError('basis document has no "cycles" list')
+    return doc
+
+
+def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
+    """Why a document entry is neither a cycle nor a doubled edge set, or None."""
+    if not isinstance(entry, dict):
+        return f"entry {idx} is not an object"
+    edges = entry.get("edges")
+    if not isinstance(edges, list) or any(type(e) is not int for e in edges):
+        return f"entry {idx} has no list of integer edge ids"
+    mult = entry.get("multiplier", 1)
+    if type(mult) is not int or mult not in (1, 2):
+        return f"entry {idx} has unsupported multiplier {mult!r}"
+    if len(set(edges)) != len(edges):
+        return f"entry {idx} repeats an edge id"
+    unknown = [e for e in edges if e not in G.edges]
+    if unknown:
+        return f"entry {idx} names unknown edge {unknown[0]}"
+    if mult == 2:
+        return None if edges else f"entry {idx} doubles no edge"
+    return None if is_simple_cycle(G, set(edges)) else f"entry {idx} is not a cycle"
+
+
 def cmd_verify(config: RunConfig) -> int:
     G = _load_graph(config.input_path)
     _require_connected(G)
-    with open(config.basis_path, "r", encoding="utf-8") as handle:
-        candidate = json.load(handle)
-    entries = candidate.get("cycles", [])
+    candidate = _load_document(config.basis_path)
+    entries = candidate["cycles"]
     checks = []
 
     def check(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
         return passed
 
-    valid_entries = True
-    for idx, entry in enumerate(entries):
-        edges = entry.get("edges", [])
-        mult = entry.get("multiplier", 1)
-        if mult == 1:
-            if not is_simple_cycle(G, set(edges)):
-                valid_entries = False
-                check("entries-are-cycles", False, f"entry {idx} is not a cycle")
-                break
-        elif not (mult == 2 and len(edges) >= 1):
-            valid_entries = False
-            check("entries-are-cycles", False, f"entry {idx} has unsupported multiplier")
-            break
-    if valid_entries:
-        check("entries-are-cycles", True, f"{len(entries)} entries")
+    problem = next(
+        (p for p in (_entry_problem(G, i, e) for i, e in enumerate(entries)) if p), None
+    )
+    if problem:
+        check("entries-are-cycles", False, problem)
+        _emit({"accepted": False, "checks": checks}, config)
+        return 3
+    check("entries-are-cycles", True, f"{len(entries)} entries")
 
     vectors = [_entry_vector(entry) for entry in entries]
-    projected, cos = _project_vectors_to_hat(G, vectors)
-    if projected is None:
+    tree = candidate.get("tree")
+    hint = None
+    if isinstance(tree, list) and all(type(e) is int for e in tree):
+        hint = forest_from_edges(G, tree)
+    try:
+        cert = certify(G, vectors, tree=hint)
+    except CapacityError:
+        # a topological basis leaves a large residual on every tree; the
+        # chains that build it certify it, when the document is one
+        T = hint or spanning_forest(G)
+        cert = certify(G, vectors, tree=T, chain=_build_basis(G, T, "topological")[1])
+    if not cert.in_cycle_space:
         check("rational-cycle-space", False, "entry violates bridge/series structure")
         accepted = False
     else:
-        expected_count = cos.hat_graph.m
         count_ok = check(
             "cardinality",
-            len(entries) == expected_count,
-            f"{len(entries)} entries, expected {expected_count}",
+            len(entries) == cert.size,
+            f"{len(entries)} entries, expected {cert.size}",
         )
-        results, det_ok = _component_determinants(cos.hat_graph, projected)
         check(
             "determinant",
-            det_ok,
-            "; ".join(f"|det|={d} expected {x}" for d, x, _ in results) or "no components",
+            cert.certified,
+            "; ".join(f"|det|={c.determinant} expected {c.expected}" for c in cert.components)
+            or "no components",
         )
         hnf_ok = True
         if G.m <= HNF_ORACLE_EDGE_LIMIT:
@@ -423,7 +388,7 @@ def cmd_verify(config: RunConfig) -> int:
             A = indicator_matrix(G, all_cycles)
             B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
             hnf_ok = check("hnf-lattice-equality", hnf_lattices_equal(A, B), "exact")
-        accepted = bool(valid_entries and count_ok and det_ok and hnf_ok)
+        accepted = bool(count_ok and cert.certified and hnf_ok)
     doc = {"accepted": accepted, "checks": checks}
     _emit(doc, config)
     return 0 if accepted else 3
@@ -465,34 +430,23 @@ def cmd_extend(config: RunConfig) -> int:
     prefix_docs = []
     for basis in chain.bases:
         prefix_docs.append([sorted(c) for c in basis.cycles])
-    det, certified = _certify_vectors(
-        G, [{e: 1 for e in c} for c in chain.final_basis.cycles]
-    )
+    cert = certify(G, chain.final_basis.vectors(), tree=chain.tree, chain=chain)
+    certified = cert.certified
     doc = {
         "sequence": seq.to_json(),
         "chain": {
             "bases": prefix_docs,
             "final_basis": _vector_entries_of_basis(chain.final_basis),
-            "determinant": det,
+            "determinant": str(cert.determinant),
             "certified": certified,
         },
     }
     if config.verify_flag:
-        ok = certified
-        graphs = chain.graphs or ()
-        for H, basis in zip(graphs, chain.bases):
-            if len(basis.cycles) != H.m:
-                ok = False
-                break
-            M = IntegerMatrix.from_vectors(
-                [{e: 1 for e in c} for c in basis.cycles], list(H.sorted_edges)
-            )
-            if abs(exact_determinant(M)) != 2 ** (H.n - 1):
-                ok = False
-                break
-        doc["chain"]["prefixes_certified"] = ok
-        certified = ok
+        # the chain path certifies every prefix by induction over the steps
+        certified = certified and all(c.kind == "chain" for c in cert.components)
+        doc["chain"]["prefixes_certified"] = certified
         doc["chain"]["certified"] = certified
+    del chain  # the prefix graphs and bases are not needed while printing
     _emit(doc, config)
     if config.verify_flag and not certified:
         return 3

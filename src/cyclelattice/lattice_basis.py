@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .certificate import certify
 from .cycle_structure import (
     Cosimplification,
     bridges_and_series_classes,
@@ -37,7 +38,7 @@ from .multigraph import (
     minor,
     spanning_forest,
 )
-from .oracle import IntegerMatrix, enumerate_cycles, exact_determinant, hnf_lattices_equal
+from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -675,17 +676,16 @@ def indicator_matrix(G: Multigraph, cycles) -> IntegerMatrix:
 
 
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
-    """Exact determinant of the basis matrix and whether it equals 2^(n-1).
+    """Exact |det| of the basis and whether it is 2^(n-1) per component.
 
-    Only meaningful for 3-edge-connected graphs, where the lattice is
-    full-dimensional; a non-square system certifies as (0, False).
+    Certifies through `certificate.certify`, so a graph that is not
+    3-edge-connected is certified on its cosimplification.  A member that
+    is not a simple cycle of G certifies as (0, False).
     """
-    if len(basis.cycles) != G.m:
-        return 0, False
     if not all(is_simple_cycle(G, c) for c in basis.cycles):
         return 0, False
-    det = exact_determinant(indicator_matrix(G, basis.cycles))
-    return det, abs(det) == 2 ** (G.n - 1)
+    cert = certify(G, basis.vectors(), tree=basis.tree)
+    return cert.determinant, cert.certified
 
 
 def matches_all_cycles_lattice(G: Multigraph, cycles, limit: int = 100_000) -> bool:

@@ -333,6 +333,35 @@ def spanning_forest(G: Multigraph, prefer_root: VertexId | None = None) -> Spann
     )
 
 
+def forest_from_edges(G: Multigraph, edges) -> SpanningForest | None:
+    """The spanning forest of G with exactly these edges, or None.
+
+    None when an id is unknown, the edges close a cycle (a loop included),
+    or they leave two vertices of one component of G unjoined.
+    """
+    tree = frozenset(edges)
+    rep = {v: v for v in G.vertices}
+
+    def find(v: VertexId) -> VertexId:
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
+    for e in tree:
+        if e not in G.edges:
+            return None
+        ru, rv = (find(x) for x in G.edges[e])
+        if ru == rv:
+            return None
+        rep[max(ru, rv)] = min(ru, rv)
+    for e, (u, v) in G.edges.items():
+        if e not in tree and find(u) != find(v):
+            return None
+    roots = tuple(v for v in G.vertices if rep[v] == v)
+    return SpanningForest(parent_graph=G, tree_edges=tree, component_roots=roots)
+
+
 def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap:
     """Delete one edge set and contract another; order independent.
 

@@ -9,6 +9,7 @@ import random
 import time
 from functools import lru_cache
 
+from cyclelattice.certificate import certify
 from cyclelattice.cycle_structure import is_three_edge_connected
 from cyclelattice.lattice_basis import (
     EdgeVector,
@@ -330,10 +331,21 @@ def test_criterion_9_complexity_smoke():
     start = time.time()
     chain = compatible_chain(G, keep_prefixes=False)
     topo_elapsed = time.time() - start
+    start = time.time()
+    semi_cert = certify(G, basis.vectors(), tree=basis.tree)
+    semi_cert_elapsed = time.time() - start
+    start = time.time()
+    topo_cert = certify(G, chain.final_basis.vectors(), chain=chain)
+    topo_cert_elapsed = time.time() - start
+    expected = 2 ** (G.n - 1)
     ok = (
         len(basis.cycles) == G.m
         and len(chain.final_basis.cycles) == G.m
-        and semi_elapsed + topo_elapsed < 30.0
+        and semi_cert.certified
+        and semi_cert.determinant == expected
+        and topo_cert.certified
+        and topo_cert.determinant == expected
+        and semi_elapsed + topo_elapsed + semi_cert_elapsed + topo_cert_elapsed < 30.0
     )
     mn = G.m * G.n
     _report(
@@ -343,5 +355,7 @@ def test_criterion_9_complexity_smoke():
         f"n={G.n} m={G.m}: semi-fundamental {semi_elapsed:.2f}s "
         f"({semi_elapsed / mn * 1e6:.3f}us per m*n unit), "
         f"topological {topo_elapsed:.2f}s ({topo_elapsed / mn * 1e6:.3f}us per m*n unit), "
-        f"sequence length {len(chain.sequence.steps)}; total < 30s",
+        f"sequence length {len(chain.sequence.steps)}; both certified |det|=2^(n-1) "
+        f"({semi_cert.components[0].kind} {semi_cert_elapsed:.2f}s, "
+        f"{topo_cert.components[0].kind} {topo_cert_elapsed:.2f}s); total < 30s",
     )

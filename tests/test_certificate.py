@@ -1,0 +1,323 @@
+"""Differential tests of the certificates against dense Bareiss elimination."""
+
+import dataclasses
+import json
+import random
+
+import pytest
+
+from cyclelattice import certificate
+from cyclelattice.certificate import certify
+from cyclelattice.cli import main
+from cyclelattice.errors import ArgumentError, CapacityError
+from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
+from cyclelattice.multigraph import (
+    SpanningForest,
+    format_edge_list,
+    parse_edge_list,
+    spanning_forest,
+)
+from cyclelattice.oracle import IntegerMatrix, enumerate_cycles, exact_determinant
+from cyclelattice.topo_extension import (
+    CompatibleChain,
+    ExtensionSequence,
+    compatible_chain,
+    gen,
+)
+
+
+def dense(G, vectors):
+    M = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
+    return abs(exact_determinant(M))
+
+
+def three_bases(G):
+    """(name, vectors, hints) of the simple, semi-fundamental and topological bases."""
+    T = spanning_forest(G)
+    semi, _ = semi_fundamental_basis(G, T)
+    chain = compatible_chain(G, keep_prefixes=False)
+    topo = chain.final_basis.vectors()
+    return [
+        ("simple", simple_basis(G, T).vectors(), {"tree": T}),
+        ("semi-fundamental", semi.vectors(), {"tree": T}),
+        ("topological", topo, {"chain": chain}),
+        ("topological-generic", topo, {"tree": T}),
+    ]
+
+
+def assert_agrees(G, vectors, want=None, **hints):
+    cert = certify(G, vectors, **hints)
+    want = dense(G, vectors) if want is None else want
+    assert cert.determinant == want
+    assert cert.certified == (want == 2 ** (G.n - 1))
+    return cert
+
+
+def test_agrees_with_bareiss_on_the_determinant_corpus():
+    # the 200 instances of acceptance criterion 1
+    for i in range(200):
+        G = gen(steps=3 + i % 8, seed=1000 + i, max_vertices=12)
+        for name, vectors, hints in three_bases(G):
+            cert = assert_agrees(G, vectors, **hints)
+            assert cert.certified, (i, name)
+            assert cert.components[0].kind == ("chain" if "chain" in hints else "generic")
+
+
+@pytest.mark.parametrize("n", [10, 40, 100])
+def test_agrees_with_bareiss_on_larger_instances(n):
+    G = gen(steps=2 * n + 1, seed=n, max_vertices=n)
+    assert G.m == 3 * n
+    want = {}
+    for name, vectors, hints in three_bases(G):
+        key = frozenset(frozenset(v) for v in vectors)
+        if key not in want:
+            want[key] = dense(G, vectors)
+        assert assert_agrees(G, vectors, want[key], **hints).certified, name
+
+
+def _prefix_chain(chain, i):
+    """The chain's first i steps as a chain of the i-th grown graph."""
+    H = chain.graphs[i]
+    prefix = ExtensionSequence(
+        base=chain.sequence.base,
+        steps=chain.sequence.steps[:i],
+        edge_map={e: e for e in H.edges},
+        vertex_map={v: v for v in H.vertices},
+    )
+    return H, CompatibleChain(sequence=prefix, bases=(), final_basis=chain.bases[i])
+
+
+def test_chain_path_agrees_with_bareiss_on_every_prefix():
+    for seed in range(6):
+        G = gen(steps=12, seed=300 + seed, max_vertices=8)
+        chain = compatible_chain(G, keep_prefixes=True)
+        for i in range(len(chain.sequence.steps) + 1):
+            H, hint = _prefix_chain(chain, i)
+            cert = assert_agrees(H, hint.final_basis.vectors(), chain=hint)
+            assert cert.certified and cert.components[0].kind == "chain", (seed, i)
+
+
+def _corruptions(G, vectors):
+    """A dropped, a duplicated and a swapped-in cycle."""
+    yield "dropped", vectors[:-1]
+    yield "duplicated", vectors[:-1] + [vectors[0]]
+    present = {frozenset(v) for v in vectors}
+    for cycle in enumerate_cycles(G):
+        if frozenset(cycle) not in present:
+            swapped = vectors[:-1] + [{e: 1 for e in cycle}]
+            if dense(G, swapped) != 2 ** (G.n - 1):
+                yield "swapped-in", swapped
+                return
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupted_bases_are_rejected_by_both_paths(seed):
+    G = gen(steps=7, seed=400 + seed, max_vertices=6)
+    T = spanning_forest(G)
+    chain = compatible_chain(G, keep_prefixes=False)
+    seen = set()
+    for name, vectors, hints in three_bases(G):
+        for kind, bad in _corruptions(G, vectors):
+            seen.add(kind)
+            cert = certify(G, bad, **hints)
+            assert not cert.certified, (name, kind)
+            if len(bad) == G.m:
+                assert cert.determinant == dense(G, bad), (name, kind)
+    # the chain path sees the same corrupted vectors as the generic one
+    for kind, bad in _corruptions(G, chain.final_basis.vectors()):
+        assert not certify(G, bad, tree=T, chain=chain).certified, kind
+    assert seen == {"dropped", "duplicated", "swapped-in"}
+
+
+def _random_spanning_tree(G, rng):
+    edges = list(G.sorted_edges)
+    rng.shuffle(edges)
+    rep = {v: v for v in G.vertices}
+
+    def find(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    tree = set()
+    for e in edges:
+        u, v = (find(x) for x in G.edges[e])
+        if u != v:
+            rep[u] = v
+            tree.add(e)
+    return SpanningForest(G, frozenset(tree), (G.vertices[0],))
+
+
+def test_missing_or_wrong_hint_tree_gives_the_same_determinant(k4):
+    rng = random.Random(5)
+    for seed in range(8):
+        G = gen(steps=9, seed=500 + seed, max_vertices=7)
+        T = spanning_forest(G)
+        vectors = semi_fundamental_basis(G, T)[0].vectors()
+        want = dense(G, vectors)
+        other = _random_spanning_tree(G, rng)
+        not_spanning = SpanningForest(G, frozenset(sorted(T.tree_edges)[:-1]), (G.vertices[0],))
+        with_cycle = SpanningForest(G, frozenset(G.edges), (G.vertices[0],))
+        foreign = spanning_forest(k4)
+        for hint in (None, other, not_spanning, with_cycle, foreign):
+            cert = certify(G, vectors, tree=hint)
+            assert (cert.determinant, cert.certified) == (want, True)
+
+
+def test_corrupted_chain_falls_back_to_the_generic_path():
+    G = gen(steps=11, seed=77, max_vertices=8)
+    chain = compatible_chain(G, keep_prefixes=False)
+    vectors = chain.final_basis.vectors()
+    seq = chain.sequence
+    grown = seq.replay()
+    index = next(
+        i
+        for i, s in enumerate(seq.steps)
+        if s.kind == "B" and not grown[i].is_loop(s.split_f.old)
+    )
+    step = seq.steps[index]
+    split = dataclasses.replace(step.split_f, first=step.split_f.second, second=step.split_f.first)
+    bad_step = dataclasses.replace(step, split_f=split)
+    a, b = list(seq.edge_map)[:2]
+    corrupted = [
+        dataclasses.replace(seq, steps=seq.steps[:index] + (bad_step,) + seq.steps[index + 1 :]),
+        dataclasses.replace(seq, steps=seq.steps[:-1]),
+        dataclasses.replace(seq, edge_map={**seq.edge_map, a: seq.edge_map[b], b: seq.edge_map[a]}),
+    ]
+    for bad in corrupted:
+        hint = dataclasses.replace(chain, sequence=bad)
+        cert = certify(G, vectors, chain=hint)
+        assert cert.components[0].kind == "generic"
+        assert (cert.determinant, cert.certified) == (dense(G, vectors), True)
+    # a valid chain whose cycles come in another order
+    shuffled = vectors[1:] + vectors[:1]
+    cert = certify(G, shuffled, chain=chain)
+    assert cert.components[0].kind == "generic"
+    assert (cert.determinant, cert.certified) == (dense(G, shuffled), True)
+
+
+def test_chain_path_falls_back_on_tampered_vectors():
+    chain = compatible_chain(gen(steps=14, seed=91, max_vertices=9), keep_prefixes=True)
+    tampered = 0
+    for i, step in enumerate(chain.sequence.steps, start=1):
+        H, hint = _prefix_chain(chain, i)
+        vectors = hint.final_basis.vectors()
+        older = len(vectors) - 1 - len(step.splits())
+        variants = [vectors[:-1] + [{e: 2 * c for e, c in vectors[-1].items()}]]
+        if older:
+            variants.append([{**vectors[0], step.new_edge: 1}, *vectors[1:]])
+        for s in step.splits():
+            both = next((j for j in range(older) if s.first in vectors[j]), None)
+            neither = next((j for j in range(older) if s.first not in vectors[j]), None)
+            if both is not None:
+                bad = [dict(v) for v in vectors]
+                bad[both][s.first] = 2
+                variants.append(bad)
+            if neither is not None:
+                bad = [dict(v) for v in vectors]
+                bad[neither][s.second] = 1
+                variants.append(bad)
+        for bad in variants:
+            cert = certify(H, bad, chain=hint)
+            assert cert.components[0].kind == "generic", (i, bad)
+            assert cert.determinant == dense(H, bad), (i, bad)
+            tampered += 1
+    assert tampered >= 3 * len(chain.sequence.steps)
+
+
+def test_residual_cap_raises_capacity_error(k4, monkeypatch):
+    # on the BFS tree of K4 these six cycles leave a 3x3 residual block
+    cycles = [[0, 1, 3], [0, 2, 4], [3, 4, 5], [0, 1, 4, 5], [0, 2, 3, 5], [1, 2, 3, 4]]
+    vectors = [{e: 1 for e in c} for c in cycles]
+    assert certify(k4, vectors).determinant == dense(k4, vectors) == 8
+    monkeypatch.setattr(certificate, "RESIDUAL_CAP", 2)
+    with pytest.raises(CapacityError, match="3x3.*cap of 2"):
+        certify(k4, vectors)
+
+
+def test_non_3ec_graphs_are_certified_per_component():
+    # two triangles joined by a bridge: the cosimplification is two loops
+    G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
+    cert = certify(G, [{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}])
+    assert (cert.determinant, cert.certified, cert.size) == (1, True, 2)
+    assert [c.kind for c in cert.components] == ["generic", "generic"]
+    assert not certify(G, [{0: 1, 1: 1, 2: 1}, {3: 1, 4: 1}]).in_cycle_space  # bridge
+    assert not certify(G, [{0: 1, 1: 1}, {4: 1, 5: 1, 6: 1}]).in_cycle_space  # half a class
+    assert certify(G, [{0: 1, 1: 1, 2: 1}]).components[1].kind == "unmatched"
+    with pytest.raises(ArgumentError):
+        certify(G, [{99: 1}])
+
+
+class TestVerifyDocuments:
+    @pytest.fixture
+    def k4_file(self, tmp_path, k4):
+        path = tmp_path / "k4.txt"
+        path.write_text(format_edge_list(k4))
+        return str(path)
+
+    def _simple_doc(self, capsys, k4_file):
+        assert main(["basis", "--method", "simple", k4_file]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def _verify(self, capsys, k4_file, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = main(["verify", k4_file, str(path)])
+        out = capsys.readouterr()
+        return code, out
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: entry["edges"].append(999),
+            lambda entry: entry["edges"].append(entry["edges"][0]),
+            lambda entry: entry.update(multiplier=2.0),
+            lambda entry: entry.update(multiplier=True),
+            lambda entry: entry.update(edges="0"),
+        ],
+        ids=["unknown-edge", "repeated-edge", "float-multiplier", "bool-multiplier", "edges-string"],
+    )
+    def test_bad_entries_fail_a_named_check(self, capsys, k4_file, tmp_path, corrupt):
+        doc = self._simple_doc(capsys, k4_file)
+        doubled = next(e for e in doc["cycles"] if e.get("multiplier") == 2)
+        corrupt(doubled)
+        code, out = self._verify(capsys, k4_file, tmp_path, doc)
+        verdict = json.loads(out.out)
+        assert code == 3 and verdict["accepted"] is False
+        assert verdict["checks"][-1]["name"] == "entries-are-cycles"
+        assert verdict["checks"][-1]["passed"] is False
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"tree": [0]}', "\udcff"])
+    def test_malformed_documents_exit_2(self, capsys, k4_file, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code = main(["verify", k4_file, str(path)])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_document_tree_is_only_a_hint(self, capsys, k4_file, tmp_path):
+        doc = self._simple_doc(capsys, k4_file)
+        verdicts = []
+        for tree in (doc["tree"], [0, 1, 3], [0, 1, 2, 3], [99], "x"):
+            code, out = self._verify(capsys, k4_file, tmp_path, {**doc, "tree": tree})
+            verdicts.append((code, out.out))
+        assert verdicts[0][0] == 0
+        assert all(v == verdicts[0] for v in verdicts)
+
+    def test_topological_document_is_certified_by_its_rebuilt_chain(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        G = gen(steps=41, seed=3, max_vertices=20)
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(G))
+        monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
+        for method in ("semi-fundamental", "topological"):
+            assert main(["basis", "--method", method, str(graph)]) == 0
+            doc = capsys.readouterr().out
+            vectors = [{e: 1 for e in c["edges"]} for c in json.loads(doc)["cycles"]]
+            code, out = self._verify(capsys, str(graph), tmp_path, doc)
+            assert code == 0 and json.loads(out.out)["accepted"] is True
+        # on the BFS tree alone the topological basis leaves a residual
+        with pytest.raises(CapacityError):
+            certify(G, vectors)
