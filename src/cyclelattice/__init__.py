@@ -36,6 +36,7 @@ from .lattice_basis import (
     lattice_determinant,
     lift_basis,
     matches_all_cycles_lattice,
+    per_component,
     semi_fundamental_basis,
     simple_basis,
 )

@@ -31,7 +31,6 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
-    connected_components,
     forest_from_edges,
     spanning_forest,
 )
@@ -98,16 +97,19 @@ def certify(
     when the generic path leaves a residual block above RESIDUAL_CAP.
     """
     T = forest_from_edges(G, tree.tree_edges) if tree is not None else None
-    T = T or spanning_forest(G)
-    cos = cosimplify(G, forest=T)
+    cos = cosimplify(G, forest=T or spanning_forest(G))
     hat = cos.hat_graph
     projected = _project(cos, vectors)
     if projected is None:
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
-    comps = connected_components(hat)
-    home_of = {v: i for i, (vs, _es) in enumerate(comps) for v in vs}
-    members: list[list[dict[EdgeId, int]]] = [[] for _ in comps]
+    # components by least vertex; a vertex without edges is one of its own
+    parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
+    home_of = {v: key for key, (H, _) in parts.items() for v in H.vertices}
+    for v in hat.vertices:
+        if v not in home_of:
+            parts[v] = (Multigraph((v,), {}), None)
+    members: dict[VertexId, list[dict[EdgeId, int]]] = {key: [] for key in parts}
     for vec in projected:
         homes = {home_of[hat.edges[e][0]] for e in vec}
         if len(homes) == 1:
@@ -116,29 +118,24 @@ def certify(
         chain = []
     elif not isinstance(chain, (list, tuple)):
         chain = [chain]
-    chains = {}  # component index -> the chain whose base vertex lies in it
+    chains = {}  # least vertex of a component -> the chain based in it
     for c in chain:
         base = next(iter((c.sequence.vertex_map or {}).values()), None)
-        chains[home_of.get(base, -1)] = c
+        chains[home_of.get(base, base)] = c
 
-    fcm = None
     results = []
-    for i, (vs, es) in enumerate(comps):
-        vecs = members[i]
-        if len(vecs) != len(es):
-            results.append(ComponentCertificate(len(vs), len(es), 0, "unmatched"))
+    for key in sorted(parts):
+        H, T_H = parts[key]
+        vecs = members[key]
+        if len(vecs) != H.m:
+            results.append(ComponentCertificate(H.n, H.m, 0, "unmatched"))
             continue
         det, kind = None, "chain"
-        if i in chains:
-            det = _chain_determinant(hat, vs, es, vecs, chains[i].sequence)
+        if key in chains:
+            det = _chain_determinant(H, vecs, chains[key].sequence)
         if det is None:
-            if fcm is None:
-                hat_tree = frozenset(t for t in T.tree_edges if cos.projection[t] == t)
-                roots = tuple(c_vs[0] for c_vs, _ in comps)
-                forest = SpanningForest(hat, hat_tree, roots)
-                fcm = fundamental_cycle_matrix(hat, forest).columns
-            det, kind = _generic_determinant(es, vecs, fcm), "generic"
-        results.append(ComponentCertificate(len(vs), len(es), det, kind))
+            det, kind = _generic_determinant(H, T_H, vecs), "generic"
+        results.append(ComponentCertificate(H.n, H.m, det, kind))
     total = 1
     for r in results:
         total *= r.determinant
@@ -153,14 +150,13 @@ def _project(
     A vector has an image when it vanishes on bridges and is constant on
     each series class; the class's representative then carries the value.
     """
-    identity = cos.hat_graph.m == cos.parent.m  # no bridge, no series class
     out = []
     for vec in vectors:
         support = {e: c for e, c in vec.items() if c}
         if not support.keys() <= cos.projection.keys():
             unknown = min(support.keys() - cos.projection.keys())
             raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
-        if identity:
+        if cos.identity:
             out.append(support)
             continue
         proj: dict[EdgeId, int] = {}
@@ -182,14 +178,15 @@ def _project(
 
 
 def _generic_determinant(
-    edges: tuple[EdgeId, ...],
-    vectors: list[dict[EdgeId, int]],
-    fcm: dict[EdgeId, frozenset[EdgeId]],
+    H: Multigraph, T_H: SpanningForest | None, vectors: list[dict[EdgeId, int]]
 ) -> int:
-    """|det| of the square matrix with these columns, rows indexed by edges.
+    """|det| of the square matrix with these columns, rows indexed by H's edges.
 
-    fcm maps each non-tree edge to the tree edges of its fundamental cycle.
+    T_H is a spanning tree of the connected graph H, None when H has no edges.
     """
+    if not H.m:
+        return 1
+    fcm = fundamental_cycle_matrix(H, T_H).columns
     columns = []
     for vec in vectors:
         y: dict[EdgeId, int] = {}
@@ -198,7 +195,7 @@ def _generic_determinant(
             for t in fcm.get(e, ()):
                 y[t] = y.get(t, 0) - c
         columns.append({r: a for r, a in y.items() if a})
-    factor, rows, cols = _peel(edges, columns)
+    factor, rows, cols = _peel(H.sorted_edges, columns)
     if factor == 0:
         return 0
     if len(cols) > RESIDUAL_CAP:
@@ -259,19 +256,15 @@ def _peel(
 
 
 def _chain_determinant(
-    H: Multigraph,
-    vertices: tuple[VertexId, ...],
-    edges: tuple[EdgeId, ...],
-    vectors: list[dict[EdgeId, int]],
-    sequence,
+    H: Multigraph, vectors: list[dict[EdgeId, int]], sequence
 ) -> int | None:
     """|det| of the vectors from the chain's steps, or None when a check fails.
 
-    The vectors are the component's (vertices, edges) of H, in chain order,
-    one per edge; as each step adds k edges, the steps take them all.
+    The vectors lie in the connected graph H, in chain order, one per edge;
+    as each step adds k edges, the steps take them all.
     """
     grown = _grown_edges(sequence)
-    if grown is None or not _maps_onto(H, vertices, edges, grown, sequence):
+    if grown is None or not _maps_onto(H, grown, sequence):
         return None
     to_grown = {g: r for r, g in sequence.edge_map.items()}
     cols = [{to_grown[e]: c for e, c in vec.items()} for vec in vectors]
@@ -341,12 +334,12 @@ def _grown_edges(sequence) -> dict[EdgeId, tuple[VertexId, VertexId]] | None:
     return edges
 
 
-def _maps_onto(H, vertices, edges, grown, sequence) -> bool:
-    """Do edge_map and vertex_map carry the grown graph onto this component?"""
+def _maps_onto(H, grown, sequence) -> bool:
+    """Do edge_map and vertex_map carry the grown graph onto H?"""
     em, vm = sequence.edge_map or {}, sequence.vertex_map or {}
-    if set(em) != set(grown) or sorted(em.values()) != sorted(edges):
+    if set(em) != set(grown) or sorted(em.values()) != list(H.sorted_edges):
         return False
-    if sorted(vm.values()) != sorted(vertices):
+    if sorted(vm.values()) != sorted(H.vertices):
         return False
     for r, (u, v) in grown.items():
         if u not in vm or v not in vm:

@@ -10,15 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .certificate import certify
-from .cycle_structure import (
-    bridges_and_series_classes,
-    cosimplify,
-    is_simple_cycle,
-    is_three_edge_connected,
-)
+from .cycle_structure import bridges_and_series_classes, cosimplify, is_simple_cycle
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -28,10 +22,9 @@ from .errors import (
     StructureError,
 )
 from .lattice_basis import (
-    CycleBasis,
     Provenance,
     indicator_matrix,
-    lift_basis,
+    per_component,
     semi_fundamental_basis,
     simple_basis,
     spanning_forest,
@@ -39,7 +32,6 @@ from .lattice_basis import (
 from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
     Multigraph,
-    component_subgraphs,
     connected_components,
     forest_from_edges,
     format_edge_list,
@@ -57,25 +49,6 @@ from .oracle import (
 from .topo_extension import compatible_chain, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; method applies to `basis`, seed to `gen`."""
-
-    command: str
-    input_path: str | None = None
-    basis_path: str | None = None
-    method: str = "semi-fundamental"
-    characteristic: int | None = None
-    group: str | None = None
-    steps: int = 8
-    seed: int = 0
-    count: int = 1
-    max_vertices: int | None = None
-    tree_seed: str | None = None
-    output: str = "json"
-    verify_flag: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,26 +103,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        basis_path=getattr(args, "basis", None),
-        method=getattr(args, "method", "semi-fundamental"),
-        characteristic=getattr(args, "char", None),
-        group=getattr(args, "group", None),
-        steps=getattr(args, "steps", 8),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 1),
-        max_vertices=getattr(args, "max_vertices", None),
-        tree_seed=getattr(args, "tree_seed", None),
-        output=getattr(args, "output", "json"),
-        verify_flag=getattr(args, "verify", False),
-    )
-
-
-def _emit(doc: dict, config: RunConfig):
-    if config.output == "json":
+def _emit(doc: dict, args: argparse.Namespace):
+    if args.output == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in _as_text(doc):
@@ -206,11 +161,12 @@ def _require_connected(G: Multigraph):
 # ---------------------------------------------------------------------------
 
 
-def _vector_entries_of_basis(basis: CycleBasis) -> list[dict]:
-    return [
-        {"edges": sorted(cycle), "provenance": tag.label()}
-        for cycle, tag in zip(basis.cycles, basis.provenance)
-    ]
+def _entry(edges, tag: Provenance) -> dict:
+    """A document entry; a doubled edge set carries multiplier 2."""
+    entry = {"edges": sorted(edges), "provenance": tag.label()}
+    if tag.kind == "doubled":
+        entry["multiplier"] = 2
+    return entry
 
 
 def _entry_vector(entry: dict) -> dict[int, int]:
@@ -218,66 +174,34 @@ def _entry_vector(entry: dict) -> dict[int, int]:
     return {e: mult for e in entry["edges"]}
 
 
+def _chain_on(H: Multigraph, _T_H):
+    chain = compatible_chain(H, keep_prefixes=False)
+    return chain.final_basis, chain
+
+
 def _build_basis(G: Multigraph, T, method: str) -> tuple[list[dict], object]:
     """Entries for the JSON document, built on the spanning forest T.
 
-    The second value is the certification hint for `certify`: the chain, or
-    one chain per component, of a topological basis; otherwise None.
+    The second value is the certification hint for `certify`: the chains,
+    one per component of the cosimplification, of a topological basis;
+    otherwise None.
     """
-    if method == "simple":
-        if is_three_edge_connected(G):
-            sb = simple_basis(G, T)
-            entries = [
-                {"edges": [t], "provenance": Provenance("doubled", t=t).label(), "multiplier": 2}
-                for t in sb.doubled_part
-            ]
-            entries.extend(
-                {"edges": sorted(cyc), "provenance": Provenance("fundamental", e=e).label()}
-                for e, cyc in sb.cycle_part
-            )
-            return entries, None
-        cos = cosimplify(G, forest=T)
-        comps = component_subgraphs(cos.hat_graph)
-        entries = []
-        for comp in comps:
-            comp_T = spanning_forest(comp)
-            sb = simple_basis(comp, comp_T)
-            for t in sb.doubled_part:
-                entries.append(
-                    {
-                        "edges": sorted(cos.section[t]),
-                        "provenance": Provenance("doubled", t=t).label(),
-                        "multiplier": 2,
-                    }
-                )
-            for e, cyc in sb.cycle_part:
-                entries.append(
-                    {
-                        "edges": sorted(cos.lift_edges(cyc)),
-                        "provenance": "lifted",
-                    }
-                )
-        return entries, None
+    chains = None
     if method == "semi-fundamental":
-        basis, _triples = semi_fundamental_basis(G, T)
-        return _vector_entries_of_basis(basis), None
-    # topological
-    if is_three_edge_connected(G):
-        chain = compatible_chain(G, keep_prefixes=False)
-        return _vector_entries_of_basis(chain.final_basis), chain
-    cos = cosimplify(G, forest=T)
-    comps = component_subgraphs(cos.hat_graph)
-    chains = [compatible_chain(comp, keep_prefixes=False) for comp in comps]
-    basis = lift_basis(cos, [chain.final_basis for chain in chains])
-    return _vector_entries_of_basis(basis), chains
+        entries = semi_fundamental_basis(G, T)[0].entries()
+    elif method == "simple":
+        entries, _ = per_component(G, T, lambda H, T_H: (simple_basis(H, T_H), None))
+    else:
+        entries, chains = per_component(G, T, _chain_on)
+    return [_entry(edges, tag) for edges, tag in entries], chains
 
 
-def cmd_basis(config: RunConfig) -> int:
-    G = _load_graph(config.input_path)
+def cmd_basis(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
     _require_connected(G)
-    root = _resolve_vertex(G, config.tree_seed) if config.tree_seed else None
+    root = _resolve_vertex(G, args.tree_seed) if args.tree_seed else None
     T = spanning_forest(G, prefer_root=root)
-    entries, chains = _build_basis(G, T, config.method)
+    entries, chains = _build_basis(G, T, args.method)
     vectors = [_entry_vector(entry) for entry in entries]
     cert = certify(G, vectors, tree=T, chain=chains)
     certified = cert.certified
@@ -288,15 +212,15 @@ def cmd_basis(config: RunConfig) -> int:
         "determinant": str(cert.determinant),
         "certified": certified,
     }
-    if config.verify_flag and G.m <= HNF_ORACLE_EDGE_LIMIT:
+    if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
         all_cycles = enumerate_cycles(G)
         A = indicator_matrix(G, all_cycles)
         B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
         doc["hnf_equal"] = hnf_lattices_equal(A, B)
         certified = certified and doc["hnf_equal"]
         doc["certified"] = certified
-    _emit(doc, config)
-    if config.verify_flag and not certified:
+    _emit(doc, args)
+    if args.verify and not certified:
         return 3
     return 0
 
@@ -335,10 +259,10 @@ def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
     return None if is_simple_cycle(G, set(edges)) else f"entry {idx} is not a cycle"
 
 
-def cmd_verify(config: RunConfig) -> int:
-    G = _load_graph(config.input_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
     _require_connected(G)
-    candidate = _load_document(config.basis_path)
+    candidate = _load_document(args.basis)
     entries = candidate["cycles"]
     checks = []
 
@@ -351,7 +275,7 @@ def cmd_verify(config: RunConfig) -> int:
     )
     if problem:
         check("entries-are-cycles", False, problem)
-        _emit({"accepted": False, "checks": checks}, config)
+        _emit({"accepted": False, "checks": checks}, args)
         return 3
     check("entries-are-cycles", True, f"{len(entries)} entries")
 
@@ -366,7 +290,12 @@ def cmd_verify(config: RunConfig) -> int:
         # a topological basis leaves a large residual on every tree; the
         # chains that build it certify it, when the document is one
         T = hint or spanning_forest(G)
-        cert = certify(G, vectors, tree=T, chain=_build_basis(G, T, "topological")[1])
+        try:
+            cert = certify(G, vectors, tree=T, chain=per_component(G, T, _chain_on)[1])
+        except CapacityError as exc:
+            check("determinant", False, str(exc))
+            _emit({"accepted": False, "checks": checks}, args)
+            return 3
     if not cert.in_cycle_space:
         check("rational-cycle-space", False, "entry violates bridge/series structure")
         accepted = False
@@ -390,40 +319,40 @@ def cmd_verify(config: RunConfig) -> int:
             hnf_ok = check("hnf-lattice-equality", hnf_lattices_equal(A, B), "exact")
         accepted = bool(count_ok and cert.certified and hnf_ok)
     doc = {"accepted": accepted, "checks": checks}
-    _emit(doc, config)
+    _emit(doc, args)
     return 0 if accepted else 3
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    G = _load_graph(config.input_path)
-    partition = bridges_and_series_classes(G)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
     cos = cosimplify(G)
-    comps = component_subgraphs(cos.hat_graph)
+    partition, hat = cos.partition, cos.hat_graph
+    hat_partition = bridges_and_series_classes(hat, cos.hat_tree)
     doc = {
         "n": G.n,
         "m": G.m,
         "connected": is_connected(G),
-        "three_edge_connected": is_three_edge_connected(G),
+        "three_edge_connected": cos.three_edge_connected,
         "bridges": sorted(partition.bridges),
         "nontrivial_series_classes": sorted(
             [sorted(cls) for cls in partition.nontrivial_classes]
         ),
         "series_class_count": len(partition.classes),
         "cosimplification": {
-            "n": cos.hat_graph.n,
-            "m": cos.hat_graph.m,
-            "components": len(comps),
-            "components_three_edge_connected": all(
-                is_three_edge_connected(c) for c in comps
+            "n": hat.n,
+            "m": hat.m,
+            "components": len(cos.hat_tree.component_roots),
+            "components_three_edge_connected": not (
+                hat_partition.bridges or hat_partition.nontrivial_classes
             ),
         },
     }
-    _emit(doc, config)
+    _emit(doc, args)
     return 0
 
 
-def cmd_extend(config: RunConfig) -> int:
-    G = _load_graph(config.input_path)
+def cmd_extend(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
     _require_connected(G)
     chain = compatible_chain(G, keep_prefixes=True)
     seq = chain.sequence
@@ -436,33 +365,33 @@ def cmd_extend(config: RunConfig) -> int:
         "sequence": seq.to_json(),
         "chain": {
             "bases": prefix_docs,
-            "final_basis": _vector_entries_of_basis(chain.final_basis),
+            "final_basis": [_entry(c, tag) for c, tag in chain.final_basis.entries()],
             "determinant": str(cert.determinant),
             "certified": certified,
         },
     }
-    if config.verify_flag:
+    if args.verify:
         # the chain path certifies every prefix by induction over the steps
         certified = certified and all(c.kind == "chain" for c in cert.components)
         doc["chain"]["prefixes_certified"] = certified
         doc["chain"]["certified"] = certified
     del chain  # the prefix graphs and bases are not needed while printing
-    _emit(doc, config)
-    if config.verify_flag and not certified:
+    _emit(doc, args)
+    if args.verify and not certified:
         return 3
     return 0
 
 
-def cmd_hull(config: RunConfig) -> int:
-    G = _load_graph(config.input_path)
+def cmd_hull(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
     _require_connected(G)
-    if (config.characteristic is None) == (config.group is None):
+    if (args.char is None) == (args.group is None):
         raise ArgumentError("hull needs exactly one of --char or --group")
-    K = FieldSpec(config.characteristic) if config.characteristic is not None else None
-    A = AbelianGroupSpec.parse(config.group) if config.group is not None else None
+    K = FieldSpec(args.char) if args.char is not None else None
+    A = AbelianGroupSpec.parse(args.group) if args.group is not None else None
     doc = hull_report(G, K, A)
     verified = False
-    if config.verify_flag:
+    if args.verify:
         if K is not None and G.m <= HNF_ORACLE_EDGE_LIMIT:
             all_cycles = enumerate_cycles(G)
             M = indicator_matrix(G, all_cycles)
@@ -483,20 +412,20 @@ def cmd_hull(config: RunConfig) -> int:
             except CapacityError:
                 verified = False
     doc["verified"] = verified
-    _emit(doc, config)
-    if config.verify_flag and not verified:
+    _emit(doc, args)
+    if args.verify and not verified:
         return 3
     return 0
 
 
-def cmd_gen(config: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     graphs = []
-    for index in range(config.count):
-        derived_seed = config.seed * 1_000_003 + index
+    for index in range(args.count):
+        derived_seed = args.seed * 1_000_003 + index
         graphs.append(
-            gen(config.steps, derived_seed, max_vertices=config.max_vertices)
+            gen(args.steps, derived_seed, max_vertices=args.max_vertices)
         )
-    if config.output == "json":
+    if args.output == "json":
         print(
             json.dumps(
                 {"graphs": [format_edge_list(G) for G in graphs]},
@@ -506,7 +435,7 @@ def cmd_gen(config: RunConfig) -> int:
         )
     else:
         for index, G in enumerate(graphs):
-            print(f"# graph {index} (seed {config.seed}, steps {config.steps})")
+            print(f"# graph {index} (seed {args.seed}, steps {args.steps})")
             sys.stdout.write(format_edge_list(G))
     return 0
 
@@ -527,9 +456,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

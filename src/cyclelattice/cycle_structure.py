@@ -16,6 +16,7 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
+    component_subgraphs,
     connected_components,
     is_connected,
     minor,
@@ -74,14 +75,51 @@ class SeriesPartition:
 class Cosimplification:
     """Minor with bridges deleted and series classes collapsed to one edge.
 
-    projection sends every edge of the parent to its class representative,
-    or to None for bridges; section inverts it class-wise.
+    It is built on a spanning forest of the parent, and only forest edges
+    are contracted.  projection sends every edge of the parent to its class
+    representative, or to None for bridges; section inverts it class-wise.
+    partition holds the bridges and series classes it was built from.
     """
 
     parent: Multigraph
+    forest: SpanningForest
+    partition: SeriesPartition
     hat_graph: Multigraph
     projection: dict[EdgeId, EdgeId | None]
     section: dict[EdgeId, frozenset[EdgeId]]
+
+    @property
+    def identity(self) -> bool:
+        """No bridges and only one-edge series classes: hat_graph is the parent."""
+        return self.hat_graph is self.parent
+
+    @property
+    def three_edge_connected(self) -> bool:
+        """The parent is 3-edge-connected: connected and the identity."""
+        return self.identity and len(self.forest.component_roots) <= 1
+
+    @cached_property
+    def hat_tree(self) -> SpanningForest:
+        """The forest's surviving edges, a spanning forest of hat_graph."""
+        if self.identity:
+            return self.forest
+        edges = frozenset(t for t in self.forest.tree_edges if self.projection[t] == t)
+        roots = tuple(vs[0] for vs, _ in connected_components(self.hat_graph))
+        return SpanningForest(self.hat_graph, edges, roots)
+
+    @cached_property
+    def components(self) -> tuple[tuple[Multigraph, SpanningForest], ...]:
+        """Components of hat_graph that have edges, by least vertex, each
+        with the restriction of hat_tree to it."""
+        hat, tree = self.hat_graph, self.hat_tree
+        if len(tree.component_roots) == 1:
+            return ((hat, tree),) if hat.m else ()
+        out = []
+        for H in component_subgraphs(hat):
+            if H.m:
+                edges = frozenset(e for e in H.edges if e in tree.tree_edges)
+                out.append((H, SpanningForest(H, edges, (H.vertices[0],))))
+        return tuple(out)
 
     def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:
         out: set[EdgeId] = set()
@@ -166,38 +204,26 @@ def bridges_and_series_classes(
 def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplification:
     """Delete bridges, contract all but one edge of each nontrivial class.
 
-    With a forest supplied, only forest edges are contracted (every
-    nontrivial class has at most one non-forest edge) and the representative
-    is the class's non-forest edge when there is one, else its least forest
-    edge.  Without a forest the representative is the least edge id.
+    Only edges of the forest (spanning_forest(G) when none is given) are
+    contracted: every nontrivial class has at most one non-forest edge, and
+    the representative is that edge when there is one, else the class's
+    least edge.  With nothing to delete or contract, hat_graph is G itself.
     """
     T = forest if forest is not None else spanning_forest(G)
     partition = bridges_and_series_classes(G, T)
-    to_contract: set[EdgeId] = set()
-    rep_of_class: dict[frozenset[EdgeId], EdgeId] = {}
-    for cls in partition.classes:
-        if len(cls) == 1:
-            (rep,) = cls
-        elif forest is not None:
-            non_tree = sorted(cls - T.tree_edges)
-            rep = non_tree[0] if non_tree else min(cls)
-        else:
-            rep = min(cls)
-        rep_of_class[cls] = rep
-        to_contract |= cls - {rep}
-    inner = minor(G, delete=set(partition.bridges), contract=set())
-    mm = minor(inner.result, delete=set(), contract=to_contract)
-    hat = mm.result
-
-    projection: dict[EdgeId, EdgeId | None] = {}
+    projection: dict[EdgeId, EdgeId | None] = {e: None for e in partition.bridges}
     section: dict[EdgeId, frozenset[EdgeId]] = {}
-    for cls, rep in rep_of_class.items():
+    to_contract: set[EdgeId] = set()
+    for cls in partition.classes:
+        rep = min(cls - T.tree_edges, default=min(cls))
         section[rep] = cls
+        to_contract |= cls - {rep}
         for e in cls:
             projection[e] = rep
-    for e in partition.bridges:
-        projection[e] = None
-    return Cosimplification(parent=G, hat_graph=hat, projection=projection, section=section)
+    hat = G
+    if partition.bridges or to_contract:
+        hat = minor(G, delete=set(partition.bridges), contract=to_contract).result
+    return Cosimplification(G, T, partition, hat, projection, section)
 
 
 def three_edge_connectivity_witness(G: Multigraph) -> tuple[str, object] | None:

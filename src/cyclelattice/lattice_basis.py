@@ -32,7 +32,6 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
-    component_subgraphs,
     edge_disjoint_paths,
     is_connected,
     minor,
@@ -131,6 +130,12 @@ class SimpleBasis:
         out.extend({e: 1 for e in cyc} for _, cyc in self.cycle_part)
         return out
 
+    def entries(self) -> list[tuple[frozenset[EdgeId], Provenance]]:
+        """(edge set, tag) per vector, in the order of vectors()."""
+        out = [(frozenset({t}), Provenance("doubled", t=t)) for t in self.doubled_part]
+        out.extend((cyc, Provenance("fundamental", e=e)) for e, cyc in self.cycle_part)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class CycleBasis:
@@ -146,6 +151,9 @@ class CycleBasis:
 
     def vectors(self) -> list[dict[EdgeId, int]]:
         return [{e: 1 for e in cyc} for cyc in self.cycles]
+
+    def entries(self) -> list[tuple[frozenset[EdgeId], Provenance]]:
+        return list(zip(self.cycles, self.provenance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,59 +617,63 @@ def semi_fundamental_basis(
 
     The semi-fundamental cycles come from pairs of fundamental cycles whose
     intersection shrinks to a single tree edge inside successive tree-edge
-    contractions; the recorded triples (t_k, e_k, f_k) witness this.  A graph
-    that is connected but not 3-edge-connected is handled by cosimplifying
-    (contracting tree edges only) and lifting the component bases back.
+    contractions; the recorded triples (t_k, e_k, f_k) witness this.  They
+    are built per component of the cosimplification (see per_component).
     """
     if not is_connected(G):
         raise StructureError("graph is not connected")
     if T is None:
         T = spanning_forest(G)
-    if three_edge_connectivity_witness(G) is None:
-        return _semi_fundamental_3ec(G, T)
+    entries, triples = per_component(G, T, _semi_fundamental_3ec)
+    cycles = tuple(cyc for cyc, _ in entries)
+    tags = tuple(tag for _, tag in entries)
+    return CycleBasis(cycles, tags, tree=T), [t for part in triples for t in part]
 
+
+def per_component(G: Multigraph, T: SpanningForest, construct):
+    """Build on each component of the cosimplification of (G, T), lift to G.
+
+    construct(H, T_H) receives every component H of the cosimplification
+    that has edges, with the restriction T_H of T, and returns (basis,
+    extra): a CycleBasis or SimpleBasis of H, and anything else.  Returns
+    the lifted (edge set, Provenance) entries of all bases in component
+    order, and the list of extras.  When the cosimplification is the
+    identity an entry keeps its tag; otherwise a cycle becomes `lifted` and
+    a doubled edge stays doubled(t=...) on its whole series class.
+    """
     cos = cosimplify(G, forest=T)
-    comps = component_subgraphs(cos.hat_graph)
-    comp_bases: list[CycleBasis] = []
-    triples: list[tuple[EdgeId, EdgeId, EdgeId]] = []
-    for comp in comps:
-        tree_edges = frozenset(T.tree_edges & set(comp.edges))
-        comp_T = SpanningForest(
-            parent_graph=comp,
-            tree_edges=tree_edges,
-            component_roots=(min(comp.vertices),),
-        )
-        basis_c, triples_c = _semi_fundamental_3ec(comp, comp_T)
-        comp_bases.append(basis_c)
-        triples.extend(triples_c)
-    lifted = lift_basis(cos, comp_bases)
-    return CycleBasis(cycles=lifted.cycles, provenance=lifted.provenance, tree=T), triples
+    entries: list[tuple[frozenset[EdgeId], Provenance]] = []
+    extras = []
+    for H, T_H in cos.components:
+        basis, extra = construct(H, T_H)
+        extras.append(extra)
+        for edges, tag in basis.entries():
+            if cos.identity:
+                entries.append((edges, tag))
+            elif tag.kind == "doubled":
+                entries.append((cos.lift_edges(edges), tag))
+            else:
+                entries.append((_lift_cycle(cos, edges), Provenance("lifted")))
+    return entries, extras
 
 
 def lift_basis(cos: Cosimplification, component_bases: list[CycleBasis]) -> CycleBasis:
-    """Lift component bases of the cosimplification back to the parent graph.
+    """Lift bases of the cosimplification's components back to the parent.
 
     Every representative edge in a cycle is replaced by its full series
     class; bridges never occur in cycles, so the lift is total.
     """
-    comps = component_subgraphs(cos.hat_graph)
-    if len(component_bases) != len(comps):
-        raise ArgumentError(
-            f"expected {len(comps)} component bases, got {len(component_bases)}"
-        )
-    cycles: list[frozenset[EdgeId]] = []
-    tags: list[Provenance] = []
-    for comp, basis in zip(comps, component_bases):
-        comp_edges = set(comp.edges)
-        for cyc in basis.cycles:
-            if not set(cyc) <= comp_edges:
-                raise ArgumentError("component basis uses edges outside its component")
-            lifted = cos.lift_edges(cyc)
-            if not is_simple_cycle(cos.parent, lifted):
-                raise InternalError("lifted edge set is not a simple cycle")
-            cycles.append(lifted)
-            tags.append(Provenance(kind="lifted"))
-    return CycleBasis(cycles=tuple(cycles), provenance=tuple(tags), tree=None)
+    cycles = tuple(_lift_cycle(cos, c) for basis in component_bases for c in basis.cycles)
+    return CycleBasis(cycles=cycles, provenance=(Provenance("lifted"),) * len(cycles))
+
+
+def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:
+    if any(e not in cos.section for e in cycle):
+        raise ArgumentError("cycle uses edges outside the cosimplification")
+    lifted = cos.lift_edges(cycle)
+    if not is_simple_cycle(cos.parent, lifted):
+        raise InternalError("lifted edge set is not a simple cycle")
+    return lifted
 
 
 # ---------------------------------------------------------------------------

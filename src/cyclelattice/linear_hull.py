@@ -11,14 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .cycle_structure import (
-    cosimplify,
-    fundamental_cycle_matrix,
-    three_edge_connectivity_witness,
-)
+from .cycle_structure import cosimplify, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
 from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
-from .multigraph import Multigraph, component_subgraphs, spanning_forest
+from .multigraph import Multigraph
 from .oracle import IntegerMatrix, _is_prime, rank_mod_p
 
 
@@ -155,19 +151,16 @@ def hull_basis_mod_p(
 
 
 def hull_report(G: Multigraph, K: FieldSpec | None, A: AbelianGroupSpec | None) -> dict:
-    """Hull summary for a connected graph, cosimplifying when necessary.
+    """Hull summary for a connected graph, summed over its cosimplification.
 
-    The closed-form dimensions assume a 3-edge-connected graph; anything
-    else is reduced through its cosimplification (a lattice isomorphism)
-    and the report is flagged as derived.
+    The closed-form dimensions assume a 3-edge-connected graph; they are
+    applied to each component of the cosimplification (a lattice
+    isomorphism), and the report is flagged as derived unless G itself is
+    3-edge-connected.
     """
-    direct = three_edge_connectivity_witness(G) is None
-    if direct:
-        parts = [G]
-    else:
-        cos = cosimplify(G, forest=spanning_forest(G))
-        parts = component_subgraphs(cos.hat_graph)
-    report: dict = {"derived": not direct}
+    cos = cosimplify(G)
+    parts = [H for H, _ in cos.components]
+    report: dict = {"derived": not cos.three_edge_connected}
     if K is not None:
         dim = sum(hull_dimension(H, K) for H in parts)
         report["characteristic"] = K.characteristic
@@ -176,11 +169,7 @@ def hull_report(G: Multigraph, K: FieldSpec | None, A: AbelianGroupSpec | None) 
         factors: list[int] = []
         for H in parts:
             factors.extend(hull_group_structure(H, A).cyclic_factors)
-        spec = (
-            AbelianGroupSpec(cyclic_factors=tuple(factors))
-            if factors
-            else AbelianGroupSpec(cyclic_factors=())
-        )
+        spec = AbelianGroupSpec(cyclic_factors=tuple(factors))
         report["group"] = ",".join(A.describe())
         report["factors"] = spec.describe()
         report["order"] = str(spec.order)

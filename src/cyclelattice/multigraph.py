@@ -270,26 +270,26 @@ def format_edge_list(G: Multigraph) -> str:
 
 def connected_components(G: Multigraph) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
     """Components as (vertices, edges), ordered by least vertex."""
-    unvisited = set(G.vertices)
-    out = []
+    index: dict[VertexId, int] = {}
+    comps: list[list[VertexId]] = []
     for start in G.vertices:
-        if start not in unvisited:
+        if start in index:
             continue
-        unvisited.discard(start)
+        index[start] = len(comps)
         comp = [start]
         queue = deque([start])
         while queue:
             x = queue.popleft()
             for _, y in G.incidence[x]:
-                if y in unvisited:
-                    unvisited.discard(y)
+                if y not in index:
+                    index[y] = len(comps)
                     comp.append(y)
                     queue.append(y)
-        vs = tuple(sorted(comp))
-        vset = set(vs)
-        es = tuple(e for e in G.sorted_edges if G.edges[e][0] in vset)
-        out.append((vs, es))
-    return out
+        comps.append(comp)
+    edges: list[list[EdgeId]] = [[] for _ in comps]
+    for e in G.sorted_edges:
+        edges[index[G.edges[e][0]]].append(e)
+    return [(tuple(sorted(vs)), tuple(es)) for vs, es in zip(comps, edges)]
 
 
 def is_connected(G: Multigraph) -> bool:

@@ -1,14 +1,24 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import cyclelattice
+from cyclelattice import certificate, cycle_structure
 from cyclelattice.cli import main
+from cyclelattice.cycle_structure import fundamental_cycle_matrix
 from cyclelattice.lattice_basis import indicator_matrix
+from cyclelattice.multigraph import forest_from_edges, parse_edge_list
 from cyclelattice.oracle import exact_determinant
 
 K4_TEXT = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 B3_TEXT = "2 3\nu v\nu v\nu v\n"
 C3_TEXT = "3 3\n1 2\n2 3\n3 1\n"
+# K4 on 2..5 with 2-3 and 4-5 subdivided, plus pendant bridges at 5, 2, 7, 4
+SUBDIVIDED_TEXT = (
+    "11 13\n1 5\n2 6\n6 3\n2 4\n2 5\n3 4\n3 5\n4 7\n7 8\n8 5\n2 9\n7 10\n4 11\n"
+)
 
 
 @pytest.fixture
@@ -104,6 +114,21 @@ class TestBasis:
         _, out2 = run(capsys, "basis", k4_file)
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", [[], ["--tree-seed", "3"]])
+    def test_simple_method_builds_on_the_document_tree(self, capsys, tmp_path, seed):
+        path = tmp_path / "subdivided.txt"
+        path.write_text(SUBDIVIDED_TEXT)
+        code, doc = run_json(capsys, "basis", "--method", "simple", *seed, str(path))
+        assert code == 0 and doc["certified"] is True
+        G = parse_edge_list(SUBDIVIDED_TEXT)
+        fcm = fundamental_cycle_matrix(G, forest_from_edges(G, doc["tree"]))
+        fundamental = {fcm.cycle_edges(e) for e in fcm.columns}
+        for entry in doc["cycles"]:
+            if entry.get("multiplier", 1) == 1:
+                assert frozenset(entry["edges"]) in fundamental, entry
+            else:
+                assert set(entry["edges"]) <= set(doc["tree"]), entry
+
 
 class TestVerify:
     def _basis_doc(self, capsys, method, graph_file, tmp_path, name="basis.json"):
@@ -162,6 +187,22 @@ class TestVerify:
         assert code == 3
         failing = {c["name"] for c in verdict["checks"] if not c["passed"]}
         assert "determinant" in failing or "hnf-lattice-equality" in failing
+
+    def test_residual_past_the_cap_fails_the_determinant_check(
+        self, capsys, k4_file, tmp_path, monkeypatch
+    ):
+        cycles = [[0, 1, 3], [0, 2, 4], [3, 4, 5], [0, 1, 4, 5], [0, 2, 3, 5], [1, 2, 3, 4]]
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"cycles": [{"edges": c} for c in cycles]}))
+        monkeypatch.setattr(certificate, "RESIDUAL_CAP", 2)
+        code, verdict = run_json(capsys, "verify", k4_file, str(path))
+        assert code == 3
+        assert verdict["accepted"] is False
+        assert verdict["checks"][-1] == {
+            "name": "determinant",
+            "passed": False,
+            "detail": "residual block of 3x3 after peeling exceeds the cap of 2",
+        }
 
     def test_non_cycle_entry_rejected(self, capsys, k4_file, tmp_path):
         candidate = {"cycles": [{"edges": [0, 1], "provenance": "x"}]}
@@ -262,3 +303,60 @@ class TestExitCodes:
         path = tmp_path / "bad.txt"
         path.write_text("not a header\n")
         assert main(["analyze", str(path)]) == 2
+
+
+def _core_with_pendants(pendants: int) -> str:
+    """K4 with one subdivided edge, plus pendant bridges spread over 1..4."""
+    edges = ["1 2", "1 3", "1 4", "2 5", "5 3", "2 4", "3 4"]
+    edges += [f"{1 + i % 4} {6 + i}" for i in range(pendants)]
+    return f"{5 + pendants} {len(edges)}\n" + "\n".join(edges) + "\n"
+
+
+def _count_partitions(monkeypatch, argv) -> int:
+    """Calls of bridges_and_series_classes, under every name it is imported by."""
+    original = cycle_structure.bridges_and_series_classes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    modules = [cyclelattice] + [
+        importlib.import_module(f"cyclelattice.{info.name}")
+        for info in pkgutil.iter_modules(cyclelattice.__path__)
+    ]
+    with monkeypatch.context() as patch:
+        for module in modules:
+            if getattr(module, "bridges_and_series_classes", None) is original:
+                patch.setattr(module, "bridges_and_series_classes", counted)
+        assert main(argv) == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["basis", "--method", "simple"],
+        ["basis", "--method", "semi-fundamental"],
+        ["basis", "--method", "topological"],
+        ["verify"],
+        ["hull", "--char", "3"],
+        ["analyze"],
+    ],
+)
+def test_partition_count_does_not_grow_with_components(
+    capsys, tmp_path, monkeypatch, command
+):
+    counts = []
+    for pendants in (2, 50):
+        graph = tmp_path / f"core{pendants}.txt"
+        graph.write_text(_core_with_pendants(pendants))
+        argv = [*command, str(graph)]
+        if command == ["verify"]:
+            assert main(["basis", str(graph)]) == 0
+            doc = tmp_path / f"core{pendants}.json"
+            doc.write_text(capsys.readouterr().out)
+            argv.append(str(doc))
+        counts.append(_count_partitions(monkeypatch, argv))
+        capsys.readouterr()
+    assert counts[0] == counts[1] <= 3, counts

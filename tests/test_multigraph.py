@@ -242,6 +242,12 @@ def test_connected_components():
     assert [vs for vs, _ in comps] == [(1, 2, 3), (4, 5)]
     assert [es for _, es in comps] == [(0, 1), (2,)]
     assert not is_connected(G)
+    # many components: a perfect matching listed backwards, one isolated vertex
+    k = 2000
+    pairs = "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in reversed(range(k)))
+    comps = connected_components(parse_edge_list(f"{2 * k + 1} {k}\n{pairs}"))
+    expected = [((2 * i + 1, 2 * i + 2), (k - 1 - i,)) for i in range(k)]
+    assert comps == expected + [((2 * k + 1,), ())]
 
 
 def test_multigraph_rejects_unknown_endpoint():
