@@ -130,7 +130,11 @@ def _as_text(doc: dict, prefix: str = ""):
 
 def _load_graph(path: str) -> Multigraph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph file is not valid UTF-8: {exc}") from None
+    return parse_edge_list(text)
 
 
 def _resolve_vertex(G: Multigraph, token: str) -> int:
@@ -458,10 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, StructureError, PreconditionError) as exc:
+    except (OSError, ParseError, StructureError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CycleLatticeError as exc:

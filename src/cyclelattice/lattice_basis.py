@@ -8,12 +8,12 @@ of cycles only; this module builds them and certifies them exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .certificate import certify
 from .cycle_structure import (
     Cosimplification,
+    FundamentalCycleMatrix,
     bridges_and_series_classes,
     cosimplify,
     fundamental_cycle_matrix,
@@ -32,8 +32,8 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
+    VertexUnion,
     edge_disjoint_paths,
-    is_connected,
     minor,
     spanning_forest,
 )
@@ -380,159 +380,58 @@ def double_edge_combination(
 # ---------------------------------------------------------------------------
 
 
-class _ContractionState:
-    """Current contracted graph, its tree, and path machinery."""
-
-    def __init__(self, G: Multigraph, tree_edges: set[EdgeId]):
-        self.graph = G
-        self.tree_edges = set(tree_edges)
-        self._rebuild()
-
-    def _rebuild(self):
-        G = self.graph
-        adj: dict[VertexId, list[tuple[EdgeId, VertexId]]] = {v: [] for v in G.vertices}
-        for e in sorted(self.tree_edges):
-            a, b = G.edges[e]
-            adj[a].append((e, b))
-            adj[b].append((e, a))
-        parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {}
-        depth: dict[VertexId, int] = {}
-        for r in G.vertices:
-            if r in parent:
-                continue
-            parent[r] = None
-            depth[r] = 0
-            queue = deque([r])
-            while queue:
-                x = queue.popleft()
-                for e, y in adj[x]:
-                    if y not in parent:
-                        parent[y] = (x, e)
-                        depth[y] = depth[x] + 1
-                        queue.append(y)
-        self.parent = parent
-        self.depth = depth
-
-    def contract(self, t: EdgeId):
-        self.graph = minor(self.graph, delete=set(), contract={t}).result
-        self.tree_edges.discard(t)
-        self._rebuild()
-
-    def tree_path(self, u: VertexId, v: VertexId) -> set[EdgeId]:
-        parent, depth = self.parent, self.depth
-        out: set[EdgeId] = set()
-        while depth[u] > depth[v]:
-            u, e = parent[u]
-            out.add(e)
-        while depth[v] > depth[u]:
-            v, e = parent[v]
-            out.add(e)
-        while u != v:
-            u, e = parent[u]
-            out.add(e)
-            v, f = parent[v]
-            out.add(f)
-        return out
-
-    def fundamental_cycle(self, e: EdgeId) -> set[EdgeId]:
-        u, v = self.graph.edges[e]
-        if u == v:
-            return {e}
-        path = self.tree_path(u, v)
-        path.add(e)
-        return path
-
-    def non_tree_edges(self) -> list[EdgeId]:
-        return [e for e in self.graph.sorted_edges if e not in self.tree_edges]
-
-    def forest_sides(self, removed: set[EdgeId]) -> dict[VertexId, int]:
-        """Component labels of the forest after removing some tree edges."""
-        G = self.graph
-        adj: dict[VertexId, list[VertexId]] = {v: [] for v in G.vertices}
-        for e in self.tree_edges:
-            if e in removed:
-                continue
-            a, b = G.edges[e]
-            adj[a].append(b)
-            adj[b].append(a)
-        label: dict[VertexId, int] = {}
-        counter = 0
-        for r in G.vertices:
-            if r in label:
-                continue
-            label[r] = counter
-            queue = deque([r])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in label:
-                        label[y] = counter
-                        queue.append(y)
-            counter += 1
-        return label
-
-
 def _cycle_edge_at(
-    G: Multigraph, cycle: set[EdgeId], v: VertexId, excluding: EdgeId
+    G: Multigraph, blocks: VertexUnion, cycle: set[EdgeId], v: VertexId, excluding: EdgeId
 ) -> EdgeId:
     for e in cycle:
-        if e == excluding:
-            continue
-        a, b = G.edges[e]
-        if v in (a, b):
+        if e != excluding and v in map(blocks.find, G.edges[e]):
             return e
     raise InternalError(f"cycle has no second edge at vertex {v}")
 
 
 def _path_end_data(
-    G: Multigraph, path_edges: set[EdgeId]
+    G: Multigraph, blocks: VertexUnion, path_edges: set[EdgeId]
 ) -> tuple[VertexId, VertexId, EdgeId, EdgeId]:
     """Endpoints of a tree path and its two end edges, least endpoint first."""
     deg: dict[VertexId, list[EdgeId]] = {}
     for e in path_edges:
-        a, b = G.edges[e]
-        deg.setdefault(a, []).append(e)
-        deg.setdefault(b, []).append(e)
+        for v in G.edges[e]:
+            deg.setdefault(blocks.find(v), []).append(e)
     ends = sorted(v for v, es in deg.items() if len(es) == 1)
     if len(ends) != 2:
         raise InternalError("edge set is not a simple path")
-    v0, vk = ends[0], ends[1]
+    v0, vk = ends
     return v0, vk, deg[v0][0], deg[vk][0]
 
 
 def _shrink_pair(
-    state: _ContractionState, e: EdgeId, f: EdgeId, inter: set[EdgeId]
+    fcm: FundamentalCycleMatrix,
+    blocks: VertexUnion,
+    remaining: set[EdgeId],
+    e: EdgeId,
+    f: EdgeId,
+    inter: set[EdgeId],
 ) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
-    """One cycle exchange: replace (e, f) so the tree intersection shrinks."""
-    G = state.graph
-    v0, vk, a, a_prime = _path_end_data(G, inter)
-    sides = state.forest_sides({a, a_prime})
-    side_h, side_hprime = sides[v0], sides[vk]
-    # the middle component holds the interior endpoint of a
-    side_hp = sides[G.other_end(a, v0)]
+    """One cycle exchange: replace (e, f) so the tree intersection shrinks.
 
-    x_found = None
-    for x in state.non_tree_edges():
-        p, q = G.edges[x]
-        if p == q:
-            continue
-        sp, sq = sides[p], sides[q]
-        if {sp, sq} == {side_hp, side_h} or {sp, sq} == {side_hp, side_hprime}:
-            x_found = x
-            anchor_vertex = v0 if side_h in (sp, sq) else vk
-            anchor_edge = a if anchor_vertex == v0 else a_prime
-            break
-    if x_found is None:
+    Removing the end edges a, a' of the intersection path splits the tree
+    into the side of v0, the middle and the side of vk; a non-tree edge
+    joins the middle to one outer side exactly when it crosses one of a, a'.
+    """
+    G = fcm.tree.parent_graph
+    v0, vk, a, a_prime = _path_end_data(G, blocks, inter)
+    reconnecting = fcm.rows[a] ^ fcm.rows[a_prime]
+    if not reconnecting:
         raise StructureError(
             "no reconnecting non-tree edge: graph is not 3-edge-connected"
         )
+    x = min(reconnecting)
+    anchor = (v0, a) if x in fcm.rows[a] else (vk, a_prime)
 
-    cyc_e = state.fundamental_cycle(e)
-    cyc_f = state.fundamental_cycle(f)
-    cyc_x = state.fundamental_cycle(x_found)
-    at_x = _cycle_edge_at(G, cyc_x, anchor_vertex, anchor_edge)
-    diverges_e = _cycle_edge_at(G, cyc_e, anchor_vertex, anchor_edge) != at_x
-    diverges_f = _cycle_edge_at(G, cyc_f, anchor_vertex, anchor_edge) != at_x
+    cyc_e, cyc_f, cyc_x = (fcm.columns[y] & remaining | {y} for y in (e, f, x))
+    at_x = _cycle_edge_at(G, blocks, cyc_x, *anchor)
+    diverges_e = _cycle_edge_at(G, blocks, cyc_e, *anchor) != at_x
+    diverges_f = _cycle_edge_at(G, blocks, cyc_f, *anchor) != at_x
     if diverges_e and diverges_f:
         keep = max(e, f)  # replace the cycle with the smaller non-tree id
     elif diverges_e:
@@ -541,32 +440,25 @@ def _shrink_pair(
         keep = f
     else:
         raise InternalError("neither cycle diverges from the exchange cycle")
-    kept_cycle = cyc_e if keep == e else cyc_f
-    new_inter = (kept_cycle & cyc_x) & state.tree_edges
+    new_inter = remaining & fcm.columns[keep] & fcm.columns[x]
     if not new_inter or not new_inter < inter:
         raise InternalError("cycle exchange failed to shrink the intersection")
-    return keep, x_found, new_inter
+    return keep, x, new_inter
 
 
-def _seed_pair(state: _ContractionState) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
+def _seed_pair(
+    fcm: FundamentalCycleMatrix, remaining: set[EdgeId]
+) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
     """Two fundamental cycles through the least remaining tree edge."""
-    t = min(state.tree_edges)
-    sides = state.forest_sides({t})
-    a, b = state.graph.edges[t]
-    crossing = []
-    for x in state.non_tree_edges():
-        p, q = state.graph.edges[x]
-        if p != q and {sides[p], sides[q]} == {sides[a], sides[b]}:
-            crossing.append(x)
-            if len(crossing) == 2:
-                break
+    t = min(remaining)
+    crossing = sorted(fcm.rows[t])[:2]
     if len(crossing) < 2:
         raise StructureError(
             f"fundamental cut of tree edge {t} has fewer than two non-tree edges; "
             "graph is not 3-edge-connected"
         )
     e, f = crossing
-    inter = state.fundamental_cycle(e) & state.fundamental_cycle(f) & state.tree_edges
+    inter = remaining & fcm.columns[e] & fcm.columns[f]
     if t not in inter:
         raise InternalError("seed pair does not share the seeding tree edge")
     return e, f, inter
@@ -575,38 +467,41 @@ def _seed_pair(state: _ContractionState) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
 def _semi_fundamental_3ec(
     G: Multigraph, T: SpanningForest
 ) -> tuple[CycleBasis, list[tuple[EdgeId, EdgeId, EdgeId]]]:
+    """Fundamental cycles of T, then one semi-fundamental cycle per tree edge.
+
+    The tree edges are contracted one by one, but every query is answered on
+    the fixed tree T: the fundamental cycle of e in the contracted graph is
+    the original one minus the contracted edges, a non-tree edge crosses a
+    surviving tree edge t exactly when it lies in t's row, and the blocks of
+    contracted edges name each contracted vertex by its least vertex, as in
+    minor.
+    """
     fcm = fundamental_cycle_matrix(G, T)
-    fund_cycles = {e: set(fcm.cycle_edges(e)) for e in fcm.columns}
+    order = sorted(fcm.columns)
+    cycles = [fcm.cycle_edges(e) for e in order]
+    tags = [Provenance(kind="fundamental", e=e) for e in order]
 
-    cycles: list[frozenset[EdgeId]] = []
-    tags: list[Provenance] = []
-    for e in sorted(fund_cycles):
-        cycles.append(frozenset(fund_cycles[e]))
-        tags.append(Provenance(kind="fundamental", e=e))
-
-    state = _ContractionState(G, set(T.tree_edges))
+    remaining = set(T.tree_edges)
+    blocks = VertexUnion(G.vertices)
     stack: list[tuple[EdgeId, EdgeId, set[EdgeId]]] = []
     triples: list[tuple[EdgeId, EdgeId, EdgeId]] = []
-    while state.tree_edges:
+    while remaining:
         if not stack:
-            stack.append(_seed_pair(state))
+            stack.append(_seed_pair(fcm, remaining))
         e, f, inter = stack[-1]
         while len(inter) > 1:
-            e, f, inter = _shrink_pair(state, e, f, inter)
+            e, f, inter = _shrink_pair(fcm, blocks, remaining, e, f, inter)
             stack.append((e, f, inter))
         (t,) = inter
         triples.append((t, e, f))
-        semi = frozenset(fund_cycles[e] ^ fund_cycles[f])
-        cycles.append(semi)
+        cycles.append(fcm.cycle_edges(e) ^ fcm.cycle_edges(f))
         tags.append(Provenance(kind="semi-fundamental", e=e, f=f, t=t))
-        state.contract(t)
+        blocks.union(*G.edges[t])
+        remaining.discard(t)
         stack.pop()
-        pruned: list[tuple[EdgeId, EdgeId, set[EdgeId]]] = []
-        for pe, pf, pinter in stack:
+        for _, _, pinter in stack:
             pinter.discard(t)
-            if pinter:
-                pruned.append((pe, pf, pinter))
-        stack = pruned
+        stack = [entry for entry in stack if entry[2]]
     return CycleBasis(cycles=tuple(cycles), provenance=tuple(tags), tree=T), triples
 
 
@@ -620,10 +515,10 @@ def semi_fundamental_basis(
     contractions; the recorded triples (t_k, e_k, f_k) witness this.  They
     are built per component of the cosimplification (see per_component).
     """
-    if not is_connected(G):
-        raise StructureError("graph is not connected")
     if T is None:
         T = spanning_forest(G)
+    if len(T.component_roots) > 1:
+        raise StructureError("graph is not connected")
     entries, triples = per_component(G, T, _semi_fundamental_3ec)
     cycles = tuple(cyc for cyc, _ in entries)
     tags = tuple(tag for _, tag in entries)

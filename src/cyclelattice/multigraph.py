@@ -156,6 +156,28 @@ class MinorMap:
     vertex_image: dict[VertexId, VertexId]
 
 
+class VertexUnion:
+    """Union-find over vertices; every block is named by its least vertex."""
+
+    def __init__(self, vertices):
+        self.rep: dict[VertexId, VertexId] = {v: v for v in vertices}
+
+    def find(self, v: VertexId) -> VertexId:
+        rep = self.rep
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
+    def union(self, u: VertexId, v: VertexId) -> bool:
+        """Merge the blocks of u and v; False when they are one block already."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.rep[max(ru, rv)] = min(ru, rv)
+        return True
+
+
 def parse_edge_list(text: str) -> Multigraph:
     """Parse an edge-list document.
 
@@ -340,25 +362,14 @@ def forest_from_edges(G: Multigraph, edges) -> SpanningForest | None:
     or they leave two vertices of one component of G unjoined.
     """
     tree = frozenset(edges)
-    rep = {v: v for v in G.vertices}
-
-    def find(v: VertexId) -> VertexId:
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
+    blocks = VertexUnion(G.vertices)
     for e in tree:
-        if e not in G.edges:
+        if e not in G.edges or not blocks.union(*G.edges[e]):
             return None
-        ru, rv = (find(x) for x in G.edges[e])
-        if ru == rv:
-            return None
-        rep[max(ru, rv)] = min(ru, rv)
     for e, (u, v) in G.edges.items():
-        if e not in tree and find(u) != find(v):
+        if e not in tree and blocks.find(u) != blocks.find(v):
             return None
-    roots = tuple(v for v in G.vertices if rep[v] == v)
+    roots = tuple(v for v in G.vertices if blocks.find(v) == v)
     return SpanningForest(parent_graph=G, tree_edges=tree, component_roots=roots)
 
 
@@ -376,22 +387,10 @@ def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap
         if e not in G.edges:
             raise ArgumentError(f"unknown edge id {e}")
 
-    rep = {v: v for v in G.vertices}
-
-    def find(v: VertexId) -> VertexId:
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
+    blocks = VertexUnion(G.vertices)
     for e in contract:
-        u, v = G.edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # keep the least id as the merged representative
-            lo, hi = (ru, rv) if ru < rv else (rv, ru)
-            rep[hi] = lo
-    vertex_image = {v: find(v) for v in G.vertices}
+        blocks.union(*G.edges[e])
+    vertex_image = {v: blocks.find(v) for v in G.vertices}
     new_vertices = tuple(sorted(set(vertex_image.values())))
     removed = delete | contract
     new_edges = {

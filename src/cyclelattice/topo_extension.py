@@ -219,9 +219,9 @@ class _TopEdge:
 class _SequenceBuilder:
     """Peels the target graph into paths and emits replayable steps.
 
-    Maintains the grown graph alongside the suppression bookkeeping: which
-    target vertices are branch vertices, which sit inside a suppressed path,
-    and which path each grown edge represents.
+    Builds no grown graph, only the suppression bookkeeping: which target
+    vertices are branch vertices, which sit inside a suppressed path, and
+    which path each grown edge represents.
     """
 
     def __init__(self, G: Multigraph):
@@ -238,7 +238,6 @@ class _SequenceBuilder:
         self._next_rv = 0
         self._next_rid = 0
         self.sweep_queue: deque[EdgeId] = deque()
-        self.R: Multigraph | None = None
         self.base: Multigraph | None = None
 
     # -- id bookkeeping ----------------------------------------------------
@@ -309,7 +308,6 @@ class _SequenceBuilder:
     def _emit(self, step: ExtensionStep, ends, gpath, gverts, path_edges):
         self._add_top_edge(step.new_edge, ends, gpath, gverts)
         self.steps.append(step)
-        self.R = apply_extension(self.R, step)
         self._cover(path_edges)
 
     # -- phase 0: first cycle ------------------------------------------------
@@ -524,7 +522,6 @@ class _SequenceBuilder:
         self.base_rv = rv0
         self.gv_to_rv[v0] = rv0
         self.base = Multigraph(vertices=(rv0,), edges={})
-        self.R = self.base
         if G.m > 0:
             cyc_edges, cyc_verts = self._closed_path_from(v0)
             rid = self._new_rid()

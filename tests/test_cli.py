@@ -304,6 +304,27 @@ class TestExitCodes:
         path.write_text("not a header\n")
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{dir}"],
+            ["analyze", "{latin1}"],
+            ["basis", "{latin1}"],
+            ["verify", "{latin1}", "{doc}"],
+            ["verify", "{k4}", "{dir}"],
+        ],
+    )
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, k4_file, argv):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("3 3\n\xe9 b\nb c\nc \xe9\n".encode("latin-1"))
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"cycles": []}')
+        paths = {"dir": str(tmp_path), "latin1": str(latin1), "doc": str(doc), "k4": k4_file}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
 
 def _core_with_pendants(pendants: int) -> str:
     """K4 with one subdivided edge, plus pendant bridges spread over 1..4."""

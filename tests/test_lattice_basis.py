@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclelattice import cycle_structure, lattice_basis
 from cyclelattice.cycle_structure import cosimplify, is_simple_cycle
 from cyclelattice.errors import MembershipError, PreconditionError
 from cyclelattice.lattice_basis import (
@@ -282,9 +283,13 @@ class TestSemiFundamentalBasis:
     def test_random_spanning_trees_force_exchanges(self):
         # deep non-BFS trees give seeded cycle pairs with long overlaps,
         # exercising the exchange loop and the reuse of shrunk pairs
+        # plus a few instances at m = 150..300, where the pairs overlap longer
         rng = random.Random(0)
-        for trial in range(40):
-            G = gen(steps=rng.randint(3, 9), seed=trial, max_vertices=10)
+        small = (
+            gen(steps=rng.randint(3, 9), seed=trial, max_vertices=10) for trial in range(40)
+        )
+        large = (gen(2 * n + 1, seed=n, max_vertices=n) for n in (50, 75, 100))
+        for trial, G in enumerate(itertools.chain(small, large)):
             T = _random_spanning_tree(G, rng)
             basis, triples = semi_fundamental_basis(G, T)
             det, ok = certify_cycle_basis(G, basis)
@@ -292,6 +297,21 @@ class TestSemiFundamentalBasis:
             _assert_triples_witness(G, T, triples)
             if G.m <= 13:
                 assert matches_all_cycles_lattice(G, basis.cycles), trial
+
+    def test_no_minor_on_a_3ec_graph(self, monkeypatch):
+        # the contractions are replayed on the fixed tree, never as minors
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return minor(*args, **kwargs)
+
+        monkeypatch.setattr(lattice_basis, "minor", counted)
+        monkeypatch.setattr(cycle_structure, "minor", counted)
+        G = gen(201, seed=3, max_vertices=100)
+        basis, triples = semi_fundamental_basis(G)
+        assert len(triples) == G.n - 1 > 0
+        assert calls == []
 
     def test_random_connected_non_3ec_graphs(self):
         rng = random.Random(1)
