@@ -56,11 +56,13 @@ class AbelianGroupSpec:
             tok = tok.strip()
             if not tok:
                 continue
-            if "^" in tok:
-                base, exp = tok.split("^", 1)
-                factors.append(int(base) ** int(exp))
-            else:
-                factors.append(int(tok))
+            base, caret, exp = tok.partition("^")
+            try:
+                factors.append(int(base) ** (int(exp) if caret else 1))
+            except ValueError:
+                raise ArgumentError(
+                    f"group factor {tok!r} is not an integer or a power like 2^3"
+                ) from None
         if not factors:
             raise ArgumentError("empty group specification")
         return cls(cyclic_factors=tuple(factors))

@@ -10,8 +10,10 @@ and extends cycle bases step by step so that consecutive bases nest.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ArgumentError, InternalError, StructureError
 from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
@@ -100,43 +102,76 @@ class ExtensionStep:
         )
 
 
+class _GrownGraph:
+    """A multigraph grown in place, one extension step at a time.
+
+    `ends` maps edge -> (u, v) and `adj` maps v -> {edge: other end}, loops
+    listed once.  Both keep insertion order, which is edge-id order when the
+    graph starts from a Multigraph and every step brings larger ids, as the
+    steps of `extension_sequence` and `gen` do.
+    """
+
+    __slots__ = ("ends", "adj")
+
+    def __init__(self, H: Multigraph):
+        # ends keeps H's own edge order, so a frozen graph lists edges as H did
+        self.ends: dict[EdgeId, tuple[VertexId, VertexId]] = dict(H.edges)
+        self.adj: dict[VertexId, dict[EdgeId, VertexId]] = {v: {} for v in H.vertices}
+        for e in H.sorted_edges:
+            u, v = H.edges[e]
+            self.adj[u][e] = v
+            self.adj[v][e] = u
+
+    def _add(self, e: EdgeId, u: VertexId, v: VertexId):
+        self.ends[e] = (u, v)
+        self.adj[u][e] = v
+        self.adj[v][e] = u
+
+    def apply(self, step: ExtensionStep):
+        """Apply one extension step in place; surviving edges keep their ids."""
+        ends, adj = self.ends, self.adj
+        new_ids = [step.new_edge]
+        for split in step.splits():
+            new_ids.extend((split.first, split.second))
+            if split.old not in ends:
+                raise ArgumentError(f"split references unknown edge {split.old}")
+            if split.vertex in adj:
+                raise ArgumentError(f"split vertex {split.vertex} already exists")
+        if len(set(new_ids)) != len(new_ids):
+            raise ArgumentError("new edge ids collide")
+        for e in new_ids:
+            if e in ends:
+                raise ArgumentError(f"new edge id {e} already exists")
+        splits = step.splits()
+        if len({s.vertex for s in splits}) != len(splits):
+            raise ArgumentError("split vertices collide")
+
+        a, b = step.endpoints
+        if step.kind == "A":
+            if a not in adj or b not in adj:
+                raise ArgumentError("kind A endpoints must exist")
+        elif step.kind == "B":
+            if b not in adj:
+                raise ArgumentError("kind B second endpoint must exist")
+
+        for split in splits:
+            u, v = ends.pop(split.old)
+            del adj[u][split.old]
+            adj[v].pop(split.old, None)  # already gone when old is a loop
+            adj[split.vertex] = {}
+            self._add(split.first, u, split.vertex)
+            self._add(split.second, split.vertex, v)
+        self._add(step.new_edge, a, b)
+
+    def freeze(self, labels: dict[VertexId, str] | None = None) -> Multigraph:
+        return Multigraph(vertices=tuple(sorted(self.adj)), edges=dict(self.ends), labels=labels)
+
+
 def apply_extension(H: Multigraph, step: ExtensionStep) -> Multigraph:
     """Apply one extension step; surviving edges keep their ids."""
-    vset = set(H.vertices)
-    new_ids = [step.new_edge]
-    for split in step.splits():
-        new_ids.extend((split.first, split.second))
-        if split.old not in H.edges:
-            raise ArgumentError(f"split references unknown edge {split.old}")
-        if split.vertex in vset:
-            raise ArgumentError(f"split vertex {split.vertex} already exists")
-    if len(set(new_ids)) != len(new_ids):
-        raise ArgumentError("new edge ids collide")
-    for e in new_ids:
-        if e in H.edges:
-            raise ArgumentError(f"new edge id {e} already exists")
-    splits = step.splits()
-    if len({s.vertex for s in splits}) != len(splits):
-        raise ArgumentError("split vertices collide")
-
-    a, b = step.endpoints
-    if step.kind == "A":
-        if a not in vset or b not in vset:
-            raise ArgumentError("kind A endpoints must exist")
-    elif step.kind == "B":
-        if b not in vset:
-            raise ArgumentError("kind B second endpoint must exist")
-
-    edges = dict(H.edges)
-    vertices = list(H.vertices)
-    for split in splits:
-        u, v = edges.pop(split.old)
-        edges[split.first] = (u, split.vertex)
-        edges[split.second] = (split.vertex, v)
-        vertices.append(split.vertex)
-    edges[step.new_edge] = (a, b)
-    labels = dict(H.labels) if H.labels else None
-    return Multigraph(vertices=tuple(sorted(vertices)), edges=edges, labels=labels)
+    grown = _GrownGraph(H)
+    grown.apply(step)
+    return grown.freeze(dict(H.labels) if H.labels else None)
 
 
 def embed_cycle(step: ExtensionStep, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:
@@ -187,9 +222,12 @@ class ExtensionSequence:
 
     def replay(self) -> list[Multigraph]:
         """Snapshots of every grown graph, base first."""
+        grown = _GrownGraph(self.base)
+        labels = self.base.labels
         graphs = [self.base]
         for step in self.steps:
-            graphs.append(apply_extension(graphs[-1], step))
+            grown.apply(step)
+            graphs.append(grown.freeze(dict(labels) if labels else None))
         return graphs
 
     def to_json(self) -> dict:
@@ -221,13 +259,17 @@ class _SequenceBuilder:
 
     Builds no grown graph, only the suppression bookkeeping: which target
     vertices are branch vertices, which sit inside a suppressed path, and
-    which path each grown edge represents.
+    which path each grown edge represents.  `active` holds the vertices of
+    the covered part that still have uncovered incidences, the candidate
+    starts of the next path.
     """
 
     def __init__(self, G: Multigraph):
         self.G = G
         self.covered: set[EdgeId] = set()
         self.deg: dict[VertexId, int] = {v: 0 for v in G.vertices}
+        self.uncovered: dict[VertexId, int] = {v: len(G.incidence[v]) for v in G.vertices}
+        self.active: set[VertexId] = set()
         self.vmap: dict[VertexId, VertexId] = {}      # grown vertex -> target vertex
         self.gv_to_rv: dict[VertexId, VertexId] = {}  # target branch vertex -> grown
         self.on_edge: dict[VertexId, EdgeId] = {}     # suppressed target vertex -> rid
@@ -304,6 +346,12 @@ class _SequenceBuilder:
             else:
                 self._bump(u, 1)
                 self._bump(v, 1)
+            for x in {u, v}:
+                self.uncovered[x] -= 1
+                if self.uncovered[x]:
+                    self.active.add(x)
+                else:
+                    self.active.discard(x)
 
     def _emit(self, step: ExtensionStep, ends, gpath, gverts, path_edges):
         self._add_top_edge(step.new_edge, ends, gpath, gverts)
@@ -317,8 +365,9 @@ class _SequenceBuilder:
         for e, w in G.incidence[v0]:
             if w == v0:
                 return [e], [v0, v0]
+        adj = {v: dict(pairs) for v, pairs in G.incidence.items()}
         for e0, x in G.incidence[v0]:
-            path = _bfs_path(G, x, v0, banned={e0})
+            path = _bfs_path(adj, x, v0, banned={e0})
             if path is not None:
                 verts = _path_vertices(G, [e0] + path, v0)
                 return [e0] + path, verts
@@ -401,13 +450,7 @@ class _SequenceBuilder:
         return edges[::-1], verts[::-1]
 
     def _find_path(self):
-        candidates = sorted(
-            v
-            for v in self.G.vertices
-            if self.deg[v] > 0
-            and any(e not in self.covered for e, _ in self.G.incidence[v])
-        )
-        for v in candidates:
+        for v in sorted(self.active):
             found = self._search_from(v)
             if found is not None:
                 return found
@@ -567,14 +610,22 @@ def extension_sequence(G: Multigraph) -> ExtensionSequence:
     same suppressed path, and single edges between branch vertices are swept
     in after every search.
     """
+    if not G.vertices:
+        raise StructureError("graph has no vertices: a growth sequence starts at one")
     require_three_edge_connected(G)
     return _SequenceBuilder(G).build()
 
 
 def _bfs_path(
-    G: Multigraph, s: VertexId, t: VertexId, banned: set[EdgeId] = frozenset()
+    adj: dict[VertexId, dict[EdgeId, VertexId]],
+    s: VertexId,
+    t: VertexId,
+    banned: set[EdgeId] = frozenset(),
 ) -> list[EdgeId] | None:
-    """Shortest s-t path as edge ids, avoiding banned edges; loops unused."""
+    """Shortest s-t path as edge ids in adj (v -> {edge: other end}).
+
+    Banned edges and loops are unused; ties go to the earlier-listed edge.
+    """
     if s == t:
         return []
     parent: dict[VertexId, tuple[VertexId, EdgeId]] = {}
@@ -582,7 +633,7 @@ def _bfs_path(
     queue = deque([s])
     while queue:
         x = queue.popleft()
-        for e, y in G.incidence[x]:
+        for e, y in adj[x].items():
             if e in banned or y == x or y in seen:
                 continue
             parent[y] = (x, e)
@@ -607,6 +658,52 @@ def _path_vertices(G: Multigraph, edges: list[EdgeId], start: VertexId) -> list[
     return verts
 
 
+def _extending_cycles(
+    grown: _GrownGraph, step: ExtensionStep, kind_a_path
+) -> list[frozenset[EdgeId]]:
+    """The cycles extending a basis across `step`, read off the graph before it.
+
+    kind_a_path(a, b) closes a kind-A step between distinct endpoints; the
+    halves of divided edges close through shortest paths avoiding them.
+    """
+    e = step.new_edge
+    if step.kind == "A":
+        a, b = step.endpoints
+        if a == b:
+            return [frozenset({e})]
+        path = kind_a_path(a, b)
+        if path is None:
+            raise InternalError("no path between the endpoints of a kind-A step")
+        return [frozenset(path) | {e}]
+    if step.kind == "B":
+        split = step.split_f
+        u1, u2 = grown.ends[split.old]
+        b = step.endpoints[1]
+        cycles = []
+        for u_end, half in ((u1, split.first), (u2, split.second)):
+            path = _bfs_path(grown.adj, u_end, b, banned={split.old})
+            if path is None:
+                raise InternalError("divided edge's endpoint cannot reach the anchor")
+            cycles.append(frozenset(path) | {half, e})
+        return cycles
+    # kind C
+    sf, sg = step.split_f, step.split_g
+    u1, u2 = grown.ends[sf.old]
+    w1, w2 = grown.ends[sg.old]
+    banned = {sf.old, sg.old}
+    out = []
+    for s_end, t_end, extra in (
+        (u1, w1, {sf.first, sg.first, e}),
+        (u2, w2, {sf.second, sg.second, e}),
+        (u1, w2, {sf.first, sg.second, e}),
+    ):
+        path = _bfs_path(grown.adj, s_end, t_end, banned=banned)
+        if path is None:
+            raise InternalError("divided edges' endpoints fall apart without them")
+        out.append(frozenset(path) | extra)
+    return out
+
+
 def extend_basis(
     H: Multigraph,
     basis: CycleBasis | None,
@@ -622,47 +719,39 @@ def extend_basis(
     """
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
-    e = step.new_edge
-    if step.kind == "A":
-        a, b = step.endpoints
-        if a == b:
-            return [frozenset({e})]
-        banned = (
-            frozenset(x for x in H.edges if x not in tree_edges)
-            if tree_edges is not None
-            else frozenset()
-        )
-        path = _bfs_path(H, a, b, banned=banned)
-        if path is None:
-            raise InternalError("no path between the endpoints of a kind-A step")
-        return [frozenset(path) | {e}]
-    if step.kind == "B":
-        split = step.split_f
-        u1, u2 = H.edges[split.old]
-        b = step.endpoints[1]
-        cycles = []
-        for u_end, half in ((u1, split.first), (u2, split.second)):
-            path = _bfs_path(H, u_end, b, banned={split.old})
-            if path is None:
-                raise InternalError("divided edge's endpoint cannot reach the anchor")
-            cycles.append(frozenset(path) | {half, e})
-        return cycles
-    # kind C
-    sf, sg = step.split_f, step.split_g
-    u1, u2 = H.edges[sf.old]
-    w1, w2 = H.edges[sg.old]
-    banned = {sf.old, sg.old}
-    out = []
-    for s_end, t_end, extra in (
-        (u1, w1, {sf.first, sg.first, e}),
-        (u2, w2, {sf.second, sg.second, e}),
-        (u1, w2, {sf.first, sg.second, e}),
-    ):
-        path = _bfs_path(H, s_end, t_end, banned=banned)
-        if path is None:
-            raise InternalError("divided edges' endpoints fall apart without them")
-        out.append(frozenset(path) | extra)
-    return out
+    grown = _GrownGraph(H)
+
+    def kind_a_path(a, b):
+        banned = grown.ends.keys() - tree_edges if tree_edges is not None else frozenset()
+        return _bfs_path(grown.adj, a, b, banned=banned)
+
+    return _extending_cycles(grown, step, kind_a_path)
+
+
+def _tree_path(
+    parent: dict[VertexId, tuple[VertexId, EdgeId] | None], a: VertexId, b: VertexId
+) -> list[EdgeId]:
+    """Edges of the tree path between a and b, read off a parent map.
+
+    Both ends climb in turn until one stands on the other's trail, the
+    lowest common ancestor, so the walk takes at most twice the path length
+    whatever the depth.
+    """
+    ends = [a, b]
+    trails: tuple[dict[VertexId, int], dict[VertexId, int]] = ({a: 0}, {b: 0})
+    climbed: tuple[list[EdgeId], list[EdgeId]] = ([], [])
+    while True:
+        for i in (0, 1):
+            x = ends[i]
+            j = trails[1 - i].get(x)
+            if j is not None:
+                return climbed[i] + climbed[1 - i][:j]
+            up = parent[x]
+            if up is not None:
+                x, e = up
+                ends[i] = x
+                climbed[i].append(e)
+                trails[i][x] = len(climbed[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,73 +759,79 @@ class CompatibleChain:
     """Extension sequence with nested cycle bases along it.
 
     `bases` holds one basis per grown graph (in grown-graph edge ids) when
-    prefixes were kept; `final_basis` is always present, translated into the
-    target graph's edge ids.  `tree` is the maintained spanning tree, also
-    translated.
+    prefixes were kept, and `graphs` then replays those grown graphs on
+    first access (None otherwise); `final_basis` is always present,
+    translated into the target graph's edge ids.  `tree` is the maintained
+    spanning tree, also translated.
     """
 
     sequence: ExtensionSequence
     bases: tuple[CycleBasis, ...]
     final_basis: CycleBasis
-    graphs: tuple[Multigraph, ...] | None = None
     tree: SpanningForest | None = None
+
+    @cached_property
+    def graphs(self) -> tuple[Multigraph, ...] | None:
+        return tuple(self.sequence.replay()) if self.bases else None
 
 
 def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleChain:
     """Grow G from a vertex and extend a cycle basis at every step.
 
-    The maintained spanning tree drives kind-A extending cycles; divided
-    tree edges keep both halves in the tree, divided non-tree edges keep
-    one, and the new edge never enters, so the tree stays spanning.
+    The maintained spanning tree, a parent map rooted at the base vertex,
+    drives kind-A extending cycles; divided tree edges keep both halves in
+    the tree, a divided non-tree edge hangs the split vertex off its first
+    half, and the new edge never enters, so the tree stays spanning.
     """
     seq = extension_sequence(G)
-    R = seq.base
-    tree: set[EdgeId] = set()
+    grown = _GrownGraph(seq.base)
+    (root,) = seq.base.vertices
+    parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {root: None}
     cycles: list[frozenset[EdgeId]] = []
     tags: list[Provenance] = []
     members: dict[EdgeId, set[int]] = {}
     bases: list[CycleBasis] = [CycleBasis(cycles=(), provenance=(), tree=None)]
-    graphs: list[Multigraph] = [R]
+
+    def kind_a_path(a, b):
+        return _tree_path(parent, a, b)
 
     for i, step in enumerate(seq.steps):
-        new_cycles = extend_basis(R, None, step, tree_edges=frozenset(tree))
-        # embed the existing cycles through the splits
+        new_cycles = _extending_cycles(grown, step, kind_a_path)
+        grown.apply(step)
         for split in step.splits():
+            # embed the existing cycles through the split
             for ci in members.pop(split.old, set()):
                 cycles[ci] = cycles[ci] - {split.old} | {split.first, split.second}
                 members.setdefault(split.first, set()).add(ci)
                 members.setdefault(split.second, set()).add(ci)
-            if split.old in tree:
-                tree.discard(split.old)
-                tree.add(split.first)
-                tree.add(split.second)
+            u, x = grown.ends[split.first]
+            v = grown.ends[split.second][1]
+            if parent[v] == (u, split.old):
+                parent[x], parent[v] = (u, split.first), (x, split.second)
+            elif parent[u] == (v, split.old):
+                parent[x], parent[u] = (v, split.second), (x, split.first)
             else:
-                tree.add(split.first)
+                parent[x] = (u, split.first)
         for cyc in new_cycles:
             idx = len(cycles)
             cycles.append(cyc)
             tags.append(Provenance(kind="extension", step=i, case=step.kind))
             for x in cyc:
                 members.setdefault(x, set()).add(idx)
-        R = apply_extension(R, step)
         if keep_prefixes:
             bases.append(CycleBasis(cycles=tuple(cycles), provenance=tuple(tags)))
-            graphs.append(R)
 
     edge_map = seq.edge_map or {}
     final_cycles = tuple(frozenset(edge_map[x] for x in cyc) for cyc in cycles)
-    final_tree_edges = frozenset(edge_map[x] for x in tree)
+    final_tree_edges = frozenset(edge_map[up[1]] for up in parent.values() if up is not None)
     final_tree = SpanningForest(
-        parent_graph=G,
-        tree_edges=final_tree_edges,
-        component_roots=(min(G.vertices),) if G.vertices else (),
+        parent_graph=G, tree_edges=final_tree_edges, component_roots=(min(G.vertices),)
     )
     final = CycleBasis(cycles=final_cycles, provenance=tuple(tags), tree=final_tree)
     return CompatibleChain(
         sequence=seq,
         bases=tuple(bases) if keep_prefixes else (),
         final_basis=final,
-        graphs=tuple(graphs) if keep_prefixes else None,
         tree=final_tree,
     )
 
@@ -755,20 +850,21 @@ def gen(
     if steps < 0:
         raise ArgumentError("steps must be nonnegative")
     rng = random.Random(seed)
-    G = Multigraph(vertices=(0,), edges={})
+    grown = _GrownGraph(Multigraph(vertices=(0,), edges={}))
+    verts: list[VertexId] = [0]  # sorted, as new ids only grow
+    edge_ids: list[EdgeId] = []  # sorted likewise
     next_v, next_e = 1, 0
     for _ in range(steps):
         kinds = ["A"]
         weights = [kind_weights[0]]
-        if G.m >= 1 and (max_vertices is None or G.n + 1 <= max_vertices):
+        if edge_ids and (max_vertices is None or len(verts) + 1 <= max_vertices):
             kinds.append("B")
             weights.append(kind_weights[1])
-        if G.m >= 2 and (max_vertices is None or G.n + 2 <= max_vertices):
+        if len(edge_ids) >= 2 and (max_vertices is None or len(verts) + 2 <= max_vertices):
             kinds.append("C")
             weights.append(kind_weights[2])
         kind = rng.choices(kinds, weights=weights)[0]
-        verts = list(G.vertices)
-        edge_ids = list(G.sorted_edges)
+        first_e = next_e
         if kind == "A":
             a = rng.choice(verts)
             b = rng.choice(verts)
@@ -798,5 +894,9 @@ def gen(
             )
             next_e += 5
             next_v += 2
-        G = apply_extension(G, step)
-    return G
+        grown.apply(step)
+        for split in step.splits():
+            del edge_ids[bisect_left(edge_ids, split.old)]
+            verts.append(split.vertex)
+        edge_ids.extend(range(first_e, next_e))
+    return grown.freeze()

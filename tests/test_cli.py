@@ -325,6 +325,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_extend_without_vertices_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert main(["extend", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        code, doc = run_json(capsys, "basis", "--method", "topological", str(path))
+        assert code == 0 and doc["cycles"] == [] and doc["determinant"] == "1"
+
+    @pytest.mark.parametrize("group", ["Z2", "Z", "Z_2", "2,x", "2^"])
+    def test_group_token_not_an_integer_exits_1(self, capsys, b3_file, group):
+        assert main(["hull", "--group", group, b3_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(group.split(",")[-1]) in err
+
 
 def _core_with_pendants(pendants: int) -> str:
     """K4 with one subdivided edge, plus pendant bridges spread over 1..4."""

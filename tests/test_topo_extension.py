@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connected
-from cyclelattice.errors import ArgumentError
+from cyclelattice.errors import ArgumentError, StructureError
 from cyclelattice.lattice_basis import EdgeVector, certify_cycle_basis, matches_all_cycles_lattice
-from cyclelattice.multigraph import parse_edge_list
+from cyclelattice import topo_extension
+from cyclelattice.multigraph import Multigraph, parse_edge_list
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import (
     EdgeSplit,
@@ -153,6 +157,10 @@ class TestExtensionSequence:
     def test_single_vertex(self):
         seq = extension_sequence(SINGLE_VERTEX)
         assert seq.steps == ()
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(StructureError):
+            extension_sequence(parse_edge_list("0 0\n"))
 
     def test_not_three_edge_connected_rejected(self, c3):
         from cyclelattice.errors import PreconditionError
@@ -311,3 +319,84 @@ class TestGen:
     def test_size_arithmetic(self):
         G = gen(steps=9, seed=3)
         assert G.m - G.n == 9 - 1
+
+
+def _chain_digest(G):
+    """sha256 of the sequence, the sorted cycles with provenance, the tree."""
+    chain = compatible_chain(G, keep_prefixes=False)
+    doc = {
+        "sequence": chain.sequence.to_json(),
+        "cycles": sorted((sorted(c), tag.label()) for c, tag in chain.final_basis.entries()),
+        "tree": sorted(chain.tree.tree_edges),
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _gen_digest(G):
+    doc = {
+        "vertices": list(G.vertices),
+        "edges": sorted([e, list(uv)] for e, uv in G.edges.items()),
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+class TestGolden:
+    """Outputs pinned from the construction that rebuilt a graph per step."""
+
+    @pytest.mark.parametrize(
+        "steps, seed, max_vertices, kind_weights, m, digest",
+        [
+            (30, 1, None, (1.0, 1.0, 1.0), 60, "258b2b64d5809455fb77eebb6e57696c4d929dd9850341ac341eebfe1595511e"),
+            (60, 2, 25, (1.0, 1.0, 1.0), 84, "b35ec261ee9d8f29b01f9c3d5d1c12dbab9473924571616c11e93956837d7112"),
+            (100, 3, None, (1.0, 2.0, 3.0), 245, "fc8d76d37eb6ea2a566159bcd8204db99122442a65a32d437063079fb43fd0d0"),
+            (200, 4, 80, (1.0, 1.0, 1.0), 279, "9164b9801e6632f2d0971b379bea54ba226deb58864b4d4c0cc29ef58c72a879"),
+            (401, 5, 200, (3.0, 1.0, 1.0), 600, "f33297f23375462ebab376a406294fde38b86391ef99156627c4c938e4c1e06d"),
+            (2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "04e978cfe9e1a457293c778eab66c5239d4a2d5bc61c8ad14cf8fd9fd34d4fae"),
+        ],
+    )
+    def test_compatible_chain(self, steps, seed, max_vertices, kind_weights, m, digest):
+        G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
+        assert G.m == m
+        assert _chain_digest(G) == digest
+
+    @pytest.mark.parametrize(
+        "steps, seed, max_vertices, kind_weights, m, digest",
+        [
+            (50, 11, None, (1.0, 1.0, 1.0), 87, "fd02ece408cf4f02a49a81d46ef33c5a172983dc51f98fa230c1ee136fa940a5"),
+            (300, 12, 100, (1.0, 1.0, 1.0), 399, "55922bedf1983dba50dfb45befbc386e80435098d198133efdcb1080c600c75b"),
+            (300, 13, None, (0.5, 2.0, 1.0), 646, "c09808fa32867821fc80ea9afc072c6a65d123227f4cd71764cbd2021db921c9"),
+            (500, 14, 120, (1.0, 0.0, 4.0), 618, "57b8991e3f8a99bb581262a915e236d0ea82ce73f69f4a7c2ba81bad107d2a08"),
+        ],
+    )
+    def test_gen(self, steps, seed, max_vertices, kind_weights, m, digest):
+        G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
+        assert G.m == m
+        assert _gen_digest(G) == digest
+
+
+def test_no_rebuild_per_step(monkeypatch):
+    """The chain and gen grow one graph in place: no apply_extension call,
+    and as many Multigraph constructions at 60 edges as at 600."""
+    original_apply = topo_extension.apply_extension
+    original_init = Multigraph.__post_init__
+    counts = {"apply": 0, "multigraph": 0}
+
+    def counted_apply(*args, **kwargs):
+        counts["apply"] += 1
+        return original_apply(*args, **kwargs)
+
+    def counted_init(self):
+        counts["multigraph"] += 1
+        original_init(self)
+
+    monkeypatch.setattr(topo_extension, "apply_extension", counted_apply)
+    monkeypatch.setattr(Multigraph, "__post_init__", counted_init)
+    built = []
+    for steps in (41, 401):
+        counts.update(apply=0, multigraph=0)
+        G = gen(steps, 7, max_vertices=steps // 2)
+        in_gen = counts["multigraph"]
+        compatible_chain(G, keep_prefixes=False)
+        assert counts["apply"] == 0
+        built.append((in_gen, counts["multigraph"] - in_gen))
+    assert built[0] == built[1], built
