@@ -134,7 +134,7 @@ def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCyc
     For each non-tree edge with endpoints v, v', the column holds the edges
     of the root paths of v and v' past their first divergence.
     """
-    parent, _depth, root_of = T._bfs_maps
+    parent, root_of = T._bfs_maps
     # root path of v as a tuple of edge ids, root end first
     path_cache: dict[VertexId, tuple[EdgeId, ...]] = {r: () for r in T.component_roots}
 

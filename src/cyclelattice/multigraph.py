@@ -96,11 +96,9 @@ class SpanningForest:
     def _bfs_maps(self):
         G = self.parent_graph
         parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {}
-        depth: dict[VertexId, int] = {}
         root_of: dict[VertexId, VertexId] = {}
         for r in self.component_roots:
             parent[r] = None
-            depth[r] = 0
             root_of[r] = r
             queue = deque([r])
             while queue:
@@ -108,42 +106,59 @@ class SpanningForest:
                 for e, y in G.incidence[x]:
                     if e in self.tree_edges and y not in parent:
                         parent[y] = (x, e)
-                        depth[y] = depth[x] + 1
                         root_of[y] = r
                         queue.append(y)
-        return parent, depth, root_of
+        return parent, root_of
 
     @property
     def parents(self) -> dict[VertexId, tuple[VertexId, EdgeId] | None]:
         return self._bfs_maps[0]
 
     @property
-    def depths(self) -> dict[VertexId, int]:
+    def root_of(self) -> dict[VertexId, VertexId]:
         return self._bfs_maps[1]
 
-    @property
-    def root_of(self) -> dict[VertexId, VertexId]:
-        return self._bfs_maps[2]
-
     def path_edges(self, u: VertexId, v: VertexId) -> list[EdgeId]:
-        """Edges of the unique forest path between u and v."""
-        parent, depth, root_of = self._bfs_maps
-        if root_of[u] != root_of[v]:
+        """Edges of the unique forest path from u to v, in path order."""
+        path = tree_path(self.parents, u, v)
+        if path is None:
             raise ArgumentError(f"vertices {u} and {v} lie in different components")
-        left: list[EdgeId] = []
-        right: list[EdgeId] = []
-        while depth[u] > depth[v]:
-            u, e = parent[u]
-            left.append(e)
-        while depth[v] > depth[u]:
-            v, e = parent[v]
-            right.append(e)
-        while u != v:
-            u, e = parent[u]
-            left.append(e)
-            v, f = parent[v]
-            right.append(f)
-        return left + right[::-1]
+        return path
+
+
+def tree_path(
+    parent: dict[VertexId, tuple[VertexId, EdgeId] | None], u: VertexId, v: VertexId
+) -> list[EdgeId] | None:
+    """Edges of the tree path from u to v, in path order, off a parent map.
+
+    parent maps each vertex to (its parent, the edge to it), a root to None.
+    Both ends climb in turn until one stands on the other's trail, at their
+    lowest common ancestor, so the walk needs no depths and takes at most
+    twice the path length.  None when u and v lie in different trees.
+    """
+    ends = [u, v]
+    trails: tuple[dict[VertexId, int], dict[VertexId, int]] = ({u: 0}, {v: 0})
+    climbed: tuple[list[EdgeId], list[EdgeId]] = ([], [])
+    moved = True
+    while moved:
+        moved = False
+        for i in (0, 1):
+            x = ends[i]
+            j = trails[1 - i].get(x)
+            if j is not None:
+                if i == 0:
+                    left, right = climbed[0], climbed[1][:j]
+                else:
+                    left, right = climbed[0][:j], climbed[1]
+                return left + right[::-1]
+            up = parent[x]
+            if up is not None:
+                x, e = up
+                ends[i] = x
+                climbed[i].append(e)
+                trails[i][x] = len(climbed[i])
+                moved = True
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import ArgumentError, InternalError, StructureError
 from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
-from .multigraph import EdgeId, Multigraph, SpanningForest, VertexId
+from .multigraph import EdgeId, Multigraph, SpanningForest, VertexId, tree_path
 
 
 @dataclass(frozen=True)
@@ -365,6 +365,7 @@ class _SequenceBuilder:
         for e, w in G.incidence[v0]:
             if w == v0:
                 return [e], [v0, v0]
+        # a one-off O(m) copy into _bfs_path's adjacency form, once per sequence
         adj = {v: dict(pairs) for v, pairs in G.incidence.items()}
         for e0, x in G.incidence[v0]:
             path = _bfs_path(adj, x, v0, banned={e0})
@@ -715,43 +716,22 @@ def extend_basis(
     Kind A adds one cycle through the new edge (the loop itself when the
     endpoints coincide); kind B adds two cycles, one through each half of
     the divided edge; kind C adds three.  Path choices are deterministic
-    BFS; when tree_edges is given, the kind-A path is the tree path.
+    BFS; when tree_edges (a spanning tree of H) is given, the kind-A path
+    is the tree path, as in `compatible_chain`.
     """
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
 
     def kind_a_path(a, b):
-        banned = grown.ends.keys() - tree_edges if tree_edges is not None else frozenset()
-        return _bfs_path(grown.adj, a, b, banned=banned)
+        if tree_edges is None:
+            return _bfs_path(grown.adj, a, b)
+        parent = SpanningForest(
+            parent_graph=H, tree_edges=tree_edges, component_roots=(a,)
+        ).parents
+        return tree_path(parent, a, b) if b in parent else None
 
     return _extending_cycles(grown, step, kind_a_path)
-
-
-def _tree_path(
-    parent: dict[VertexId, tuple[VertexId, EdgeId] | None], a: VertexId, b: VertexId
-) -> list[EdgeId]:
-    """Edges of the tree path between a and b, read off a parent map.
-
-    Both ends climb in turn until one stands on the other's trail, the
-    lowest common ancestor, so the walk takes at most twice the path length
-    whatever the depth.
-    """
-    ends = [a, b]
-    trails: tuple[dict[VertexId, int], dict[VertexId, int]] = ({a: 0}, {b: 0})
-    climbed: tuple[list[EdgeId], list[EdgeId]] = ([], [])
-    while True:
-        for i in (0, 1):
-            x = ends[i]
-            j = trails[1 - i].get(x)
-            if j is not None:
-                return climbed[i] + climbed[1 - i][:j]
-            up = parent[x]
-            if up is not None:
-                x, e = up
-                ends[i] = x
-                climbed[i].append(e)
-                trails[i][x] = len(climbed[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,7 +773,7 @@ def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleCha
     bases: list[CycleBasis] = [CycleBasis(cycles=(), provenance=(), tree=None)]
 
     def kind_a_path(a, b):
-        return _tree_path(parent, a, b)
+        return tree_path(parent, a, b)
 
     for i, step in enumerate(seq.steps):
         new_cycles = _extending_cycles(grown, step, kind_a_path)
@@ -851,8 +831,10 @@ def gen(
         raise ArgumentError("steps must be nonnegative")
     rng = random.Random(seed)
     grown = _GrownGraph(Multigraph(vertices=(0,), edges={}))
-    verts: list[VertexId] = [0]  # sorted, as new ids only grow
-    edge_ids: list[EdgeId] = []  # sorted likewise
+    # sorted, as new ids only grow; kept in step with `grown` because
+    # copying its keys every step makes gen about 2.5 times slower
+    verts: list[VertexId] = [0]
+    edge_ids: list[EdgeId] = []
     next_v, next_e = 1, 0
     for _ in range(steps):
         kinds = ["A"]

@@ -13,6 +13,7 @@ from cyclelattice.multigraph import (
     parse_edge_list,
     spanning_forest,
     tree_diameter,
+    tree_path,
 )
 
 
@@ -123,6 +124,25 @@ class TestSpanningForest:
         T = spanning_forest(k4)
         assert T.path_edges(2, 3) in ([0, 1], [1, 0])
         assert T.path_edges(1, 1) == []
+
+    def test_path_edges_in_path_order(self):
+        # a spider: legs 1-2-3, 1-4-5-6 and 1-7 around root 1
+        G = parse_edge_list("7 6\n1 2\n2 3\n1 4\n4 5\n5 6\n1 7\n")
+        T = spanning_forest(G)
+        for u in G.vertices:
+            for v in G.vertices:
+                x = u
+                for e in T.path_edges(u, v):
+                    x = G.other_end(e, x)
+                assert x == v
+        assert T.path_edges(3, 6) == [1, 0, 2, 3, 4]
+        assert T.path_edges(6, 3) == [4, 3, 2, 0, 1]
+
+    def test_path_edges_across_components_rejected(self):
+        T = spanning_forest(parse_edge_list("4 2\n1 2\n3 4\n"))
+        with pytest.raises(ArgumentError):
+            T.path_edges(1, 3)
+        assert tree_path(T.parents, 2, 4) is None
 
 
 class TestMinor:

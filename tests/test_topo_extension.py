@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connected
-from cyclelattice.errors import ArgumentError, StructureError
+from cyclelattice.errors import ArgumentError, InternalError, StructureError
 from cyclelattice.lattice_basis import EdgeVector, certify_cycle_basis, matches_all_cycles_lattice
 from cyclelattice import topo_extension
 from cyclelattice.multigraph import Multigraph, parse_edge_list
@@ -240,6 +240,41 @@ class TestExtendBasis:
         G = apply_extension(k4, step)
         for cyc in extend_basis(k4, basis, step):
             assert is_simple_cycle(G, cyc)
+
+    def test_tree_edges_give_the_chain_cycles(self, k4, b3):
+        graphs = [k4, b3] + [gen(steps=20, seed=s, max_vertices=12) for s in range(8)]
+        for G in graphs:
+            chain = compatible_chain(G)
+            for i, step in enumerate(chain.sequence.steps):
+                H, basis = chain.graphs[i], chain.bases[i]
+                new = extend_basis(H, basis, step, tree_edges=_tree_at(chain, i))
+                assert new == list(chain.bases[i + 1].cycles[len(basis.cycles):]), i
+
+    def test_tree_edges_not_spanning_rejected(self, k4):
+        step = ExtensionStep(kind="A", new_edge=9, endpoints=(1, 4))
+        assert extend_basis(k4, None, step, tree_edges=frozenset({0, 1, 2}))
+        with pytest.raises(InternalError):
+            extend_basis(k4, None, step, tree_edges=frozenset({0}))
+
+
+def _tree_at(chain, i):
+    """The chain's maintained tree before step i, in that graph's edge ids.
+
+    A divided tree edge leaves both halves in the tree and a divided
+    non-tree edge leaves its second half out, so an edge of graph i is a
+    tree edge exactly when every edge it divides into ends in the final tree.
+    """
+    to_grown = {e: r for r, e in chain.sequence.edge_map.items()}
+    final = {to_grown[e] for e in chain.tree.tree_edges}
+    halves = {}
+    for step in chain.sequence.steps[i:]:
+        for split in step.splits():
+            halves[split.old] = (split.first, split.second)
+
+    def in_tree(e):
+        return all(in_tree(h) for h in halves[e]) if e in halves else e in final
+
+    return frozenset(e for e in chain.graphs[i].edges if in_tree(e))
 
 
 class TestCompatibleChain:
