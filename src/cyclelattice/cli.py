@@ -1,8 +1,8 @@
 """Command-line surface: analyze, basis, verify, extend, hull, gen.
 
-Exit codes: 0 ok, 1 usage, 2 input-structure problem, 3 verification
-failure.  Determinants are serialized as decimal strings so arbitrary
-precision survives JSON.
+Exit codes: 0 ok, 1 usage, 2 input-structure problem or an instance past
+a capacity limit, 3 verification failure.  Determinants and group orders
+are serialized as decimal strings so arbitrary precision survives JSON.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .multigraph import (
 )
 from .oracle import (
     IntegerMatrix,
+    decimal,
     enumerate_cycles,
     group_span_size,
     hermite_normal_form,
@@ -178,6 +179,14 @@ def _entry_vector(entry: dict) -> dict[int, int]:
     return {e: mult for e in entry["edges"]}
 
 
+def _hnf_oracle(G: Multigraph, vectors: list[dict[int, int]]) -> bool:
+    """Do the vectors generate the lattice of all cycles?  Exact, by
+    enumerating every cycle, so only for G.m <= HNF_ORACLE_EDGE_LIMIT."""
+    A = indicator_matrix(G, enumerate_cycles(G))
+    B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
+    return hnf_lattices_equal(A, B)
+
+
 def _chain_on(H: Multigraph, _T_H):
     chain = compatible_chain(H, keep_prefixes=False)
     return chain.final_basis, chain
@@ -213,14 +222,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
         "graph": format_edge_list(G),
         "tree": sorted(T.tree_edges),
         "cycles": entries,
-        "determinant": str(cert.determinant),
+        "determinant": decimal(cert.determinant),
         "certified": certified,
     }
     if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
-        all_cycles = enumerate_cycles(G)
-        A = indicator_matrix(G, all_cycles)
-        B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
-        doc["hnf_equal"] = hnf_lattices_equal(A, B)
+        doc["hnf_equal"] = _hnf_oracle(G, vectors)
         certified = certified and doc["hnf_equal"]
         doc["certified"] = certified
     _emit(doc, args)
@@ -312,15 +318,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check(
             "determinant",
             cert.certified,
-            "; ".join(f"|det|={c.determinant} expected {c.expected}" for c in cert.components)
+            "; ".join(
+                f"|det|={decimal(c.determinant)} expected {decimal(c.expected)}"
+                for c in cert.components
+            )
             or "no components",
         )
         hnf_ok = True
         if G.m <= HNF_ORACLE_EDGE_LIMIT:
-            all_cycles = enumerate_cycles(G)
-            A = indicator_matrix(G, all_cycles)
-            B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
-            hnf_ok = check("hnf-lattice-equality", hnf_lattices_equal(A, B), "exact")
+            hnf_ok = check("hnf-lattice-equality", _hnf_oracle(G, vectors), "exact")
         accepted = bool(count_ok and cert.certified and hnf_ok)
     doc = {"accepted": accepted, "checks": checks}
     _emit(doc, args)
@@ -370,7 +376,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         "chain": {
             "bases": prefix_docs,
             "final_basis": [_entry(c, tag) for c, tag in chain.final_basis.entries()],
-            "determinant": str(cert.determinant),
+            "determinant": decimal(cert.determinant),
             "certified": certified,
         },
     }
@@ -396,25 +402,27 @@ def cmd_hull(args: argparse.Namespace) -> int:
     doc = hull_report(G, K, A)
     verified = False
     if args.verify:
-        if K is not None and G.m <= HNF_ORACLE_EDGE_LIMIT:
-            all_cycles = enumerate_cycles(G)
-            M = indicator_matrix(G, all_cycles)
+        # both oracles enumerate every cycle; one that cannot run raises
+        # CapacityError rather than report a failed verification
+        if K is not None:
+            if G.m > HNF_ORACLE_EDGE_LIMIT:
+                raise CapacityError(
+                    "hull --verify over a field enumerates cycles only up to "
+                    f"{HNF_ORACLE_EDGE_LIMIT} edges; the graph has {G.m}"
+                )
+            M = indicator_matrix(G, enumerate_cycles(G))
             if K.characteristic == 0:
                 rank = hermite_normal_form(M).cols
             else:
                 rank = rank_mod_p(M, K.characteristic)
             verified = rank == doc["dimension"]
-        elif A is not None:
-            try:
-                all_cycles = enumerate_cycles(G)
-                size = group_span_size(
-                    [{e: 1 for e in c} for c in all_cycles],
-                    list(A.cyclic_factors),
-                    list(G.sorted_edges),
-                )
-                verified = str(size) == doc["order"]
-            except CapacityError:
-                verified = False
+        else:
+            size = group_span_size(
+                [{e: 1 for e in c} for c in enumerate_cycles(G)],
+                list(A.cyclic_factors),
+                list(G.sorted_edges),
+            )
+            verified = decimal(size) == doc["order"]
     doc["verified"] = verified
     _emit(doc, args)
     if args.verify and not verified:
@@ -462,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ParseError, StructureError, PreconditionError) as exc:
+    except (OSError, ParseError, StructureError, PreconditionError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CycleLatticeError as exc:

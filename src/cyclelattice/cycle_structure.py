@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, StructureError
+from .errors import StructureError
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -48,10 +48,6 @@ class FundamentalCycleMatrix:
         """Full edge set of the fundamental cycle of non-tree edge e."""
         return self.columns[e] | {e}
 
-    def cut_edges(self, t: EdgeId) -> frozenset[EdgeId]:
-        """Full edge set of the fundamental cut of tree edge t."""
-        return self.rows[t] | {t}
-
 
 @dataclass(frozen=True, eq=False)
 class SeriesPartition:
@@ -59,12 +55,6 @@ class SeriesPartition:
 
     bridges: frozenset[EdgeId]
     classes: tuple[frozenset[EdgeId], ...]
-
-    def class_of(self, e: EdgeId) -> frozenset[EdgeId]:
-        for cls in self.classes:
-            if e in cls:
-                return cls
-        raise ArgumentError(f"edge {e} is a bridge or unknown")
 
     @property
     def nontrivial_classes(self) -> tuple[frozenset[EdgeId], ...]:

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 
 from .cycle_structure import cosimplify, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
 from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
 from .multigraph import Multigraph
-from .oracle import IntegerMatrix, _is_prime, rank_mod_p
+from .oracle import IntegerMatrix, _is_prime, decimal, rank_mod_p
+
+# cyclic factors above this bound are refused: telling whether one is a
+# prime power takes up to sqrt(bound) trial divisions
+FACTOR_BOUND = 10**12
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,10 @@ class AbelianGroupSpec:
     cyclic_factors: tuple[int, ...]
 
     def __post_init__(self):
-        for q in self.cyclic_factors:
-            if q < 2 or not _is_prime_power(q):
+        for q in dict.fromkeys(self.cyclic_factors):
+            if q > FACTOR_BOUND:
+                raise ArgumentError(f"factor {q} exceeds the bound {FACTOR_BOUND}")
+            if q < 2 or _prime_power(q) is None:
                 raise ArgumentError(f"factor {q} is not a prime power > 1")
         object.__setattr__(
             self, "cyclic_factors", tuple(sorted(self.cyclic_factors))
@@ -58,35 +65,37 @@ class AbelianGroupSpec:
                 continue
             base, caret, exp = tok.partition("^")
             try:
-                factors.append(int(base) ** (int(exp) if caret else 1))
+                b, k = int(base), int(exp) if caret else 1
             except ValueError:
                 raise ArgumentError(
                     f"group factor {tok!r} is not an integer or a power like 2^3"
                 ) from None
+            if abs(b) > 1 and k > FACTOR_BOUND.bit_length():
+                raise ArgumentError(f"group factor {tok!r} exceeds the bound {FACTOR_BOUND}")
+            factors.append(b**k)
         if not factors:
             raise ArgumentError("empty group specification")
         return cls(cyclic_factors=tuple(factors))
 
     def describe(self) -> list[str]:
-        return [_factor_label(q) for q in self.cyclic_factors]
+        labels = {}
+        for q in dict.fromkeys(self.cyclic_factors):
+            p, k = _prime_power(q)
+            labels[q] = f"{p}^{k}" if k > 1 else str(p)
+        return [labels[q] for q in self.cyclic_factors]
 
 
-def _is_prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k and p prime, or None; q >= 2.
 
-
-def _factor_label(q: int) -> str:
-    p = next(p for p in range(2, q + 1) if _is_prime(p) and q % p == 0)
+    p is the least divisor of q, found by trial division up to sqrt(q).
+    """
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     k = 0
     while q % p == 0:
         q //= p
         k += 1
-    return f"{p}^{k}" if k > 1 else str(p)
+    return (p, k) if q == 1 else None
 
 
 def hull_dimension(G: Multigraph, K: FieldSpec) -> int:
@@ -135,14 +144,13 @@ def hull_basis_mod_p(
             vectors = [{e: c % p for e, c in vec.items()} for vec in source.vectors()]
         else:
             vectors = [dict(vec) for vec in source.vectors()]
-        expected = hull_dimension(G, K)
     else:
         tree = source.tree
         if tree is None:
             raise ArgumentError("characteristic-2 reduction needs a tree-based source")
         fcm = fundamental_cycle_matrix(G, tree)
         vectors = [{e: 1 for e in fcm.cycle_edges(x)} for x in sorted(fcm.columns)]
-        expected = hull_dimension(G, K)
+    expected = hull_dimension(G, K)
     order = list(G.sorted_edges)
     rank = rank_mod_p(IntegerMatrix.from_vectors(vectors, order), p)
     if rank != expected:
@@ -174,5 +182,5 @@ def hull_report(G: Multigraph, K: FieldSpec | None, A: AbelianGroupSpec | None) 
         spec = AbelianGroupSpec(cyclic_factors=tuple(factors))
         report["group"] = ",".join(A.describe())
         report["factors"] = spec.describe()
-        report["order"] = str(spec.order)
+        report["order"] = decimal(spec.order)
     return report

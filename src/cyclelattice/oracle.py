@@ -8,6 +8,7 @@ All arithmetic is on Python ints, so results are exact at any magnitude.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import ArgumentError, CapacityError
@@ -209,6 +210,23 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def decimal(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str digit cap.
+
+    Numbers over the cap are split on a power of ten into halves that each
+    convert on their own.
+    """
+    if n < 0:
+        return "-" + decimal(-n)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 8^cap < 10^cap, so fewer than 3*cap bits means at most cap digits
+    if not cap or n.bit_length() < 3 * cap:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return decimal(high) + decimal(low).zfill(k)
 
 
 def rank_mod_p(M: IntegerMatrix, p: int) -> int:

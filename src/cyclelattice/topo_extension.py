@@ -45,26 +45,21 @@ class ExtensionStep:
     split_g: EdgeSplit | None = None
 
     def __post_init__(self):
-        if self.kind == "A":
-            if self.split_f or self.split_g:
-                raise ArgumentError("kind A admits no splits")
-        elif self.kind == "B":
-            if not self.split_f or self.split_g:
-                raise ArgumentError("kind B needs exactly split_f")
-            if self.endpoints[0] != self.split_f.vertex:
-                raise ArgumentError("kind B: first endpoint must be the split vertex")
-        elif self.kind == "C":
-            if not self.split_f or not self.split_g:
-                raise ArgumentError("kind C needs both splits")
-            if self.split_f.old == self.split_g.old:
-                raise ArgumentError("kind C must divide two distinct edges")
-            if self.endpoints != (self.split_f.vertex, self.split_g.vertex):
-                raise ArgumentError("kind C: endpoints must be the two split vertices")
-        else:
+        # the kind counts the splits, and the split vertices come first
+        splits = self.splits()
+        if self.kind not in ("A", "B", "C"):
             raise ArgumentError(f"unknown extension kind {self.kind!r}")
+        if self.kind != "ABC"[len(splits)] or (self.split_g and not self.split_f):
+            raise ArgumentError(f"kind {self.kind} needs {'ABC'.index(self.kind)} splits")
+        if len(splits) == 2 and self.split_f.old == self.split_g.old:
+            raise ArgumentError("kind C must divide two distinct edges")
+        for i, split in enumerate(splits):
+            if self.endpoints[i] != split.vertex:
+                raise ArgumentError(f"kind {self.kind}: endpoints must start at the split vertices")
 
     def splits(self) -> tuple[EdgeSplit, ...]:
-        return tuple(s for s in (self.split_f, self.split_g) if s is not None)
+        f, g = self.split_f, self.split_g
+        return () if f is None else (f,) if g is None else (f, g)
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -130,8 +125,9 @@ class _GrownGraph:
     def apply(self, step: ExtensionStep):
         """Apply one extension step in place; surviving edges keep their ids."""
         ends, adj = self.ends, self.adj
+        splits = step.splits()
         new_ids = [step.new_edge]
-        for split in step.splits():
+        for split in splits:
             new_ids.extend((split.first, split.second))
             if split.old not in ends:
                 raise ArgumentError(f"split references unknown edge {split.old}")
@@ -142,18 +138,12 @@ class _GrownGraph:
         for e in new_ids:
             if e in ends:
                 raise ArgumentError(f"new edge id {e} already exists")
-        splits = step.splits()
         if len({s.vertex for s in splits}) != len(splits):
             raise ArgumentError("split vertices collide")
 
-        a, b = step.endpoints
-        if step.kind == "A":
-            if a not in adj or b not in adj:
-                raise ArgumentError("kind A endpoints must exist")
-        elif step.kind == "B":
-            if b not in adj:
-                raise ArgumentError("kind B second endpoint must exist")
-
+        for x in step.endpoints[len(splits):]:
+            if x not in adj:
+                raise ArgumentError(f"kind {step.kind}: endpoint {x} does not exist")
         for split in splits:
             u, v = ends.pop(split.old)
             del adj[u][split.old]
@@ -161,7 +151,7 @@ class _GrownGraph:
             adj[split.vertex] = {}
             self._add(split.first, u, split.vertex)
             self._add(split.second, split.vertex, v)
-        self._add(step.new_edge, a, b)
+        self._add(step.new_edge, *step.endpoints)
 
     def freeze(self, labels: dict[VertexId, str] | None = None) -> Multigraph:
         return Multigraph(vertices=tuple(sorted(self.adj)), edges=dict(self.ends), labels=labels)
@@ -276,7 +266,6 @@ class _SequenceBuilder:
         self.top: dict[EdgeId, _TopEdge] = {}
         self.steps: list[ExtensionStep] = []
         self.h_is_cycle = False
-        self.base_rv: VertexId = 0
         self._next_rv = 0
         self._next_rid = 0
         self.sweep_queue: deque[EdgeId] = deque()
@@ -313,20 +302,6 @@ class _SequenceBuilder:
         self.gv_to_rv[gv] = rv_new
         return EdgeSplit(old=rid, first=rid1, second=rid2, vertex=rv_new)
 
-    def _reanchor(self, new_gv: VertexId):
-        """Slide the cycle-phase anchor to another vertex of the cycle."""
-        rid = next(iter(self.top))
-        te = self.top[rid]
-        old_gv = self.vmap[self.base_rv]
-        j = te.gverts.index(new_gv)
-        te.gpath = te.gpath[j:] + te.gpath[:j]
-        te.gverts = te.gverts[j:-1] + te.gverts[: j + 1]
-        self.vmap[self.base_rv] = new_gv
-        del self.gv_to_rv[old_gv]
-        self.on_edge[old_gv] = rid
-        del self.on_edge[new_gv]
-        self.gv_to_rv[new_gv] = self.base_rv
-
     # -- coverage ------------------------------------------------------------
 
     def _bump(self, v: VertexId, amount: int):
@@ -352,11 +327,6 @@ class _SequenceBuilder:
                     self.active.add(x)
                 else:
                     self.active.discard(x)
-
-    def _emit(self, step: ExtensionStep, ends, gpath, gverts, path_edges):
-        self._add_top_edge(step.new_edge, ends, gpath, gverts)
-        self.steps.append(step)
-        self._cover(path_edges)
 
     # -- phase 0: first cycle ------------------------------------------------
 
@@ -459,118 +429,49 @@ class _SequenceBuilder:
 
     # -- translation into steps -----------------------------------------------
 
-    def _translate_cycle_phase(self, path_edges, path_verts):
-        v, w = path_verts[0], path_verts[-1]
-        anchor_gv = self.vmap[self.base_rv]
-        if v == w:
-            if v != anchor_gv:
-                self._reanchor(v)
-            rid = self._new_rid()
-            step = ExtensionStep(
-                kind="A", new_edge=rid, endpoints=(self.base_rv, self.base_rv)
-            )
-            self._emit(step, (self.base_rv, self.base_rv), path_edges, path_verts, path_edges)
-            return
-        if v == anchor_gv:
-            split = self._split_at(w)
-            rid = self._new_rid()
-            step = ExtensionStep(
-                kind="B",
-                new_edge=rid,
-                endpoints=(split.vertex, self.base_rv),
-                split_f=split,
-            )
-            self._emit(
-                step,
-                (split.vertex, self.base_rv),
-                path_edges[::-1],
-                path_verts[::-1],
-                path_edges,
-            )
-            return
-        if w != anchor_gv:
-            self._reanchor(w)
-        split = self._split_at(v)
-        rid = self._new_rid()
-        step = ExtensionStep(
-            kind="B", new_edge=rid, endpoints=(split.vertex, self.base_rv), split_f=split
-        )
-        self._emit(step, (split.vertex, self.base_rv), path_edges, path_verts, path_edges)
-
     def _translate(self, path_edges, path_verts):
-        v, w = path_verts[0], path_verts[-1]
-        v_interior = v in self.on_edge
-        w_interior = w in self.on_edge and w != v
-        if not v_interior and not w_interior:
-            a, b = self.gv_to_rv[v], self.gv_to_rv[w]
-            rid = self._new_rid()
-            step = ExtensionStep(kind="A", new_edge=rid, endpoints=(a, b))
-            self._emit(step, (a, b), path_edges, path_verts, path_edges)
-        elif v_interior and not w_interior:
-            split = self._split_at(v)
-            b = self.gv_to_rv[w]
-            rid = self._new_rid()
-            step = ExtensionStep(
-                kind="B", new_edge=rid, endpoints=(split.vertex, b), split_f=split
-            )
-            self._emit(step, (split.vertex, b), path_edges, path_verts, path_edges)
-        elif w_interior and not v_interior:
-            split = self._split_at(w)
-            b = self.gv_to_rv[v]
-            rid = self._new_rid()
-            step = ExtensionStep(
-                kind="B", new_edge=rid, endpoints=(split.vertex, b), split_f=split
-            )
-            self._emit(
-                step,
-                (split.vertex, b),
-                path_edges[::-1],
-                path_verts[::-1],
-                path_edges,
-            )
-        else:
-            split_f = self._split_at(v)
-            split_g = self._split_at(w)
-            rid = self._new_rid()
-            step = ExtensionStep(
-                kind="C",
-                new_edge=rid,
-                endpoints=(split_f.vertex, split_g.vertex),
-                split_f=split_f,
-                split_g=split_g,
-            )
-            self._emit(
-                step, (split_f.vertex, split_g.vertex), path_edges, path_verts, path_edges
-            )
+        """Emit the step that adds one path to the covered part.
 
-    # -- sweep: single edges between branch vertices ---------------------------
+        An endpoint inside a suppressed path splits it, so the kind counts
+        the splits; when the only split is at the far end the path is walked
+        from there, because a kind-B step starts at its split vertex.  The
+        path is covered in its found order either way.
+        """
+        ends, splits = [], []
+        for gv in (path_verts[0], path_verts[-1]):
+            if gv in self.on_edge:
+                splits.append(self._split_at(gv))
+                ends.append(splits[-1].vertex)
+            else:
+                ends.append(self.gv_to_rv[gv])
+        gpath, gverts = path_edges, path_verts
+        if splits and ends[0] != splits[0].vertex:
+            ends.reverse()
+            gpath, gverts = path_edges[::-1], path_verts[::-1]
+        step = ExtensionStep("ABC"[len(splits)], self._new_rid(), tuple(ends), *splits)
+        self._add_top_edge(step.new_edge, step.endpoints, gpath, gverts)
+        self.steps.append(step)
+        self._cover(path_edges)
 
     def _sweep(self):
+        """Add the single uncovered edges between branch vertices."""
         while self.sweep_queue:
             e = self.sweep_queue.popleft()
             if e in self.covered:
                 continue
             u, v = self.G.edges[e]
             if self.deg[u] >= 3 and self.deg[v] >= 3:
-                a, b = self.gv_to_rv[u], self.gv_to_rv[v]
-                rid = self._new_rid()
-                step = ExtensionStep(kind="A", new_edge=rid, endpoints=(a, b))
-                self._emit(step, (a, b), [e], [u, v] if u != v else [u, u], [e])
+                self._translate([e], [u, v])
 
     # -- main loop ---------------------------------------------------------------
 
     def build(self) -> ExtensionSequence:
         G = self.G
         v0 = min(G.vertices)
-        rv0 = self._new_rv(v0)
-        self.base_rv = rv0
-        self.gv_to_rv[v0] = rv0
-        self.base = Multigraph(vertices=(rv0,), edges={})
+        self.gv_to_rv[v0] = self._new_rv(v0)
+        self.base = Multigraph(vertices=(self.gv_to_rv[v0],), edges={})
         if G.m > 0:
-            cyc_edges, cyc_verts = self._closed_path_from(v0)
-            rid = self._new_rid()
-            step = ExtensionStep(kind="A", new_edge=rid, endpoints=(rv0, rv0))
-            self._emit(step, (rv0, rv0), cyc_edges, cyc_verts, cyc_edges)
+            self._translate(*self._closed_path_from(v0))
             self.h_is_cycle = True
         while len(self.covered) < G.m:
             self._sweep()
@@ -581,11 +482,18 @@ class _SequenceBuilder:
                 raise InternalError(
                     "no admissible extension path although edges remain uncovered"
                 )
-            path_edges, path_verts = found
-            if self.h_is_cycle:
-                self._translate_cycle_phase(path_edges, path_verts)
-            else:
-                self._translate(path_edges, path_verts)
+            # While the covered part is the first cycle, one grown loop at
+            # v0 = min(V), a path must start at v0: one between two inner
+            # vertices of the cycle would divide that loop twice.  It always
+            # does.  The cut of v0 has at least 3 edges and the cycle covers
+            # at most 2 (with one vertex, every edge left is a loop at v0), so
+            # v0 is the least active vertex and is searched first; its search
+            # lands, on the cycle or back on v0 through a second edge.
+            if self.h_is_cycle and found[1][0] != v0:
+                raise InternalError(
+                    f"path after the first cycle starts at {found[1][0]}, not at {v0}"
+                )
+            self._translate(*found)
             self.h_is_cycle = False
         self._sweep()
 
@@ -676,33 +584,28 @@ def _extending_cycles(
         if path is None:
             raise InternalError("no path between the endpoints of a kind-A step")
         return [frozenset(path) | {e}]
-    if step.kind == "B":
-        split = step.split_f
-        u1, u2 = grown.ends[split.old]
-        b = step.endpoints[1]
-        cycles = []
-        for u_end, half in ((u1, split.first), (u2, split.second)):
-            path = _bfs_path(grown.adj, u_end, b, banned={split.old})
-            if path is None:
-                raise InternalError("divided edge's endpoint cannot reach the anchor")
-            cycles.append(frozenset(path) | {half, e})
-        return cycles
-    # kind C
+    # each route joins an end of a divided edge to the anchor or to an end
+    # of the other divided edge, closing through the matching halves
     sf, sg = step.split_f, step.split_g
     u1, u2 = grown.ends[sf.old]
-    w1, w2 = grown.ends[sg.old]
-    banned = {sf.old, sg.old}
-    out = []
-    for s_end, t_end, extra in (
-        (u1, w1, {sf.first, sg.first, e}),
-        (u2, w2, {sf.second, sg.second, e}),
-        (u1, w2, {sf.first, sg.second, e}),
-    ):
+    if step.kind == "B":
+        b = step.endpoints[1]
+        routes = [(u1, b, (sf.first,)), (u2, b, (sf.second,))]
+    else:
+        w1, w2 = grown.ends[sg.old]
+        routes = [
+            (u1, w1, (sf.first, sg.first)),
+            (u2, w2, (sf.second, sg.second)),
+            (u1, w2, (sf.first, sg.second)),
+        ]
+    banned = {split.old for split in step.splits()}
+    cycles = []
+    for s_end, t_end, halves in routes:
         path = _bfs_path(grown.adj, s_end, t_end, banned=banned)
         if path is None:
-            raise InternalError("divided edges' endpoints fall apart without them")
-        out.append(frozenset(path) | extra)
-    return out
+            raise InternalError("the ends of a divided edge fall apart without it")
+        cycles.append(frozenset(path) | {*halves, e})
+    return cycles
 
 
 def extend_basis(
@@ -846,39 +749,21 @@ def gen(
             kinds.append("C")
             weights.append(kind_weights[2])
         kind = rng.choices(kinds, weights=weights)[0]
-        first_e = next_e
-        if kind == "A":
-            a = rng.choice(verts)
-            b = rng.choice(verts)
-            step = ExtensionStep(kind="A", new_edge=next_e, endpoints=(a, b))
-            next_e += 1
-        elif kind == "B":
-            f = rng.choice(edge_ids)
-            b = rng.choice(verts)
-            split = EdgeSplit(old=f, first=next_e, second=next_e + 1, vertex=next_v)
-            step = ExtensionStep(
-                kind="B", new_edge=next_e + 2, endpoints=(next_v, b), split_f=split
-            )
-            next_e += 3
-            next_v += 1
-        else:
-            f, g = rng.sample(edge_ids, 2)
-            split_f = EdgeSplit(old=f, first=next_e, second=next_e + 1, vertex=next_v)
-            split_g = EdgeSplit(
-                old=g, first=next_e + 2, second=next_e + 3, vertex=next_v + 1
-            )
-            step = ExtensionStep(
-                kind="C",
-                new_edge=next_e + 4,
-                endpoints=(next_v, next_v + 1),
-                split_f=split_f,
-                split_g=split_g,
-            )
-            next_e += 5
-            next_v += 2
-        grown.apply(step)
-        for split in step.splits():
+        # the splits take two edge ids and one vertex each, in order; the new
+        # edge takes the next id and joins the split vertices, then random ones
+        k = "ABC".index(kind)
+        olds = rng.sample(edge_ids, 2) if k == 2 else [rng.choice(edge_ids)] if k else []
+        first_e, splits, ends = next_e, [], []
+        for f in olds:
+            splits.append(EdgeSplit(f, next_e, next_e + 1, next_v))
+            ends.append(next_v)
+            next_e, next_v = next_e + 2, next_v + 1
+        while len(ends) < 2:
+            ends.append(rng.choice(verts))
+        grown.apply(ExtensionStep(kind, next_e, tuple(ends), *splits))
+        for split in splits:
             del edge_ids[bisect_left(edge_ids, split.old)]
             verts.append(split.vertex)
+        next_e += 1
         edge_ids.extend(range(first_e, next_e))
     return grown.freeze()

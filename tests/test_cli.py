@@ -1,6 +1,8 @@
 import importlib
 import json
 import pkgutil
+import sys
+import time
 
 import pytest
 
@@ -9,8 +11,9 @@ from cyclelattice import certificate, cycle_structure
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import fundamental_cycle_matrix
 from cyclelattice.lattice_basis import indicator_matrix
-from cyclelattice.multigraph import forest_from_edges, parse_edge_list
+from cyclelattice.multigraph import forest_from_edges, format_edge_list, parse_edge_list
 from cyclelattice.oracle import exact_determinant
+from cyclelattice.topo_extension import gen
 
 K4_TEXT = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 B3_TEXT = "2 3\nu v\nu v\nu v\n"
@@ -341,6 +344,92 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert repr(group.split(",")[-1]) in err
+
+
+class TestLargeNumbers:
+    """Decimal strings past the interpreter's int-to-str digit cap, and
+    group factors whose primality takes long to decide."""
+
+    @staticmethod
+    def _under_640_digit_cap(capsys, argv):
+        # the cap is lowered to its minimum for these calls only, so that a
+        # small graph already has a determinant past it
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            return run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_determinant_past_the_digit_cap(self, capsys, tmp_path):
+        G = gen(1070, 1, kind_weights=(0.01, 1.0, 100.0))
+        assert G.n == 2133  # |det| = 2^2132 has 642 digits
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(G))
+        code, out = self._under_640_digit_cap(
+            capsys, ["basis", "--method", "semi-fundamental", str(graph)]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["determinant"] == str(2 ** (G.n - 1)) and doc["certified"] is True
+        basis = tmp_path / "basis.json"
+        basis.write_text(out)
+        code, out = self._under_640_digit_cap(capsys, ["verify", str(graph), str(basis)])
+        assert code == 0
+        detail = next(c for c in json.loads(out)["checks"] if c["name"] == "determinant")
+        assert detail["detail"] == f"|det|={2 ** (G.n - 1)} expected {2 ** (G.n - 1)}"
+
+    def test_group_order_past_the_digit_cap(self, capsys, tmp_path):
+        G = gen(30, 1)
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(G))
+        code, out = self._under_640_digit_cap(capsys, ["hull", "--group", "2^39", str(graph)])
+        assert code == 0
+        order = 2 ** (39 * (G.m - G.n + 1) + 38 * (G.n - 1))
+        assert len(str(order)) > 640
+        assert json.loads(out)["order"] == str(order)
+
+    @pytest.mark.parametrize("group", ["1000003", "10000019", "999999999989"])
+    def test_large_prime_factor_is_quick(self, capsys, tmp_path, group):
+        graph = tmp_path / "one.txt"
+        graph.write_text("1 0\n")
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "hull", "--group", group, str(graph))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and doc["group"] == group
+
+    @pytest.mark.parametrize("group", ["1000000000039", "2^41", "3^100000000000", "1000003,2^40"])
+    def test_factor_past_the_bound_exits_1(self, capsys, b3_file, group):
+        start = time.perf_counter()
+        assert main(["hull", "--group", group, b3_file]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bound 1000000000000" in err
+
+
+class TestCapacity:
+    """An oracle that cannot run is a capacity error, not a failed check."""
+
+    def test_hull_char_verify_past_the_edge_limit_exits_2(self, capsys, tmp_path):
+        code, out = run(capsys, "gen", "--steps", "16", "--seed", "3")
+        graph = tmp_path / "g.txt"
+        graph.write_text(out.split("\n", 1)[1])
+        assert parse_edge_list(graph.read_text()).m == 31
+        assert main(["hull", "--char", "3", "--verify", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "14 edges" in captured.err
+
+    def test_hull_group_verify_past_the_span_cap_exits_2(self, capsys, tmp_path):
+        graph = tmp_path / "k4p.txt"
+        graph.write_text(K4_TEXT.replace("4 6", "4 7") + "1 2\n")
+        assert main(["hull", "--group", "2^2,3", "--verify", str(graph)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "10000000" in captured.err
 
 
 def _core_with_pendants(pendants: int) -> str:

@@ -1,3 +1,9 @@
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cyclelattice.cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
@@ -6,7 +12,7 @@ from cyclelattice.cycle_structure import (
     is_three_edge_connected,
     three_edge_connectivity_witness,
 )
-from cyclelattice.multigraph import parse_edge_list, spanning_forest
+from cyclelattice.multigraph import Multigraph, parse_edge_list, spanning_forest
 from cyclelattice.oracle import enumerate_cycles
 from cyclelattice.topo_extension import gen
 
@@ -98,6 +104,83 @@ class TestBridgesAndSeries:
             part = bridges_and_series_classes(G)
             assert part.bridges == frozenset(expected_bridges), text
             assert sorted(map(sorted, part.classes)) == expected_classes, text
+
+
+@st.composite
+def rough_multigraphs(draw):
+    """Multigraphs of one to three parts, each a random core with loops and
+    parallel classes, some edges subdivided into long paths, and pendant
+    trees hung off it; isolated vertices may be added."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 3))):
+        core = list(range(n, n + draw(st.integers(1, 5))))
+        n += len(core)
+        part: list[tuple[int, int]] = []
+        for _ in range(draw(st.integers(0, 7))):
+            uv = (draw(st.sampled_from(core)), draw(st.sampled_from(core)))
+            part += [uv] * draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(0, 2))):
+            if not part:
+                break
+            u, v = part.pop(draw(st.integers(0, len(part) - 1)))
+            inner = list(range(n, n + draw(st.integers(1, 5))))
+            n += len(inner)
+            path = [u, *inner, v]
+            part += list(zip(path, path[1:]))
+        grown = list(core)
+        for _ in range(draw(st.integers(0, 4))):
+            part.append((draw(st.sampled_from(grown)), n))
+            grown.append(n)
+            n += 1
+        edges += part
+    n += draw(st.integers(0, 2))
+    return Multigraph(vertices=tuple(range(n)), edges=dict(enumerate(edges)))
+
+
+def _component_count(G, deleted):
+    root = {v: v for v in G.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = G.n
+    for e, (u, v) in G.edges.items():
+        if e not in deleted and find(u) != find(v):
+            root[find(u)] = find(v)
+            count -= 1
+    return count
+
+
+class TestDifferentialOracles:
+    """bridges_and_series_classes against networkx and brute-force cuts."""
+
+    @settings(max_examples=150)
+    @given(rough_multigraphs())
+    def test_bridges_match_networkx(self, G):
+        nx = pytest.importorskip("networkx")
+        H = nx.MultiGraph()
+        H.add_nodes_from(G.vertices)
+        H.add_edges_from((u, v, e) for e, (u, v) in G.edges.items())
+        expected = {e for u, v in nx.bridges(H) for e in H[u][v]}
+        assert bridges_and_series_classes(G).bridges == frozenset(expected)
+
+    @settings(max_examples=150)
+    @given(rough_multigraphs())
+    def test_series_classes_are_the_two_edge_cuts(self, G):
+        part = bridges_and_series_classes(G)
+        class_of = {e: cls for cls in part.classes for e in cls}
+        assert set(class_of) == set(G.edges) - part.bridges
+        assert sum(map(len, part.classes)) == len(class_of)
+        base = _component_count(G, set())
+        candidates = [e for e in class_of if not G.is_loop(e)]
+        for e, f in combinations(candidates, 2):
+            splits = _component_count(G, {e, f}) > base
+            assert (class_of[e] is class_of[f]) == splits, (e, f)
+        assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
 
 
 class TestCosimplify:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -174,6 +175,28 @@ class TestExtensionSequence:
             seq = extension_sequence(G)
             assert _replay_matches(G, seq), seed
             assert all(is_three_edge_connected(H) for H in seq.replay()), seed
+
+    def test_random_small_multigraphs(self):
+        """2000 3-edge-connected multigraphs with n <= 7, loops and parallel
+        edges: each sequence replays onto its graph, and no path after the
+        first cycle starts away from the base vertex."""
+        rng = random.Random(2026)
+        kinds, loops, parallel, accepted = set(), 0, 0, 0
+        while accepted < 2000:
+            n = rng.randint(1, 7)
+            m = rng.randint(n, 4 * n)
+            edges = {e: (rng.randrange(n), rng.randrange(n)) for e in range(m)}
+            G = Multigraph(vertices=tuple(range(n)), edges=edges)
+            if not is_three_edge_connected(G):
+                continue
+            accepted += 1
+            loops += any(u == v for u, v in edges.values())
+            parallel += len({frozenset(uv) for uv in edges.values()}) < m
+            seq = extension_sequence(G)
+            assert _replay_matches(G, seq), edges
+            kinds.update(step.kind for step in seq.steps)
+        assert kinds == {"A", "B", "C"}
+        assert loops > 100 and parallel > 100, (loops, parallel)
 
 
 class TestExtendBasis:
