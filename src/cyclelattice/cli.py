@@ -40,6 +40,7 @@ from .multigraph import (
 )
 from .oracle import (
     IntegerMatrix,
+    check_group_span_cap,
     decimal,
     enumerate_cycles,
     group_span_size,
@@ -402,8 +403,8 @@ def cmd_hull(args: argparse.Namespace) -> int:
     doc = hull_report(G, K, A)
     verified = False
     if args.verify:
-        # both oracles enumerate every cycle; one that cannot run raises
-        # CapacityError rather than report a failed verification
+        # both oracles enumerate every cycle; each checks its limit first
+        # and raises CapacityError rather than report a failed verification
         if K is not None:
             if G.m > HNF_ORACLE_EDGE_LIMIT:
                 raise CapacityError(
@@ -417,6 +418,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
                 rank = rank_mod_p(M, K.characteristic)
             verified = rank == doc["dimension"]
         else:
+            check_group_span_cap(list(A.cyclic_factors), G.m)
             size = group_span_size(
                 [{e: 1 for e in c} for c in enumerate_cycles(G)],
                 list(A.cyclic_factors),

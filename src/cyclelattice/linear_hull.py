@@ -18,8 +18,8 @@ from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
 from .multigraph import Multigraph
 from .oracle import IntegerMatrix, _is_prime, decimal, rank_mod_p
 
-# cyclic factors above this bound are refused: telling whether one is a
-# prime power takes up to sqrt(bound) trial divisions
+# cyclic factors and characteristics above this bound are refused: telling
+# whether one is a prime (power) takes up to sqrt(bound) trial divisions
 FACTOR_BOUND = 10**12
 
 
@@ -31,6 +31,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p > FACTOR_BOUND:
+            raise ArgumentError(f"characteristic {p} exceeds the bound {FACTOR_BOUND}")
         if p != 0 and not _is_prime(p):
             raise ArgumentError(f"characteristic must be 0 or prime, got {p}")
 

@@ -253,6 +253,20 @@ def rank_mod_p(M: IntegerMatrix, p: int) -> int:
 GROUP_SPAN_CAP = 10_000_000
 
 
+def check_group_span_cap(cyclic_factors: list[int], edges: int, cap: int = GROUP_SPAN_CAP):
+    """Raise CapacityError when |A|^edges, the order of A^E, exceeds cap.
+
+    A is the direct sum of cyclic groups of the given orders.  The product
+    stops growing once it passes the cap, so the check is cheap on any graph.
+    """
+    total = 1
+    for q in cyclic_factors:
+        for _ in range(edges):
+            total *= q
+            if total > cap:
+                raise CapacityError(f"|A|^|E| exceeds cap {cap}")
+
+
 def group_span_size(
     vectors: list[dict[EdgeId, int]],
     cyclic_factors: list[int],
@@ -265,12 +279,7 @@ def group_span_size(
     coefficient a in A contributes its value times each factor component of
     a, so every vector expands into one generator per cyclic factor.
     """
-    total = 1
-    for q in cyclic_factors:
-        for _ in edge_order:
-            total *= q
-            if total > cap:
-                raise CapacityError(f"|A|^|E| exceeds cap {cap}")
+    check_group_span_cap(cyclic_factors, len(edge_order), cap)
     moduli = [q for _ in edge_order for q in cyclic_factors]
     k = len(cyclic_factors)
 

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .errors import ArgumentError, InternalError, StructureError
 from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
@@ -251,7 +252,8 @@ class _SequenceBuilder:
     vertices are branch vertices, which sit inside a suppressed path, and
     which path each grown edge represents.  `active` holds the vertices of
     the covered part that still have uncovered incidences, the candidate
-    starts of the next path.
+    starts of the next path; `active_heap` holds them too, and vertices
+    that have left `active` until they reach its top.
     """
 
     def __init__(self, G: Multigraph):
@@ -260,6 +262,7 @@ class _SequenceBuilder:
         self.deg: dict[VertexId, int] = {v: 0 for v in G.vertices}
         self.uncovered: dict[VertexId, int] = {v: len(G.incidence[v]) for v in G.vertices}
         self.active: set[VertexId] = set()
+        self.active_heap: list[VertexId] = []
         self.vmap: dict[VertexId, VertexId] = {}      # grown vertex -> target vertex
         self.gv_to_rv: dict[VertexId, VertexId] = {}  # target branch vertex -> grown
         self.on_edge: dict[VertexId, EdgeId] = {}     # suppressed target vertex -> rid
@@ -324,7 +327,10 @@ class _SequenceBuilder:
             for x in {u, v}:
                 self.uncovered[x] -= 1
                 if self.uncovered[x]:
-                    self.active.add(x)
+                    if x not in self.active:
+                        # uncovered counts only fall, so x enters once
+                        self.active.add(x)
+                        heappush(self.active_heap, x)
                 else:
                     self.active.discard(x)
 
@@ -421,7 +427,21 @@ class _SequenceBuilder:
         return edges[::-1], verts[::-1]
 
     def _find_path(self):
-        for v in sorted(self.active):
+        """The path found from the least active vertex that has one.
+
+        Almost every search succeeds from the least vertex, the heap's top;
+        the others are sorted only when it fails.
+        """
+        heap, active = self.active_heap, self.active
+        while heap and heap[0] not in active:
+            heappop(heap)
+        if not heap:
+            return None
+        least = heap[0]
+        found = self._search_from(least)
+        if found is not None:
+            return found
+        for v in sorted(active - {least}):
             found = self._search_from(v)
             if found is not None:
                 return found
@@ -531,31 +551,49 @@ def _bfs_path(
     t: VertexId,
     banned: set[EdgeId] = frozenset(),
 ) -> list[EdgeId] | None:
-    """Shortest s-t path as edge ids in adj (v -> {edge: other end}).
+    """Shortest s-t path as edge ids in s->t order, in adj (v -> {edge: other end}).
 
-    Banned edges and loops are unused; ties go to the earlier-listed edge.
+    Banned edges and loops are unused; None when t cannot be reached.  The
+    search is bidirectional and layer-synchronous (Pohl 1971): each round
+    expands one whole layer of the side with the smaller frontier, s's side
+    on equal sizes, in the listed order of vertices and edges.  Until the
+    sides meet, each holds exactly the ball around its root, so every edge
+    into the other side lands in that side's deepest layer: every meeting of
+    the first layer that reaches it has the least depth there, and the first
+    one found is taken.
     """
     if s == t:
         return []
-    parent: dict[VertexId, tuple[VertexId, EdgeId]] = {}
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for e, y in adj[x].items():
-            if e in banned or y == x or y in seen:
-                continue
-            parent[y] = (x, e)
-            if y == t:
-                edges = []
-                w = y
-                while w != s:
-                    w, pe = parent[w]
-                    edges.append(pe)
-                return edges[::-1]
-            seen.add(y)
-            queue.append(y)
+    # per side, vertex -> (vertex, edge) one step back toward the side's root
+    back: tuple[dict, dict] = ({s: None}, {t: None})
+    layers = [[s], [t]]
+    while layers[0] and layers[1]:
+        i = 0 if len(layers[0]) <= len(layers[1]) else 1
+        mine, other = back[i], back[1 - i]
+        nxt = []
+        for x in layers[i]:
+            for e, y in adj[x].items():
+                # a loop lands on x, which is already in mine
+                if y in mine or e in banned:
+                    continue
+                if y in other:
+                    near_s, near_t = (x, y) if i == 0 else (y, x)
+                    return _back_path(back[0], near_s)[::-1] + [e] + _back_path(back[1], near_t)
+                mine[y] = (x, e)
+                nxt.append(y)
+        layers[i] = nxt
     return None
+
+
+def _back_path(back: dict, v: VertexId) -> list[EdgeId]:
+    """Edges from v back to the root of a search side."""
+    edges = []
+    step = back[v]
+    while step is not None:
+        v, e = step
+        edges.append(e)
+        step = back[v]
+    return edges
 
 
 def _path_vertices(G: Multigraph, edges: list[EdgeId], start: VertexId) -> list[VertexId]:

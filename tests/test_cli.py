@@ -7,7 +7,7 @@ import time
 import pytest
 
 import cyclelattice
-from cyclelattice import certificate, cycle_structure
+from cyclelattice import certificate, cli, cycle_structure
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import fundamental_cycle_matrix
 from cyclelattice.lattice_basis import indicator_matrix
@@ -407,6 +407,19 @@ class TestLargeNumbers:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bound 1000000000000" in err
 
+    def test_characteristic_past_the_bound_exits_1(self, capsys, k4_file):
+        start = time.perf_counter()
+        assert main(["hull", "--char", "1000000000000000003", k4_file]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bound 1000000000000" in err
+
+    def test_prime_characteristic_below_the_bound(self, capsys, k4_file):
+        code, doc = run_json(capsys, "hull", "--char", "999999999989", k4_file)
+        assert code == 0
+        assert doc["characteristic"] == 999999999989 and doc["dimension"] == 6
+
 
 class TestCapacity:
     """An oracle that cannot run is a capacity error, not a failed check."""
@@ -430,6 +443,19 @@ class TestCapacity:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "10000000" in captured.err
+
+    def test_hull_group_verify_checks_the_cap_before_enumerating(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(gen(16, 3)))
+        calls = []
+        monkeypatch.setattr(cli, "enumerate_cycles", lambda *a, **k: calls.append(a) or [])
+        assert main(["hull", "--group", "2", "--verify", str(graph)]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "10000000" in captured.err
 
 
 def _core_with_pendants(pendants: int) -> str:

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connected
@@ -300,6 +300,48 @@ def _tree_at(chain, i):
     return frozenset(e for e in chain.graphs[i].edges if in_tree(e))
 
 
+@st.composite
+def _path_queries(draw):
+    """A multigraph with loops, parallel edges and often several components,
+    as _bfs_path's adjacency, with two vertices and a random banned set."""
+    n = draw(st.integers(1, 16))
+    vertex = st.integers(0, n - 1)
+    m = draw(st.integers(0, 3 * n))
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+    adj = {v: {} for v in range(n)}
+    for e, (u, v) in enumerate(edges):
+        adj[u][e] = v
+        adj[v][e] = u
+    banned = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m // 3))
+    return adj, edges, draw(vertex), draw(vertex), banned
+
+
+class TestBfsPath:
+    """The bidirectional search against networkx shortest paths."""
+
+    @settings(max_examples=400)
+    @given(_path_queries())
+    def test_shortest_path_matches_networkx(self, query):
+        nx = pytest.importorskip("networkx")
+        adj, edges, s, t, banned = query
+        path = topo_extension._bfs_path(adj, s, t, banned=banned)
+        H = nx.MultiGraph()
+        H.add_nodes_from(adj)
+        H.add_edges_from(uv for e, uv in enumerate(edges) if e not in banned)
+        if s == t:
+            assert path == []
+        elif not nx.has_path(H, s, t):
+            assert path is None
+        else:
+            assert path is not None and len(path) == nx.shortest_path_length(H, s, t)
+            x = s
+            for e in path:
+                u, v = edges[e]
+                assert e not in banned and u != v and x in (u, v)
+                x = v if x == u else u
+            assert x == t
+
+
 class TestCompatibleChain:
     def test_single_loop(self, loop_graph):
         chain = compatible_chain(loop_graph)
@@ -399,17 +441,19 @@ def _gen_digest(G):
 
 
 class TestGolden:
-    """Outputs pinned from the construction that rebuilt a graph per step."""
+    """Pinned outputs.  The `gen` digests date from the construction that
+    rebuilt a graph per step; the chain digests from the bidirectional
+    shortest-path search, whose ties differ from the one-sided BFS before it."""
 
     @pytest.mark.parametrize(
         "steps, seed, max_vertices, kind_weights, m, digest",
         [
-            (30, 1, None, (1.0, 1.0, 1.0), 60, "258b2b64d5809455fb77eebb6e57696c4d929dd9850341ac341eebfe1595511e"),
-            (60, 2, 25, (1.0, 1.0, 1.0), 84, "b35ec261ee9d8f29b01f9c3d5d1c12dbab9473924571616c11e93956837d7112"),
-            (100, 3, None, (1.0, 2.0, 3.0), 245, "fc8d76d37eb6ea2a566159bcd8204db99122442a65a32d437063079fb43fd0d0"),
-            (200, 4, 80, (1.0, 1.0, 1.0), 279, "9164b9801e6632f2d0971b379bea54ba226deb58864b4d4c0cc29ef58c72a879"),
-            (401, 5, 200, (3.0, 1.0, 1.0), 600, "f33297f23375462ebab376a406294fde38b86391ef99156627c4c938e4c1e06d"),
-            (2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "04e978cfe9e1a457293c778eab66c5239d4a2d5bc61c8ad14cf8fd9fd34d4fae"),
+            (30, 1, None, (1.0, 1.0, 1.0), 60, "31df4e57f029553d9d757dd972463f32e44129a0c59c8fb68a0baf2d443ce0eb"),
+            (60, 2, 25, (1.0, 1.0, 1.0), 84, "1a4a2368d80b1c78dc2c0cd71d6a2451545c8fee7e7defa0cd9b5251929629ec"),
+            (100, 3, None, (1.0, 2.0, 3.0), 245, "100e86ad23edeb6d0ad5a7ffce94f8dcd656fe91a9994ea066306b8218687ed2"),
+            (200, 4, 80, (1.0, 1.0, 1.0), 279, "856be0c2f216430b2f47ba0398cc0ba80a79f76bf229869c0b0313dd93f90836"),
+            (401, 5, 200, (3.0, 1.0, 1.0), 600, "dabcc74e22c6f1f1cc20c28a87875e0494b6b585306bbc58c0af0f2f4265ef2f"),
+            (2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "606d79b05a34a2c3b11c6d7022ad4fc8e26f4f2af5f391b210eafaa12bfec016"),
         ],
     )
     def test_compatible_chain(self, steps, seed, max_vertices, kind_weights, m, digest):
