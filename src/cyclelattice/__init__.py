@@ -34,7 +34,6 @@ from .lattice_basis import (
     indicator_matrix,
     is_lattice_member,
     lattice_determinant,
-    lift_basis,
     matches_all_cycles_lattice,
     per_component,
     semi_fundamental_basis,
@@ -51,12 +50,10 @@ from .multigraph import (
     MinorMap,
     Multigraph,
     SpanningForest,
-    component_subgraphs,
     connected_components,
     edge_disjoint_paths,
     forest_from_edges,
     format_edge_list,
-    is_connected,
     minor,
     parse_edge_list,
     spanning_forest,

@@ -82,22 +82,27 @@ class Certificate:
 def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
-    tree: SpanningForest | None = None,
+    tree: SpanningForest | Cosimplification | None = None,
     chain=None,
 ) -> Certificate:
     """Exact |det| of the vectors, and whether it is 2^(n-1) per component.
 
-    tree is a spanning forest of G that the vectors were built on, and
-    chain a compatible chain (or a list of them, one per component of the
-    cosimplification) whose final basis they are.  Both hints change only
-    how fast the answer comes, never the answer: a tree that is not a
-    spanning forest of G is replaced by spanning_forest(G), and a chain that
-    does not match the vectors falls back to the generic path.  Raises
-    ArgumentError on a nonzero entry at an edge G lacks, and CapacityError
-    when the generic path leaves a residual block above RESIDUAL_CAP.
+    tree is a spanning forest of G that the vectors were built on, or the
+    cosimplification of G built on it, and chain a compatible chain (or a
+    list of them, one per component of the cosimplification) whose final
+    basis they are.  Both hints change only how fast the answer comes,
+    never the answer: a cosimplification of another graph counts as its
+    forest, a tree that is not a spanning forest of G is replaced by
+    spanning_forest(G), and a chain that does not match the vectors falls
+    back to the generic path.  Raises ArgumentError on a nonzero entry at
+    an edge G lacks, and CapacityError when the generic path leaves a
+    residual block above RESIDUAL_CAP.
     """
-    T = forest_from_edges(G, tree.tree_edges) if tree is not None else None
-    cos = cosimplify(G, forest=T or spanning_forest(G))
+    cos = tree if isinstance(tree, Cosimplification) else None
+    forest = cos.forest if cos else tree
+    T = forest_from_edges(G, forest.tree_edges) if forest is not None else None
+    if cos is None or cos.parent is not G or T is None:
+        cos = cosimplify(G, forest=T or spanning_forest(G))
     hat = cos.hat_graph
     projected = _project(cos, vectors)
     if projected is None:

@@ -1,8 +1,9 @@
 """Command-line surface: analyze, basis, verify, extend, hull, gen.
 
 Exit codes: 0 ok, 1 usage, 2 input-structure problem or an instance past
-a capacity limit, 3 verification failure.  Determinants and group orders
-are serialized as decimal strings so arbitrary precision survives JSON.
+a capacity limit, 3 verification failure, 4 internal error (a broken
+invariant of the library).  Determinants and group orders are serialized
+as decimal strings so arbitrary precision survives JSON.
 """
 
 from __future__ import annotations
@@ -17,25 +18,27 @@ from .errors import (
     ArgumentError,
     CapacityError,
     CycleLatticeError,
+    InternalError,
     ParseError,
     PreconditionError,
     StructureError,
 )
 from .lattice_basis import (
     Provenance,
+    _semi_fundamental_3ec,
+    _simple_3ec,
     indicator_matrix,
     per_component,
-    semi_fundamental_basis,
-    simple_basis,
+    require_three_edge_connected,
     spanning_forest,
 )
 from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
     Multigraph,
+    SpanningForest,
     connected_components,
     forest_from_edges,
     format_edge_list,
-    is_connected,
     parse_edge_list,
 )
 from .oracle import (
@@ -48,7 +51,7 @@ from .oracle import (
     hnf_lattices_equal,
     rank_mod_p,
 )
-from .topo_extension import compatible_chain, gen
+from .topo_extension import _chain_3ec, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
 
@@ -153,13 +156,17 @@ def _resolve_vertex(G: Multigraph, token: str) -> int:
     return v
 
 
-def _require_connected(G: Multigraph):
-    if not is_connected(G):
+def _load_connected(path: str) -> tuple[Multigraph, SpanningForest]:
+    """The graph and its spanning tree; StructureError when it is disconnected."""
+    G = _load_graph(path)
+    T = spanning_forest(G)
+    if len(T.component_roots) > 1:
         comps = connected_components(G)
         listing = "; ".join(
             "{" + ",".join(G.label_of(v) for v in vs) + "}" for vs, _ in comps
         )
         raise StructureError(f"graph is disconnected: components {listing}")
+    return G, T
 
 
 # ---------------------------------------------------------------------------
@@ -189,35 +196,28 @@ def _hnf_oracle(G: Multigraph, vectors: list[dict[int, int]]) -> bool:
 
 
 def _chain_on(H: Multigraph, _T_H):
-    chain = compatible_chain(H, keep_prefixes=False)
+    chain = _chain_3ec(H, keep_prefixes=False)
     return chain.final_basis, chain
 
 
-def _build_basis(G: Multigraph, T, method: str) -> tuple[list[dict], object]:
-    """Entries for the JSON document, built on the spanning forest T.
-
-    The second value is the certification hint for `certify`: the chains,
-    one per component of the cosimplification, of a topological basis;
-    otherwise None.
-    """
-    chains = None
-    if method == "semi-fundamental":
-        entries = semi_fundamental_basis(G, T)[0].entries()
-    elif method == "simple":
-        entries, _ = per_component(G, T, lambda H, T_H: (simple_basis(H, T_H), None))
-    else:
-        entries, chains = per_component(G, T, _chain_on)
-    return [_entry(edges, tag) for edges, tag in entries], chains
+# per method, the construction per_component runs on each component
+_CONSTRUCTIONS = {
+    "semi-fundamental": _semi_fundamental_3ec,
+    "simple": lambda H, T_H: (_simple_3ec(H, T_H), None),
+    "topological": _chain_on,
+}
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input)
-    _require_connected(G)
-    root = _resolve_vertex(G, args.tree_seed) if args.tree_seed else None
-    T = spanning_forest(G, prefer_root=root)
-    entries, chains = _build_basis(G, T, args.method)
+    G, T = _load_connected(args.input)
+    if args.tree_seed:
+        T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
+    cos = cosimplify(G, forest=T)
+    built, extras = per_component(cos, _CONSTRUCTIONS[args.method])
+    entries = [_entry(edges, tag) for edges, tag in built]
     vectors = [_entry_vector(entry) for entry in entries]
-    cert = certify(G, vectors, tree=T, chain=chains)
+    chains = extras if args.method == "topological" else None
+    cert = certify(G, vectors, tree=cos, chain=chains)
     certified = cert.certified
     doc = {
         "graph": format_edge_list(G),
@@ -271,8 +271,7 @@ def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input)
-    _require_connected(G)
+    G, T = _load_connected(args.input)
     candidate = _load_document(args.basis)
     entries = candidate["cycles"]
     checks = []
@@ -292,17 +291,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     vectors = [_entry_vector(entry) for entry in entries]
     tree = candidate.get("tree")
-    hint = None
     if isinstance(tree, list) and all(type(e) is int for e in tree):
-        hint = forest_from_edges(G, tree)
+        T = forest_from_edges(G, tree) or T
+    cos = cosimplify(G, forest=T)
     try:
-        cert = certify(G, vectors, tree=hint)
+        cert = certify(G, vectors, tree=cos)
     except CapacityError:
         # a topological basis leaves a large residual on every tree; the
         # chains that build it certify it, when the document is one
-        T = hint or spanning_forest(G)
         try:
-            cert = certify(G, vectors, tree=T, chain=per_component(G, T, _chain_on)[1])
+            cert = certify(G, vectors, tree=cos, chain=per_component(cos, _chain_on)[1])
         except CapacityError as exc:
             check("determinant", False, str(exc))
             _emit({"accepted": False, "checks": checks}, args)
@@ -338,11 +336,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     cos = cosimplify(G)
     partition, hat = cos.partition, cos.hat_graph
-    hat_partition = bridges_and_series_classes(hat, cos.hat_tree)
+    hat_partition = partition if cos.identity else bridges_and_series_classes(hat, cos.hat_tree)
     doc = {
         "n": G.n,
         "m": G.m,
-        "connected": is_connected(G),
+        "connected": len(cos.forest.component_roots) <= 1,
         "three_edge_connected": cos.three_edge_connected,
         "bridges": sorted(partition.bridges),
         "nontrivial_series_classes": sorted(
@@ -363,19 +361,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input)
-    _require_connected(G)
-    chain = compatible_chain(G, keep_prefixes=True)
-    seq = chain.sequence
-    prefix_docs = []
-    for basis in chain.bases:
-        prefix_docs.append([sorted(c) for c in basis.cycles])
-    cert = certify(G, chain.final_basis.vectors(), tree=chain.tree, chain=chain)
+    G, T = _load_connected(args.input)
+    cos = cosimplify(G, forest=T)
+    require_three_edge_connected(cos)
+    chain = _chain_3ec(G, keep_prefixes=True)
+    cert = certify(G, chain.final_basis.vectors(), tree=cos, chain=chain)
     certified = cert.certified
     doc = {
-        "sequence": seq.to_json(),
+        "sequence": chain.sequence.to_json(),
         "chain": {
-            "bases": prefix_docs,
+            "bases": [[sorted(c) for c in basis.cycles] for basis in chain.bases],
             "final_basis": [_entry(c, tag) for c, tag in chain.final_basis.entries()],
             "determinant": decimal(cert.determinant),
             "certified": certified,
@@ -394,13 +389,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_hull(args: argparse.Namespace) -> int:
-    G = _load_graph(args.input)
-    _require_connected(G)
+    G, T = _load_connected(args.input)
     if (args.char is None) == (args.group is None):
         raise ArgumentError("hull needs exactly one of --char or --group")
     K = FieldSpec(args.char) if args.char is not None else None
     A = AbelianGroupSpec.parse(args.group) if args.group is not None else None
-    doc = hull_report(G, K, A)
+    doc = hull_report(cosimplify(G, forest=T), K, A)
     verified = False
     if args.verify:
         # both oracles enumerate every cycle; each checks its limit first
@@ -440,13 +434,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             gen(args.steps, derived_seed, max_vertices=args.max_vertices)
         )
     if args.output == "json":
-        print(
-            json.dumps(
-                {"graphs": [format_edge_list(G) for G in graphs]},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _emit({"graphs": [format_edge_list(G) for G in graphs]}, args)
     else:
         for index, G in enumerate(graphs):
             print(f"# graph {index} (seed {args.seed}, steps {args.steps})")
@@ -475,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, StructureError, PreconditionError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except CycleLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

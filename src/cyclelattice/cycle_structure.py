@@ -16,9 +16,7 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
-    component_subgraphs,
     connected_components,
-    is_connected,
     minor,
     spanning_forest,
 )
@@ -89,26 +87,34 @@ class Cosimplification:
         return self.identity and len(self.forest.component_roots) <= 1
 
     @cached_property
+    def _hat_parts(self) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
+        """One components pass over hat_graph, for hat_tree and components."""
+        return connected_components(self.hat_graph)
+
+    @cached_property
     def hat_tree(self) -> SpanningForest:
         """The forest's surviving edges, a spanning forest of hat_graph."""
         if self.identity:
             return self.forest
         edges = frozenset(t for t in self.forest.tree_edges if self.projection[t] == t)
-        roots = tuple(vs[0] for vs, _ in connected_components(self.hat_graph))
+        roots = tuple(vs[0] for vs, _ in self._hat_parts)
         return SpanningForest(self.hat_graph, edges, roots)
 
     @cached_property
     def components(self) -> tuple[tuple[Multigraph, SpanningForest], ...]:
         """Components of hat_graph that have edges, by least vertex, each
-        with the restriction of hat_tree to it."""
+        with the restriction of hat_tree to it.  They are 3-edge-connected
+        by construction."""
         hat, tree = self.hat_graph, self.hat_tree
         if len(tree.component_roots) == 1:
             return ((hat, tree),) if hat.m else ()
         out = []
-        for H in component_subgraphs(hat):
-            if H.m:
-                edges = frozenset(e for e in H.edges if e in tree.tree_edges)
-                out.append((H, SpanningForest(H, edges, (H.vertices[0],))))
+        for vs, es in self._hat_parts:
+            if es:
+                labels = {v: hat.labels[v] for v in vs if v in hat.labels} if hat.labels else None
+                H = Multigraph(vs, {e: hat.edges[e] for e in es}, labels)
+                edges = frozenset(e for e in es if e in tree.tree_edges)
+                out.append((H, SpanningForest(H, edges, (vs[0],))))
         return tuple(out)
 
     def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:
@@ -216,16 +222,21 @@ def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplif
     return Cosimplification(G, T, partition, hat, projection, section)
 
 
-def three_edge_connectivity_witness(G: Multigraph) -> tuple[str, object] | None:
+def three_edge_connectivity_witness(G: Multigraph | Cosimplification) -> tuple[str, object] | None:
     """None when 3-edge-connected, else (kind, witness) naming the failure.
 
     kind is "disconnected" (witness: component count), "bridge" (witness:
     edge id) or "series" (witness: a nontrivial class).  Single-vertex
-    graphs, with or without loops, count as 3-edge-connected.
+    graphs, with or without loops, count as 3-edge-connected.  G may be
+    given by its cosimplification, whose forest and partition then answer.
     """
-    if G.n > 1 and not is_connected(G):
-        return ("disconnected", len(connected_components(G)))
-    partition = bridges_and_series_classes(G)
+    if isinstance(G, Cosimplification):
+        T, partition = G.forest, G.partition
+    else:
+        T = spanning_forest(G)
+        partition = bridges_and_series_classes(G, T)
+    if len(T.component_roots) > 1:
+        return ("disconnected", len(T.component_roots))
     if partition.bridges:
         return ("bridge", min(partition.bridges))
     nontrivial = partition.nontrivial_classes

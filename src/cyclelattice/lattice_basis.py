@@ -169,7 +169,8 @@ class MembershipResult:
         return self.is_member
 
 
-def require_three_edge_connected(G: Multigraph):
+def require_three_edge_connected(G: Multigraph | Cosimplification):
+    """PreconditionError naming why G (or a cosimplification's parent) fails."""
     witness = three_edge_connectivity_witness(G)
     if witness is None:
         return
@@ -190,8 +191,11 @@ def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> SimpleBasis:
     [[2I, A], [0, I]], so the determinant is 2^(n-1) by inspection.
     """
     require_three_edge_connected(G)
-    if T is None:
-        T = spanning_forest(G)
+    return _simple_3ec(G, T if T is not None else spanning_forest(G))
+
+
+def _simple_3ec(G: Multigraph, T: SpanningForest) -> SimpleBasis:
+    """simple_basis on a graph that is 3-edge-connected by construction."""
     fcm = fundamental_cycle_matrix(G, T)
     cycle_part = tuple((e, fcm.cycle_edges(e)) for e in sorted(fcm.columns))
     doubled_part = tuple(sorted(T.tree_edges))
@@ -447,10 +451,9 @@ def _shrink_pair(
 
 
 def _seed_pair(
-    fcm: FundamentalCycleMatrix, remaining: set[EdgeId]
+    fcm: FundamentalCycleMatrix, remaining: set[EdgeId], t: EdgeId
 ) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
-    """Two fundamental cycles through the least remaining tree edge."""
-    t = min(remaining)
+    """Two fundamental cycles through the remaining tree edge t."""
     crossing = sorted(fcm.rows[t])[:2]
     if len(crossing) < 2:
         raise StructureError(
@@ -482,12 +485,14 @@ def _semi_fundamental_3ec(
     tags = [Provenance(kind="fundamental", e=e) for e in order]
 
     remaining = set(T.tree_edges)
+    seeds = iter(sorted(remaining))  # a seed is contracted before the next is drawn
     blocks = VertexUnion(G.vertices)
     stack: list[tuple[EdgeId, EdgeId, set[EdgeId]]] = []
     triples: list[tuple[EdgeId, EdgeId, EdgeId]] = []
     while remaining:
         if not stack:
-            stack.append(_seed_pair(fcm, remaining))
+            seed = next(t for t in seeds if t in remaining)
+            stack.append(_seed_pair(fcm, remaining, seed))
         e, f, inter = stack[-1]
         while len(inter) > 1:
             e, f, inter = _shrink_pair(fcm, blocks, remaining, e, f, inter)
@@ -519,24 +524,24 @@ def semi_fundamental_basis(
         T = spanning_forest(G)
     if len(T.component_roots) > 1:
         raise StructureError("graph is not connected")
-    entries, triples = per_component(G, T, _semi_fundamental_3ec)
+    entries, triples = per_component(cosimplify(G, forest=T), _semi_fundamental_3ec)
     cycles = tuple(cyc for cyc, _ in entries)
     tags = tuple(tag for _, tag in entries)
     return CycleBasis(cycles, tags, tree=T), [t for part in triples for t in part]
 
 
-def per_component(G: Multigraph, T: SpanningForest, construct):
-    """Build on each component of the cosimplification of (G, T), lift to G.
+def per_component(cos: Cosimplification, construct):
+    """Build on each component of the cosimplification, lift to its parent.
 
-    construct(H, T_H) receives every component H of the cosimplification
-    that has edges, with the restriction T_H of T, and returns (basis,
-    extra): a CycleBasis or SimpleBasis of H, and anything else.  Returns
-    the lifted (edge set, Provenance) entries of all bases in component
-    order, and the list of extras.  When the cosimplification is the
-    identity an entry keeps its tag; otherwise a cycle becomes `lifted` and
-    a doubled edge stays doubled(t=...) on its whole series class.
+    construct(H, T_H) receives every component H of cos that has edges,
+    with the restriction T_H of its forest, and returns (basis, extra): a
+    CycleBasis or SimpleBasis of H, and anything else.  H is
+    3-edge-connected by construction, so construct need not check it.
+    Returns the lifted (edge set, Provenance) entries of all bases in
+    component order, and the list of extras.  When the cosimplification is
+    the identity an entry keeps its tag; otherwise a cycle becomes `lifted`
+    and a doubled edge stays doubled(t=...) on its whole series class.
     """
-    cos = cosimplify(G, forest=T)
     entries: list[tuple[frozenset[EdgeId], Provenance]] = []
     extras = []
     for H, T_H in cos.components:
@@ -552,17 +557,8 @@ def per_component(G: Multigraph, T: SpanningForest, construct):
     return entries, extras
 
 
-def lift_basis(cos: Cosimplification, component_bases: list[CycleBasis]) -> CycleBasis:
-    """Lift bases of the cosimplification's components back to the parent.
-
-    Every representative edge in a cycle is replaced by its full series
-    class; bridges never occur in cycles, so the lift is total.
-    """
-    cycles = tuple(_lift_cycle(cos, c) for basis in component_bases for c in basis.cycles)
-    return CycleBasis(cycles=cycles, provenance=(Provenance("lifted"),) * len(cycles))
-
-
 def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:
+    """Each representative edge replaced by its series class (never a bridge)."""
     if any(e not in cos.section for e in cycle):
         raise ArgumentError("cycle uses edges outside the cosimplification")
     lifted = cos.lift_edges(cycle)

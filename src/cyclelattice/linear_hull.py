@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
 
-from .cycle_structure import cosimplify, fundamental_cycle_matrix
+from .cycle_structure import Cosimplification, cosimplify, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
 from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
 from .multigraph import Multigraph
@@ -103,9 +103,13 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 def hull_dimension(G: Multigraph, K: FieldSpec) -> int:
     """Dimension of the K-span of cycle vectors: m, or m-n+1 when char 2."""
     require_three_edge_connected(G)
-    if K.characteristic == 2:
-        return G.m - G.n + 1
-    return G.m
+    return _dimension(G.m, G.n - 1, K)
+
+
+def _dimension(m: int, r: int, K: FieldSpec) -> int:
+    """hull_dimension summed over 3-edge-connected components: m edges in
+    all, and r = n - #components."""
+    return m - r if K.characteristic == 2 else m
 
 
 def hull_group_structure(G: Multigraph, A: AbelianGroupSpec) -> AbelianGroupSpec:
@@ -116,13 +120,17 @@ def hull_group_structure(G: Multigraph, A: AbelianGroupSpec) -> AbelianGroupSpec
     the trivial factors being dropped.
     """
     require_three_edge_connected(G)
-    m, n = G.m, G.n
+    return _group_structure(G.m, G.n - 1, A)
+
+
+def _group_structure(m: int, r: int, A: AbelianGroupSpec) -> AbelianGroupSpec:
+    """hull_group_structure summed over components, as in _dimension."""
     out: list[int] = []
     for q in A.cyclic_factors:
         if q % 2 == 0:
-            out.extend([q] * (m - n + 1))
+            out.extend([q] * (m - r))
             if q // 2 > 1:
-                out.extend([q // 2] * (n - 1))
+                out.extend([q // 2] * r)
         else:
             out.extend([q] * m)
     return AbelianGroupSpec(cyclic_factors=tuple(out))
@@ -152,7 +160,7 @@ def hull_basis_mod_p(
             raise ArgumentError("characteristic-2 reduction needs a tree-based source")
         fcm = fundamental_cycle_matrix(G, tree)
         vectors = [{e: 1 for e in fcm.cycle_edges(x)} for x in sorted(fcm.columns)]
-    expected = hull_dimension(G, K)
+    expected = _dimension(G.m, G.n - 1, K)
     order = list(G.sorted_edges)
     rank = rank_mod_p(IntegerMatrix.from_vectors(vectors, order), p)
     if rank != expected:
@@ -162,26 +170,25 @@ def hull_basis_mod_p(
     return vectors
 
 
-def hull_report(G: Multigraph, K: FieldSpec | None, A: AbelianGroupSpec | None) -> dict:
+def hull_report(
+    G: Multigraph | Cosimplification, K: FieldSpec | None, A: AbelianGroupSpec | None
+) -> dict:
     """Hull summary for a connected graph, summed over its cosimplification.
 
     The closed-form dimensions assume a 3-edge-connected graph; they are
-    applied to each component of the cosimplification (a lattice
+    summed over the components of the cosimplification (a lattice
     isomorphism), and the report is flagged as derived unless G itself is
-    3-edge-connected.
+    3-edge-connected.  G may be given by its cosimplification.
     """
-    cos = cosimplify(G)
-    parts = [H for H, _ in cos.components]
+    cos = G if isinstance(G, Cosimplification) else cosimplify(G)
+    hat = cos.hat_graph
+    rank = hat.n - len(cos.hat_tree.component_roots)
     report: dict = {"derived": not cos.three_edge_connected}
     if K is not None:
-        dim = sum(hull_dimension(H, K) for H in parts)
         report["characteristic"] = K.characteristic
-        report["dimension"] = dim
+        report["dimension"] = _dimension(hat.m, rank, K)
     if A is not None:
-        factors: list[int] = []
-        for H in parts:
-            factors.extend(hull_group_structure(H, A).cyclic_factors)
-        spec = AbelianGroupSpec(cyclic_factors=tuple(factors))
+        spec = _group_structure(hat.m, rank, A)
         report["group"] = ",".join(A.describe())
         report["factors"] = spec.describe()
         report["order"] = decimal(spec.order)

@@ -329,19 +329,6 @@ def connected_components(G: Multigraph) -> list[tuple[tuple[VertexId, ...], tupl
     return [(tuple(sorted(vs)), tuple(es)) for vs, es in zip(comps, edges)]
 
 
-def is_connected(G: Multigraph) -> bool:
-    return len(connected_components(G)) <= 1
-
-
-def component_subgraphs(G: Multigraph) -> list[Multigraph]:
-    """One Multigraph per component; vertex and edge ids preserved."""
-    out = []
-    for vs, es in connected_components(G):
-        labels = {v: G.labels[v] for v in vs if v in G.labels} if G.labels else None
-        out.append(Multigraph(vertices=vs, edges={e: G.edges[e] for e in es}, labels=labels))
-    return out
-
-
 def spanning_forest(G: Multigraph, prefer_root: VertexId | None = None) -> SpanningForest:
     """Deterministic BFS forest: least-vertex roots, least-edge-id tie-breaking."""
     if prefer_root is not None and prefer_root not in set(G.vertices):

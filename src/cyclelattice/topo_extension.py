@@ -487,6 +487,8 @@ class _SequenceBuilder:
 
     def build(self) -> ExtensionSequence:
         G = self.G
+        if not G.vertices:
+            raise StructureError("graph has no vertices: a growth sequence starts at one")
         v0 = min(G.vertices)
         self.gv_to_rv[v0] = self._new_rv(v0)
         self.base = Multigraph(vertices=(self.gv_to_rv[v0],), edges={})
@@ -539,8 +541,6 @@ def extension_sequence(G: Multigraph) -> ExtensionSequence:
     same suppressed path, and single edges between branch vertices are swept
     in after every search.
     """
-    if not G.vertices:
-        raise StructureError("graph has no vertices: a growth sequence starts at one")
     require_three_edge_connected(G)
     return _SequenceBuilder(G).build()
 
@@ -704,7 +704,13 @@ def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleCha
     the tree, a divided non-tree edge hangs the split vertex off its first
     half, and the new edge never enters, so the tree stays spanning.
     """
-    seq = extension_sequence(G)
+    return _chain_3ec(G, keep_prefixes, extension_sequence(G))
+
+
+def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
+    """compatible_chain along seq (built here when None), with no 3EC check."""
+    if seq is None:
+        seq = _SequenceBuilder(G).build()
     grown = _GrownGraph(seq.base)
     (root,) = seq.base.vertices
     parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {root: None}

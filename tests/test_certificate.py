@@ -9,6 +9,7 @@ import pytest
 from cyclelattice import certificate
 from cyclelattice.certificate import certify
 from cyclelattice.cli import main
+from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
 from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
 from cyclelattice.multigraph import (
@@ -159,7 +160,15 @@ def test_missing_or_wrong_hint_tree_gives_the_same_determinant(k4):
         not_spanning = SpanningForest(G, frozenset(sorted(T.tree_edges)[:-1]), (G.vertices[0],))
         with_cycle = SpanningForest(G, frozenset(G.edges), (G.vertices[0],))
         foreign = spanning_forest(k4)
-        for hint in (None, other, not_spanning, with_cycle, foreign):
+        # a reduction counts as its forest, and is used as is only when it
+        # reduces G on a forest that forest_from_edges accepts
+        reductions = (
+            cosimplify(G, forest=T),
+            cosimplify(G, forest=other),
+            cosimplify(k4),
+            dataclasses.replace(cosimplify(G, forest=T), forest=not_spanning),
+        )
+        for hint in (None, other, not_spanning, with_cycle, foreign, *reductions):
             cert = certify(G, vectors, tree=hint)
             assert (cert.determinant, cert.certified) == (want, True)
 
@@ -238,9 +247,10 @@ def test_residual_cap_raises_capacity_error(k4, monkeypatch):
 def test_non_3ec_graphs_are_certified_per_component():
     # two triangles joined by a bridge: the cosimplification is two loops
     G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
-    cert = certify(G, [{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}])
-    assert (cert.determinant, cert.certified, cert.size) == (1, True, 2)
-    assert [c.kind for c in cert.components] == ["generic", "generic"]
+    for hint in (None, cosimplify(G)):
+        cert = certify(G, [{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}], tree=hint)
+        assert (cert.determinant, cert.certified, cert.size) == (1, True, 2)
+        assert [c.kind for c in cert.components] == ["generic", "generic"]
     assert not certify(G, [{0: 1, 1: 1, 2: 1}, {3: 1, 4: 1}]).in_cycle_space  # bridge
     assert not certify(G, [{0: 1, 1: 1}, {4: 1, 5: 1, 6: 1}]).in_cycle_space  # half a class
     assert certify(G, [{0: 1, 1: 1, 2: 1}]).components[1].kind == "unmatched"

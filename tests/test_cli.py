@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -10,6 +11,7 @@ import cyclelattice
 from cyclelattice import certificate, cli, cycle_structure
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import fundamental_cycle_matrix
+from cyclelattice.errors import InternalError
 from cyclelattice.lattice_basis import indicator_matrix
 from cyclelattice.multigraph import forest_from_edges, format_edge_list, parse_edge_list
 from cyclelattice.oracle import exact_determinant
@@ -338,6 +340,21 @@ class TestExitCodes:
         code, doc = run_json(capsys, "basis", "--method", "topological", str(path))
         assert code == 0 and doc["cycles"] == [] and doc["determinant"] == "1"
 
+    def test_internal_error_exits_4(self, capsys, k4_file, monkeypatch):
+        def broken(H, T_H):
+            raise InternalError("cycle exchange failed to shrink the intersection")
+
+        monkeypatch.setitem(cli._CONSTRUCTIONS, "semi-fundamental", broken)
+        assert main(["basis", k4_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cycle exchange failed to shrink the intersection\n"
+
+    def test_argument_error_exits_1(self, capsys, k4_file):
+        assert main(["basis", "--tree-seed", "nowhere", k4_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("group", ["Z2", "Z", "Z_2", "2,x", "2^"])
     def test_group_token_not_an_integer_exits_1(self, capsys, b3_file, group):
         assert main(["hull", "--group", group, b3_file]) == 1
@@ -465,25 +482,27 @@ def _core_with_pendants(pendants: int) -> str:
     return f"{5 + pendants} {len(edges)}\n" + "\n".join(edges) + "\n"
 
 
-def _count_partitions(monkeypatch, argv) -> int:
-    """Calls of bridges_and_series_classes, under every name it is imported by."""
-    original = cycle_structure.bridges_and_series_classes
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
+def _calls(monkeypatch, argv, names) -> dict[str, list]:
+    """The first argument of every call of each cycle_structure function in
+    `names`, under every module name it is imported by, while main(argv) runs."""
     modules = [cyclelattice] + [
         importlib.import_module(f"cyclelattice.{info.name}")
         for info in pkgutil.iter_modules(cyclelattice.__path__)
     ]
+    seen: dict[str, list] = {name: [] for name in names}
     with monkeypatch.context() as patch:
-        for module in modules:
-            if getattr(module, "bridges_and_series_classes", None) is original:
-                patch.setattr(module, "bridges_and_series_classes", counted)
+        for name in names:
+            original = getattr(cycle_structure, name)
+
+            def counted(*args, original=original, name=name, **kwargs):
+                seen[name].append(args[0])
+                return original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, counted)
         assert main(argv) == 0
-    return len(calls)
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -495,21 +514,132 @@ def _count_partitions(monkeypatch, argv) -> int:
         ["verify"],
         ["hull", "--char", "3"],
         ["analyze"],
+        ["extend", "--verify"],
     ],
 )
 def test_partition_count_does_not_grow_with_components(
     capsys, tmp_path, monkeypatch, command
 ):
-    counts = []
-    for pendants in (2, 50):
-        graph = tmp_path / f"core{pendants}.txt"
-        graph.write_text(_core_with_pendants(pendants))
+    """Each command reduces its graph once: bridges_and_series_classes runs
+    once (analyze runs it again on a reduced graph that is not the input),
+    and connected_components never runs on the input graph."""
+    inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
+    for name, text in inputs.items():
+        if command[0] == "extend" and name != "k4":
+            continue  # extend refuses graphs that are not 3-edge-connected
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(text)
         argv = [*command, str(graph)]
         if command == ["verify"]:
             assert main(["basis", str(graph)]) == 0
-            doc = tmp_path / f"core{pendants}.json"
+            doc = tmp_path / f"{name}.json"
             doc.write_text(capsys.readouterr().out)
             argv.append(str(doc))
-        counts.append(_count_partitions(monkeypatch, argv))
+        seen = _calls(monkeypatch, argv, ["bridges_and_series_classes", "connected_components"])
         capsys.readouterr()
-    assert counts[0] == counts[1] <= 3, counts
+        expected = 2 if command == ["analyze"] and name != "k4" else 1
+        assert len(seen["bridges_and_series_classes"]) == expected, name
+        G = parse_edge_list(text)
+        on_input = [H for H in seen["connected_components"] if (H.n, H.m) == (G.n, G.m)]
+        assert on_input == [], name
+
+
+# ---------------------------------------------------------------------------
+# output goldens: sha256 of stdout and the exit code, per input and command
+# ---------------------------------------------------------------------------
+
+DISCONNECTED_TEXT = "6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n"
+GOLDEN_INPUTS = {
+    "k4": lambda: K4_TEXT,
+    "c3": lambda: C3_TEXT,
+    "core50": lambda: _core_with_pendants(50),
+    "gen300": lambda: format_edge_list(gen(201, 7, max_vertices=100)),
+    "disconnected": lambda: DISCONNECTED_TEXT,
+}
+GOLDEN_COMMANDS = {
+    "analyze": ["analyze"],
+    "basis-simple": ["basis", "--method", "simple"],
+    "basis-semi": ["basis", "--method", "semi-fundamental"],
+    "basis-topo": ["basis", "--method", "topological"],
+    "verify-semi": ["verify", "semi-fundamental"],
+    "verify-topo": ["verify", "topological"],
+    "extend": ["extend", "--verify"],
+    "hull-char3": ["hull", "--char", "3"],
+    "hull-group": ["hull", "--group", "2^2,3"],
+}
+# "<input>-<command>" -> (exit code, sha256 of stdout)
+OUTPUT_GOLDENS = {
+    "k4-analyze": (0, "da72fdb4197d704d730477bd33b876805b8c981cbdb397596dd0190448041ffb"),
+    "k4-basis-simple": (0, "61c3d12f8548eacc273fba2f288240f48eb87f94b5ebfe7ab054ce72de1ecdee"),
+    "k4-basis-semi": (0, "259e2b64e9f528d974f14ab59406ae848d3dd63cf2178e89d013a6d72893f92d"),
+    "k4-basis-topo": (0, "73e8e51870e81cf2a7bc6302fe44a403a820916f3d7f8bbb383676b5a2f6d0a4"),
+    "k4-verify-semi": (0, "a6389e2e58a6d1c005922f0ea1545a27c204763476d337d5771c53859c4e09fd"),
+    "k4-verify-topo": (0, "a6389e2e58a6d1c005922f0ea1545a27c204763476d337d5771c53859c4e09fd"),
+    "k4-extend": (0, "23becea0daebf727d2205e2fd9adf43907508226bfbd4ac6feab7d7fadd10f49"),
+    "k4-hull-char3": (0, "0d1ef33432fd692e52e0c3ac17968b97b0db46bc9e748b632b0ec8e4f080cc4f"),
+    "k4-hull-group": (0, "43ada66c6f96c5609d38b9dcb3263a718cd1cfd7f8d617bb78161efff98b603b"),
+    "c3-analyze": (0, "be9d2ff9fd0844c2f39abb8b9648bc190f006869d0c12cf94e71c1b53ea7a86e"),
+    "c3-basis-simple": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
+    "c3-basis-semi": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
+    "c3-basis-topo": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
+    "c3-verify-semi": (0, "674c219e4fb194be0a691d0a6cb9797bb9d6c8f0c475c7cf3f4d5dcbd804118b"),
+    "c3-verify-topo": (0, "674c219e4fb194be0a691d0a6cb9797bb9d6c8f0c475c7cf3f4d5dcbd804118b"),
+    "c3-hull-char3": (0, "ff9a0adf2c0babfabd44d328ff837992aef8f4f3d74ad82e1e1512e6e1745c54"),
+    "c3-hull-group": (0, "8fc128a86871250e02690ffd6b8fb3b821a96b6331c426d9db58993692ff794e"),
+    "core50-analyze": (0, "3da38ea60c7bfad98aada84aa7be48d4837474336e8fd3f0435a881cafbf3a36"),
+    "core50-basis-simple": (0, "812a8b4b82d9086a5e1956dbbf76699ad6e82c76bcc858d6ed95db663dc170c8"),
+    "core50-basis-semi": (0, "2b94174f5307ca4c73dab329d576014696eb1638e581cea694fc1c544c8b4553"),
+    "core50-basis-topo": (0, "07d97c070003449dfa88a77d5e32c07adc99bc887794aaaaf79ff80e1048a387"),
+    "core50-verify-semi": (0, "95b3b005b6cf9f7835ee3103315789d21b347dad91ffc0e4348b17ba16a83deb"),
+    "core50-verify-topo": (0, "95b3b005b6cf9f7835ee3103315789d21b347dad91ffc0e4348b17ba16a83deb"),
+    "core50-hull-char3": (0, "9be7bb880a77aa24589313066613e70d2a2b3f015245dc09645039fa606c0e7f"),
+    "core50-hull-group": (0, "24656502cf161c1bb42538670741b27459128fe06e5c6b5a7fbe307d2ca7bafc"),
+    "gen300-analyze": (0, "9f79d7f3b2da896345095f5b1e7410e94fd04261391bfb883d4902782a22b400"),
+    "gen300-basis-simple": (0, "69d2b0c321000dc7587a61e26c14cf5f492eb53fd1fa9fcd9dfb30b8fe452461"),
+    "gen300-basis-semi": (0, "df848671bb5ea7df405d3e51472e3f46a1e26ed12a5e425a4ca83608dc40faca"),
+    "gen300-basis-topo": (0, "48167d0ed086fb7a874df823d9d09c1c05d3c37ec55f7d3dfc1c405c81d0ccc5"),
+    "gen300-verify-semi": (0, "3a95485db3404bb9ec63c19ce64dc5dd8f0a8892a442eb29606b81ace3e823f7"),
+    "gen300-verify-topo": (0, "3a95485db3404bb9ec63c19ce64dc5dd8f0a8892a442eb29606b81ace3e823f7"),
+    "gen300-extend": (0, "5dbb0053f68575653b83dd06493fe8f9c6e63f71c06307c43f046eac508df1df"),
+    "gen300-hull-char3": (0, "b379c2f087924336c871594470cf6328af72e5050a7e19018b8b2eab3d0aabd8"),
+    "gen300-hull-group": (0, "b4e2fb2cd5481d1befe8bbedd2ade39ad903326f2375818474ea0b93c9e82dac"),
+    "disconnected-analyze": (0, "31d1803c8a7f2921ef5c96870df8b3eaa75461308eebd74066be7768ab58cb07"),
+}
+# "<input>-<command>" -> (exit code, stderr); stdout stays empty
+ERROR_GOLDENS = {
+    "disconnected-basis-semi": (2, "error: graph is disconnected: components {1,2,3}; {4,5,6}\n"),
+    "disconnected-extend": (2, "error: graph is disconnected: components {1,2,3}; {4,5,6}\n"),
+    "disconnected-hull-char3": (2, "error: graph is disconnected: components {1,2,3}; {4,5,6}\n"),
+    "c3-extend": (2, "error: not 3-edge-connected: nontrivial series class [0, 1, 2]\n"),
+    "core50-extend": (2, "error: not 3-edge-connected: bridge edge 7\n"),
+}
+
+
+def _golden_run(capsys, tmp_path, case: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one golden case."""
+    name, command = case.split("-", 1)
+    graph = tmp_path / f"{name}.txt"
+    graph.write_text(GOLDEN_INPUTS[name]())
+    argv = GOLDEN_COMMANDS[command]
+    if argv[0] == "verify":
+        assert main(["basis", "--method", argv[1], str(graph)]) == 0
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(capsys.readouterr().out)
+        argv = ["verify", str(graph), str(doc)]
+    else:
+        argv = [*argv, str(graph)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, id=c) for c in OUTPUT_GOLDENS])
+def test_output_golden(capsys, tmp_path, case):
+    code, out, _ = _golden_run(capsys, tmp_path, case)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_GOLDENS[case]
+
+
+@pytest.mark.parametrize("case", [pytest.param(c, id=c) for c in ERROR_GOLDENS])
+def test_error_golden(capsys, tmp_path, case):
+    code, err = ERROR_GOLDENS[case]
+    assert _golden_run(capsys, tmp_path, case) == (code, "", err)

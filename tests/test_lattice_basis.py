@@ -16,8 +16,8 @@ from cyclelattice.lattice_basis import (
     indicator_matrix,
     is_lattice_member,
     lattice_determinant,
-    lift_basis,
     matches_all_cycles_lattice,
+    per_component,
     semi_fundamental_basis,
     simple_basis,
 )
@@ -386,19 +386,12 @@ def _assert_triples_witness(G, T, triples):
 
 class TestLiftBasis:
     def test_c3_lift(self, c3):
-        cos = cosimplify(c3)
-        comp_basis, _ = semi_fundamental_basis(cos.hat_graph)
-        lifted = lift_basis(cos, [comp_basis])
-        assert [sorted(c) for c in lifted.cycles] == [[0, 1, 2]]
+        entries, _ = per_component(cosimplify(c3), semi_fundamental_basis)
+        assert [(sorted(c), tag.label()) for c, tag in entries] == [([0, 1, 2], "lifted")]
 
     def test_p2_empty(self, p2):
-        cos = cosimplify(p2)
-        from cyclelattice.multigraph import component_subgraphs
-
-        comps = component_subgraphs(cos.hat_graph)
-        bases = [semi_fundamental_basis(comp)[0] for comp in comps]
-        lifted = lift_basis(cos, bases)
-        assert lifted.cycles == ()
+        entries, extras = per_component(cosimplify(p2), semi_fundamental_basis)
+        assert entries == [] and extras == []
 
     def test_triangle_with_pendant(self, tri_pendant):
         basis, _ = semi_fundamental_basis(tri_pendant)

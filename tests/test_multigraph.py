@@ -8,7 +8,6 @@ from cyclelattice.multigraph import (
     connected_components,
     edge_disjoint_paths,
     format_edge_list,
-    is_connected,
     minor,
     parse_edge_list,
     spanning_forest,
@@ -261,7 +260,7 @@ def test_connected_components():
     comps = connected_components(G)
     assert [vs for vs, _ in comps] == [(1, 2, 3), (4, 5)]
     assert [es for _, es in comps] == [(0, 1), (2,)]
-    assert not is_connected(G)
+    assert len(comps) > 1
     # many components: a perfect matching listed backwards, one isolated vertex
     k = 2000
     pairs = "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in reversed(range(k)))

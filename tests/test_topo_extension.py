@@ -440,6 +440,14 @@ def _gen_digest(G):
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
+def _golden(steps, seed, max_vertices, kind_weights, m, digest):
+    """A pinned case whose id names the instance, so re-recording the
+    digest keeps the test's name."""
+    return pytest.param(
+        steps, seed, max_vertices, kind_weights, m, digest, id=f"steps{steps}-seed{seed}"
+    )
+
+
 class TestGolden:
     """Pinned outputs.  The `gen` digests date from the construction that
     rebuilt a graph per step; the chain digests from the bidirectional
@@ -448,12 +456,12 @@ class TestGolden:
     @pytest.mark.parametrize(
         "steps, seed, max_vertices, kind_weights, m, digest",
         [
-            (30, 1, None, (1.0, 1.0, 1.0), 60, "31df4e57f029553d9d757dd972463f32e44129a0c59c8fb68a0baf2d443ce0eb"),
-            (60, 2, 25, (1.0, 1.0, 1.0), 84, "1a4a2368d80b1c78dc2c0cd71d6a2451545c8fee7e7defa0cd9b5251929629ec"),
-            (100, 3, None, (1.0, 2.0, 3.0), 245, "100e86ad23edeb6d0ad5a7ffce94f8dcd656fe91a9994ea066306b8218687ed2"),
-            (200, 4, 80, (1.0, 1.0, 1.0), 279, "856be0c2f216430b2f47ba0398cc0ba80a79f76bf229869c0b0313dd93f90836"),
-            (401, 5, 200, (3.0, 1.0, 1.0), 600, "dabcc74e22c6f1f1cc20c28a87875e0494b6b585306bbc58c0af0f2f4265ef2f"),
-            (2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "606d79b05a34a2c3b11c6d7022ad4fc8e26f4f2af5f391b210eafaa12bfec016"),
+            _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "31df4e57f029553d9d757dd972463f32e44129a0c59c8fb68a0baf2d443ce0eb"),
+            _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "1a4a2368d80b1c78dc2c0cd71d6a2451545c8fee7e7defa0cd9b5251929629ec"),
+            _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "100e86ad23edeb6d0ad5a7ffce94f8dcd656fe91a9994ea066306b8218687ed2"),
+            _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "856be0c2f216430b2f47ba0398cc0ba80a79f76bf229869c0b0313dd93f90836"),
+            _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "dabcc74e22c6f1f1cc20c28a87875e0494b6b585306bbc58c0af0f2f4265ef2f"),
+            _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "606d79b05a34a2c3b11c6d7022ad4fc8e26f4f2af5f391b210eafaa12bfec016"),
         ],
     )
     def test_compatible_chain(self, steps, seed, max_vertices, kind_weights, m, digest):
@@ -464,10 +472,10 @@ class TestGolden:
     @pytest.mark.parametrize(
         "steps, seed, max_vertices, kind_weights, m, digest",
         [
-            (50, 11, None, (1.0, 1.0, 1.0), 87, "fd02ece408cf4f02a49a81d46ef33c5a172983dc51f98fa230c1ee136fa940a5"),
-            (300, 12, 100, (1.0, 1.0, 1.0), 399, "55922bedf1983dba50dfb45befbc386e80435098d198133efdcb1080c600c75b"),
-            (300, 13, None, (0.5, 2.0, 1.0), 646, "c09808fa32867821fc80ea9afc072c6a65d123227f4cd71764cbd2021db921c9"),
-            (500, 14, 120, (1.0, 0.0, 4.0), 618, "57b8991e3f8a99bb581262a915e236d0ea82ce73f69f4a7c2ba81bad107d2a08"),
+            _golden(50, 11, None, (1.0, 1.0, 1.0), 87, "fd02ece408cf4f02a49a81d46ef33c5a172983dc51f98fa230c1ee136fa940a5"),
+            _golden(300, 12, 100, (1.0, 1.0, 1.0), 399, "55922bedf1983dba50dfb45befbc386e80435098d198133efdcb1080c600c75b"),
+            _golden(300, 13, None, (0.5, 2.0, 1.0), 646, "c09808fa32867821fc80ea9afc072c6a65d123227f4cd71764cbd2021db921c9"),
+            _golden(500, 14, 120, (1.0, 0.0, 4.0), 618, "57b8991e3f8a99bb581262a915e236d0ea82ce73f69f4a7c2ba81bad107d2a08"),
         ],
     )
     def test_gen(self, steps, seed, max_vertices, kind_weights, m, digest):
