@@ -243,6 +243,8 @@ def _load_document(path: str) -> dict:
             doc = json.load(handle)
         except ValueError as exc:
             raise ParseError(f"basis document is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("basis document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("basis document is not a JSON object")
     if not isinstance(doc.get("cycles"), list):

@@ -19,6 +19,7 @@ from .multigraph import (
     connected_components,
     minor,
     spanning_forest,
+    tree_path,
 )
 
 
@@ -125,45 +126,24 @@ class Cosimplification:
 
 
 def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCycleMatrix:
-    """Root-path construction of the fundamental cycle matrix.
+    """Fundamental cycle matrix, each column read off the forest's tree path.
 
-    For each non-tree edge with endpoints v, v', the column holds the edges
-    of the root paths of v and v' past their first divergence.
+    The column of a non-tree edge with endpoints v, v' holds the edges of
+    the forest path from v to v'; a loop's column is empty.  A non-tree
+    edge whose ends the forest does not join raises StructureError.
     """
-    parent, root_of = T._bfs_maps
-    # root path of v as a tuple of edge ids, root end first
-    path_cache: dict[VertexId, tuple[EdgeId, ...]] = {r: () for r in T.component_roots}
-
-    def root_path(v: VertexId) -> tuple[EdgeId, ...]:
-        chain: list[tuple[VertexId, EdgeId]] = []
-        x = v
-        while x not in path_cache:
-            p, e = parent[x]
-            chain.append((x, e))
-            x = p
-        acc = list(path_cache[x])
-        for w, e in reversed(chain):
-            acc.append(e)
-            path_cache[w] = tuple(acc)
-        return path_cache[v]
+    parent = T.parents
     columns: dict[EdgeId, frozenset[EdgeId]] = {}
     for e in G.sorted_edges:
         if e in T.tree_edges:
             continue
         u, v = G.edges[e]
-        if u == v:
-            columns[e] = frozenset()
-            continue
-        if root_of.get(u) != root_of.get(v):
+        path = tree_path(parent, u, v) if u in parent and v in parent else None
+        if path is None:
             raise StructureError(
                 f"non-tree edge {e} joins different forest components"
             )
-        pu, pv = root_path(u), root_path(v)
-        i = 0
-        limit = min(len(pu), len(pv))
-        while i < limit and pu[i] == pv[i]:
-            i += 1
-        columns[e] = frozenset(pu[i:]) | frozenset(pv[i:])
+        columns[e] = frozenset(path)
     return FundamentalCycleMatrix(tree=T, columns=columns)
 
 

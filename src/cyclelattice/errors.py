@@ -26,7 +26,7 @@ class MembershipError(CycleLatticeError):
 
 
 class CapacityError(CycleLatticeError):
-    """Brute-force guard tripped: instance too large for exhaustive work."""
+    """Guard tripped: instance too large for exhaustive work or past a bound."""
 
 
 class InternalError(CycleLatticeError):

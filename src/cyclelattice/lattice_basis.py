@@ -317,15 +317,9 @@ def express_in_simple_basis(
         raise MembershipError(member.reason or "not a lattice member")
     fcm = fundamental_cycle_matrix(G, T)
     cycle_coeffs = {e: p.coords[e] for e in fcm.columns}
-    cut_sum = {t: 0 for t in T.tree_edges}
-    for e, col in fcm.columns.items():
-        pe = p.coords[e]
-        if pe:
-            for t in col:
-                cut_sum[t] += pe
     doubled_coeffs = {}
     for t in sorted(T.tree_edges):
-        diff = p.coords[t] - cut_sum[t]
+        diff = p.coords[t] - sum(p.coords[e] for e in fcm.rows[t])
         if diff % 2 != 0:
             raise InternalError(f"odd cut balance at tree edge {t}")
         doubled_coeffs[t] = diff // 2

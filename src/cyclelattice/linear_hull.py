@@ -150,10 +150,7 @@ def hull_basis_mod_p(
     if p == 0:
         raise ArgumentError("reduction needs a positive characteristic")
     if p != 2:
-        if isinstance(source, SimpleBasis):
-            vectors = [{e: c % p for e, c in vec.items()} for vec in source.vectors()]
-        else:
-            vectors = [dict(vec) for vec in source.vectors()]
+        vectors = source.vectors()
     else:
         tree = source.tree
         if tree is None:

@@ -11,10 +11,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, CapacityError, ParseError
 
 VertexId = int
 EdgeId = int
+
+# the most vertices a document header may declare: numeric documents fill
+# in ids 1..n, so n alone decides what parsing allocates
+VERTEX_BOUND = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +97,21 @@ class SpanningForest:
     component_roots: tuple[VertexId, ...]
 
     @cached_property
-    def _bfs_maps(self):
+    def parents(self) -> dict[VertexId, tuple[VertexId, EdgeId] | None]:
+        """vertex -> (its parent, the edge to it), a root -> None, by BFS from
+        each root over tree edges; a vertex no root reaches is absent."""
         G = self.parent_graph
         parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {}
-        root_of: dict[VertexId, VertexId] = {}
         for r in self.component_roots:
             parent[r] = None
-            root_of[r] = r
             queue = deque([r])
             while queue:
                 x = queue.popleft()
                 for e, y in G.incidence[x]:
                     if e in self.tree_edges and y not in parent:
                         parent[y] = (x, e)
-                        root_of[y] = r
                         queue.append(y)
-        return parent, root_of
-
-    @property
-    def parents(self) -> dict[VertexId, tuple[VertexId, EdgeId] | None]:
-        return self._bfs_maps[0]
-
-    @property
-    def root_of(self) -> dict[VertexId, VertexId]:
-        return self._bfs_maps[1]
+        return parent
 
     def path_edges(self, u: VertexId, v: VertexId) -> list[EdgeId]:
         """Edges of the unique forest path from u to v, in path order."""
@@ -132,33 +127,37 @@ def tree_path(
     """Edges of the tree path from u to v, in path order, off a parent map.
 
     parent maps each vertex to (its parent, the edge to it), a root to None.
-    Both ends climb in turn until one stands on the other's trail, at their
-    lowest common ancestor, so the walk needs no depths and takes at most
-    twice the path length.  None when u and v lie in different trees.
+    Both ends climb one edge per round, and the first end to land on the
+    other's trail stands at their lowest common ancestor, so the walk needs
+    no depths and takes at most twice the path length.  [] when u == v,
+    None when u and v lie in different trees.
     """
-    ends = [u, v]
-    trails: tuple[dict[VertexId, int], dict[VertexId, int]] = ({u: 0}, {v: 0})
-    climbed: tuple[list[EdgeId], list[EdgeId]] = ([], [])
-    moved = True
-    while moved:
-        moved = False
-        for i in (0, 1):
-            x = ends[i]
-            j = trails[1 - i].get(x)
+    if u == v:
+        return []
+    x, y = u, v
+    up_u: list[EdgeId] = []
+    up_v: list[EdgeId] = []
+    trail_u = {u: 0}
+    trail_v = {v: 0}
+    while True:
+        step_u = parent[x]
+        if step_u is not None:
+            x, e = step_u
+            up_u.append(e)
+            j = trail_v.get(x)
             if j is not None:
-                if i == 0:
-                    left, right = climbed[0], climbed[1][:j]
-                else:
-                    left, right = climbed[0][:j], climbed[1]
-                return left + right[::-1]
-            up = parent[x]
-            if up is not None:
-                x, e = up
-                ends[i] = x
-                climbed[i].append(e)
-                trails[i][x] = len(climbed[i])
-                moved = True
-    return None
+                return up_u + up_v[:j][::-1]
+            trail_u[x] = len(up_u)
+        step_v = parent[y]
+        if step_v is not None:
+            y, e = step_v
+            up_v.append(e)
+            j = trail_u.get(y)
+            if j is not None:
+                return up_u[:j] + up_v[::-1]
+            trail_v[y] = len(up_v)
+        elif step_u is None:
+            return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +197,10 @@ def parse_edge_list(text: str) -> Multigraph:
 
     Format: first non-comment line is "n m"; then m lines "u v" or "u v id".
     '#' starts a comment.  Vertex tokens are arbitrary; they are ordered by
-    first appearance unless all of them are numeric, in which case numeric
-    order is used (and ids 1..n fill in isolated vertices).
+    first appearance unless all of them are numeric, in which case a token
+    names the vertex int(token), so "01" and "1" are one vertex, and ids
+    1..n fill in isolated vertices.  A header declaring more than
+    VERTEX_BOUND vertices raises CapacityError.
     """
     header: tuple[int, int] | None = None
     raw_edges: list[tuple[int, str, str, str | None]] = []  # (lineno, u, v, id?)
@@ -217,6 +218,10 @@ def parse_edge_list(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: header counts must be integers") from None
             if header[0] < 0 or header[1] < 0:
                 raise ParseError(f"line {lineno}: header counts must be nonnegative")
+            if header[0] > VERTEX_BOUND:
+                raise CapacityError(
+                    f"line {lineno}: {header[0]} vertices exceed the bound of {VERTEX_BOUND}"
+                )
             continue
         if len(parts) == 2:
             raw_edges.append((lineno, parts[0], parts[1], None))
@@ -251,7 +256,7 @@ def parse_edge_list(text: str) -> Multigraph:
                 if not (1 <= int(t) <= n)
             )
             raise ParseError(f"line {bad[0]}: unknown vertex token '{bad[1]}'")
-        vertex_of = {str(x): x for x in values}
+        vertex_of = {tok: int(tok) for tok in tokens}
         vertices = tuple(values)
         labels = None
     else:

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import cyclelattice
-from cyclelattice import certificate, cli, cycle_structure
+from cyclelattice import certificate, cli, cycle_structure, multigraph
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import fundamental_cycle_matrix
 from cyclelattice.errors import InternalError
@@ -329,6 +329,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, k4_file):
+        doc = tmp_path / "deep.json"
+        doc.write_text('{"cycles": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["verify", k4_file, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: basis document is nested too deeply to parse\n"
+
+    def test_vertex_count_past_the_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(multigraph, "VERTEX_BOUND", 3)
+        path = tmp_path / "big.txt"
+        path.write_text("4 0\n")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: 4 vertices exceed the bound of 3\n"
 
     def test_extend_without_vertices_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -12,7 +14,15 @@ from cyclelattice.cycle_structure import (
     is_three_edge_connected,
     three_edge_connectivity_witness,
 )
-from cyclelattice.multigraph import Multigraph, parse_edge_list, spanning_forest
+from cyclelattice.errors import StructureError
+from cyclelattice.multigraph import (
+    Multigraph,
+    SpanningForest,
+    VertexUnion,
+    forest_from_edges,
+    parse_edge_list,
+    spanning_forest,
+)
 from cyclelattice.oracle import enumerate_cycles
 from cyclelattice.topo_extension import gen
 
@@ -181,6 +191,88 @@ class TestDifferentialOracles:
             splits = _component_count(G, {e, f}) > base
             assert (class_of[e] is class_of[f]) == splits, (e, f)
         assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
+
+
+@st.composite
+def forested_multigraphs(draw):
+    """A rough multigraph with up to two long subdivided cycles, each joined
+    to the rest by at most one edge, and a random spanning forest of it."""
+    G = draw(rough_multigraphs())
+    edges = list(G.edges.values())
+    n = G.n
+    for _ in range(draw(st.integers(0, 2))):
+        ring = list(range(n, n + draw(st.integers(3, 400))))
+        n += len(ring)
+        edges += zip(ring, ring[1:] + ring[:1])
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(0, G.n - 1)), draw(st.sampled_from(ring))))
+    H = Multigraph(vertices=tuple(range(n)), edges=dict(enumerate(edges)))
+    blocks = VertexUnion(H.vertices)
+    order = draw(st.permutations(H.sorted_edges))
+    forest = forest_from_edges(H, [e for e in order if blocks.union(*H.edges[e])])
+    assert forest is not None
+    return H, forest
+
+
+def _forest_path(G, T, u, v):
+    """Edge set of the u-v path found by a BFS over T's edges alone."""
+    adj = {x: [] for x in G.vertices}
+    for t in T.tree_edges:
+        a, b = G.edges[t]
+        adj[a].append((t, b))
+        adj[b].append((t, a))
+    via = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for t, y in adj[x]:
+            if y not in via:
+                via[y] = (x, t)
+                queue.append(y)
+    path = set()
+    while via[v] is not None:
+        v, t = via[v]
+        path.add(t)
+    return frozenset(path)
+
+
+class TestColumnsFromTreePaths:
+    """fundamental_cycle_matrix against an independent search in the forest."""
+
+    @settings(max_examples=100)
+    @given(forested_multigraphs())
+    def test_columns_are_the_forest_paths(self, GT):
+        G, T = GT
+        fcm = fundamental_cycle_matrix(G, T)
+        assert set(fcm.columns) == set(G.edges) - T.tree_edges
+        for e, col in fcm.columns.items():
+            assert col == _forest_path(G, T, *G.edges[e]), e
+
+    @pytest.mark.parametrize(
+        "tree, roots",
+        [
+            ({0, 1}, (1, 3)),  # two trees, and edge 2 runs between them
+            ({0, 2}, (1,)),  # vertex 4, an end of edge 1, is never reached
+            ({0}, (1,)),  # vertices 3 and 4, both ends of edge 1, are never reached
+        ],
+    )
+    def test_unjoined_non_tree_edge_rejected(self, tree, roots):
+        G = parse_edge_list("4 3\n1 2\n3 4\n2 3\n")
+        with pytest.raises(StructureError, match="joins different forest components"):
+            fundamental_cycle_matrix(G, SpanningForest(G, frozenset(tree), roots))
+
+    def test_memory_stays_linear_on_a_deep_tree(self):
+        n = 8000
+        G = Multigraph(vertices=tuple(range(n)), edges={i: (i, (i + 1) % n) for i in range(n)})
+        T = spanning_forest(G)
+        tracemalloc.start()
+        try:
+            fcm = fundamental_cycle_matrix(G, T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fcm.columns == {n // 2: frozenset(G.edges) - {n // 2}}
+        assert peak < 16 * 2**20, peak
 
 
 class TestCosimplify:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclelattice.errors import ArgumentError, ParseError
+from cyclelattice import multigraph
+from cyclelattice.errors import ArgumentError, CapacityError, ParseError
 from cyclelattice.multigraph import (
     Multigraph,
     connected_components,
@@ -63,6 +64,26 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown vertex token"):
             parse_edge_list("2 2\na b\na c\n")
 
+    @pytest.mark.parametrize(
+        "token, n, vertex", [("01", 3, 1), ("+1", 3, 1), ("\u0661", 3, 1), ("1_0", 10, 10)]
+    )
+    def test_numeric_tokens_count_by_value(self, token, n, vertex):
+        G = parse_edge_list(f"{n} 3\n{token} 2\n2 3\n3 1\n")
+        assert G.vertices == tuple(range(1, n + 1))
+        assert G.edges == {0: (vertex, 2), 1: (2, 3), 2: (3, 1)}
+
+    def test_negative_zero_counts_as_zero(self):
+        with pytest.raises(ParseError, match="line 2: unknown vertex token '-0'"):
+            parse_edge_list("3 3\n-0 2\n2 3\n3 1\n")
+        G = parse_edge_list("3 3\n-0 1\n1 2\n2 -0\n")
+        assert G.edges == parse_edge_list("3 3\n0 1\n1 2\n2 0\n").edges
+
+    def test_vertex_count_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(multigraph, "VERTEX_BOUND", 5)
+        assert parse_edge_list("5 0\n").n == 5
+        with pytest.raises(CapacityError, match="line 1: 6 vertices exceed the bound of 5"):
+            parse_edge_list("6 0\n")
+
     def test_format_round_trip(self, k4, b3, loop_graph):
         for G in (k4, b3, loop_graph):
             H = parse_edge_list(format_edge_list(G))
@@ -87,6 +108,46 @@ def test_parsed_degree_sum_property(pairs):
     lines += [f"{u} {v}" for u, v in pairs]
     G = parse_edge_list("\n".join(lines))
     assert sum(G.degree(v) for v in G.vertices) == 2 * G.m
+
+
+@st.composite
+def parent_maps(draw):
+    """A random forest on 0..n-1 as a parent map, with several roots and
+    long chains; the edge into vertex v has id 100 + v."""
+    order = draw(st.permutations(range(draw(st.integers(1, 40)))))
+    parent = {}
+    for i, v in enumerate(order):
+        if i == 0 or draw(st.integers(0, 7)) == 0:
+            parent[v] = None
+        else:
+            above = order[i - 1] if draw(st.booleans()) else order[draw(st.integers(0, i - 1))]
+            parent[v] = (above, 100 + v)
+    return parent
+
+
+def _naive_tree_path(parent, u, v):
+    """The u-v path from both ancestor lists: climb to the first common one."""
+    def ancestors(x):
+        chain, edges = [x], []
+        while parent[x] is not None:
+            x, e = parent[x]
+            chain.append(x)
+            edges.append(e)
+        return chain, edges
+
+    (up_u, edges_u), (up_v, edges_v) = ancestors(u), ancestors(v)
+    common = [x for x in up_u if x in up_v]
+    if not common:
+        return None
+    i, j = up_u.index(common[0]), up_v.index(common[0])
+    return edges_u[:i] + edges_v[:j][::-1]
+
+
+@given(parent_maps())
+def test_tree_path_matches_the_ancestor_lists(parent):
+    for u in parent:
+        for v in parent:
+            assert tree_path(parent, u, v) == _naive_tree_path(parent, u, v), (u, v)
 
 
 class TestSpanningForest:
