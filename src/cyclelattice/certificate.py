@@ -11,7 +11,7 @@ that determinant exactly without a dense m x m elimination:
   edges singleton 2s.  It then expands along singleton rows and columns
   and passes only the residual block, at most RESIDUAL_CAP square, to the
   dense determinant.
-- The chain path replays the steps of a compatible chain backwards.  When
+- The chain path replays the steps of an extension sequence backwards.  When
   each step's cycles are the last k, and the older cycles avoid the new
   edge and hold both halves of each divided edge or neither, the matrix is
   block triangular after subtracting row `first` from row `second`.  The
@@ -83,20 +83,21 @@ def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
     tree: SpanningForest | Cosimplification | None = None,
-    chain=None,
+    sequences=(),
 ) -> Certificate:
     """Exact |det| of the vectors, and whether it is 2^(n-1) per component.
 
     tree is a spanning forest of G that the vectors were built on, or the
-    cosimplification of G built on it, and chain a compatible chain (or a
-    list of them, one per component of the cosimplification) whose final
-    basis they are.  Both hints change only how fast the answer comes,
-    never the answer: a cosimplification of another graph counts as its
-    forest, a tree that is not a spanning forest of G is replaced by
-    spanning_forest(G), and a chain that does not match the vectors falls
-    back to the generic path.  Raises ArgumentError on a nonzero entry at
-    an edge G lacks, and CapacityError when the generic path leaves a
-    residual block above RESIDUAL_CAP.
+    cosimplification of G built on it, and sequences the extension
+    sequences they were built along, one per component of the
+    cosimplification, found by the vertex their base maps to.  Both hints
+    change only how fast the answer comes, never the answer: a
+    cosimplification of another graph counts as its forest, a tree that is
+    not a spanning forest of G is replaced by spanning_forest(G), and a
+    sequence that does not replay or does not match the vectors falls back
+    to the generic path.  Raises ArgumentError on a nonzero entry at an
+    edge G lacks, and CapacityError when the generic path leaves a residual
+    block above RESIDUAL_CAP.
     """
     cos = tree if isinstance(tree, Cosimplification) else None
     forest = cos.forest if cos else tree
@@ -119,14 +120,10 @@ def certify(
         homes = {home_of[hat.edges[e][0]] for e in vec}
         if len(homes) == 1:
             members[homes.pop()].append(vec)
-    if chain is None:
-        chain = []
-    elif not isinstance(chain, (list, tuple)):
-        chain = [chain]
-    chains = {}  # least vertex of a component -> the chain based in it
-    for c in chain:
-        base = next(iter((c.sequence.vertex_map or {}).values()), None)
-        chains[home_of.get(base, base)] = c
+    hints = {}  # least vertex of a component -> the sequence based in it
+    for seq in sequences:
+        base = next(iter(seq.vertex_map.values()), None)
+        hints[home_of.get(base, base)] = seq
 
     results = []
     for key in sorted(parts):
@@ -136,8 +133,8 @@ def certify(
             results.append(ComponentCertificate(H.n, H.m, 0, "unmatched"))
             continue
         det, kind = None, "chain"
-        if key in chains:
-            det = _chain_determinant(H, vecs, chains[key].sequence)
+        if key in hints:
+            det = _chain_determinant(H, vecs, hints[key])
         if det is None:
             det, kind = _generic_determinant(H, T_H, vecs), "generic"
         results.append(ComponentCertificate(H.n, H.m, det, kind))
@@ -263,7 +260,7 @@ def _peel(
 def _chain_determinant(
     H: Multigraph, vectors: list[dict[EdgeId, int]], sequence
 ) -> int | None:
-    """|det| of the vectors from the chain's steps, or None when a check fails.
+    """|det| of the vectors from the sequence's steps, or None when a check fails.
 
     The vectors lie in the connected graph H, in chain order, one per edge;
     as each step adds k edges, the steps take them all.
@@ -312,36 +309,22 @@ def _chain_determinant(
 
 
 def _grown_edges(sequence) -> dict[EdgeId, tuple[VertexId, VertexId]] | None:
-    """Edges of the fully grown graph, replayed on dicts; None when invalid.
+    """Edges of the fully grown graph; None when a step does not replay.
 
     The base must be a single vertex without edges, whose basis is empty.
     """
     base = sequence.base
     if base.n != 1 or base.m != 0:
         return None
-    vertices = set(base.vertices)
-    edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    for step in sequence.steps:
-        splits = step.splits()
-        fresh = [step.new_edge] + [x for s in splits for x in (s.first, s.second)]
-        if len(set(fresh)) != len(fresh) or any(x in edges for x in fresh):
-            return None
-        for s in splits:
-            if s.old not in edges or s.vertex in vertices:
-                return None
-            u, v = edges.pop(s.old)
-            vertices.add(s.vertex)
-            edges[s.first] = (u, s.vertex)
-            edges[s.second] = (s.vertex, v)
-        if not set(step.endpoints) <= vertices:
-            return None
-        edges[step.new_edge] = step.endpoints
-    return edges
+    try:
+        return sequence.grown_edges()
+    except ArgumentError:
+        return None
 
 
 def _maps_onto(H, grown, sequence) -> bool:
     """Do edge_map and vertex_map carry the grown graph onto H?"""
-    em, vm = sequence.edge_map or {}, sequence.vertex_map or {}
+    em, vm = sequence.edge_map, sequence.vertex_map
     if set(em) != set(grown) or sorted(em.values()) != list(H.sorted_edges):
         return False
     if sorted(vm.values()) != sorted(H.vertices):

@@ -51,7 +51,7 @@ from .oracle import (
     hnf_lattices_equal,
     rank_mod_p,
 )
-from .topo_extension import _chain_3ec, gen
+from .topo_extension import _chain_3ec, _SequenceBuilder, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
 
@@ -143,15 +143,16 @@ def _load_graph(path: str) -> Multigraph:
 
 
 def _resolve_vertex(G: Multigraph, token: str) -> int:
+    """The vertex a token names, as parse_edge_list names them: by its label
+    on a labeled graph, by int(token) on a numeric one."""
     if G.labels:
-        for v, label in G.labels.items():
-            if label == token:
-                return v
-    try:
-        v = int(token)
-    except ValueError:
-        raise ArgumentError(f"unknown vertex token {token!r}") from None
-    if v not in set(G.vertices):
+        v = next((v for v, label in G.labels.items() if label == token), None)
+    else:
+        try:
+            v = int(token)
+        except ValueError:
+            v = None
+    if v not in G.vertices:
         raise ArgumentError(f"unknown vertex {token!r}")
     return v
 
@@ -197,7 +198,7 @@ def _hnf_oracle(G: Multigraph, vectors: list[dict[int, int]]) -> bool:
 
 def _chain_on(H: Multigraph, _T_H):
     chain = _chain_3ec(H, keep_prefixes=False)
-    return chain.final_basis, chain
+    return chain.final_basis, chain.sequence
 
 
 # per method, the construction per_component runs on each component
@@ -210,14 +211,14 @@ _CONSTRUCTIONS = {
 
 def cmd_basis(args: argparse.Namespace) -> int:
     G, T = _load_connected(args.input)
-    if args.tree_seed:
+    if args.tree_seed is not None:
         T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
     cos = cosimplify(G, forest=T)
     built, extras = per_component(cos, _CONSTRUCTIONS[args.method])
     entries = [_entry(edges, tag) for edges, tag in built]
     vectors = [_entry_vector(entry) for entry in entries]
-    chains = extras if args.method == "topological" else None
-    cert = certify(G, vectors, tree=cos, chain=chains)
+    sequences = extras if args.method == "topological" else ()
+    cert = certify(G, vectors, tree=cos, sequences=sequences)
     certified = cert.certified
     doc = {
         "graph": format_edge_list(G),
@@ -300,9 +301,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cert = certify(G, vectors, tree=cos)
     except CapacityError:
         # a topological basis leaves a large residual on every tree; the
-        # chains that build it certify it, when the document is one
+        # extension sequences it is built along certify it, when it is one
+        sequences = [_SequenceBuilder(H).build() for H, _ in cos.components]
         try:
-            cert = certify(G, vectors, tree=cos, chain=per_component(cos, _chain_on)[1])
+            cert = certify(G, vectors, tree=cos, sequences=sequences)
         except CapacityError as exc:
             check("determinant", False, str(exc))
             _emit({"accepted": False, "checks": checks}, args)
@@ -367,7 +369,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     cos = cosimplify(G, forest=T)
     require_three_edge_connected(cos)
     chain = _chain_3ec(G, keep_prefixes=True)
-    cert = certify(G, chain.final_basis.vectors(), tree=cos, chain=chain)
+    cert = certify(G, chain.final_basis.vectors(), tree=cos, sequences=[chain.sequence])
     certified = cert.certified
     doc = {
         "sequence": chain.sequence.to_json(),
@@ -429,6 +431,8 @@ def cmd_hull(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ArgumentError("count must be nonnegative")
     graphs = []
     for index in range(args.count):
         derived_seed = args.seed * 1_000_003 + index

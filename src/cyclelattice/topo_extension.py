@@ -208,8 +208,8 @@ class ExtensionSequence:
 
     base: Multigraph
     steps: tuple[ExtensionStep, ...]
-    edge_map: dict[EdgeId, EdgeId] | None = None
-    vertex_map: dict[VertexId, VertexId] | None = None
+    edge_map: dict[EdgeId, EdgeId]
+    vertex_map: dict[VertexId, VertexId]
 
     def replay(self) -> list[Multigraph]:
         """Snapshots of every grown graph, base first."""
@@ -221,16 +221,20 @@ class ExtensionSequence:
             graphs.append(grown.freeze(dict(labels) if labels else None))
         return graphs
 
+    def grown_edges(self) -> dict[EdgeId, tuple[VertexId, VertexId]]:
+        """Edges of the fully grown graph; ArgumentError when a step does not apply."""
+        grown = _GrownGraph(self.base)
+        for step in self.steps:
+            grown.apply(step)
+        return grown.ends
+
     def to_json(self) -> dict:
-        doc: dict = {
+        return {
             "base_vertex": self.base.vertices[0],
             "steps": [s.to_json() for s in self.steps],
+            "edge_map": {str(k): v for k, v in sorted(self.edge_map.items())},
+            "vertex_map": {str(k): v for k, v in sorted(self.vertex_map.items())},
         }
-        if self.edge_map is not None:
-            doc["edge_map"] = {str(k): v for k, v in sorted(self.edge_map.items())}
-        if self.vertex_map is not None:
-            doc["vertex_map"] = {str(k): v for k, v in sorted(self.vertex_map.items())}
-        return doc
 
 
 class _TopEdge:
@@ -748,7 +752,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
         if keep_prefixes:
             bases.append(CycleBasis(cycles=tuple(cycles), provenance=tuple(tags)))
 
-    edge_map = seq.edge_map or {}
+    edge_map = seq.edge_map
     final_cycles = tuple(frozenset(edge_map[x] for x in cyc) for cyc in cycles)
     final_tree_edges = frozenset(edge_map[up[1]] for up in parent.values() if up is not None)
     final_tree = SpanningForest(
@@ -772,10 +776,13 @@ def gen(
     """Random 3-edge-connected multigraph grown by `steps` random extensions.
 
     Every step keeps the growing graph 3-edge-connected, so the result
-    always is.  Deterministic for a given seed.
+    always is.  max_vertices, when given, bounds n and must be at least 1.
+    Deterministic for a given seed.
     """
     if steps < 0:
         raise ArgumentError("steps must be nonnegative")
+    if max_vertices is not None and max_vertices < 1:
+        raise ArgumentError("max_vertices must be at least 1")
     rng = random.Random(seed)
     grown = _GrownGraph(Multigraph(vertices=(0,), edges={}))
     # sorted, as new ids only grow; kept in step with `grown` because

@@ -335,7 +335,7 @@ def test_criterion_9_complexity_smoke():
     semi_cert = certify(G, basis.vectors(), tree=basis.tree)
     semi_cert_elapsed = time.time() - start
     start = time.time()
-    topo_cert = certify(G, chain.final_basis.vectors(), chain=chain)
+    topo_cert = certify(G, chain.final_basis.vectors(), sequences=[chain.sequence])
     topo_cert_elapsed = time.time() - start
     expected = 2 ** (G.n - 1)
     ok = (

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from cyclelattice import certificate
+from cyclelattice import certificate, topo_extension
 from cyclelattice.certificate import certify
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
 from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
 from cyclelattice.multigraph import (
+    Multigraph,
     SpanningForest,
     format_edge_list,
     parse_edge_list,
@@ -41,7 +42,7 @@ def three_bases(G):
     return [
         ("simple", simple_basis(G, T).vectors(), {"tree": T}),
         ("semi-fundamental", semi.vectors(), {"tree": T}),
-        ("topological", topo, {"chain": chain}),
+        ("topological", topo, {"sequences": [chain.sequence]}),
         ("topological-generic", topo, {"tree": T}),
     ]
 
@@ -61,7 +62,7 @@ def test_agrees_with_bareiss_on_the_determinant_corpus():
         for name, vectors, hints in three_bases(G):
             cert = assert_agrees(G, vectors, **hints)
             assert cert.certified, (i, name)
-            assert cert.components[0].kind == ("chain" if "chain" in hints else "generic")
+            assert cert.components[0].kind == ("chain" if "sequences" in hints else "generic")
 
 
 @pytest.mark.parametrize("n", [10, 40, 100])
@@ -94,7 +95,7 @@ def test_chain_path_agrees_with_bareiss_on_every_prefix():
         chain = compatible_chain(G, keep_prefixes=True)
         for i in range(len(chain.sequence.steps) + 1):
             H, hint = _prefix_chain(chain, i)
-            cert = assert_agrees(H, hint.final_basis.vectors(), chain=hint)
+            cert = assert_agrees(H, hint.final_basis.vectors(), sequences=[hint.sequence])
             assert cert.certified and cert.components[0].kind == "chain", (seed, i)
 
 
@@ -126,7 +127,7 @@ def test_corrupted_bases_are_rejected_by_both_paths(seed):
                 assert cert.determinant == dense(G, bad), (name, kind)
     # the chain path sees the same corrupted vectors as the generic one
     for kind, bad in _corruptions(G, chain.final_basis.vectors()):
-        assert not certify(G, bad, tree=T, chain=chain).certified, kind
+        assert not certify(G, bad, tree=T, sequences=[chain.sequence]).certified, kind
     assert seen == {"dropped", "duplicated", "swapped-in"}
 
 
@@ -194,15 +195,95 @@ def test_corrupted_chain_falls_back_to_the_generic_path():
         dataclasses.replace(seq, edge_map={**seq.edge_map, a: seq.edge_map[b], b: seq.edge_map[a]}),
     ]
     for bad in corrupted:
-        hint = dataclasses.replace(chain, sequence=bad)
-        cert = certify(G, vectors, chain=hint)
+        cert = certify(G, vectors, sequences=[bad])
         assert cert.components[0].kind == "generic"
         assert (cert.determinant, cert.certified) == (dense(G, vectors), True)
     # a valid chain whose cycles come in another order
     shuffled = vectors[1:] + vectors[:1]
-    cert = certify(G, shuffled, chain=chain)
+    cert = certify(G, shuffled, sequences=[chain.sequence])
     assert cert.components[0].kind == "generic"
     assert (cert.determinant, cert.certified) == (dense(G, shuffled), True)
+
+
+def _renamed_edge(seq, k, old_id, new_id):
+    """seq with edge id old_id renamed to new_id from step k on."""
+
+    def rename(x):
+        return new_id if x == old_id else x
+
+    def split(s):
+        if s is None:
+            return None
+        return dataclasses.replace(s, old=rename(s.old), first=rename(s.first), second=rename(s.second))
+
+    steps = tuple(
+        dataclasses.replace(
+            st, new_edge=rename(st.new_edge), split_f=split(st.split_f), split_g=split(st.split_g)
+        )
+        for st in seq.steps[k:]
+    )
+    edge_map = {rename(r): e for r, e in seq.edge_map.items()}
+    return dataclasses.replace(seq, steps=seq.steps[:k] + steps, edge_map=edge_map)
+
+
+def _sequences_the_replay_refuses(seq):
+    """(rule, sequence) pairs, one per rule the replay of a hint enforces.
+
+    Where the id bookkeeping allows, the rest of the sequence stays
+    consistent, so that only the broken rule stands between the hint and
+    the chain path.  A collision loses an edge and a reused split vertex
+    merges two, so `_maps_onto` refuses those two sequences as well.
+    """
+    (root,) = seq.base.vertices
+    first = seq.steps[0]
+    assert (first.kind, first.endpoints) == ("A", (root, root))
+    k = next(i for i, st in enumerate(seq.steps) if st.kind == "B")
+    step, split = seq.steps[k], seq.steps[k].split_f
+
+    def with_step(new_step):
+        return dataclasses.replace(seq, steps=seq.steps[:k] + (new_step,) + seq.steps[k + 1 :])
+
+    loop = Multigraph((root,), {first.new_edge: (root, root)})
+    stray = max(seq.vertex_map) + 1
+    yield "base-with-an-edge", dataclasses.replace(seq, base=loop, steps=seq.steps[1:])
+    yield "base-with-two-vertices", dataclasses.replace(seq, base=Multigraph((root, stray), {}))
+    yield "reused-edge-id", _renamed_edge(seq, k, step.new_edge, split.old)
+    yield "ids-collide-in-a-step", with_step(dataclasses.replace(step, new_edge=split.first))
+    yield "split-of-an-unknown-edge", with_step(
+        dataclasses.replace(step, split_f=dataclasses.replace(split, old=10**6))
+    )
+    yield "existing-split-vertex", with_step(
+        dataclasses.replace(
+            step,
+            endpoints=(root, step.endpoints[1]),
+            split_f=dataclasses.replace(split, vertex=root),
+        )
+    )
+    yield "missing-kind-a-endpoint", dataclasses.replace(
+        seq, steps=(dataclasses.replace(first, endpoints=(root, stray)),) + seq.steps[1:]
+    )
+
+
+REPLAY_RULES = [
+    "base-with-an-edge",
+    "base-with-two-vertices",
+    "reused-edge-id",
+    "ids-collide-in-a-step",
+    "split-of-an-unknown-edge",
+    "existing-split-vertex",
+    "missing-kind-a-endpoint",
+]
+
+
+@pytest.mark.parametrize("rule", REPLAY_RULES)
+def test_hints_the_replay_refuses_fall_back_to_the_generic_path(rule):
+    G = gen(steps=11, seed=77, max_vertices=8)
+    chain = compatible_chain(G, keep_prefixes=False)
+    vectors = chain.final_basis.vectors()
+    assert certify(G, vectors, sequences=[chain.sequence]).components[0].kind == "chain"
+    bad = dict(_sequences_the_replay_refuses(chain.sequence))[rule]
+    cert = certify(G, vectors, sequences=[bad])
+    assert (cert.components[0].kind, cert.determinant) == ("generic", dense(G, vectors))
 
 
 def test_chain_path_falls_back_on_tampered_vectors():
@@ -227,7 +308,7 @@ def test_chain_path_falls_back_on_tampered_vectors():
                 bad[neither][s.second] = 1
                 variants.append(bad)
         for bad in variants:
-            cert = certify(H, bad, chain=hint)
+            cert = certify(H, bad, sequences=[hint.sequence])
             assert cert.components[0].kind == "generic", (i, bad)
             assert cert.determinant == dense(H, bad), (i, bad)
             tampered += 1
@@ -331,3 +412,22 @@ class TestVerifyDocuments:
         # on the BFS tree alone the topological basis leaves a residual
         with pytest.raises(CapacityError):
             certify(G, vectors)
+
+    def test_topological_verify_rebuilds_no_chain(self, capsys, tmp_path, monkeypatch):
+        G = gen(steps=41, seed=3, max_vertices=20)
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(G))
+        assert main(["basis", "--method", "topological", str(graph)]) == 0
+        doc = capsys.readouterr().out
+        calls = []
+        extending_cycles = topo_extension._extending_cycles
+
+        def counted(*args):
+            calls.append(args[1])
+            return extending_cycles(*args)
+
+        monkeypatch.setattr(topo_extension, "_extending_cycles", counted)
+        monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
+        code, out = self._verify(capsys, str(graph), tmp_path, doc)
+        assert code == 0 and json.loads(out.out)["accepted"] is True
+        assert calls == []

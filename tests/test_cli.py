@@ -293,6 +293,18 @@ class TestGen:
         G = parse_edge_list(doc["graphs"][0])
         assert is_three_edge_connected(G)
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_vertices_below_one_exits_1(self, capsys, bound):
+        assert main(["gen", "--steps", "5", "--max-vertices", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_vertices must be at least 1" in captured.err
+
+    def test_negative_count_exits_1(self, capsys):
+        assert run(capsys, "gen", "--count", "0") == (0, "")
+        assert main(["gen", "--count", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "count must be nonnegative" in captured.err
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -371,6 +383,19 @@ class TestExitCodes:
         assert main(["basis", "--tree-seed", "nowhere", k4_file]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_tree_seed_on_a_labeled_graph_names_a_label(self, capsys, tmp_path):
+        path = tmp_path / "abc.txt"
+        path.write_text("3 3\na b\nb c\nc a\n")
+        code, doc = run_json(capsys, "basis", "--method", "simple", "--tree-seed", "c", str(path))
+        assert code == 0 and doc["certified"] is True
+        # no vertex is named 2, though the internal id 2 exists
+        assert main(["basis", "--method", "simple", "--tree-seed", "2", str(path)]) == 1
+        assert capsys.readouterr().err == "error: unknown vertex '2'\n"
+
+    def test_empty_tree_seed_exits_1(self, capsys, k4_file):
+        assert main(["basis", "--tree-seed", "", k4_file]) == 1
+        assert capsys.readouterr().err == "error: unknown vertex ''\n"
 
     @pytest.mark.parametrize("group", ["Z2", "Z", "Z_2", "2,x", "2^"])
     def test_group_token_not_an_integer_exits_1(self, capsys, b3_file, group):

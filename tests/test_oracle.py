@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import is_simple_cycle
@@ -141,6 +141,45 @@ class TestHermiteNormalForm:
         M = IntegerMatrix.from_rows([[2, 0], [0, 1]])
         assert hnf_contains(M, [4, 3])
         assert not hnf_contains(M, [3, 0])
+
+
+def _integer_matrices(min_rows, max_rows, min_cols, max_cols, square=False):
+    """Small integer matrices, rich in zeros so that pivots run out."""
+    entry = st.one_of(st.just(0), st.integers(-5, 5))
+    rows = st.integers(min_rows, max_rows)
+    shape = rows.map(lambda n: (n, n)) if square else st.tuples(rows, st.integers(min_cols, max_cols))
+    return shape.flatmap(
+        lambda rc: st.lists(
+            st.lists(entry, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        )
+    )
+
+
+class TestAgainstSympy:
+    """Differential oracles: sympy's determinant and Hermite normal form."""
+
+    @settings(max_examples=200)
+    @given(_integer_matrices(1, 8, 1, 8, square=True))
+    def test_determinant_matches_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        assert exact_determinant(IntegerMatrix.from_rows(rows)) == sympy.Matrix(rows).det()
+
+    @settings(max_examples=200)
+    @given(_integer_matrices(1, 6, 1, 8))
+    def test_hermite_normal_form_matches_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+        H = hermite_normal_form(IntegerMatrix.from_rows(rows))
+        assert H.cols == sympy.Matrix(rows).rank()
+        # sympy's form is canonical too, so equal forms mean equal lattices
+        ours = sympy.Matrix(H.rows, H.cols, [x for row in H.entries for x in row])
+        assert sympy_hnf(ours) == sympy_hnf(sympy.Matrix(rows))
+        # sympy puts the pivots bottom right: reversing the rows of M and
+        # then both orders of the result gives this module's form exactly
+        W = sympy_hnf(sympy.Matrix(rows[::-1]))
+        flipped = [[int(W[i, j]) for j in reversed(range(W.cols))] for i in reversed(range(W.rows))]
+        assert [list(row) for row in H.entries] == flipped
 
 
 class TestRankModP:

@@ -416,6 +416,11 @@ class TestGen:
         for seed in range(10):
             assert gen(steps=12, seed=seed, max_vertices=6).n <= 6
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_max_vertices_below_one_is_refused(self, bound):
+        with pytest.raises(ArgumentError, match="max_vertices"):
+            gen(steps=5, seed=1, max_vertices=bound)
+
     def test_size_arithmetic(self):
         G = gen(steps=9, seed=3)
         assert G.m - G.n == 9 - 1
