@@ -456,12 +456,12 @@ _COMMANDS = {
     "hull": cmd_hull,
     "gen": cmd_gen,
 }
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

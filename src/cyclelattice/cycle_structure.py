@@ -150,31 +150,42 @@ def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCyc
 def bridges_and_series_classes(
     G: Multigraph, T: SpanningForest | None = None
 ) -> SeriesPartition:
-    """Bridges and series classes from fundamental-cycle refinement.
+    """Bridges and series classes from cut signatures, off the forest alone.
 
-    Bridges are the edges missing from every fundamental cycle; the series
-    classes are the blocks of the common refinement of the cycle/co-cycle
-    splits over all fundamental cycles.
+    An edge's signature is the bitmask of the non-tree edges (bits in sorted
+    order) whose fundamental cycle holds it.  By cycle/cut duality a tree
+    edge's is the XOR of the bits held by the vertices below it, each vertex
+    holding its non-tree edges' bits (a loop's cancels).  Bridges have
+    signature 0; the classes group the rest by signature, by least edge.  A
+    non-tree edge whose ends the forest does not join raises StructureError.
     """
     if T is None:
         T = spanning_forest(G)
-    fcm = fundamental_cycle_matrix(G, T)
-    signature: dict[EdgeId, int] = {e: 0 for e in G.edges}
-    for i, e in enumerate(sorted(fcm.columns)):
-        bit = 1 << i
-        signature[e] |= bit
-        for t in fcm.columns[e]:
-            signature[t] |= bit
-    bridges = frozenset(e for e, sig in signature.items() if sig == 0)
+    below = dict.fromkeys(T.parents, 0)
+    signature = dict.fromkeys(G.sorted_edges, 0)
+    non_tree = [e for e in G.sorted_edges if e not in T.tree_edges]
+    unjoined = 0  # bits of the non-tree edges that leave a tree of the forest
+    for i, e in enumerate(non_tree):
+        bit = signature[e] = 1 << i
+        for x in G.edges[e]:
+            if x in below:
+                below[x] ^= bit
+            else:
+                unjoined |= bit
+    for v, up in reversed(T.parents.items()):  # parents precede their children
+        if up is None:
+            unjoined |= below[v]
+        else:
+            below[up[0]] ^= below[v]
+            signature[up[1]] = below[v]
+    if unjoined:
+        e = non_tree[(unjoined & -unjoined).bit_length() - 1]
+        raise StructureError(f"non-tree edge {e} joins different forest components")
     groups: dict[int, list[EdgeId]] = {}
     for e, sig in signature.items():
-        if sig:
-            groups.setdefault(sig, []).append(e)
-    classes = tuple(
-        frozenset(members)
-        for _, members in sorted(groups.items(), key=lambda kv: min(kv[1]))
-    )
-    return SeriesPartition(bridges=bridges, classes=classes)
+        groups.setdefault(sig, []).append(e)
+    bridges = frozenset(groups.pop(0, ()))
+    return SeriesPartition(bridges=bridges, classes=tuple(map(frozenset, groups.values())))
 
 
 def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplification:

@@ -165,8 +165,6 @@ class MinorMap:
     """Result of deleting and contracting edge sets, with the vertex quotient."""
 
     result: Multigraph
-    deleted: frozenset[EdgeId]
-    contracted: frozenset[EdgeId]
     vertex_image: dict[VertexId, VertexId]
 
 
@@ -409,12 +407,7 @@ def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap
     if G.labels:
         labels = {v: G.labels[v] for v in new_vertices if v in G.labels}
     result = Multigraph(vertices=new_vertices, edges=new_edges, labels=labels)
-    return MinorMap(
-        result=result,
-        deleted=frozenset(delete),
-        contracted=frozenset(contract),
-        vertex_image=vertex_image,
-    )
+    return MinorMap(result=result, vertex_image=vertex_image)
 
 
 def edge_disjoint_paths(

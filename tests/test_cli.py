@@ -1,9 +1,12 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -586,6 +589,41 @@ def test_partition_count_does_not_grow_with_components(
         assert on_input == [], name
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        pytest.param(["analyze"], 0, id="analyze"),
+        pytest.param(["hull", "--char", "3"], 0, id="hull-char3"),
+        pytest.param(["basis", "--method", "topological"], 0, id="basis-topo"),
+        pytest.param(["extend", "--verify"], 0, id="extend"),
+        pytest.param(["verify"], 1, id="verify"),
+        pytest.param(["basis", "--method", "simple"], 2, id="basis-simple"),
+        pytest.param(["basis", "--method", "semi-fundamental"], 2, id="basis-semi"),
+    ],
+)
+def test_matrix_built_only_by_its_column_readers(
+    capsys, tmp_path, monkeypatch, command, expected
+):
+    """The reduction reads the spanning forest alone; a fundamental-cycle
+    matrix is built only by the construction or certificate that reads its
+    columns (the simple and semi-fundamental constructions, and certify's
+    generic determinant)."""
+    for name, text in {"k4": K4_TEXT, "core50": _core_with_pendants(50)}.items():
+        if command[0] == "extend" and name != "k4":
+            continue  # extend refuses graphs that are not 3-edge-connected
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(text)
+        argv = [*command, str(graph)]
+        if command == ["verify"]:
+            assert main(["basis", str(graph)]) == 0
+            doc = tmp_path / f"{name}.json"
+            doc.write_text(capsys.readouterr().out)
+            argv.append(str(doc))
+        seen = _calls(monkeypatch, argv, ["fundamental_cycle_matrix"])
+        capsys.readouterr()
+        assert len(seen["fundamental_cycle_matrix"]) == expected, name
+
+
 # ---------------------------------------------------------------------------
 # output goldens: sha256 of stdout and the exit code, per input and command
 # ---------------------------------------------------------------------------
@@ -685,3 +723,35 @@ def test_output_golden(capsys, tmp_path, case):
 def test_error_golden(capsys, tmp_path, case):
     code, err = ERROR_GOLDENS[case]
     assert _golden_run(capsys, tmp_path, case) == (code, "", err)
+
+
+def test_parser_is_reused_after_a_usage_error(capsys, k4_file):
+    """main parses with one parser built at import; a usage error leaves it
+    fit for the next call in the same process."""
+    assert main(["basis", "--method", "bogus", k4_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "bogus" in errors[0]
+    code, out = run(capsys, "basis", k4_file)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_GOLDENS["k4-basis-semi"]
+
+
+def test_module_entry_point(k4_file):
+    """`python -m cyclelattice.cli`, the documented entry, from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cyclelattice.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = entry("analyze", k4_file)
+    assert (done.returncode, hashlib.sha256(done.stdout.encode()).hexdigest()) == (
+        OUTPUT_GOLDENS["k4-analyze"]
+    )
+    done = entry("basis", "--method", "bogus", k4_file)
+    assert (done.returncode, done.stdout) == (1, "")
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "bogus" in errors[0]

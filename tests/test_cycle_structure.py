@@ -165,32 +165,55 @@ def _component_count(G, deleted):
     return count
 
 
+def _random_forest(draw, G):
+    """A spanning forest of G grown by Kruskal's rule over a random edge order."""
+    blocks = VertexUnion(G.vertices)
+    order = draw(st.permutations(G.sorted_edges))
+    forest = forest_from_edges(G, [e for e in order if blocks.union(*G.edges[e])])
+    assert forest is not None
+    return forest
+
+
+@st.composite
+def with_random_forest(draw):
+    """A rough multigraph and a random spanning forest of it."""
+    G = draw(rough_multigraphs())
+    return G, _random_forest(draw, G)
+
+
 class TestDifferentialOracles:
-    """bridges_and_series_classes against networkx and brute-force cuts."""
+    """bridges_and_series_classes against networkx and brute-force cuts, on
+    the BFS forest and on a random one: the signatures are read off its shape."""
 
     @settings(max_examples=150)
-    @given(rough_multigraphs())
-    def test_bridges_match_networkx(self, G):
+    @given(with_random_forest())
+    def test_bridges_match_networkx(self, GT):
+        G, forest = GT
         nx = pytest.importorskip("networkx")
         H = nx.MultiGraph()
         H.add_nodes_from(G.vertices)
         H.add_edges_from((u, v, e) for e, (u, v) in G.edges.items())
         expected = {e for u, v in nx.bridges(H) for e in H[u][v]}
-        assert bridges_and_series_classes(G).bridges == frozenset(expected)
+        for T in (None, forest):
+            assert bridges_and_series_classes(G, T).bridges == frozenset(expected)
 
     @settings(max_examples=150)
-    @given(rough_multigraphs())
-    def test_series_classes_are_the_two_edge_cuts(self, G):
-        part = bridges_and_series_classes(G)
-        class_of = {e: cls for cls in part.classes for e in cls}
-        assert set(class_of) == set(G.edges) - part.bridges
-        assert sum(map(len, part.classes)) == len(class_of)
+    @given(with_random_forest())
+    def test_series_classes_are_the_two_edge_cuts(self, GT):
+        G, forest = GT
         base = _component_count(G, set())
-        candidates = [e for e in class_of if not G.is_loop(e)]
-        for e, f in combinations(candidates, 2):
-            splits = _component_count(G, {e, f}) > base
-            assert (class_of[e] is class_of[f]) == splits, (e, f)
-        assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
+        for T in (None, forest):
+            part = bridges_and_series_classes(G, T)
+            class_of = {e: cls for cls in part.classes for e in cls}
+            assert set(class_of) == set(G.edges) - part.bridges
+            assert sum(map(len, part.classes)) == len(class_of)
+            least = [min(cls) for cls in part.classes]
+            assert least == sorted(least)
+            candidates = [e for e in class_of if not G.is_loop(e)]
+            for e, f in combinations(candidates, 2):
+                splits = _component_count(G, {e, f}) > base
+                assert (class_of[e] is class_of[f]) == splits, (e, f)
+            assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
 
 
 @st.composite
@@ -207,11 +230,7 @@ def forested_multigraphs(draw):
         if draw(st.booleans()):
             edges.append((draw(st.integers(0, G.n - 1)), draw(st.sampled_from(ring))))
     H = Multigraph(vertices=tuple(range(n)), edges=dict(enumerate(edges)))
-    blocks = VertexUnion(H.vertices)
-    order = draw(st.permutations(H.sorted_edges))
-    forest = forest_from_edges(H, [e for e in order if blocks.union(*H.edges[e])])
-    assert forest is not None
-    return H, forest
+    return H, _random_forest(draw, H)
 
 
 def _forest_path(G, T, u, v):
@@ -258,8 +277,19 @@ class TestColumnsFromTreePaths:
     )
     def test_unjoined_non_tree_edge_rejected(self, tree, roots):
         G = parse_edge_list("4 3\n1 2\n3 4\n2 3\n")
-        with pytest.raises(StructureError, match="joins different forest components"):
-            fundamental_cycle_matrix(G, SpanningForest(G, frozenset(tree), roots))
+        T = SpanningForest(G, frozenset(tree), roots)
+        with pytest.raises(StructureError, match="joins different forest components") as columns:
+            fundamental_cycle_matrix(G, T)
+        with pytest.raises(StructureError) as partition:
+            bridges_and_series_classes(G, T)
+        assert str(partition.value) == str(columns.value)
+
+    def test_loop_at_an_unreached_vertex_rejected(self):
+        G = parse_edge_list("3 3\n1 2\n3 3\n2 1\n")
+        T = SpanningForest(G, frozenset({0}), (1,))  # vertex 3 is never reached
+        for build in (fundamental_cycle_matrix, bridges_and_series_classes):
+            with pytest.raises(StructureError, match="non-tree edge 1 joins"):
+                build(G, T)
 
     def test_memory_stays_linear_on_a_deep_tree(self):
         n = 8000
