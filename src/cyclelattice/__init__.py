@@ -1,6 +1,6 @@
 """Cycle-lattice bases of undirected multigraphs, with exact verification."""
 
-from .certificate import Certificate, ComponentCertificate, certify
+from .certificate import Certificate, ComponentCertificate, certify, certify_cycle_basis
 from .cycle_structure import (
     Cosimplification,
     FundamentalCycleMatrix,
@@ -28,7 +28,6 @@ from .lattice_basis import (
     MembershipResult,
     Provenance,
     SimpleBasis,
-    certify_cycle_basis,
     double_edge_combination,
     express_in_simple_basis,
     indicator_matrix,

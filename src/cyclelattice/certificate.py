@@ -17,15 +17,22 @@ that determinant exactly without a dense m x m elimination:
   block triangular after subtracting row `first` from row `second`.  The
   determinant is then the product of the k x k blocks on the rows
   (new edge, second - first), each of which must be 2^(#splits).  When a
-  check fails the component falls back to the generic path.
+  check fails the component falls back to the generic path; one whose
+  generic residual passes the cap is retried on the sequence built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycle_structure import Cosimplification, cosimplify, fundamental_cycle_matrix
+from .cycle_structure import (
+    Cosimplification,
+    cosimplify,
+    fundamental_cycle_matrix,
+    is_simple_cycle,
+)
 from .errors import ArgumentError, CapacityError
+from .lattice_basis import CycleBasis
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -35,6 +42,7 @@ from .multigraph import (
     spanning_forest,
 )
 from .oracle import IntegerMatrix, exact_determinant
+from .topo_extension import _SequenceBuilder
 
 # Largest residual block, after peeling, that goes to dense elimination.
 RESIDUAL_CAP = 400
@@ -97,7 +105,7 @@ def certify(
     sequence that does not replay or does not match the vectors falls back
     to the generic path.  Raises ArgumentError on a nonzero entry at an
     edge G lacks, and CapacityError when the generic path leaves a residual
-    block above RESIDUAL_CAP.
+    block above RESIDUAL_CAP that the component's own sequence cannot certify.
     """
     cos = tree if isinstance(tree, Cosimplification) else None
     forest = cos.forest if cos else tree
@@ -136,12 +144,26 @@ def certify(
         if key in hints:
             det = _chain_determinant(H, vecs, hints[key])
         if det is None:
-            det, kind = _generic_determinant(H, T_H, vecs), "generic"
+            try:
+                det, kind = _generic_determinant(H, T_H, vecs), "generic"
+            except CapacityError:
+                det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
+                if det is None:
+                    raise
         results.append(ComponentCertificate(H.n, H.m, det, kind))
     total = 1
     for r in results:
         total *= r.determinant
     return Certificate(total, all(r.ok for r in results), hat.m, tuple(results))
+
+
+def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
+    """`certify` of the basis's vectors on its tree as (|det|, certified);
+    (0, False) when a member is not a simple cycle of G."""
+    if not all(is_simple_cycle(G, c) for c in basis.cycles):
+        return 0, False
+    cert = certify(G, basis.vectors(), tree=basis.tree)
+    return cert.determinant, cert.certified
 
 
 def _project(

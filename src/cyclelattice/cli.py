@@ -1,9 +1,9 @@
 """Command-line surface: analyze, basis, verify, extend, hull, gen.
 
-Exit codes: 0 ok, 1 usage, 2 input-structure problem or an instance past
-a capacity limit, 3 verification failure, 4 internal error (a broken
-invariant of the library).  Determinants and group orders are serialized
-as decimal strings so arbitrary precision survives JSON.
+Exit codes: 0 ok, 1 usage, 2 input-structure problem, an instance past a
+capacity limit or no memory left, 3 verification failure, 4 internal error
+(a broken invariant of the library).  Determinants and group orders are
+serialized as decimal strings so arbitrary precision survives JSON.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .oracle import (
     hnf_lattices_equal,
     rank_mod_p,
 )
-from .topo_extension import _chain_3ec, _SequenceBuilder, gen
+from .topo_extension import _chain_3ec, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
 
@@ -296,19 +296,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tree = candidate.get("tree")
     if isinstance(tree, list) and all(type(e) is int for e in tree):
         T = forest_from_edges(G, tree) or T
-    cos = cosimplify(G, forest=T)
     try:
-        cert = certify(G, vectors, tree=cos)
-    except CapacityError:
-        # a topological basis leaves a large residual on every tree; the
-        # extension sequences it is built along certify it, when it is one
-        sequences = [_SequenceBuilder(H).build() for H, _ in cos.components]
-        try:
-            cert = certify(G, vectors, tree=cos, sequences=sequences)
-        except CapacityError as exc:
-            check("determinant", False, str(exc))
-            _emit({"accepted": False, "checks": checks}, args)
-            return 3
+        cert = certify(G, vectors, tree=T)
+    except CapacityError as exc:
+        check("determinant", False, str(exc))
+        _emit({"accepted": False, "checks": checks}, args)
+        return 3
     if not cert.in_cycle_space:
         check("rational-cycle-space", False, "entry violates bridge/series structure")
         accepted = False
@@ -468,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (OSError, ParseError, StructureError, PreconditionError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"error: {exc}", file=sys.stderr)

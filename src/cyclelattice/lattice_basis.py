@@ -1,16 +1,15 @@
-"""Cycle-lattice bases: construction, membership, coordinates, certification.
+"""Cycle-lattice bases: construction, membership, coordinates.
 
 The lattice in question is the set of integer combinations of 0/1 indicator
 vectors of cycles, sitting inside Z^E.  For a 3-edge-connected graph it is
 full-dimensional with determinant 2^(n-1), and it admits bases consisting
-of cycles only; this module builds them and certifies them exactly.
+of cycles only; this module builds them, and `certificate` certifies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificate import certify
 from .cycle_structure import (
     Cosimplification,
     FundamentalCycleMatrix,
@@ -562,7 +561,7 @@ def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[Ed
 
 
 # ---------------------------------------------------------------------------
-# certification helpers
+# exact lattice checks by enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -570,19 +569,6 @@ def indicator_matrix(G: Multigraph, cycles) -> IntegerMatrix:
     """Edge-by-cycle 0/1 matrix in sorted edge order."""
     order = list(G.sorted_edges)
     return IntegerMatrix.from_vectors([{e: 1 for e in c} for c in cycles], order)
-
-
-def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
-    """Exact |det| of the basis and whether it is 2^(n-1) per component.
-
-    Certifies through `certificate.certify`, so a graph that is not
-    3-edge-connected is certified on its cosimplification.  A member that
-    is not a simple cycle of G certifies as (0, False).
-    """
-    if not all(is_simple_cycle(G, c) for c in basis.cycles):
-        return 0, False
-    cert = certify(G, basis.vectors(), tree=basis.tree)
-    return cert.determinant, cert.certified
 
 
 def matches_all_cycles_lattice(G: Multigraph, cycles, limit: int = 100_000) -> bool:

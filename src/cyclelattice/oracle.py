@@ -82,33 +82,30 @@ def enumerate_cycles(G: Multigraph, limit: int = 100_000) -> list[frozenset[Edge
             record(frozenset({e}))
 
     # each cycle is discovered exactly once, anchored at its least edge e0:
-    # walk from endpoint v back to endpoint u using only larger edge ids
+    # walk from endpoint v back to endpoint u using only larger edge ids,
+    # backtracking on an explicit stack of (vertex, incidence iterator)
     for e0 in non_loop:
         u, v = G.edges[e0]
         path_edges: list[EdgeId] = []
         visited = {v}
-
-        def backtrack(x):
-            for e, y in G.incidence[x]:
+        stack = [(v, iter(G.incidence[v]))]
+        while stack:
+            x, incident = stack[-1]
+            for e, y in incident:
                 if e <= e0 or y == x:
-                    continue
-                if e in on_path:
                     continue
                 if y == u:
                     record(frozenset([e0, *path_edges, e]))
-                    continue
-                if y in visited:
-                    continue
-                visited.add(y)
-                on_path.add(e)
-                path_edges.append(e)
-                backtrack(y)
-                path_edges.pop()
-                on_path.discard(e)
-                visited.discard(y)
-
-        on_path: set[EdgeId] = set()
-        backtrack(v)
+                elif y not in visited:
+                    visited.add(y)
+                    path_edges.append(e)
+                    stack.append((y, iter(G.incidence[y])))
+                    break
+            else:
+                stack.pop()
+                if path_edges:
+                    path_edges.pop()
+                    visited.discard(x)
 
     cycles.sort(key=lambda c: (len(c), sorted(c)))
     return cycles

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cyclelattice import certificate, topo_extension
-from cyclelattice.certificate import certify
+from cyclelattice.certificate import certify, certify_cycle_basis
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
@@ -325,6 +325,21 @@ def test_residual_cap_raises_capacity_error(k4, monkeypatch):
         certify(k4, vectors)
 
 
+def test_topological_basis_past_the_cap_is_certified_without_a_hint(monkeypatch):
+    # on the chain's own tree this basis leaves a 7x7 residual
+    G = gen(steps=41, seed=5, max_vertices=20)
+    basis = compatible_chain(G, keep_prefixes=False).final_basis
+    monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
+    assert certify_cycle_basis(G, basis) == (2 ** (G.n - 1), True)
+    vectors = basis.vectors()
+    cert = certify(G, vectors, tree=basis.tree)
+    assert [c.kind for c in cert.components] == ["chain"]
+    # out of chain order the built sequence certifies nothing
+    random.Random(5).shuffle(vectors)
+    with pytest.raises(CapacityError, match="7x7.*cap of 0"):
+        certify(G, vectors, tree=basis.tree)
+
+
 def test_non_3ec_graphs_are_certified_per_component():
     # two triangles joined by a bridge: the cosimplification is two loops
     G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
@@ -409,9 +424,29 @@ class TestVerifyDocuments:
             vectors = [{e: 1 for e in c["edges"]} for c in json.loads(doc)["cycles"]]
             code, out = self._verify(capsys, str(graph), tmp_path, doc)
             assert code == 0 and json.loads(out.out)["accepted"] is True
-        # on the BFS tree alone the topological basis leaves a residual
-        with pytest.raises(CapacityError):
-            certify(G, vectors)
+        # on the BFS tree alone the topological basis leaves a residual past
+        # the cap, and certify itself builds the sequence that certifies it
+        cert = certify(G, vectors)
+        assert cert.certified and [c.kind for c in cert.components] == ["chain"]
+
+    def test_topological_verify_projects_once(self, capsys, tmp_path, monkeypatch):
+        G = gen(steps=41, seed=3, max_vertices=20)
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(G))
+        assert main(["basis", "--method", "topological", str(graph)]) == 0
+        doc = capsys.readouterr().out
+        calls = []
+        project = certificate._project
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return project(*args)
+
+        monkeypatch.setattr(certificate, "_project", counted)
+        monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
+        code, out = self._verify(capsys, str(graph), tmp_path, doc)
+        assert code == 0 and json.loads(out.out)["accepted"] is True
+        assert calls == [G.m]
 
     def test_topological_verify_rebuilds_no_chain(self, capsys, tmp_path, monkeypatch):
         G = gen(steps=41, seed=3, max_vertices=20)

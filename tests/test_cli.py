@@ -382,6 +382,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: cycle exchange failed to shrink the intersection\n"
 
+    def test_memory_error_exits_2(self, capsys, k4_file, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", exhausted)
+        assert main(["analyze", k4_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
     def test_argument_error_exits_1(self, capsys, k4_file):
         assert main(["basis", "--tree-seed", "nowhere", k4_file]) == 1
         err = capsys.readouterr().err
@@ -755,3 +765,27 @@ def test_module_entry_point(k4_file):
     assert (done.returncode, done.stdout) == (1, "")
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "bogus" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(info.name for info in pkgutil.iter_modules(cyclelattice.__path__))
+)
+def test_each_module_imports_alone(module):
+    """A fresh interpreter imports cyclelattice.<module> first.
+
+    The package's __init__ imports every module in one order, so the
+    package is stood in for by a bare module over the same path: each
+    module then opens its own import chain, and a cycle through it fails.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src" / "cyclelattice")
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('cyclelattice')\n"
+        f"package.__path__ = [{src!r}]\n"
+        "sys.modules['cyclelattice'] = package\n"
+        f"importlib.import_module('cyclelattice.{module}')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelattice import cycle_structure, lattice_basis
+from cyclelattice.certificate import certify_cycle_basis
 from cyclelattice.cycle_structure import cosimplify, is_simple_cycle
 from cyclelattice.errors import MembershipError, PreconditionError
 from cyclelattice.lattice_basis import (
     EdgeVector,
-    certify_cycle_basis,
     double_edge_combination,
     express_in_simple_basis,
     indicator_matrix,

@@ -46,6 +46,11 @@ class TestEnumerateCycles:
             for c in cycles:
                 assert is_simple_cycle(G, c)
 
+    def test_cycle_longer_than_the_recursion_limit(self):
+        n = 1500
+        G = parse_edge_list(f"{n} {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)))
+        assert enumerate_cycles(G) == [frozenset(G.edges)]
+
     def test_limit(self, k4):
         with pytest.raises(CapacityError):
             enumerate_cycles(k4, limit=3)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connected
 from cyclelattice.errors import ArgumentError, InternalError, StructureError
-from cyclelattice.lattice_basis import EdgeVector, certify_cycle_basis, matches_all_cycles_lattice
+from cyclelattice.certificate import certify_cycle_basis
+from cyclelattice.lattice_basis import EdgeVector, matches_all_cycles_lattice
 from cyclelattice import topo_extension
 from cyclelattice.multigraph import Multigraph, parse_edge_list
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
