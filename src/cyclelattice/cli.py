@@ -2,8 +2,10 @@
 
 Exit codes: 0 ok, 1 usage, 2 input-structure problem, an instance past a
 capacity limit or no memory left, 3 verification failure, 4 internal error
-(a broken invariant of the library).  Determinants and group orders are
-serialized as decimal strings so arbitrary precision survives JSON.
+(a broken invariant of the library).  JSON output is one compact line with
+sorted keys and `"format": 2` (DOCUMENT_FORMAT).  Determinants and group
+orders are serialized as decimal strings so arbitrary precision survives
+JSON.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ from .oracle import (
     hnf_lattices_equal,
     rank_mod_p,
 )
-from .topo_extension import _chain_3ec, gen
+from .topo_extension import ExtensionSequence, _chain_3ec, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
+# Version of the JSON documents; format 1 had no "format" key (see README).
+DOCUMENT_FORMAT = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +114,8 @@ def _build_parser() -> _Parser:
 
 def _emit(doc: dict, args: argparse.Namespace):
     if args.output == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        doc = {**doc, "format": DOCUMENT_FORMAT}
+        print(json.dumps(doc, separators=(",", ":"), sort_keys=True))
     else:
         for line in _as_text(doc):
             print(line)
@@ -227,6 +232,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
         "determinant": decimal(cert.determinant),
         "certified": certified,
     }
+    if args.method == "topological":
+        doc["sequences"] = [seq.to_json() for seq in sequences]
     if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
         doc["hnf_equal"] = _hnf_oracle(G, vectors)
         certified = certified and doc["hnf_equal"]
@@ -251,6 +258,19 @@ def _load_document(path: str) -> dict:
     if not isinstance(doc.get("cycles"), list):
         raise ParseError('basis document has no "cycles" list')
     return doc
+
+
+def _document_sequences(doc: dict) -> list[ExtensionSequence]:
+    """The extension sequences under "sequences" that parse.  They are only
+    hints to certify, so a malformed one is dropped, never an error."""
+    value = doc.get("sequences")
+    sequences = []
+    for entry in value if isinstance(value, list) else ():
+        try:
+            sequences.append(ExtensionSequence.from_json(entry))
+        except ArgumentError:
+            continue
+    return sequences
 
 
 def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
@@ -297,7 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(tree, list) and all(type(e) is int for e in tree):
         T = forest_from_edges(G, tree) or T
     try:
-        cert = certify(G, vectors, tree=T)
+        cert = certify(G, vectors, tree=T, sequences=_document_sequences(candidate))
     except CapacityError as exc:
         check("determinant", False, str(exc))
         _emit({"accepted": False, "checks": checks}, args)
@@ -367,7 +387,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
     doc = {
         "sequence": chain.sequence.to_json(),
         "chain": {
-            "bases": [[sorted(c) for c in basis.cycles] for basis in chain.bases],
+            # per grown graph, the cycles its step adds; see CompatibleChain.bases
+            "bases": [[sorted(c) for c in cycles] for cycles in chain.added],
             "final_basis": [_entry(c, tag) for c, tag in chain.final_basis.entries()],
             "determinant": decimal(cert.determinant),
             "certified": certified,
@@ -378,7 +399,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         certified = certified and all(c.kind == "chain" for c in cert.components)
         doc["chain"]["prefixes_certified"] = certified
         doc["chain"]["certified"] = certified
-    del chain  # the prefix graphs and bases are not needed while printing
+    del chain  # its cycle sets are not needed while printing
     _emit(doc, args)
     if args.verify and not certified:
         return 3

@@ -78,24 +78,59 @@ class ExtensionStep:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ExtensionStep":
-        def parse_split(entry):
-            if entry is None:
-                return None
-            return EdgeSplit(
-                old=entry["old"],
-                first=entry["new"][0],
-                second=entry["new"][1],
-                vertex=entry["vertex"],
-            )
-
+    def from_json(cls, doc) -> "ExtensionStep":
+        """The step to_json wrote; ArgumentError on any other value."""
+        doc = _json_object(doc, ("kind", "edge", "endpoints"))
         return cls(
-            kind=doc["kind"],
-            new_edge=doc["edge"],
-            endpoints=(doc["endpoints"][0], doc["endpoints"][1]),
-            split_f=parse_split(doc.get("split_f")),
-            split_g=parse_split(doc.get("split_g")),
+            doc["kind"],
+            _json_int(doc["edge"]),
+            _json_pair(doc["endpoints"]),
+            _json_split(doc.get("split_f")),
+            _json_split(doc.get("split_g")),
         )
+
+
+def _json_split(value) -> EdgeSplit | None:
+    if value is None:
+        return None
+    value = _json_object(value, ("old", "new", "vertex"))
+    first, second = _json_pair(value["new"])
+    return EdgeSplit(_json_int(value["old"]), first, second, _json_int(value["vertex"]))
+
+
+def _json_object(value, keys: tuple[str, ...]) -> dict:
+    if not isinstance(value, dict) or any(key not in value for key in keys):
+        raise ArgumentError(f"expected an object with keys {', '.join(keys)}")
+    return value
+
+
+def _json_int(value) -> int:
+    # bool is a subclass of int, but true is no id
+    if type(value) is not int:
+        raise ArgumentError("expected an integer id")
+    return value
+
+
+def _json_pair(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ArgumentError("expected a list of two ids")
+    return _json_int(value[0]), _json_int(value[1])
+
+
+def _json_map(value) -> dict[int, int]:
+    """An id map whose keys are decimal strings, as JSON object keys are."""
+    if not isinstance(value, dict):
+        raise ArgumentError("expected an object mapping ids to ids")
+    out = {}
+    for key, target in value.items():
+        try:
+            k = int(key) if isinstance(key, str) else None
+        except ValueError:
+            k = None
+        if k is None or str(k) != key:
+            raise ArgumentError("expected a decimal id as key")
+        out[k] = _json_int(target)
+    return out
 
 
 class _GrownGraph:
@@ -235,6 +270,23 @@ class ExtensionSequence:
             "edge_map": {str(k): v for k, v in sorted(self.edge_map.items())},
             "vertex_map": {str(k): v for k, v in sorted(self.vertex_map.items())},
         }
+
+    @classmethod
+    def from_json(cls, doc) -> "ExtensionSequence":
+        """The sequence to_json wrote; ArgumentError on any other value.
+
+        Integer ids only (not bool).  Whether the steps replay is left to the
+        reader, as for a sequence built in memory.
+        """
+        doc = _json_object(doc, ("base_vertex", "steps", "edge_map", "vertex_map"))
+        if not isinstance(doc["steps"], list):
+            raise ArgumentError("expected a list of steps")
+        return cls(
+            base=Multigraph(vertices=(_json_int(doc["base_vertex"]),), edges={}),
+            steps=tuple(ExtensionStep.from_json(step) for step in doc["steps"]),
+            edge_map=_json_map(doc["edge_map"]),
+            vertex_map=_json_map(doc["vertex_map"]),
+        )
 
 
 class _TopEdge:
@@ -683,21 +735,39 @@ def extend_basis(
 class CompatibleChain:
     """Extension sequence with nested cycle bases along it.
 
-    `bases` holds one basis per grown graph (in grown-graph edge ids) when
-    prefixes were kept, and `graphs` then replays those grown graphs on
-    first access (None otherwise); `final_basis` is always present,
-    translated into the target graph's edge ids.  `tree` is the maintained
-    spanning tree, also translated.
+    When prefixes were kept, `added[k]` holds the cycles that step k adds,
+    in the edge ids of the k-th grown graph (entry 0, the base's, is empty),
+    and `bases` and `graphs` replay one basis and one graph per grown graph
+    from them on first access; otherwise `added` and `bases` are empty and
+    `graphs` is None.  `final_basis` is always present, translated into the
+    target graph's edge ids.  `tree` is the maintained spanning tree, also
+    translated.
     """
 
     sequence: ExtensionSequence
-    bases: tuple[CycleBasis, ...]
     final_basis: CycleBasis
     tree: SpanningForest | None = None
+    added: tuple[tuple[frozenset[EdgeId], ...], ...] = ()
 
     @cached_property
     def graphs(self) -> tuple[Multigraph, ...] | None:
-        return tuple(self.sequence.replay()) if self.bases else None
+        return tuple(self.sequence.replay()) if self.added else None
+
+    @cached_property
+    def bases(self) -> tuple[CycleBasis, ...]:
+        """Prefix k is prefix k-1 embedded through step k's splits, then added[k]."""
+        if not self.added:
+            return ()
+        cycles: list[frozenset[EdgeId]] = []
+        tags: list[Provenance] = []
+        bases = [CycleBasis(cycles=(), provenance=())]
+        for i, (step, new) in enumerate(zip(self.sequence.steps, self.added[1:])):
+            olds = {split.old for split in step.splits()}
+            cycles = [c if olds.isdisjoint(c) else embed_cycle(step, c) for c in cycles]
+            cycles.extend(new)
+            tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in new)
+            bases.append(CycleBasis(cycles=tuple(cycles), provenance=tuple(tags)))
+        return tuple(bases)
 
 
 def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleChain:
@@ -721,7 +791,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     cycles: list[frozenset[EdgeId]] = []
     tags: list[Provenance] = []
     members: dict[EdgeId, set[int]] = {}
-    bases: list[CycleBasis] = [CycleBasis(cycles=(), provenance=(), tree=None)]
+    added: list[tuple[frozenset[EdgeId], ...]] = [()]
 
     def kind_a_path(a, b):
         return tree_path(parent, a, b)
@@ -750,7 +820,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
             for x in cyc:
                 members.setdefault(x, set()).add(idx)
         if keep_prefixes:
-            bases.append(CycleBasis(cycles=tuple(cycles), provenance=tuple(tags)))
+            added.append(tuple(new_cycles))
 
     edge_map = seq.edge_map
     final_cycles = tuple(frozenset(edge_map[x] for x in cyc) for cyc in cycles)
@@ -761,9 +831,9 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     final = CycleBasis(cycles=final_cycles, provenance=tuple(tags), tree=final_tree)
     return CompatibleChain(
         sequence=seq,
-        bases=tuple(bases) if keep_prefixes else (),
         final_basis=final,
         tree=final_tree,
+        added=tuple(added) if keep_prefixes else (),
     )
 
 

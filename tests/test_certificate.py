@@ -86,7 +86,7 @@ def _prefix_chain(chain, i):
         edge_map={e: e for e in H.edges},
         vertex_map={v: v for v in H.vertices},
     )
-    return H, CompatibleChain(sequence=prefix, bases=(), final_basis=chain.bases[i])
+    return H, CompatibleChain(sequence=prefix, final_basis=chain.bases[i])
 
 
 def test_chain_path_agrees_with_bareiss_on_every_prefix():

@@ -249,6 +249,7 @@ class TestHull:
             "characteristic": 3,
             "derived": False,
             "dimension": 6,
+            "format": 2,
             "verified": True,
         }
 
@@ -659,41 +660,41 @@ GOLDEN_COMMANDS = {
 }
 # "<input>-<command>" -> (exit code, sha256 of stdout)
 OUTPUT_GOLDENS = {
-    "k4-analyze": (0, "da72fdb4197d704d730477bd33b876805b8c981cbdb397596dd0190448041ffb"),
-    "k4-basis-simple": (0, "61c3d12f8548eacc273fba2f288240f48eb87f94b5ebfe7ab054ce72de1ecdee"),
-    "k4-basis-semi": (0, "259e2b64e9f528d974f14ab59406ae848d3dd63cf2178e89d013a6d72893f92d"),
-    "k4-basis-topo": (0, "73e8e51870e81cf2a7bc6302fe44a403a820916f3d7f8bbb383676b5a2f6d0a4"),
-    "k4-verify-semi": (0, "a6389e2e58a6d1c005922f0ea1545a27c204763476d337d5771c53859c4e09fd"),
-    "k4-verify-topo": (0, "a6389e2e58a6d1c005922f0ea1545a27c204763476d337d5771c53859c4e09fd"),
-    "k4-extend": (0, "23becea0daebf727d2205e2fd9adf43907508226bfbd4ac6feab7d7fadd10f49"),
-    "k4-hull-char3": (0, "0d1ef33432fd692e52e0c3ac17968b97b0db46bc9e748b632b0ec8e4f080cc4f"),
-    "k4-hull-group": (0, "43ada66c6f96c5609d38b9dcb3263a718cd1cfd7f8d617bb78161efff98b603b"),
-    "c3-analyze": (0, "be9d2ff9fd0844c2f39abb8b9648bc190f006869d0c12cf94e71c1b53ea7a86e"),
-    "c3-basis-simple": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
-    "c3-basis-semi": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
-    "c3-basis-topo": (0, "5181bf31ff866e5cd95cedacd63ae6bb16112b71e21a2233da30ea05dc829384"),
-    "c3-verify-semi": (0, "674c219e4fb194be0a691d0a6cb9797bb9d6c8f0c475c7cf3f4d5dcbd804118b"),
-    "c3-verify-topo": (0, "674c219e4fb194be0a691d0a6cb9797bb9d6c8f0c475c7cf3f4d5dcbd804118b"),
-    "c3-hull-char3": (0, "ff9a0adf2c0babfabd44d328ff837992aef8f4f3d74ad82e1e1512e6e1745c54"),
-    "c3-hull-group": (0, "8fc128a86871250e02690ffd6b8fb3b821a96b6331c426d9db58993692ff794e"),
-    "core50-analyze": (0, "3da38ea60c7bfad98aada84aa7be48d4837474336e8fd3f0435a881cafbf3a36"),
-    "core50-basis-simple": (0, "812a8b4b82d9086a5e1956dbbf76699ad6e82c76bcc858d6ed95db663dc170c8"),
-    "core50-basis-semi": (0, "2b94174f5307ca4c73dab329d576014696eb1638e581cea694fc1c544c8b4553"),
-    "core50-basis-topo": (0, "07d97c070003449dfa88a77d5e32c07adc99bc887794aaaaf79ff80e1048a387"),
-    "core50-verify-semi": (0, "95b3b005b6cf9f7835ee3103315789d21b347dad91ffc0e4348b17ba16a83deb"),
-    "core50-verify-topo": (0, "95b3b005b6cf9f7835ee3103315789d21b347dad91ffc0e4348b17ba16a83deb"),
-    "core50-hull-char3": (0, "9be7bb880a77aa24589313066613e70d2a2b3f015245dc09645039fa606c0e7f"),
-    "core50-hull-group": (0, "24656502cf161c1bb42538670741b27459128fe06e5c6b5a7fbe307d2ca7bafc"),
-    "gen300-analyze": (0, "9f79d7f3b2da896345095f5b1e7410e94fd04261391bfb883d4902782a22b400"),
-    "gen300-basis-simple": (0, "69d2b0c321000dc7587a61e26c14cf5f492eb53fd1fa9fcd9dfb30b8fe452461"),
-    "gen300-basis-semi": (0, "df848671bb5ea7df405d3e51472e3f46a1e26ed12a5e425a4ca83608dc40faca"),
-    "gen300-basis-topo": (0, "48167d0ed086fb7a874df823d9d09c1c05d3c37ec55f7d3dfc1c405c81d0ccc5"),
-    "gen300-verify-semi": (0, "3a95485db3404bb9ec63c19ce64dc5dd8f0a8892a442eb29606b81ace3e823f7"),
-    "gen300-verify-topo": (0, "3a95485db3404bb9ec63c19ce64dc5dd8f0a8892a442eb29606b81ace3e823f7"),
-    "gen300-extend": (0, "5dbb0053f68575653b83dd06493fe8f9c6e63f71c06307c43f046eac508df1df"),
-    "gen300-hull-char3": (0, "b379c2f087924336c871594470cf6328af72e5050a7e19018b8b2eab3d0aabd8"),
-    "gen300-hull-group": (0, "b4e2fb2cd5481d1befe8bbedd2ade39ad903326f2375818474ea0b93c9e82dac"),
-    "disconnected-analyze": (0, "31d1803c8a7f2921ef5c96870df8b3eaa75461308eebd74066be7768ab58cb07"),
+    "k4-analyze": (0, "6add41f2b49b9f2626a3bd4a55d366d47ecce9a2a198bc8d27c3c0c6268662bf"),
+    "k4-basis-simple": (0, "1ddc7cdd1fc8280aadf59ab19f298a5c47386065b3b7c8623000ad796ce4550d"),
+    "k4-basis-semi": (0, "07d2cf7aedaf63ba0dfce317ab573fa4667e78eb2af9a1959cd897519213918d"),
+    "k4-basis-topo": (0, "49965d853d3d584c04ce5ef9e7688ded7ad6a07eeddafd47b809737e9b0cbc34"),
+    "k4-verify-semi": (0, "336058768b740dd7167dff60d996019f2487cdd38f0f744bba9affa353dca60e"),
+    "k4-verify-topo": (0, "336058768b740dd7167dff60d996019f2487cdd38f0f744bba9affa353dca60e"),
+    "k4-extend": (0, "7b43feb155eb9fdc461cae1b5da9a10affc81ccc81a891a4a40294965329f1a1"),
+    "k4-hull-char3": (0, "e2069b907f21444d157bc1f373f510d42c2398bc3f3cd311653eb5cd4354e38d"),
+    "k4-hull-group": (0, "dbd3553b02ce5838b40bfc084d172225745e33cfd7371c8099b0e49082861bf1"),
+    "c3-analyze": (0, "ee422ebb89b9f31e69d1474a890338b9fba6b517986e8803b352cc988f89a257"),
+    "c3-basis-simple": (0, "ac18c5f195d2ac6979a2358ce5b78607d9c5dae93eb3f120df2564793147df1a"),
+    "c3-basis-semi": (0, "ac18c5f195d2ac6979a2358ce5b78607d9c5dae93eb3f120df2564793147df1a"),
+    "c3-basis-topo": (0, "f846d9717a6540cf3e06fff434a2ea9e7eb93306ceea28daeadced45dfa769b9"),
+    "c3-verify-semi": (0, "02edd51ed652e680b1d275d69bc8ec0f82a034dc7fe9490449fa730dbc16bac6"),
+    "c3-verify-topo": (0, "02edd51ed652e680b1d275d69bc8ec0f82a034dc7fe9490449fa730dbc16bac6"),
+    "c3-hull-char3": (0, "78a81b30a2467dddb7d59c3e57811f8e3d286b9e94b223531da418ce94064f64"),
+    "c3-hull-group": (0, "ffad881a5ec780862e59cd8d6027ed8b060a31f0c86f1e2e6bc0b134e5bc0165"),
+    "core50-analyze": (0, "aaf5425c8e43139e2721163423b902bb7417350345de2fabc284a55235f9d65d"),
+    "core50-basis-simple": (0, "3043ca523a3bb42bd84074022f1efce13061663b73e722c2838a17b5d3c9ff31"),
+    "core50-basis-semi": (0, "11ddd37963366ee332cb5593c1eed7e58e00aa0a3128fe6376c5dedabc8c7d57"),
+    "core50-basis-topo": (0, "051e7dd3b329ae89c2f83a4a4f7875e1eda7d5d8e093d414181a8871d3f52c7a"),
+    "core50-verify-semi": (0, "f8304735f5d3aa06d248b709dc193f3f0d4d6b5b847a3e8b1963c7cb13b42f7c"),
+    "core50-verify-topo": (0, "f8304735f5d3aa06d248b709dc193f3f0d4d6b5b847a3e8b1963c7cb13b42f7c"),
+    "core50-hull-char3": (0, "2cd82e934a5046e23241a0325a540af972232099c4550aadadf9802163e3cc20"),
+    "core50-hull-group": (0, "18ecaa995794d459b23dcc56dfcaf22240458811c76f3c2ad1ff7bcf91f7256c"),
+    "gen300-analyze": (0, "db7f0aeacc9b04e3ac0da74d29a2d79b46860ae4ac35247ccdbab939bd2a0644"),
+    "gen300-basis-simple": (0, "4619dd5717cd575ee29314d8673ed117d3a3fd256695969ccfebc89662ac40d8"),
+    "gen300-basis-semi": (0, "d096230b428c40105aa4e8442c9094456586fff1e4dd7f5a9c2984e5c308fa55"),
+    "gen300-basis-topo": (0, "4b26e94bdb9d829dc2236637271698b69b385f58f31915187a3007dc86ff669e"),
+    "gen300-verify-semi": (0, "9dcf4b0eb606ab3a882656531012aa54490cc4259b97914bc7f9ba498cd94bd6"),
+    "gen300-verify-topo": (0, "9dcf4b0eb606ab3a882656531012aa54490cc4259b97914bc7f9ba498cd94bd6"),
+    "gen300-extend": (0, "453e0efc62b6a08125d06299670d200797c6a0269b485cf4e4c3a65771db68c3"),
+    "gen300-hull-char3": (0, "ec1032ffc48f94f893d25cb9f53d3dcec05a9e4349cd877eedb0b360d8841a1c"),
+    "gen300-hull-group": (0, "88fbf0dedc04dc689082399069f4c0f4540e5cd45d47305bcc03a5cc2ded203a"),
+    "disconnected-analyze": (0, "bfc74515cf2e2ffd56c71d02a144a5f2c22efb51abd105de447c2ac68b279b4b"),
 }
 # "<input>-<command>" -> (exit code, stderr); stdout stays empty
 ERROR_GOLDENS = {
