@@ -158,11 +158,12 @@ def certify(
 
 
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
-    """`certify` of the basis's vectors on its tree as (|det|, certified);
-    (0, False) when a member is not a simple cycle of G."""
+    """`certify` of the basis's vectors on its tree and along its sequence as
+    (|det|, certified); (0, False) when a member is not a simple cycle of G."""
     if not all(is_simple_cycle(G, c) for c in basis.cycles):
         return 0, False
-    cert = certify(G, basis.vectors(), tree=basis.tree)
+    sequences = () if basis.sequence is None else (basis.sequence,)
+    cert = certify(G, basis.vectors(), tree=basis.tree, sequences=sequences)
     return cert.determinant, cert.certified
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .certificate import certify
-from .cycle_structure import bridges_and_series_classes, cosimplify, is_simple_cycle
+from .cycle_structure import cosimplify, is_simple_cycle
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -353,7 +353,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     cos = cosimplify(G)
     partition, hat = cos.partition, cos.hat_graph
-    hat_partition = partition if cos.identity else bridges_and_series_classes(hat, cos.hat_tree)
     doc = {
         "n": G.n,
         "m": G.m,
@@ -368,9 +367,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n": hat.n,
             "m": hat.m,
             "components": len(cos.hat_tree.component_roots),
-            "components_three_edge_connected": not (
-                hat_partition.bridges or hat_partition.nontrivial_classes
-            ),
+            # by construction: a cut of hat of one or two edges would be one of
+            # G, but G's bridges are deleted and a series class keeps one edge
+            "components_three_edge_connected": True,
         },
     }
     _emit(doc, args)

@@ -138,11 +138,15 @@ class SimpleBasis:
 
 @dataclass(frozen=True, eq=False)
 class CycleBasis:
-    """Ordered list of cycles with provenance; certified means size m."""
+    """Ordered list of cycles with provenance; certified means size m.
+
+    tree, and the ExtensionSequence of a chain's basis, are certify's hints.
+    """
 
     cycles: tuple[frozenset[EdgeId], ...]
     provenance: tuple[Provenance, ...]
     tree: SpanningForest | None = None
+    sequence: object | None = None
 
     def __post_init__(self):
         if len(self.cycles) != len(self.provenance):

@@ -306,10 +306,10 @@ class _SequenceBuilder:
 
     Builds no grown graph, only the suppression bookkeeping: which target
     vertices are branch vertices, which sit inside a suppressed path, and
-    which path each grown edge represents.  `active` holds the vertices of
-    the covered part that still have uncovered incidences, the candidate
-    starts of the next path; `active_heap` holds them too, and vertices
-    that have left `active` until they reach its top.
+    which path each grown edge represents.  `active_heap` holds every
+    vertex of the covered part that has had uncovered incidences, pushed
+    at its first covered edge; those with uncovered incidences left are
+    the candidate starts of the next path.
     """
 
     def __init__(self, G: Multigraph):
@@ -317,7 +317,6 @@ class _SequenceBuilder:
         self.covered: set[EdgeId] = set()
         self.deg: dict[VertexId, int] = {v: 0 for v in G.vertices}
         self.uncovered: dict[VertexId, int] = {v: len(G.incidence[v]) for v in G.vertices}
-        self.active: set[VertexId] = set()
         self.active_heap: list[VertexId] = []
         self.vmap: dict[VertexId, VertexId] = {}      # grown vertex -> target vertex
         self.gv_to_rv: dict[VertexId, VertexId] = {}  # target branch vertex -> grown
@@ -382,13 +381,9 @@ class _SequenceBuilder:
                 self._bump(v, 1)
             for x in {u, v}:
                 self.uncovered[x] -= 1
-                if self.uncovered[x]:
-                    if x not in self.active:
-                        # uncovered counts only fall, so x enters once
-                        self.active.add(x)
-                        heappush(self.active_heap, x)
-                else:
-                    self.active.discard(x)
+                # counts only fall, so this holds at x's first covered edge only
+                if 0 < self.uncovered[x] == len(self.G.incidence[x]) - 1:
+                    heappush(self.active_heap, x)
 
     # -- phase 0: first cycle ------------------------------------------------
 
@@ -488,8 +483,8 @@ class _SequenceBuilder:
         Almost every search succeeds from the least vertex, the heap's top;
         the others are sorted only when it fails.
         """
-        heap, active = self.active_heap, self.active
-        while heap and heap[0] not in active:
+        heap, uncovered = self.active_heap, self.uncovered
+        while heap and not uncovered[heap[0]]:
             heappop(heap)
         if not heap:
             return None
@@ -497,7 +492,7 @@ class _SequenceBuilder:
         found = self._search_from(least)
         if found is not None:
             return found
-        for v in sorted(active - {least}):
+        for v in sorted(x for x in heap if uncovered[x] and x != least):
             found = self._search_from(v)
             if found is not None:
                 return found
@@ -788,23 +783,18 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     grown = _GrownGraph(seq.base)
     (root,) = seq.base.vertices
     parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {root: None}
-    cycles: list[frozenset[EdgeId]] = []
     tags: list[Provenance] = []
-    members: dict[EdgeId, set[int]] = {}
+    # per grown graph, the cycles its step adds, in that graph's edge ids
     added: list[tuple[frozenset[EdgeId], ...]] = [()]
 
     def kind_a_path(a, b):
         return tree_path(parent, a, b)
 
     for i, step in enumerate(seq.steps):
-        new_cycles = _extending_cycles(grown, step, kind_a_path)
+        added.append(tuple(_extending_cycles(grown, step, kind_a_path)))
+        tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in added[-1])
         grown.apply(step)
         for split in step.splits():
-            # embed the existing cycles through the split
-            for ci in members.pop(split.old, set()):
-                cycles[ci] = cycles[ci] - {split.old} | {split.first, split.second}
-                members.setdefault(split.first, set()).add(ci)
-                members.setdefault(split.second, set()).add(ci)
             u, x = grown.ends[split.first]
             v = grown.ends[split.second][1]
             if parent[v] == (u, split.old):
@@ -813,22 +803,21 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
                 parent[x], parent[u] = (v, split.second), (x, split.first)
             else:
                 parent[x] = (u, split.first)
-        for cyc in new_cycles:
-            idx = len(cycles)
-            cycles.append(cyc)
-            tags.append(Provenance(kind="extension", step=i, case=step.kind))
-            for x in cyc:
-                members.setdefault(x, set()).add(idx)
-        if keep_prefixes:
-            added.append(tuple(new_cycles))
 
     edge_map = seq.edge_map
-    final_cycles = tuple(frozenset(edge_map[x] for x in cyc) for cyc in cycles)
+    # every edge id ever used -> the target edges it grows into
+    image = {x: (g,) for x, g in edge_map.items()}
+    for step in reversed(seq.steps):
+        for split in step.splits():
+            image[split.old] = image[split.first] + image[split.second]
+    final_cycles = tuple(
+        frozenset(g for x in cyc for g in image[x]) for new in added for cyc in new
+    )
     final_tree_edges = frozenset(edge_map[up[1]] for up in parent.values() if up is not None)
     final_tree = SpanningForest(
         parent_graph=G, tree_edges=final_tree_edges, component_roots=(min(G.vertices),)
     )
-    final = CycleBasis(cycles=final_cycles, provenance=tuple(tags), tree=final_tree)
+    final = CycleBasis(final_cycles, tuple(tags), tree=final_tree, sequence=seq)
     return CompatibleChain(
         sequence=seq,
         final_basis=final,

@@ -340,6 +340,21 @@ def test_topological_basis_past_the_cap_is_certified_without_a_hint(monkeypatch)
         certify(G, vectors, tree=basis.tree)
 
 
+def test_chain_basis_is_certified_along_its_own_sequence(monkeypatch):
+    def no_generic_path(*args):
+        raise AssertionError("generic path taken")
+
+    monkeypatch.setattr(certificate, "_generic_determinant", no_generic_path)
+    for seed in range(4):
+        G = gen(steps=30 + 40 * seed, seed=seed, max_vertices=15 + 20 * seed)
+        chain = compatible_chain(G)
+        assert chain.final_basis.sequence is chain.sequence
+        assert certify_cycle_basis(G, chain.final_basis) == (2 ** (G.n - 1), True)
+        semi, _ = semi_fundamental_basis(G)
+        with pytest.raises(AssertionError, match="generic path taken"):
+            certify_cycle_basis(G, semi)
+
+
 def test_non_3ec_graphs_are_certified_per_component():
     # two triangles joined by a bridge: the cosimplification is two loops
     G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")

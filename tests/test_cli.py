@@ -577,8 +577,7 @@ def test_partition_count_does_not_grow_with_components(
     capsys, tmp_path, monkeypatch, command
 ):
     """Each command reduces its graph once: bridges_and_series_classes runs
-    once (analyze runs it again on a reduced graph that is not the input),
-    and connected_components never runs on the input graph."""
+    once, and connected_components never runs on the input graph."""
     inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
     for name, text in inputs.items():
         if command[0] == "extend" and name != "k4":
@@ -593,8 +592,7 @@ def test_partition_count_does_not_grow_with_components(
             argv.append(str(doc))
         seen = _calls(monkeypatch, argv, ["bridges_and_series_classes", "connected_components"])
         capsys.readouterr()
-        expected = 2 if command == ["analyze"] and name != "k4" else 1
-        assert len(seen["bridges_and_series_classes"]) == expected, name
+        assert len(seen["bridges_and_series_classes"]) == 1, name
         G = parse_edge_list(text)
         on_input = [H for H in seen["connected_components"] if (H.n, H.m) == (G.n, G.m)]
         assert on_input == [], name

@@ -1,9 +1,9 @@
 import tracemalloc
 from collections import deque
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclelattice.cycle_structure import (
@@ -335,10 +335,20 @@ class TestCosimplify:
         (e,) = cos.hat_graph.edges
         assert e not in T.tree_edges
 
-    def test_components_are_three_edge_connected(self, tri_pendant, c3, p2):
-        for G in (tri_pendant, c3, p2):
-            for comp, _ in cosimplify(G).components:
+    @settings(max_examples=150)
+    @given(with_random_forest())
+    @example((parse_edge_list("4 4\n1 2\n2 3\n3 1\n3 4\n"), None))
+    @example((parse_edge_list("3 3\n1 2\n2 3\n3 1\n"), None))
+    @example((parse_edge_list("2 1\na b\n"), None))
+    def test_components_are_three_edge_connected(self, GT):
+        """No edge and no pair of edges cuts a component of the reduction,
+        on the BFS forest and on a random one: `analyze` relies on it."""
+        G, forest = GT
+        for T in (None, forest):
+            for comp, _ in cosimplify(G, forest=T).components:
                 assert is_three_edge_connected(comp)
+                for cut in combinations_with_replacement(comp.sorted_edges, 2):
+                    assert _component_count(comp, set(cut)) == 1, cut
 
 
 class TestThreeEdgeConnectivity:

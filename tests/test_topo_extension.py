@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -393,14 +394,38 @@ class TestCompatibleChain:
         assert ok
 
     def test_random_corpus(self):
-        for seed in range(10):
-            G = gen(steps=3 + seed % 5, seed=seed + 100, max_vertices=9)
+        inputs = [gen(steps=3 + seed % 5, seed=seed + 100, max_vertices=9) for seed in range(10)]
+        # mostly kind C (m about 3 * steps) and mostly kind A (m about steps)
+        for weights, steps in (((0.01, 1, 100), 200), ((100, 1, 0.01), 600)):
+            inputs += [gen(steps // k, seed, kind_weights=weights) for seed, k in ((1, 8), (2, 1))]
+        for seed, G in enumerate(inputs):
             chain = compatible_chain(G)
-            det, ok = certify_cycle_basis(G, chain.final_basis)
+            final = chain.final_basis
+            det, ok = certify_cycle_basis(G, final)
             assert ok, seed
             for i, step in enumerate(chain.sequence.steps):
                 embedded = {embed_cycle(step, c) for c in chain.bases[i].cycles}
                 assert embedded <= set(chain.bases[i + 1].cycles), (seed, i)
+            # the image map against the replay through embed_cycle
+            em, last = chain.sequence.edge_map, chain.bases[-1]
+            assert final.cycles == tuple(frozenset(em[x] for x in c) for c in last.cycles), seed
+            assert final.provenance == last.provenance, seed
+            bare = compatible_chain(G, keep_prefixes=False).final_basis
+            assert (bare.cycles, bare.provenance) == (final.cycles, final.provenance), seed
+
+    def test_memory_of_the_chain(self):
+        """The chain keeps each cycle as built, in grown-graph ids, so its
+        peak stays well under that of cycles rewritten at every split."""
+        G = gen(2001, 7, max_vertices=1000)
+        seq = extension_sequence(G)
+        tracemalloc.start()
+        try:
+            chain = topo_extension._chain_3ec(G, False, seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chain.final_basis.cycles) == G.m
+        assert peak < 6.8 * 2**20, peak
 
 
 class TestGen:
