@@ -16,9 +16,11 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
-    connected_components,
+    bfs_parents,
+    forest_of,
     minor,
     spanning_forest,
+    tree_parts,
     tree_path,
 )
 
@@ -88,18 +90,14 @@ class Cosimplification:
         return self.identity and len(self.forest.component_roots) <= 1
 
     @cached_property
-    def _hat_parts(self) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
-        """One components pass over hat_graph, for hat_tree and components."""
-        return connected_components(self.hat_graph)
-
-    @cached_property
     def hat_tree(self) -> SpanningForest:
-        """The forest's surviving edges, a spanning forest of hat_graph."""
+        """The forest's surviving edges, a spanning forest of hat_graph, each
+        tree rooted at its least vertex."""
         if self.identity:
             return self.forest
         edges = frozenset(t for t in self.forest.tree_edges if self.projection[t] == t)
-        roots = tuple(vs[0] for vs, _ in self._hat_parts)
-        return SpanningForest(self.hat_graph, edges, roots)
+        hat = self.hat_graph
+        return forest_of(hat, bfs_parents(hat, sorted(hat.vertices), edges))
 
     @cached_property
     def components(self) -> tuple[tuple[Multigraph, SpanningForest], ...]:
@@ -110,7 +108,8 @@ class Cosimplification:
         if len(tree.component_roots) == 1:
             return ((hat, tree),) if hat.m else ()
         out = []
-        for vs, es in self._hat_parts:
+        # sorted: the forest cosimplify was given may put a preferred root first
+        for vs, es in sorted(tree_parts(hat, tree.parents)):
             if es:
                 labels = {v: hat.labels[v] for v in vs if v in hat.labels} if hat.labels else None
                 H = Multigraph(vs, {e: hat.edges[e] for e in es}, labels)
@@ -247,32 +246,24 @@ def is_simple_cycle(G: Multigraph, edges: frozenset[EdgeId] | set[EdgeId]) -> bo
     of length 2.
     """
     edges = set(edges)
-    if not edges:
+    if not edges or not edges <= G.edges.keys():
         return False
+    incident: dict[VertexId, list[EdgeId]] = {}
     for e in edges:
-        if e not in G.edges:
-            return False
-    deg: dict[VertexId, int] = {}
-    for e in edges:
-        u, v = G.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
+        for x in G.edges[e]:  # a loop is listed twice at its vertex
+            incident.setdefault(x, []).append(e)
+    if any(len(es) != 2 for es in incident.values()):
         return False
-    # connectivity over the touched vertices
-    verts = list(deg)
-    adj: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-    for e in edges:
+    # every degree is 2, so the walk from one edge returns to it; the set is
+    # one cycle exactly when that walk uses every edge
+    first = e = next(iter(edges))
+    x = G.edges[e][1]
+    walked = 1
+    while True:
+        a, b = incident[x]
+        e = b if a == e else a
+        if e == first:
+            return walked == len(edges)
+        walked += 1
         u, v = G.edges[e]
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
+        x = v if u == x else u

@@ -8,6 +8,7 @@ vectors indexed by edge id embed canonically across minors.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,6 +16,8 @@ from .errors import ArgumentError, CapacityError, ParseError
 
 VertexId = int
 EdgeId = int
+# vertex -> (its parent, the edge to it), a root -> None
+ParentMap = dict[VertexId, tuple[VertexId, EdgeId] | None]
 
 # the most vertices a document header may declare: numeric documents fill
 # in ids 1..n, so n alone decides what parsing allocates
@@ -97,33 +100,21 @@ class SpanningForest:
     component_roots: tuple[VertexId, ...]
 
     @cached_property
-    def parents(self) -> dict[VertexId, tuple[VertexId, EdgeId] | None]:
+    def parents(self) -> ParentMap:
         """vertex -> (its parent, the edge to it), a root -> None, by BFS from
         each root over tree edges; a vertex no root reaches is absent."""
-        G = self.parent_graph
-        parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {}
-        for r in self.component_roots:
-            parent[r] = None
-            queue = deque([r])
-            while queue:
-                x = queue.popleft()
-                for e, y in G.incidence[x]:
-                    if e in self.tree_edges and y not in parent:
-                        parent[y] = (x, e)
-                        queue.append(y)
-        return parent
+        return bfs_parents(self.parent_graph, self.component_roots, self.tree_edges)
 
     def path_edges(self, u: VertexId, v: VertexId) -> list[EdgeId]:
         """Edges of the unique forest path from u to v, in path order."""
-        path = tree_path(self.parents, u, v)
+        parent = self.parents
+        path = tree_path(parent, u, v) if u in parent and v in parent else None
         if path is None:
-            raise ArgumentError(f"vertices {u} and {v} lie in different components")
+            raise ArgumentError(f"no forest path joins vertices {u} and {v}")
         return path
 
 
-def tree_path(
-    parent: dict[VertexId, tuple[VertexId, EdgeId] | None], u: VertexId, v: VertexId
-) -> list[EdgeId] | None:
+def tree_path(parent: ParentMap, u: VertexId, v: VertexId) -> list[EdgeId] | None:
     """Edges of the tree path from u to v, in path order, off a parent map.
 
     parent maps each vertex to (its parent, the edge to it), a root to None.
@@ -308,74 +299,96 @@ def format_edge_list(G: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def connected_components(G: Multigraph) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
-    """Components as (vertices, edges), ordered by least vertex."""
-    index: dict[VertexId, int] = {}
-    comps: list[list[VertexId]] = []
-    for start in G.vertices:
-        if start in index:
+def bfs_parents(
+    G: Multigraph, starts: Iterable[VertexId], edges: Container[EdgeId] | None = None
+) -> ParentMap:
+    """Parent map of a BFS from each start, in order, that is not yet reached.
+
+    The search walks only `edges` when they are given, else every edge of
+    G, each vertex's in id order.  A start maps to None and every vertex it
+    reaches to (its parent, the edge to it).  Keys are in discovery order,
+    so parents precede their children and each tree's keys are contiguous.
+    """
+    parent: ParentMap = {}
+    for r in starts:
+        if r in parent:
             continue
-        index[start] = len(comps)
-        comp = [start]
-        queue = deque([start])
+        parent[r] = None
+        queue = deque([r])
         while queue:
             x = queue.popleft()
-            for _, y in G.incidence[x]:
-                if y not in index:
-                    index[y] = len(comps)
-                    comp.append(y)
+            for e, y in G.incidence[x]:
+                if y not in parent and (edges is None or e in edges):
+                    parent[y] = (x, e)
                     queue.append(y)
-        comps.append(comp)
-    edges: list[list[EdgeId]] = [[] for _ in comps]
+    return parent
+
+
+def forest_of(G: Multigraph, parent: ParentMap) -> SpanningForest:
+    """The forest of a bfs_parents map of G, which it keeps as its parents."""
+    F = SpanningForest(
+        parent_graph=G,
+        tree_edges=frozenset(up[1] for up in parent.values() if up is not None),
+        component_roots=tuple(v for v, up in parent.items() if up is None),
+    )
+    F.__dict__["parents"] = parent  # fills the cached property
+    return F
+
+
+def _root_of(parent: ParentMap) -> dict[VertexId, VertexId]:
+    """vertex -> the root of its tree, off a map whose parents precede their children."""
+    root: dict[VertexId, VertexId] = {}
+    for v, up in parent.items():
+        root[v] = v if up is None else root[up[0]]
+    return root
+
+
+def tree_parts(
+    G: Multigraph, parent: ParentMap
+) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
+    """The vertices (sorted) and edges (by id) of G under each tree of a
+    bfs_parents map that reaches every vertex, in the map's root order."""
+    root = _root_of(parent)
+    parts: dict[VertexId, tuple[list[VertexId], list[EdgeId]]] = {
+        v: ([], []) for v, up in parent.items() if up is None
+    }
+    for v, r in root.items():
+        parts[r][0].append(v)
     for e in G.sorted_edges:
-        edges[index[G.edges[e][0]]].append(e)
-    return [(tuple(sorted(vs)), tuple(es)) for vs, es in zip(comps, edges)]
+        parts[root[G.edges[e][0]]][1].append(e)
+    return [(tuple(sorted(vs)), tuple(es)) for vs, es in parts.values()]
+
+
+def connected_components(G: Multigraph) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
+    """Components as (vertices, edges), ordered by least vertex."""
+    return tree_parts(G, bfs_parents(G, G.vertices))
 
 
 def spanning_forest(G: Multigraph, prefer_root: VertexId | None = None) -> SpanningForest:
     """Deterministic BFS forest: least-vertex roots, least-edge-id tie-breaking."""
     if prefer_root is not None and prefer_root not in set(G.vertices):
         raise ArgumentError(f"unknown root vertex {prefer_root}")
-    visited: set[VertexId] = set()
-    tree: set[EdgeId] = set()
-    roots: list[VertexId] = []
-    order = list(G.vertices)
-    if prefer_root is not None:
-        order = [prefer_root] + [v for v in order if v != prefer_root]
-    for start in order:
-        if start in visited:
-            continue
-        roots.append(start)
-        visited.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for e, y in G.incidence[x]:
-                if y not in visited:
-                    visited.add(y)
-                    tree.add(e)
-                    queue.append(y)
-    return SpanningForest(
-        parent_graph=G, tree_edges=frozenset(tree), component_roots=tuple(roots)
-    )
+    order = G.vertices if prefer_root is None else (prefer_root, *G.vertices)
+    return forest_of(G, bfs_parents(G, order))
 
 
 def forest_from_edges(G: Multigraph, edges) -> SpanningForest | None:
     """The spanning forest of G with exactly these edges, or None.
 
     None when an id is unknown, the edges close a cycle (a loop included),
-    or they leave two vertices of one component of G unjoined.
+    or they leave two vertices of one component of G unjoined.  Each tree
+    is rooted at its least vertex.
     """
     tree = frozenset(edges)
-    blocks = VertexUnion(G.vertices)
-    for e in tree:
-        if e not in G.edges or not blocks.union(*G.edges[e]):
-            return None
-    for e, (u, v) in G.edges.items():
-        if e not in tree and blocks.find(u) != blocks.find(v):
-            return None
-    roots = tuple(v for v in G.vertices if blocks.find(v) == v)
-    return SpanningForest(parent_graph=G, tree_edges=tree, component_roots=roots)
+    if not tree <= G.edges.keys():
+        return None
+    F = forest_of(G, bfs_parents(G, sorted(G.vertices), tree))
+    if len(F.tree_edges) != len(tree):  # the search left an edge of a cycle unused
+        return None
+    root = _root_of(F.parents)
+    if any(root[u] != root[v] for u, v in G.edges.values()):
+        return None
+    return F
 
 
 def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap:
@@ -495,30 +508,13 @@ def edge_disjoint_paths(
 
 def tree_diameter(F: SpanningForest) -> dict[VertexId, int]:
     """Longest path length (in edges) within each tree, keyed by component root."""
-    G = F.parent_graph
-    adj: dict[VertexId, list[tuple[EdgeId, VertexId]]] = {v: [] for v in G.vertices}
-    for e in sorted(F.tree_edges):
-        a, b = G.edges[e]
-        adj[a].append((e, b))
-        adj[b].append((e, a))
 
     def farthest(start: VertexId) -> tuple[VertexId, int]:
-        dist = {start: 0}
-        queue = deque([start])
-        best = (start, 0)
-        while queue:
-            x = queue.popleft()
-            for _, y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if dist[y] > best[1] or (dist[y] == best[1] and y < best[0]):
-                        best = (y, dist[y])
-                    queue.append(y)
-        return best
+        """The least vertex at the greatest depth from start, and that depth."""
+        depth: dict[VertexId, int] = {}
+        for v, up in bfs_parents(F.parent_graph, (start,), F.tree_edges).items():
+            depth[v] = 0 if up is None else depth[up[0]] + 1
+        far = max(depth.values())
+        return min(v for v, d in depth.items() if d == far), far
 
-    result = {}
-    for r in F.component_roots:
-        far, _ = farthest(r)
-        _, diam = farthest(far)
-        result[r] = diam
-    return result
+    return {r: farthest(farthest(r)[0])[1] for r in F.component_roots}

@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 
 from .errors import ArgumentError, InternalError, StructureError
 from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
-from .multigraph import EdgeId, Multigraph, SpanningForest, VertexId, tree_path
+from .multigraph import EdgeId, Multigraph, SpanningForest, VertexId, bfs_parents, tree_path
 
 
 @dataclass(frozen=True)
@@ -718,9 +718,7 @@ def extend_basis(
     def kind_a_path(a, b):
         if tree_edges is None:
             return _bfs_path(grown.adj, a, b)
-        parent = SpanningForest(
-            parent_graph=H, tree_edges=tree_edges, component_roots=(a,)
-        ).parents
+        parent = bfs_parents(H, (a,), tree_edges)
         return tree_path(parent, a, b) if b in parent else None
 
     return _extending_cycles(grown, step, kind_a_path)

@@ -539,8 +539,9 @@ def _core_with_pendants(pendants: int) -> str:
 
 
 def _calls(monkeypatch, argv, names) -> dict[str, list]:
-    """The first argument of every call of each cycle_structure function in
-    `names`, under every module name it is imported by, while main(argv) runs."""
+    """The first argument of every call of each cycle_structure or multigraph
+    function in `names`, under every module name it is imported by, while
+    main(argv) runs."""
     modules = [cyclelattice] + [
         importlib.import_module(f"cyclelattice.{info.name}")
         for info in pkgutil.iter_modules(cyclelattice.__path__)
@@ -548,7 +549,7 @@ def _calls(monkeypatch, argv, names) -> dict[str, list]:
     seen: dict[str, list] = {name: [] for name in names}
     with monkeypatch.context() as patch:
         for name in names:
-            original = getattr(cycle_structure, name)
+            original = getattr(cycle_structure, name, None) or getattr(multigraph, name)
 
             def counted(*args, original=original, name=name, **kwargs):
                 seen[name].append(args[0])
@@ -577,7 +578,11 @@ def test_partition_count_does_not_grow_with_components(
     capsys, tmp_path, monkeypatch, command
 ):
     """Each command reduces its graph once: bridges_and_series_classes runs
-    once, and connected_components never runs on the input graph."""
+    once, and connected_components never runs on the input graph.  The
+    forest BFS runs on the input graph a fixed number of times: once for
+    the spanning forest, once more where certify validates the basis's
+    forest, and once more where verify validates the document's tree."""
+    bfs_on_input = {"basis": 2, "verify": 3, "hull": 1, "analyze": 1, "extend": 2}
     inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
     for name, text in inputs.items():
         if command[0] == "extend" and name != "k4":
@@ -590,12 +595,16 @@ def test_partition_count_does_not_grow_with_components(
             doc = tmp_path / f"{name}.json"
             doc.write_text(capsys.readouterr().out)
             argv.append(str(doc))
-        seen = _calls(monkeypatch, argv, ["bridges_and_series_classes", "connected_components"])
+        seen = _calls(
+            monkeypatch, argv, ["bridges_and_series_classes", "connected_components", "bfs_parents"]
+        )
         capsys.readouterr()
         assert len(seen["bridges_and_series_classes"]) == 1, name
         G = parse_edge_list(text)
         on_input = [H for H in seen["connected_components"] if (H.n, H.m) == (G.n, G.m)]
         assert on_input == [], name
+        bfs = [H for H in seen["bfs_parents"] if (H.n, H.m) == (G.n, G.m)]
+        assert len(bfs) == bfs_on_input[command[0]], name
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,46 @@ class TestCosimplify:
                     assert _component_count(comp, set(cut)) == 1, cut
 
 
+def _fresh_parents(F):
+    """Parent map of a BFS from F's roots over F's edges alone, each vertex's
+    edges in id order."""
+    G = F.parent_graph
+    adj = {x: [] for x in G.vertices}
+    for t in sorted(F.tree_edges):
+        a, b = G.edges[t]
+        adj[a].append((t, b))
+        adj[b].append((t, a))
+    parent = {}
+    for r in F.component_roots:
+        parent[r] = None
+        queue = deque([r])
+        while queue:
+            x = queue.popleft()
+            for t, y in adj[x]:
+                if y not in parent:
+                    parent[y] = (x, t)
+                    queue.append(y)
+    return parent
+
+
+class TestCarriedParentMaps:
+    @settings(max_examples=150)
+    @given(with_random_forest(), st.integers(0, 10**6))
+    @example((parse_edge_list("4 4\n1 2\n2 3\n3 1\n3 4\n"), None), 3)
+    @example((parse_edge_list("7 7\n1 2\n2 3\n3 1\n3 4\n5 6\n6 7\n7 5\n"), None), 6)
+    def test_carried_map_is_the_bfs_of_the_forest(self, GT, index):
+        """A forest keeps the parent map it was built with, and that map is
+        the BFS of its tree edges from its roots, keys in discovery order:
+        bridges_and_series_classes walks it backwards."""
+        G, forest = GT
+        forests = [spanning_forest(G), spanning_forest(G, G.vertices[index % G.n])]
+        forests += [forest] if forest is not None else []
+        forests += [c.hat_tree for c in map(cosimplify, [G] * len(forests), forests)]
+        for F in forests:
+            assert "parents" in vars(F)
+            assert list(F.parents.items()) == list(_fresh_parents(F).items())
+
+
 class TestThreeEdgeConnectivity:
     def test_fixtures(self, k4, b3, c3, p2, loop_graph):
         assert is_three_edge_connected(k4)
@@ -399,3 +439,18 @@ class TestIsSimpleCycle:
         # two disjoint triangles are not a single cycle
         G = parse_edge_list("6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
         assert not is_simple_cycle(G, {0, 1, 2, 3, 4, 5})
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_the_enumerated_cycles(self, data):
+        """is_simple_cycle against enumerate_cycles on small multigraphs with
+        loops and parallel edges: every cycle, every union of two cycles and a
+        random edge set, an unknown id (99) allowed."""
+        n = data.draw(st.integers(1, 5))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        G = Multigraph(tuple(range(n)), dict(enumerate(data.draw(st.lists(pairs, max_size=8)))))
+        cycles = set(enumerate_cycles(G))
+        candidates = [*cycles, *(a | b for a, b in combinations(cycles, 2))]
+        candidates.append(data.draw(st.sets(st.sampled_from([*G.sorted_edges, 99]))))
+        for S in candidates:
+            assert is_simple_cycle(G, S) == (frozenset(S) in cycles), S

@@ -6,8 +6,10 @@ from cyclelattice import multigraph
 from cyclelattice.errors import ArgumentError, CapacityError, ParseError
 from cyclelattice.multigraph import (
     Multigraph,
+    SpanningForest,
     connected_components,
     edge_disjoint_paths,
+    forest_from_edges,
     format_edge_list,
     minor,
     parse_edge_list,
@@ -203,6 +205,101 @@ class TestSpanningForest:
         with pytest.raises(ArgumentError):
             T.path_edges(1, 3)
         assert tree_path(T.parents, 2, 4) is None
+
+    def test_path_edges_to_an_unreached_vertex_rejected(self, k4):
+        with pytest.raises(ArgumentError):
+            spanning_forest(k4).path_edges(1, 99)
+        with pytest.raises(ArgumentError):
+            SpanningForest(k4, frozenset(), (1,)).path_edges(2, 3)
+
+
+@st.composite
+def loose_multigraphs(draw):
+    """Multigraphs on up to nine vertices with loops, parallel edges,
+    isolated vertices and often several components."""
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Multigraph(tuple(range(n)), dict(enumerate(draw(st.lists(pairs, max_size=12)))))
+
+
+def _nx_graph(G, edges=None):
+    """G, or its spanning subgraph on `edges`, as a networkx multigraph."""
+    nx = pytest.importorskip("networkx")
+    H = nx.MultiGraph()
+    H.add_nodes_from(G.vertices)
+    H.add_edges_from((*G.edges[e], e) for e in (G.edges if edges is None else edges))
+    return H
+
+
+def _nx_parts(H):
+    """Vertex sets of the components of a networkx graph, by least vertex."""
+    nx = pytest.importorskip("networkx")
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(H))
+
+
+def _greedy_forest(G, data):
+    """Edges of a spanning forest of G grown greedily over a random edge order."""
+    nx = pytest.importorskip("networkx")
+    F = nx.Graph()
+    F.add_nodes_from(G.vertices)
+    chosen = set()
+    for e in data.draw(st.permutations(G.sorted_edges)):
+        u, v = G.edges[e]
+        if not nx.has_path(F, u, v):
+            F.add_edge(u, v)
+            chosen.add(e)
+    return chosen
+
+
+class TestForestsAgainstNetworkx:
+    @given(loose_multigraphs(), st.data())
+    def test_spanning_forest_has_one_tree_per_component(self, G, data):
+        nx = pytest.importorskip("networkx")
+        parts = _nx_parts(_nx_graph(G))
+        for root in (None, data.draw(st.sampled_from(G.vertices))):
+            T = spanning_forest(G, prefer_root=root)
+            F = _nx_graph(G, T.tree_edges)
+            assert nx.is_forest(F)
+            assert _nx_parts(F) == parts
+            roots = T.component_roots
+            assert [sum(r in vs for r in roots) for vs in parts] == [1] * len(parts)
+            assert root is None or roots[0] == root
+
+    @given(loose_multigraphs(), st.data())
+    def test_forest_from_edges_accepts_exactly_the_spanning_forests(self, G, data):
+        nx = pytest.importorskip("networkx")
+        # flip a few ids of a spanning forest, an unknown id (-1) among them
+        flip = data.draw(st.sets(st.sampled_from([*G.sorted_edges, -1]), max_size=3))
+        edges = _greedy_forest(G, data) ^ flip
+        F = forest_from_edges(G, edges)
+        known = -1 not in edges
+        sub = _nx_graph(G, edges - {-1})
+        parts = _nx_parts(_nx_graph(G))
+        assert (F is not None) == (known and nx.is_forest(sub) and _nx_parts(sub) == parts)
+        if F is not None:
+            assert F.tree_edges == edges
+            assert F.component_roots == tuple(vs[0] for vs in parts)
+
+    @given(loose_multigraphs())
+    def test_connected_components(self, G):
+        parts = _nx_parts(_nx_graph(G))
+        comps = connected_components(G)
+        assert [vs for vs, _ in comps] == parts
+        for vs, es in comps:
+            assert es == tuple(e for e in G.sorted_edges if G.edges[e][0] in vs)
+
+    @given(loose_multigraphs(), st.data())
+    def test_tree_diameter(self, G, data):
+        nx = pytest.importorskip("networkx")
+        for T in (
+            spanning_forest(G, prefer_root=data.draw(st.sampled_from(G.vertices))),
+            forest_from_edges(G, _greedy_forest(G, data)),
+        ):
+            F = _nx_graph(G, T.tree_edges)
+            assert tree_diameter(T) == {
+                r: nx.diameter(F.subgraph(nx.node_connected_component(F, r)))
+                for r in T.component_roots
+            }
 
 
 class TestMinor:
