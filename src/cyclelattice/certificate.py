@@ -24,6 +24,7 @@ that determinant exactly without a dense m x m elimination:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .cycle_structure import (
     Cosimplification,
@@ -90,58 +91,68 @@ class Certificate:
 def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
-    tree: SpanningForest | Cosimplification | None = None,
+    tree: SpanningForest | None = None,
     sequences=(),
 ) -> Certificate:
     """Exact |det| of the vectors, and whether it is 2^(n-1) per component.
 
-    tree is a spanning forest of G that the vectors were built on, or the
-    cosimplification of G built on it, and sequences the extension
-    sequences they were built along, one per component of the
-    cosimplification, found by the vertex their base maps to.  Both hints
-    change only how fast the answer comes, never the answer: a
-    cosimplification of another graph counts as its forest, a tree that is
-    not a spanning forest of G is replaced by spanning_forest(G), and a
-    sequence that does not replay or does not match the vectors falls back
-    to the generic path.  Raises ArgumentError on a nonzero entry at an
-    edge G lacks, and CapacityError when the generic path leaves a residual
-    block above RESIDUAL_CAP that the component's own sequence cannot certify.
+    tree is a spanning forest of G that the vectors were built on, and
+    sequences the extension sequences they were built along, one per
+    component of the cosimplification, found by the vertex their base maps
+    to.  Both hints change only how fast the answer comes, never the answer:
+    a tree that is not a spanning forest of G is replaced by
+    spanning_forest(G), and a sequence that does not replay or does not
+    match the vectors falls back to the generic path.  Raises ArgumentError
+    on a nonzero entry at an edge G lacks, and CapacityError when the
+    generic path leaves a residual block above RESIDUAL_CAP that the
+    component's own sequence cannot certify.
     """
-    cos = tree if isinstance(tree, Cosimplification) else None
-    forest = cos.forest if cos else tree
-    T = forest_from_edges(G, forest.tree_edges) if forest is not None else None
-    if cos is None or cos.parent is not G or T is None:
-        cos = cosimplify(G, forest=T or spanning_forest(G))
+    T = forest_from_edges(G, tree.tree_edges) if tree is not None else None
+    cos = cosimplify(G, forest=T or spanning_forest(G))
     hat = cos.hat_graph
     projected = _project(cos, vectors)
     if projected is None:
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
-    # components by least vertex; a vertex without edges is one of its own
-    parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
-    home_of = {v: key for key, (H, _) in parts.items() for v in H.vertices}
-    for v in hat.vertices:
-        if v not in home_of:
-            parts[v] = (Multigraph((v,), {}), None)
-    members: dict[VertexId, list[dict[EdgeId, int]]] = {key: [] for key in parts}
+    home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
+    members: dict[VertexId, list[dict[EdgeId, int]]] = {}
     for vec in projected:
         homes = {home_of[hat.edges[e][0]] for e in vec}
         if len(homes) == 1:
-            members[homes.pop()].append(vec)
+            members.setdefault(homes.pop(), []).append(vec)
     hints = {}  # least vertex of a component -> the sequence based in it
     for seq in sequences:
         base = next(iter(seq.vertex_map.values()), None)
         hints[home_of.get(base, base)] = seq
+    return _certify_parts(cos, members, hints)
 
+
+def certify_components(cos: Cosimplification, bases) -> Certificate:
+    """certify of bases built on cos.components, one per component in order,
+    before they are lifted to cos.parent: each basis's vectors on its
+    component, along the basis's extension sequence when it has one, with no
+    forest to check and nothing to project."""
+    built = dict(zip((H.vertices[0] for H, _ in cos.components), bases, strict=True))
+    members = {key: basis.vectors() for key, basis in built.items()}
+    hints = {key: getattr(basis, "sequence", None) for key, basis in built.items()}
+    return _certify_parts(cos, members, hints)
+
+
+def _certify_parts(cos: Cosimplification, members: dict, hints: dict) -> Certificate:
+    """The vectors lying in each component of the cosimplification, certified
+    along the sequence hinted there, both keyed by the component's least
+    vertex; a vertex without edges is a component of its own."""
+    hat = cos.hat_graph
+    parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
+    parts.update((v, (Multigraph((v,), {}), None)) for v in hat.vertices if not hat.incidence[v])
     results = []
-    for key in sorted(parts):
-        H, T_H = parts[key]
-        vecs = members[key]
+    for key, (H, T_H) in sorted(parts.items()):
+        vecs = members.get(key, [])
         if len(vecs) != H.m:
             results.append(ComponentCertificate(H.n, H.m, 0, "unmatched"))
             continue
         det, kind = None, "chain"
-        if key in hints:
+        if hints.get(key) is not None:
             det = _chain_determinant(H, vecs, hints[key])
         if det is None:
             try:
@@ -151,10 +162,8 @@ def certify(
                 if det is None:
                     raise
         results.append(ComponentCertificate(H.n, H.m, det, kind))
-    total = 1
-    for r in results:
-        total *= r.determinant
-    return Certificate(total, all(r.ok for r in results), hat.m, tuple(results))
+    determinant = prod(r.determinant for r in results)
+    return Certificate(determinant, all(r.ok for r in results), hat.m, tuple(results))
 
 
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .certificate import certify
+from .certificate import certify, certify_components
 from .cycle_structure import cosimplify, is_simple_cycle
 from .errors import (
     ArgumentError,
@@ -38,10 +38,10 @@ from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
     Multigraph,
     SpanningForest,
-    connected_components,
     forest_from_edges,
     format_edge_list,
     parse_edge_list,
+    tree_parts,
 )
 from .oracle import (
     IntegerMatrix,
@@ -167,10 +167,8 @@ def _load_connected(path: str) -> tuple[Multigraph, SpanningForest]:
     G = _load_graph(path)
     T = spanning_forest(G)
     if len(T.component_roots) > 1:
-        comps = connected_components(G)
-        listing = "; ".join(
-            "{" + ",".join(G.label_of(v) for v in vs) + "}" for vs, _ in comps
-        )
+        parts = tree_parts(G, T.parents)
+        listing = "; ".join("{" + ",".join(map(G.label_of, vs)) + "}" for vs, _, _ in parts)
         raise StructureError(f"graph is disconnected: components {listing}")
     return G, T
 
@@ -201,16 +199,11 @@ def _hnf_oracle(G: Multigraph, vectors: list[dict[int, int]]) -> bool:
     return hnf_lattices_equal(A, B)
 
 
-def _chain_on(H: Multigraph, _T_H):
-    chain = _chain_3ec(H, keep_prefixes=False)
-    return chain.final_basis, chain.sequence
-
-
 # per method, the construction per_component runs on each component
 _CONSTRUCTIONS = {
     "semi-fundamental": _semi_fundamental_3ec,
-    "simple": lambda H, T_H: (_simple_3ec(H, T_H), None),
-    "topological": _chain_on,
+    "simple": _simple_3ec,
+    "topological": lambda H, _T_H: _chain_3ec(H, keep_prefixes=False).final_basis,
 }
 
 
@@ -219,11 +212,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if args.tree_seed is not None:
         T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
     cos = cosimplify(G, forest=T)
-    built, extras = per_component(cos, _CONSTRUCTIONS[args.method])
+    built, bases = per_component(cos, _CONSTRUCTIONS[args.method])
     entries = [_entry(edges, tag) for edges, tag in built]
-    vectors = [_entry_vector(entry) for entry in entries]
-    sequences = extras if args.method == "topological" else ()
-    cert = certify(G, vectors, tree=cos, sequences=sequences)
+    cert = certify_components(cos, bases)
     certified = cert.certified
     doc = {
         "graph": format_edge_list(G),
@@ -233,9 +224,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
         "certified": certified,
     }
     if args.method == "topological":
-        doc["sequences"] = [seq.to_json() for seq in sequences]
+        doc["sequences"] = [basis.sequence.to_json() for basis in bases]
     if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
-        doc["hnf_equal"] = _hnf_oracle(G, vectors)
+        doc["hnf_equal"] = _hnf_oracle(G, [_entry_vector(entry) for entry in entries])
         certified = certified and doc["hnf_equal"]
         doc["certified"] = certified
     _emit(doc, args)
@@ -381,7 +372,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     cos = cosimplify(G, forest=T)
     require_three_edge_connected(cos)
     chain = _chain_3ec(G, keep_prefixes=True)
-    cert = certify(G, chain.final_basis.vectors(), tree=cos, sequences=[chain.sequence])
+    cert = certify_components(cos, [chain.final_basis] if cos.components else [])
     certified = cert.certified
     doc = {
         "sequence": chain.sequence.to_json(),
@@ -394,8 +385,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
         },
     }
     if args.verify:
-        # the chain path certifies every prefix by induction over the steps
-        certified = certified and all(c.kind == "chain" for c in cert.components)
+        # the chain path certifies every prefix by induction over the steps;
+        # a graph without edges has none
+        certified = certified and all(c.kind == "chain" for c in cert.components if c.m)
         doc["chain"]["prefixes_certified"] = certified
         doc["chain"]["certified"] = certified
     del chain  # its cycle sets are not needed while printing

@@ -109,12 +109,11 @@ class Cosimplification:
             return ((hat, tree),) if hat.m else ()
         out = []
         # sorted: the forest cosimplify was given may put a preferred root first
-        for vs, es in sorted(tree_parts(hat, tree.parents)):
+        for vs, es, up in sorted(tree_parts(hat, tree.parents)):
             if es:
                 labels = {v: hat.labels[v] for v in vs if v in hat.labels} if hat.labels else None
                 H = Multigraph(vs, {e: hat.edges[e] for e in es}, labels)
-                edges = frozenset(e for e in es if e in tree.tree_edges)
-                out.append((H, SpanningForest(H, edges, (vs[0],))))
+                out.append((H, forest_of(H, up)))
         return tuple(out)
 
     def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:

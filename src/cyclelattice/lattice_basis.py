@@ -464,9 +464,7 @@ def _seed_pair(
     return e, f, inter
 
 
-def _semi_fundamental_3ec(
-    G: Multigraph, T: SpanningForest
-) -> tuple[CycleBasis, list[tuple[EdgeId, EdgeId, EdgeId]]]:
+def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
     """Fundamental cycles of T, then one semi-fundamental cycle per tree edge.
 
     The tree edges are contracted one by one, but every query is answered on
@@ -485,7 +483,6 @@ def _semi_fundamental_3ec(
     seeds = iter(sorted(remaining))  # a seed is contracted before the next is drawn
     blocks = VertexUnion(G.vertices)
     stack: list[tuple[EdgeId, EdgeId, set[EdgeId]]] = []
-    triples: list[tuple[EdgeId, EdgeId, EdgeId]] = []
     while remaining:
         if not stack:
             seed = next(t for t in seeds if t in remaining)
@@ -495,7 +492,6 @@ def _semi_fundamental_3ec(
             e, f, inter = _shrink_pair(fcm, blocks, remaining, e, f, inter)
             stack.append((e, f, inter))
         (t,) = inter
-        triples.append((t, e, f))
         cycles.append(fcm.cycle_edges(e) ^ fcm.cycle_edges(f))
         tags.append(Provenance(kind="semi-fundamental", e=e, f=f, t=t))
         blocks.union(*G.edges[t])
@@ -504,7 +500,7 @@ def _semi_fundamental_3ec(
         for _, _, pinter in stack:
             pinter.discard(t)
         stack = [entry for entry in stack if entry[2]]
-    return CycleBasis(cycles=tuple(cycles), provenance=tuple(tags), tree=T), triples
+    return CycleBasis(cycles=tuple(cycles), provenance=tuple(tags), tree=T)
 
 
 def semi_fundamental_basis(
@@ -514,44 +510,44 @@ def semi_fundamental_basis(
 
     The semi-fundamental cycles come from pairs of fundamental cycles whose
     intersection shrinks to a single tree edge inside successive tree-edge
-    contractions; the recorded triples (t_k, e_k, f_k) witness this.  They
-    are built per component of the cosimplification (see per_component).
+    contractions; the (t, e, f) of their tags witness this.  They are built
+    per component of the cosimplification (see per_component).
     """
     if T is None:
         T = spanning_forest(G)
     if len(T.component_roots) > 1:
         raise StructureError("graph is not connected")
-    entries, triples = per_component(cosimplify(G, forest=T), _semi_fundamental_3ec)
+    entries, bases = per_component(cosimplify(G, forest=T), _semi_fundamental_3ec)
     cycles = tuple(cyc for cyc, _ in entries)
     tags = tuple(tag for _, tag in entries)
-    return CycleBasis(cycles, tags, tree=T), [t for part in triples for t in part]
+    semi = [tag for basis in bases for tag in basis.provenance if tag.kind == "semi-fundamental"]
+    return CycleBasis(cycles, tags, tree=T), [(tag.t, tag.e, tag.f) for tag in semi]
 
 
 def per_component(cos: Cosimplification, construct):
     """Build on each component of the cosimplification, lift to its parent.
 
     construct(H, T_H) receives every component H of cos that has edges,
-    with the restriction T_H of its forest, and returns (basis, extra): a
-    CycleBasis or SimpleBasis of H, and anything else.  H is
-    3-edge-connected by construction, so construct need not check it.
-    Returns the lifted (edge set, Provenance) entries of all bases in
-    component order, and the list of extras.  When the cosimplification is
-    the identity an entry keeps its tag; otherwise a cycle becomes `lifted`
-    and a doubled edge stays doubled(t=...) on its whole series class.
+    with the restriction T_H of its forest, and returns a CycleBasis or
+    SimpleBasis of H.  H is 3-edge-connected by construction, so construct
+    need not check it.  Returns the lifted (edge set, Provenance) entries
+    of all bases in component order, and the bases as built (for
+    certificate.certify_components).  When the cosimplification is the
+    identity an entry keeps its tag; otherwise a cycle becomes `lifted` and
+    a doubled edge stays doubled(t=...) on its whole series class.
     """
     entries: list[tuple[frozenset[EdgeId], Provenance]] = []
-    extras = []
+    bases = []
     for H, T_H in cos.components:
-        basis, extra = construct(H, T_H)
-        extras.append(extra)
-        for edges, tag in basis.entries():
+        bases.append(construct(H, T_H))
+        for edges, tag in bases[-1].entries():
             if cos.identity:
                 entries.append((edges, tag))
             elif tag.kind == "doubled":
                 entries.append((cos.lift_edges(edges), tag))
             else:
                 entries.append((_lift_cycle(cos, edges), Provenance("lifted")))
-    return entries, extras
+    return entries, bases
 
 
 def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:

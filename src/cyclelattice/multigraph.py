@@ -12,7 +12,7 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, CapacityError, ParseError
+from .errors import ArgumentError, CapacityError, ParseError, StructureError
 
 VertexId = int
 EdgeId = int
@@ -102,8 +102,12 @@ class SpanningForest:
     @cached_property
     def parents(self) -> ParentMap:
         """vertex -> (its parent, the edge to it), a root -> None, by BFS from
-        each root over tree edges; a vertex no root reaches is absent."""
-        return bfs_parents(self.parent_graph, self.component_roots, self.tree_edges)
+        each root over tree edges; a vertex no root reaches is absent.
+        StructureError when the search leaves a tree edge or a root unused."""
+        parent = bfs_parents(self.parent_graph, self.component_roots, self.tree_edges)
+        if len(parent) != len(self.component_roots) + len(self.tree_edges):
+            raise StructureError("tree edges and roots do not form a forest of the graph")
+        return parent
 
     def path_edges(self, u: VertexId, v: VertexId) -> list[EdgeId]:
         """Edges of the unique forest path from u to v, in path order."""
@@ -345,23 +349,23 @@ def _root_of(parent: ParentMap) -> dict[VertexId, VertexId]:
 
 def tree_parts(
     G: Multigraph, parent: ParentMap
-) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
-    """The vertices (sorted) and edges (by id) of G under each tree of a
-    bfs_parents map that reaches every vertex, in the map's root order."""
+) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...], ParentMap]]:
+    """The vertices (sorted), edges (by id) and slice of the map of each tree
+    of a bfs_parents map of G that reaches every vertex, in its root order."""
     root = _root_of(parent)
-    parts: dict[VertexId, tuple[list[VertexId], list[EdgeId]]] = {
-        v: ([], []) for v, up in parent.items() if up is None
+    parts: dict[VertexId, tuple[ParentMap, list[EdgeId]]] = {
+        v: ({}, []) for v, up in parent.items() if up is None
     }
     for v, r in root.items():
-        parts[r][0].append(v)
+        parts[r][0][v] = parent[v]
     for e in G.sorted_edges:
         parts[root[G.edges[e][0]]][1].append(e)
-    return [(tuple(sorted(vs)), tuple(es)) for vs, es in parts.values()]
+    return [(tuple(sorted(up)), tuple(es), up) for up, es in parts.values()]
 
 
 def connected_components(G: Multigraph) -> list[tuple[tuple[VertexId, ...], tuple[EdgeId, ...]]]:
     """Components as (vertices, edges), ordered by least vertex."""
-    return tree_parts(G, bfs_parents(G, G.vertices))
+    return [(vs, es) for vs, es, _ in tree_parts(G, bfs_parents(G, G.vertices))]
 
 
 def spanning_forest(G: Multigraph, prefer_root: VertexId | None = None) -> SpanningForest:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cyclelattice import certificate, topo_extension
-from cyclelattice.certificate import certify, certify_cycle_basis
+from cyclelattice.certificate import certify, certify_components, certify_cycle_basis
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
@@ -131,6 +131,46 @@ def test_corrupted_bases_are_rejected_by_both_paths(seed):
     assert seen == {"dropped", "duplicated", "swapped-in"}
 
 
+@dataclasses.dataclass
+class _GivenVectors:
+    """A component basis as certify_components reads it: vectors and a sequence."""
+
+    given: list
+    sequence: object = None
+
+    def vectors(self):
+        return self.given
+
+
+def _subdivided_with_pendant(G):
+    """G with its least edge subdivided and a pendant edge at an end of it:
+    its cosimplification is a copy of G and a vertex without edges."""
+    e, f = G.sorted_edges[0], max(G.edges) + 1
+    u, v = G.edges[e]
+    x, y = max(G.vertices) + 1, max(G.vertices) + 2
+    edges = {**G.edges, e: (u, x), f: (x, v), f + 1: (u, y)}
+    return Multigraph((*G.vertices, x, y), edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupted_component_bases_are_rejected(seed):
+    G = _subdivided_with_pendant(gen(steps=7, seed=400 + seed, max_vertices=6))
+    cos = cosimplify(G)
+    ((H, _),) = cos.components
+    assert H is not cos.hat_graph and cos.hat_graph.n == H.n + 1
+    seen = set()
+    for name, vectors, hints in three_bases(H):
+        (sequence,) = hints.get("sequences", [None])
+        assert certify_components(cos, [_GivenVectors(vectors, sequence)]).certified, name
+        for kind, bad in _corruptions(H, vectors):
+            seen.add(kind)
+            cert = certify_components(cos, [_GivenVectors(bad, sequence)])
+            assert not cert.certified, (name, kind)
+            if len(bad) == H.m:
+                assert cert.determinant == dense(H, bad), (name, kind)
+    assert seen == {"dropped", "duplicated", "swapped-in"}
+
+
 def _random_spanning_tree(G, rng):
     edges = list(G.sorted_edges)
     rng.shuffle(edges)
@@ -161,15 +201,7 @@ def test_missing_or_wrong_hint_tree_gives_the_same_determinant(k4):
         not_spanning = SpanningForest(G, frozenset(sorted(T.tree_edges)[:-1]), (G.vertices[0],))
         with_cycle = SpanningForest(G, frozenset(G.edges), (G.vertices[0],))
         foreign = spanning_forest(k4)
-        # a reduction counts as its forest, and is used as is only when it
-        # reduces G on a forest that forest_from_edges accepts
-        reductions = (
-            cosimplify(G, forest=T),
-            cosimplify(G, forest=other),
-            cosimplify(k4),
-            dataclasses.replace(cosimplify(G, forest=T), forest=not_spanning),
-        )
-        for hint in (None, other, not_spanning, with_cycle, foreign, *reductions):
+        for hint in (None, T, other, not_spanning, with_cycle, foreign):
             cert = certify(G, vectors, tree=hint)
             assert (cert.determinant, cert.certified) == (want, True)
 
@@ -358,7 +390,7 @@ def test_chain_basis_is_certified_along_its_own_sequence(monkeypatch):
 def test_non_3ec_graphs_are_certified_per_component():
     # two triangles joined by a bridge: the cosimplification is two loops
     G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
-    for hint in (None, cosimplify(G)):
+    for hint in (None, spanning_forest(G)):
         cert = certify(G, [{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}], tree=hint)
         assert (cert.determinant, cert.certified, cert.size) == (1, True, 2)
         assert [c.kind for c in cert.components] == ["generic", "generic"]

@@ -12,11 +12,17 @@ import pytest
 
 import cyclelattice
 from cyclelattice import certificate, cli, cycle_structure, multigraph
+from cyclelattice.certificate import certify, certify_components
 from cyclelattice.cli import main
-from cyclelattice.cycle_structure import fundamental_cycle_matrix
+from cyclelattice.cycle_structure import cosimplify, fundamental_cycle_matrix
 from cyclelattice.errors import InternalError
-from cyclelattice.lattice_basis import indicator_matrix
-from cyclelattice.multigraph import forest_from_edges, format_edge_list, parse_edge_list
+from cyclelattice.lattice_basis import indicator_matrix, per_component
+from cyclelattice.multigraph import (
+    forest_from_edges,
+    format_edge_list,
+    parse_edge_list,
+    spanning_forest,
+)
 from cyclelattice.oracle import exact_determinant
 from cyclelattice.topo_extension import gen
 
@@ -539,9 +545,9 @@ def _core_with_pendants(pendants: int) -> str:
 
 
 def _calls(monkeypatch, argv, names) -> dict[str, list]:
-    """The first argument of every call of each cycle_structure or multigraph
-    function in `names`, under every module name it is imported by, while
-    main(argv) runs."""
+    """The first argument of every call of each certificate, cycle_structure
+    or multigraph function in `names`, under every module name it is
+    imported by, while main(argv) runs."""
     modules = [cyclelattice] + [
         importlib.import_module(f"cyclelattice.{info.name}")
         for info in pkgutil.iter_modules(cyclelattice.__path__)
@@ -549,7 +555,11 @@ def _calls(monkeypatch, argv, names) -> dict[str, list]:
     seen: dict[str, list] = {name: [] for name in names}
     with monkeypatch.context() as patch:
         for name in names:
-            original = getattr(cycle_structure, name, None) or getattr(multigraph, name)
+            original = (
+                getattr(certificate, name, None)
+                or getattr(cycle_structure, name, None)
+                or getattr(multigraph, name)
+            )
 
             def counted(*args, original=original, name=name, **kwargs):
                 seen[name].append(args[0])
@@ -580,9 +590,21 @@ def test_partition_count_does_not_grow_with_components(
     """Each command reduces its graph once: bridges_and_series_classes runs
     once, and connected_components never runs on the input graph.  The
     forest BFS runs on the input graph a fixed number of times: once for
-    the spanning forest, once more where certify validates the basis's
-    forest, and once more where verify validates the document's tree."""
-    bfs_on_input = {"basis": 2, "verify": 3, "hull": 1, "analyze": 1, "extend": 2}
+    the spanning forest, and for verify twice more, where forest_from_edges
+    checks the document's tree and certify checks it again.  basis and
+    extend certify the component bases they built, with certify_components,
+    so they check no forest and project nothing; no component forest is
+    searched again."""
+    bfs_on_input = {"basis": 1, "verify": 3, "hull": 1, "analyze": 1, "extend": 1}
+    # per command: calls of certify, certify_components and _project, and
+    # forest_from_edges calls on the input graph
+    certifying = {
+        "basis": (0, 1, 0, 0),
+        "extend": (0, 1, 0, 0),
+        "verify": (1, 0, 1, 2),
+        "hull": (0, 0, 0, 0),
+        "analyze": (0, 0, 0, 0),
+    }
     inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
     for name, text in inputs.items():
         if command[0] == "extend" and name != "k4":
@@ -595,16 +617,28 @@ def test_partition_count_does_not_grow_with_components(
             doc = tmp_path / f"{name}.json"
             doc.write_text(capsys.readouterr().out)
             argv.append(str(doc))
-        seen = _calls(
-            monkeypatch, argv, ["bridges_and_series_classes", "connected_components", "bfs_parents"]
-        )
+        names = ["bridges_and_series_classes", "connected_components", "bfs_parents"]
+        names += ["certify", "certify_components", "_project", "forest_from_edges"]
+        seen = _calls(monkeypatch, argv, names)
         capsys.readouterr()
         assert len(seen["bridges_and_series_classes"]) == 1, name
         G = parse_edge_list(text)
-        on_input = [H for H in seen["connected_components"] if (H.n, H.m) == (G.n, G.m)]
-        assert on_input == [], name
-        bfs = [H for H in seen["bfs_parents"] if (H.n, H.m) == (G.n, G.m)]
-        assert len(bfs) == bfs_on_input[command[0]], name
+
+        def on_input(calls):
+            return [H for H in calls if (H.n, H.m) == (G.n, G.m)]
+
+        assert on_input(seen["connected_components"]) == [], name
+        assert len(on_input(seen["bfs_parents"])) == bfs_on_input[command[0]], name
+        counts = (
+            len(seen["certify"]),
+            len(seen["certify_components"]),
+            len(seen["_project"]),
+            len(on_input(seen["forest_from_edges"])),
+        )
+        assert counts == certifying[command[0]], name
+        cos = cosimplify(G)
+        components = {(H.n, H.m) for H, _ in cos.components if H is not cos.hat_graph}
+        assert [H for H in seen["bfs_parents"] if (H.n, H.m) in components] == [], name
 
 
 @pytest.mark.parametrize(
@@ -741,6 +775,24 @@ def test_output_golden(capsys, tmp_path, case):
 def test_error_golden(capsys, tmp_path, case):
     code, err = ERROR_GOLDENS[case]
     assert _golden_run(capsys, tmp_path, case) == (code, "", err)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_component_bases_certify_as_their_lifted_vectors(name):
+    """certify_components of the bases basis builds gives the certificate
+    that certify gives on their lifted document vectors, on the command's
+    forest and along the same sequences, for each method and tree root."""
+    G = parse_edge_list(GOLDEN_INPUTS[name]())
+    for root in (None, G.vertices[-1]):
+        T = spanning_forest(G, prefer_root=root)
+        cos = cosimplify(G, forest=T)
+        for method, construct in cli._CONSTRUCTIONS.items():
+            entries, bases = per_component(cos, construct)
+            vectors = [cli._entry_vector(cli._entry(edges, tag)) for edges, tag in entries]
+            sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
+            lifted = certify(G, vectors, tree=T, sequences=sequences)
+            assert certify_components(cos, bases) == lifted, (method, root)
+            assert lifted.certified, (method, root)
 
 
 def test_parser_is_reused_after_a_usage_error(capsys, k4_file):

@@ -381,11 +381,14 @@ class TestCarriedParentMaps:
     def test_carried_map_is_the_bfs_of_the_forest(self, GT, index):
         """A forest keeps the parent map it was built with, and that map is
         the BFS of its tree edges from its roots, keys in discovery order:
-        bridges_and_series_classes walks it backwards."""
+        bridges_and_series_classes walks it backwards.  So does each
+        component forest of a cosimplification, cut from hat_tree's map."""
         G, forest = GT
         forests = [spanning_forest(G), spanning_forest(G, G.vertices[index % G.n])]
         forests += [forest] if forest is not None else []
-        forests += [c.hat_tree for c in map(cosimplify, [G] * len(forests), forests)]
+        reductions = [cosimplify(G, forest=F) for F in forests]
+        forests += [c.hat_tree for c in reductions]
+        forests += [T_H for c in reductions for _, T_H in c.components]
         for F in forests:
             assert "parents" in vars(F)
             assert list(F.parents.items()) == list(_fresh_parents(F).items())

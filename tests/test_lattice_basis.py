@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cyclelattice import cycle_structure, lattice_basis
 from cyclelattice.certificate import certify_cycle_basis
 from cyclelattice.cycle_structure import cosimplify, is_simple_cycle
-from cyclelattice.errors import MembershipError, PreconditionError
+from cyclelattice.cycle_structure import three_edge_connectivity_witness
+from cyclelattice.errors import MembershipError, PreconditionError, StructureError
 from cyclelattice.lattice_basis import (
     EdgeVector,
     double_edge_combination,
@@ -384,14 +385,42 @@ def _assert_triples_witness(G, T, triples):
         contracted.append(t_k)
 
 
+def test_hand_built_forest_that_is_no_forest_is_rejected(k4):
+    """A forest built from an edge set that closes a cycle, names an unknown
+    edge or roots one tree twice raises StructureError when its parent map
+    is first read, so no construction runs on it."""
+    T = spanning_forest(k4)
+    with_cycle = SpanningForest(k4, T.tree_edges | {3}, T.component_roots)
+    unknown = SpanningForest(k4, T.tree_edges | {99}, T.component_roots)
+    two_roots = SpanningForest(k4, T.tree_edges, (1, 2))
+    for F in (with_cycle, unknown, two_roots):
+        with pytest.raises(StructureError, match="do not form a forest"):
+            F.parents
+    for F in (with_cycle, unknown):
+        with pytest.raises(StructureError, match="do not form a forest"):
+            semi_fundamental_basis(k4, F)
+        with pytest.raises(StructureError, match="do not form a forest"):
+            simple_basis(k4, F)
+        with pytest.raises(StructureError, match="do not form a forest"):
+            three_edge_connectivity_witness(cosimplify(k4, forest=F))
+
+
 class TestLiftBasis:
+    @staticmethod
+    def semi(H, T_H):
+        return semi_fundamental_basis(H, T_H)[0]
+
     def test_c3_lift(self, c3):
-        entries, _ = per_component(cosimplify(c3), semi_fundamental_basis)
+        entries, bases = per_component(cosimplify(c3), self.semi)
         assert [(sorted(c), tag.label()) for c, tag in entries] == [([0, 1, 2], "lifted")]
+        # the component's basis as built: the loop left of the triangle
+        assert [(sorted(c), tag.label()) for c, tag in bases[0].entries()] == [
+            ([1], "fundamental(e=1)")
+        ]
 
     def test_p2_empty(self, p2):
-        entries, extras = per_component(cosimplify(p2), semi_fundamental_basis)
-        assert entries == [] and extras == []
+        entries, bases = per_component(cosimplify(p2), self.semi)
+        assert entries == [] and bases == []
 
     def test_triangle_with_pendant(self, tri_pendant):
         basis, _ = semi_fundamental_basis(tri_pendant)
