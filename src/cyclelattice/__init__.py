@@ -62,11 +62,11 @@ from .oracle import (
     IntegerMatrix,
     enumerate_cycles,
     exact_determinant,
-    group_span_size,
     hermite_normal_form,
     hnf_contains,
     hnf_lattices_equal,
     rank_mod_p,
+    smith_invariants,
 )
 from .topo_extension import (
     CompatibleChain,

@@ -23,6 +23,7 @@ that determinant exactly without a dense m x m elimination:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import prod
 
@@ -91,23 +92,23 @@ class Certificate:
 def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
-    tree: SpanningForest | None = None,
+    tree: Iterable[EdgeId] | None = None,
     sequences=(),
 ) -> Certificate:
     """Exact |det| of the vectors, and whether it is 2^(n-1) per component.
 
-    tree is a spanning forest of G that the vectors were built on, and
-    sequences the extension sequences they were built along, one per
-    component of the cosimplification, found by the vertex their base maps
-    to.  Both hints change only how fast the answer comes, never the answer:
-    a tree that is not a spanning forest of G is replaced by
-    spanning_forest(G), and a sequence that does not replay or does not
+    tree holds the edge ids of a spanning forest of G that the vectors were
+    built on, and sequences the extension sequences they were built along,
+    one per component of the cosimplification, found by the vertex their
+    base maps to.  Both hints change only how fast the answer comes, never
+    the answer: edges that do not form a spanning forest of G are replaced
+    by spanning_forest(G), and a sequence that does not replay or does not
     match the vectors falls back to the generic path.  Raises ArgumentError
     on a nonzero entry at an edge G lacks, and CapacityError when the
     generic path leaves a residual block above RESIDUAL_CAP that the
     component's own sequence cannot certify.
     """
-    T = forest_from_edges(G, tree.tree_edges) if tree is not None else None
+    T = forest_from_edges(G, tree) if tree is not None else None
     cos = cosimplify(G, forest=T or spanning_forest(G))
     hat = cos.hat_graph
     projected = _project(cos, vectors)
@@ -172,7 +173,8 @@ def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
     if not all(is_simple_cycle(G, c) for c in basis.cycles):
         return 0, False
     sequences = () if basis.sequence is None else (basis.sequence,)
-    cert = certify(G, basis.vectors(), tree=basis.tree, sequences=sequences)
+    tree = None if basis.tree is None else basis.tree.tree_edges
+    cert = certify(G, basis.vectors(), tree=tree, sequences=sequences)
     return cert.determinant, cert.certified
 
 

@@ -103,9 +103,12 @@ class SpanningForest:
     def parents(self) -> ParentMap:
         """vertex -> (its parent, the edge to it), a root -> None, by BFS from
         each root over tree edges; a vertex no root reaches is absent.
-        StructureError when the search leaves a tree edge or a root unused."""
-        parent = bfs_parents(self.parent_graph, self.component_roots, self.tree_edges)
-        if len(parent) != len(self.component_roots) + len(self.tree_edges):
+        StructureError when a root is no vertex of the graph, or the search
+        leaves a tree edge or a root unused."""
+        G, roots = self.parent_graph, self.component_roots
+        known = all(r in G.incidence for r in roots)
+        parent = bfs_parents(G, roots, self.tree_edges) if known else {}
+        if len(parent) != len(roots) + len(self.tree_edges):
             raise StructureError("tree edges and roots do not form a forest of the graph")
         return parent
 

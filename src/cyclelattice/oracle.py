@@ -2,7 +2,8 @@
 
 Nothing in here shares code paths with the constructions it checks: cycle
 enumeration is plain backtracking, determinants are fraction-free exact
-elimination, lattice equality goes through a canonical Hermite normal form.
+elimination, lattice equality goes through a canonical Hermite normal form
+and lattice invariants through a Smith normal form.
 All arithmetic is on Python ints, so results are exact at any magnitude.
 """
 
@@ -198,6 +199,46 @@ def hnf_contains(M: IntegerMatrix, vector: list[int]) -> bool:
     return all(x == 0 for x in residual)
 
 
+def smith_invariants(M: IntegerMatrix) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of the lattice M's columns generate.
+
+    The Hermite normal form gives a basis of at most M.rows columns.  On it
+    the Smith loop moves a least nonzero entry to the corner, clears its row
+    and column by division with remainder (a remainder becomes the next
+    corner), and while the corner does not divide some entry, adds that
+    entry's row to the corner's first.
+    """
+    a = [list(row) for row in hermite_normal_form(M).entries]
+    invariants = []
+    while True:
+        nonzero = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not nonzero:
+            return invariants
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for i in range(1, len(a)):
+            q = a[i][0] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[0])]
+        if any(row[0] for row in a[1:]):
+            continue
+        for j in range(1, len(a[0])):
+            q = a[0][j] // p
+            if q:
+                a[0][j] -= q * p  # column 0 is p over zeros
+        if any(a[0][1:]):
+            continue
+        bad = next((row for row in a[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            a[0] = [x + y for x, y in zip(a[0], bad)]
+            continue
+        invariants.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -245,61 +286,3 @@ def rank_mod_p(M: IntegerMatrix, p: int) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
-
-
-GROUP_SPAN_CAP = 10_000_000
-
-
-def check_group_span_cap(cyclic_factors: list[int], edges: int, cap: int = GROUP_SPAN_CAP):
-    """Raise CapacityError when |A|^edges, the order of A^E, exceeds cap.
-
-    A is the direct sum of cyclic groups of the given orders.  The product
-    stops growing once it passes the cap, so the check is cheap on any graph.
-    """
-    total = 1
-    for q in cyclic_factors:
-        for _ in range(edges):
-            total *= q
-            if total > cap:
-                raise CapacityError(f"|A|^|E| exceeds cap {cap}")
-
-
-def group_span_size(
-    vectors: list[dict[EdgeId, int]],
-    cyclic_factors: list[int],
-    edge_order: list[EdgeId],
-    cap: int = GROUP_SPAN_CAP,
-) -> int:
-    """Order of the span of the vectors in A^E with coefficients from A.
-
-    A is the direct sum of cyclic groups of the given orders; a vector with
-    coefficient a in A contributes its value times each factor component of
-    a, so every vector expands into one generator per cyclic factor.
-    """
-    check_group_span_cap(cyclic_factors, len(edge_order), cap)
-    moduli = [q for _ in edge_order for q in cyclic_factors]
-    k = len(cyclic_factors)
-
-    def embed(vec: dict[EdgeId, int], factor: int) -> tuple[int, ...]:
-        flat = [0] * len(moduli)
-        for pos, e in enumerate(edge_order):
-            c = vec.get(e, 0)
-            flat[pos * k + factor] = c % cyclic_factors[factor]
-        return tuple(flat)
-
-    generators = [embed(vec, i) for vec in vectors for i in range(k)]
-    span: set[tuple[int, ...]] = {tuple(0 for _ in moduli)}
-    for g in generators:
-        if g in span:
-            continue
-        # closure of span under adding multiples of g
-        new_span = set()
-        for s in span:
-            x = s
-            while x not in new_span:
-                new_span.add(x)
-                x = tuple((a + b) % q for a, b, q in zip(x, g, moduli))
-        span = new_span
-        if len(span) > cap:
-            raise CapacityError(f"span exceeded cap {cap}")
-    return len(span)

@@ -8,6 +8,7 @@ budgets are wall-clock ceilings.
 import random
 import time
 from functools import lru_cache
+from math import gcd
 
 from cyclelattice.certificate import certify, certify_cycle_basis
 from cyclelattice.cycle_structure import is_three_edge_connected
@@ -19,6 +20,7 @@ from cyclelattice.lattice_basis import (
     semi_fundamental_basis,
     simple_basis,
 )
+from cyclelattice.linear_hull import AbelianGroupSpec, hull_report
 from cyclelattice.multigraph import (
     SpanningForest,
     minor,
@@ -30,9 +32,9 @@ from cyclelattice.oracle import (
     IntegerMatrix,
     enumerate_cycles,
     exact_determinant,
-    group_span_size,
     hnf_contains,
     rank_mod_p,
+    smith_invariants,
 )
 from cyclelattice.topo_extension import compatible_chain, embed_cycle, gen
 
@@ -270,26 +272,30 @@ def test_criterion_6_hull_dimensions():
 
 
 def test_criterion_7_hull_group_structure():
-    cases = []
-    for G, label in ((B3, "B3"), (LOOP, "loop")):
-        cycles = enumerate_cycles(G)
-        vectors = [{e: 1 for e in c} for c in cycles]
-        for q in (2, 3, 4):
-            two_a = q // 2 if q % 2 == 0 else q
-            expected = two_a ** (G.n - 1) * q ** (G.m - G.n + 1)
-            size = group_span_size(vectors, [q], list(G.sorted_edges))
-            cases.append((label, q, size, expected))
-    named = {("B3", 4): 32, ("B3", 2): 4, ("loop", 4): 4}
-    ok = all(size == expected for _, _, size, expected in cases) and all(
-        next(s for l, q, s, _ in cases if (l, q) == key) == val
-        for key, val in named.items()
-    )
+    # the span in A^E is the sum of d*A over the Smith invariants d of the
+    # cycle matrix; d*A has one cyclic factor q / gcd(d, q) per factor q of A
+    groups = [(2,), (3,), (4,), (2, 2), (9,)]
+    corpus = _small_corpus()
+    orders, mismatches = {}, []
+    for index, G in enumerate(corpus):
+        invariants = smith_invariants(indicator_matrix(G, enumerate_cycles(G)))
+        for factors in groups:
+            report = hull_report(G, None, AbelianGroupSpec(factors))
+            spans = [q // gcd(d, q) for d in invariants for q in factors]
+            span = AbelianGroupSpec(tuple(q for q in spans if q > 1))
+            if span.describe() != report["factors"] or str(span.order) != report["order"]:
+                mismatches.append((index, factors, span.describe(), report["factors"]))
+            orders[index, factors] = span.order
+    # the corpus starts K4, B3, loop, two loops
+    named = {(1, (4,)): 32, (1, (2,)): 4, (2, (4,)): 4}
+    ok = not mismatches and all(orders[key] == val for key, val in named.items())
     _report(
         7,
         "hull-group-structure",
         ok,
-        "spans over C2, C3, C4 on B3 and loop match |2A|^(n-1) * |A|^(m-n+1); "
-        "B3/C4=32, B3/C2=4, loop/C4=4",
+        mismatches[:1]
+        or f"Smith invariants give hull_report's factors over C2, C3, C4, C2+C2, C9 "
+        f"on {len(corpus)} instances; B3/C4=32, B3/C2=4, loop/C4=4",
     )
 
 
@@ -331,7 +337,7 @@ def test_criterion_9_complexity_smoke():
     chain = compatible_chain(G, keep_prefixes=False)
     topo_elapsed = time.time() - start
     start = time.time()
-    semi_cert = certify(G, basis.vectors(), tree=basis.tree)
+    semi_cert = certify(G, basis.vectors(), tree=basis.tree.tree_edges)
     semi_cert_elapsed = time.time() - start
     start = time.time()
     topo_cert = certify(G, chain.final_basis.vectors(), sequences=[chain.sequence])

@@ -40,10 +40,10 @@ def three_bases(G):
     chain = compatible_chain(G, keep_prefixes=False)
     topo = chain.final_basis.vectors()
     return [
-        ("simple", simple_basis(G, T).vectors(), {"tree": T}),
-        ("semi-fundamental", semi.vectors(), {"tree": T}),
+        ("simple", simple_basis(G, T).vectors(), {"tree": T.tree_edges}),
+        ("semi-fundamental", semi.vectors(), {"tree": T.tree_edges}),
         ("topological", topo, {"sequences": [chain.sequence]}),
-        ("topological-generic", topo, {"tree": T}),
+        ("topological-generic", topo, {"tree": T.tree_edges}),
     ]
 
 
@@ -127,7 +127,8 @@ def test_corrupted_bases_are_rejected_by_both_paths(seed):
                 assert cert.determinant == dense(G, bad), (name, kind)
     # the chain path sees the same corrupted vectors as the generic one
     for kind, bad in _corruptions(G, chain.final_basis.vectors()):
-        assert not certify(G, bad, tree=T, sequences=[chain.sequence]).certified, kind
+        hints = {"tree": T.tree_edges, "sequences": [chain.sequence]}
+        assert not certify(G, bad, **hints).certified, kind
     assert seen == {"dropped", "duplicated", "swapped-in"}
 
 
@@ -202,7 +203,7 @@ def test_missing_or_wrong_hint_tree_gives_the_same_determinant(k4):
         with_cycle = SpanningForest(G, frozenset(G.edges), (G.vertices[0],))
         foreign = spanning_forest(k4)
         for hint in (None, T, other, not_spanning, with_cycle, foreign):
-            cert = certify(G, vectors, tree=hint)
+            cert = certify(G, vectors, tree=hint and hint.tree_edges)
             assert (cert.determinant, cert.certified) == (want, True)
 
 
@@ -364,12 +365,12 @@ def test_topological_basis_past_the_cap_is_certified_without_a_hint(monkeypatch)
     monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
     assert certify_cycle_basis(G, basis) == (2 ** (G.n - 1), True)
     vectors = basis.vectors()
-    cert = certify(G, vectors, tree=basis.tree)
+    cert = certify(G, vectors, tree=basis.tree.tree_edges)
     assert [c.kind for c in cert.components] == ["chain"]
     # out of chain order the built sequence certifies nothing
     random.Random(5).shuffle(vectors)
     with pytest.raises(CapacityError, match="7x7.*cap of 0"):
-        certify(G, vectors, tree=basis.tree)
+        certify(G, vectors, tree=basis.tree.tree_edges)
 
 
 def test_chain_basis_is_certified_along_its_own_sequence(monkeypatch):
@@ -390,7 +391,7 @@ def test_chain_basis_is_certified_along_its_own_sequence(monkeypatch):
 def test_non_3ec_graphs_are_certified_per_component():
     # two triangles joined by a bridge: the cosimplification is two loops
     G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
-    for hint in (None, spanning_forest(G)):
+    for hint in (None, spanning_forest(G).tree_edges):
         cert = certify(G, [{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}], tree=hint)
         assert (cert.determinant, cert.certified, cert.size) == (1, True, 2)
         assert [c.kind for c in cert.components] == ["generic", "generic"]

@@ -270,6 +270,23 @@ class TestHull:
         assert doc["order"] == "32"
         assert doc["verified"] is True
 
+    @pytest.mark.parametrize("char, k4_dim, c3_dim", [(0, 6, 1), (2, 3, 1), (3, 6, 1)])
+    def test_verify_over_each_characteristic(self, capsys, k4_file, c3_file, char, k4_dim, c3_dim):
+        for graph, dimension in ((k4_file, k4_dim), (c3_file, c3_dim)):
+            code, doc = run_json(capsys, "hull", "--char", str(char), "--verify", graph)
+            assert code == 0
+            assert (doc["dimension"], doc["verified"]) == (dimension, True)
+
+    def test_group_verify_compares_the_factors_not_only_the_order(
+        self, capsys, b3_file, monkeypatch
+    ):
+        # over C4 the cycles of B3 span C2 + C4 + C4; C2^3 + C4 has the same order
+        original = cli.hull_report
+        misreport = ["2", "2", "2", "2^2"]
+        monkeypatch.setattr(cli, "hull_report", lambda *a: {**original(*a), "factors": misreport})
+        code, doc = run_json(capsys, "hull", "--group", "4", "--verify", b3_file)
+        assert (code, doc["order"], doc["verified"]) == (3, "32", False)
+
     def test_requires_exactly_one_spec(self, capsys, k4_file):
         code = main(["hull", k4_file])
         assert code == 1
@@ -512,16 +529,15 @@ class TestCapacity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "14 edges" in captured.err
+        assert "23 edges" in captured.err
 
-    def test_hull_group_verify_past_the_span_cap_exits_2(self, capsys, tmp_path):
+    def test_hull_group_verify_on_k4_plus_a_parallel_edge(self, capsys, tmp_path):
+        # |A|^m = 12^7 elements: past what a closure of the span could list
         graph = tmp_path / "k4p.txt"
         graph.write_text(K4_TEXT.replace("4 6", "4 7") + "1 2\n")
-        assert main(["hull", "--group", "2^2,3", "--verify", str(graph)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "10000000" in captured.err
+        code, doc = run_json(capsys, "hull", "--group", "2^2,3", "--verify", str(graph))
+        assert code == 0 and doc["verified"] is True
+        assert doc["factors"] == ["2", "2", "2", "3", "3", "3", "3", "3", "3", "3"] + ["2^2"] * 4
 
     def test_hull_group_verify_checks_the_cap_before_enumerating(
         self, capsys, tmp_path, monkeypatch
@@ -530,11 +546,13 @@ class TestCapacity:
         graph.write_text(format_edge_list(gen(16, 3)))
         calls = []
         monkeypatch.setattr(cli, "enumerate_cycles", lambda *a, **k: calls.append(a) or [])
-        assert main(["hull", "--group", "2", "--verify", str(graph)]) == 2
-        assert calls == []
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "10000000" in captured.err
+        for spec in (["--group", "2"], ["--char", "3"]):
+            assert main(["hull", *spec, "--verify", str(graph)]) == 2
+            assert calls == []
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "23 edges" in captured.err
 
 
 def _core_with_pendants(pendants: int) -> str:
@@ -590,18 +608,18 @@ def test_partition_count_does_not_grow_with_components(
     """Each command reduces its graph once: bridges_and_series_classes runs
     once, and connected_components never runs on the input graph.  The
     forest BFS runs on the input graph a fixed number of times: once for
-    the spanning forest, and for verify twice more, where forest_from_edges
-    checks the document's tree and certify checks it again.  basis and
+    the spanning forest, and for verify once more, where certify checks the
+    document's tree with forest_from_edges.  basis and
     extend certify the component bases they built, with certify_components,
     so they check no forest and project nothing; no component forest is
     searched again."""
-    bfs_on_input = {"basis": 1, "verify": 3, "hull": 1, "analyze": 1, "extend": 1}
+    bfs_on_input = {"basis": 1, "verify": 2, "hull": 1, "analyze": 1, "extend": 1}
     # per command: calls of certify, certify_components and _project, and
     # forest_from_edges calls on the input graph
     certifying = {
         "basis": (0, 1, 0, 0),
         "extend": (0, 1, 0, 0),
-        "verify": (1, 0, 1, 2),
+        "verify": (1, 0, 1, 1),
         "hull": (0, 0, 0, 0),
         "analyze": (0, 0, 0, 0),
     }
@@ -790,7 +808,7 @@ def test_component_bases_certify_as_their_lifted_vectors(name):
             entries, bases = per_component(cos, construct)
             vectors = [cli._entry_vector(cli._entry(edges, tag)) for edges, tag in entries]
             sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
-            lifted = certify(G, vectors, tree=T, sequences=sequences)
+            lifted = certify(G, vectors, tree=T.tree_edges, sequences=sequences)
             assert certify_components(cos, bases) == lifted, (method, root)
             assert lifted.certified, (method, root)
 

@@ -387,16 +387,18 @@ def _assert_triples_witness(G, T, triples):
 
 def test_hand_built_forest_that_is_no_forest_is_rejected(k4):
     """A forest built from an edge set that closes a cycle, names an unknown
-    edge or roots one tree twice raises StructureError when its parent map
-    is first read, so no construction runs on it."""
+    edge, roots one tree twice or is rooted at no vertex of the graph raises
+    StructureError when its parent map is first read, so no construction
+    runs on it."""
     T = spanning_forest(k4)
     with_cycle = SpanningForest(k4, T.tree_edges | {3}, T.component_roots)
     unknown = SpanningForest(k4, T.tree_edges | {99}, T.component_roots)
     two_roots = SpanningForest(k4, T.tree_edges, (1, 2))
-    for F in (with_cycle, unknown, two_roots):
+    foreign_root = SpanningForest(k4, T.tree_edges, (99,))
+    for F in (with_cycle, unknown, two_roots, foreign_root):
         with pytest.raises(StructureError, match="do not form a forest"):
             F.parents
-    for F in (with_cycle, unknown):
+    for F in (with_cycle, unknown, foreign_root):
         with pytest.raises(StructureError, match="do not form a forest"):
             semi_fundamental_basis(k4, F)
         with pytest.raises(StructureError, match="do not form a forest"):

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from cyclelattice.errors import ArgumentError, PreconditionError
@@ -10,12 +12,11 @@ from cyclelattice.linear_hull import (
     hull_group_structure,
     hull_report,
 )
-from cyclelattice.multigraph import parse_edge_list
 from cyclelattice.oracle import (
     IntegerMatrix,
     enumerate_cycles,
-    group_span_size,
     rank_mod_p,
+    smith_invariants,
 )
 from cyclelattice.topo_extension import gen
 
@@ -144,20 +145,20 @@ class TestAgainstEnumeration:
         assert checked >= 8
 
     def test_tiny_group_spans_match_formula(self, b3, loop_graph, two_loops):
-        small = parse_edge_list("2 2\nu v\nu v\n")  # not 3ec; skip below
+        # the span in A^E is the sum of d*A over the Smith invariants d of
+        # the cycle matrix, one cyclic factor q / gcd(d, q) per factor q of A
         for G in (b3, loop_graph, two_loops):
-            if G.m > 4:
-                continue
-            cycles = enumerate_cycles(G)
-            vectors = [{e: 1 for e in c} for c in cycles]
+            invariants = smith_invariants(_all_cycles_matrix(G))
             for factors in ((2,), (3,), (4,), (2, 2)):
                 A = AbelianGroupSpec(factors)
                 two_a = 1
                 for q in factors:
                     two_a *= q // 2 if q % 2 == 0 else q
                 expected = two_a ** (G.n - 1) * A.order ** (G.m - G.n + 1)
-                size = group_span_size(vectors, list(factors), list(G.sorted_edges))
-                assert size == expected, (factors, G.edges)
+                spans = [q // gcd(d, q) for d in invariants for q in factors]
+                span = AbelianGroupSpec(tuple(q for q in spans if q > 1))
+                assert span.order == expected, (factors, G.edges)
+                assert span == hull_group_structure(G, A), (factors, G.edges)
 
 
 class TestHullReport:

@@ -1,20 +1,25 @@
+import ast
+from math import gcd, prod
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclelattice import oracle
 from cyclelattice.cycle_structure import is_simple_cycle
 from cyclelattice.errors import ArgumentError, CapacityError
-from cyclelattice.lattice_basis import simple_basis
+from cyclelattice.lattice_basis import indicator_matrix, simple_basis
 from cyclelattice.multigraph import parse_edge_list
 from cyclelattice.oracle import (
     IntegerMatrix,
     enumerate_cycles,
     exact_determinant,
-    group_span_size,
     hermite_normal_form,
     hnf_contains,
     hnf_lattices_equal,
     rank_mod_p,
+    smith_invariants,
 )
 
 
@@ -160,8 +165,28 @@ def _integer_matrices(min_rows, max_rows, min_cols, max_cols, square=False):
     )
 
 
+@st.composite
+def _lattice_generators(draw):
+    """Integer matrices, some with a dependent row or column and some with
+    zero rows inserted."""
+    rows = draw(_integer_matrices(1, 6, 1, 8))
+    coefficient = st.integers(-3, 3)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(coefficient), draw(coefficient)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        width = len(rows[0])
+        i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+        a, b = draw(coefficient), draw(coefficient)
+        rows = [row + [a * row[i] + b * row[j]] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return rows
+
+
 class TestAgainstSympy:
-    """Differential oracles: sympy's determinant and Hermite normal form."""
+    """Differential oracles: sympy's determinant, Hermite and Smith normal forms."""
 
     @settings(max_examples=200)
     @given(_integer_matrices(1, 8, 1, 8, square=True))
@@ -186,6 +211,20 @@ class TestAgainstSympy:
         flipped = [[int(W[i, j]) for j in reversed(range(W.cols))] for i in reversed(range(W.rows))]
         assert [list(row) for row in H.entries] == flipped
 
+    @settings(max_examples=200)
+    @given(_lattice_generators())
+    def test_smith_invariants_match_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+        from sympy.polys.domains import ZZ
+
+        D = smith_normal_form(sympy.Matrix(rows), domain=ZZ)
+        diagonal = [abs(int(D[i, i])) for i in range(min(D.shape))]
+        invariants = smith_invariants(IntegerMatrix.from_rows(rows))
+        assert invariants == sorted(d for d in diagonal if d)
+        assert len(invariants) == sympy.Matrix(rows).rank()
+        assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
+
 
 class TestRankModP:
     def test_k4_all_cycles(self, k4):
@@ -206,23 +245,41 @@ class TestRankModP:
             rank_mod_p(M, 6)
 
 
+class TestSmithInvariants:
+    def test_cycle_lattices(self, k4, b3, loop_graph):
+        # 1^(m-n+1) and 2^(n-1) on a 3-edge-connected graph
+        for G in (k4, b3, loop_graph):
+            M = indicator_matrix(G, enumerate_cycles(G))
+            assert smith_invariants(M) == [1] * (G.m - G.n + 1) + [2] * (G.n - 1)
+
+    def test_divisibility_chain(self):
+        assert smith_invariants(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
+        assert smith_invariants(IntegerMatrix.from_rows([[4, 0], [0, 6], [0, 0]])) == [2, 12]
+        assert smith_invariants(IntegerMatrix.from_rows([[6, 4], [4, 6], [2, 2]])) == [2, 2]
+
+    def test_no_generators(self, b3):
+        assert smith_invariants(indicator_matrix(b3, [])) == []
+        assert smith_invariants(IntegerMatrix.from_rows([[0, 0], [0, 0]])) == []
+
+
 class TestGroupSpanSize:
+    """The span of vectors in A^E, A a sum of cyclic groups of orders q, is
+    the sum of d*A over their Smith invariants d: of order the product of
+    q / gcd(d, q)."""
+
+    @staticmethod
+    def span_order(G, cycles, factors):
+        invariants = smith_invariants(indicator_matrix(G, cycles))
+        return prod(q // gcd(d, q) for d in invariants for q in factors)
+
     def test_b3_mod_two(self, b3):
-        cycles = enumerate_cycles(b3)
-        vectors = [{e: 1 for e in c} for c in cycles]
-        assert group_span_size(vectors, [2], list(b3.sorted_edges)) == 4
+        assert self.span_order(b3, enumerate_cycles(b3), [2]) == 4
 
     def test_b3_mod_four(self, b3):
-        cycles = enumerate_cycles(b3)
-        vectors = [{e: 1 for e in c} for c in cycles]
-        assert group_span_size(vectors, [4], list(b3.sorted_edges)) == 32
+        assert self.span_order(b3, enumerate_cycles(b3), [4]) == 32
 
     def test_empty_generators(self, b3):
-        assert group_span_size([], [2], list(b3.sorted_edges)) == 1
-
-    def test_cap(self, b3):
-        with pytest.raises(CapacityError):
-            group_span_size([], [1000], list(b3.sorted_edges), cap=100)
+        assert self.span_order(b3, [], [2]) == 1
 
 
 def test_from_columns_round_trip():
@@ -239,3 +296,17 @@ def test_enumerate_mixed_loops_and_multi():
     assert frozenset({3}) in cycles
     assert frozenset({1, 2}) in cycles
     assert len(cycles) == 3
+
+
+def test_oracle_imports_nothing_from_the_constructions():
+    """oracle.py stays independent of the constructions it checks: from the
+    package it imports only the errors and the graph type."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "cyclelattice":
+                imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "cyclelattice")
+    assert imported == {".errors", ".multigraph"}
