@@ -244,25 +244,32 @@ def is_simple_cycle(G: Multigraph, edges: frozenset[EdgeId] | set[EdgeId]) -> bo
     A loop alone is a cycle of length 1; a pair of parallel edges is a cycle
     of length 2.
     """
-    edges = set(edges)
-    if not edges or not edges <= G.edges.keys():
+    ends = G.edges
+    if not edges or not edges <= ends.keys():
         return False
-    incident: dict[VertexId, list[EdgeId]] = {}
+    # the first and second edge at each vertex; a loop is both at its vertex
+    first: dict[VertexId, EdgeId] = {}
+    second: dict[VertexId, EdgeId] = {}
     for e in edges:
-        for x in G.edges[e]:  # a loop is listed twice at its vertex
-            incident.setdefault(x, []).append(e)
-    if any(len(es) != 2 for es in incident.values()):
+        for x in ends[e]:
+            if x not in first:
+                first[x] = e
+            elif x not in second:
+                second[x] = e
+            else:
+                return False
+    if len(second) != len(first):
         return False
     # every degree is 2, so the walk from one edge returns to it; the set is
     # one cycle exactly when that walk uses every edge
-    first = e = next(iter(edges))
-    x = G.edges[e][1]
+    start = e = next(iter(edges))
+    x = ends[e][1]
     walked = 1
     while True:
-        a, b = incident[x]
-        e = b if a == e else a
-        if e == first:
+        a = first[x]
+        e = second[x] if a == e else a
+        if e == start:
             return walked == len(edges)
         walked += 1
-        u, v = G.edges[e]
+        u, v = ends[e]
         x = v if u == x else u

@@ -8,9 +8,10 @@ vectors indexed by edge id embed canonically across minors.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Container, Iterable
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import ArgumentError, CapacityError, ParseError, StructureError
 
@@ -36,9 +37,9 @@ class Multigraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ArgumentError("duplicate vertex id")
-        for e, (u, v) in self.edges.items():
-            if u not in vset or v not in vset:
-                raise ArgumentError(f"edge {e} references unknown vertex")
+        if not vset.issuperset(chain.from_iterable(self.edges.values())):
+            e = next(e for e, (u, v) in self.edges.items() if u not in vset or v not in vset)
+            raise ArgumentError(f"edge {e} references unknown vertex")
 
     @property
     def n(self) -> int:
@@ -66,8 +67,9 @@ class Multigraph:
     def incidence(self) -> dict[VertexId, tuple[tuple[EdgeId, VertexId], ...]]:
         """v -> ((edge, other endpoint), ...) sorted by edge id; loops listed once."""
         inc: dict[VertexId, list[tuple[EdgeId, VertexId]]] = {v: [] for v in self.vertices}
+        edges = self.edges
         for e in self.sorted_edges:
-            u, v = self.edges[e]
+            u, v = edges[e]
             inc[u].append((e, v))
             if v != u:
                 inc[v].append((e, u))
@@ -192,117 +194,138 @@ def parse_edge_list(text: str) -> Multigraph:
     """Parse an edge-list document.
 
     Format: first non-comment line is "n m"; then m lines "u v" or "u v id".
-    '#' starts a comment.  Vertex tokens are arbitrary; they are ordered by
-    first appearance unless all of them are numeric, in which case a token
-    names the vertex int(token), so "01" and "1" are one vertex, and ids
-    1..n fill in isolated vertices.  A header declaring more than
-    VERTEX_BOUND vertices raises CapacityError.
+    Lines end only at LF, CR LF or CR, the line ends that text-mode open()
+    turns into LF; str.splitlines() would also break at a form feed and
+    the like.  '#' starts a comment.  Vertex tokens are arbitrary; they are
+    ordered by first appearance unless all of them are numeric, in which
+    case a token names the vertex int(token), so "01" and "1" are one
+    vertex, and ids 1..n fill in isolated vertices.  A header declaring
+    more than VERTEX_BOUND vertices raises CapacityError.
+
+    Each line is split once and each distinct token converted once; the
+    rows are checked in bulk, and a line number is looked up only for the
+    error that names it.
     """
-    header: tuple[int, int] | None = None
-    raw_edges: list[tuple[int, str, str, str | None]] = []  # (lineno, u, v, id?)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected header 'n m'")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: header counts must be integers") from None
-            if header[0] < 0 or header[1] < 0:
-                raise ParseError(f"line {lineno}: header counts must be nonnegative")
-            if header[0] > VERTEX_BOUND:
-                raise CapacityError(
-                    f"line {lineno}: {header[0]} vertices exceed the bound of {VERTEX_BOUND}"
-                )
-            continue
-        if len(parts) == 2:
-            raw_edges.append((lineno, parts[0], parts[1], None))
-        elif len(parts) == 3:
-            raw_edges.append((lineno, parts[0], parts[1], parts[2]))
-        else:
-            raise ParseError(f"line {lineno}: expected 'u v' or 'u v id'")
-    if header is None:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [(line.split("#", 1)[0] if "#" in line else line).split() for line in lines]
+    head = next((i for i, parts in enumerate(rows) if parts), None)
+    if head is None:
         raise ParseError("empty document: missing 'n m' header")
-    n, m = header
-    if len(raw_edges) != m:
-        raise ParseError(f"declared {m} edges but found {len(raw_edges)} edge lines")
+    n, m = _header(rows[head], head + 1)
+    body = [parts for parts in rows[head + 1 :] if parts]
 
-    tokens: list[str] = []
-    seen: set[str] = set()
-    for _, u, v, _ in raw_edges:
-        for tok in (u, v):
-            if tok not in seen:
-                seen.add(tok)
-                tokens.append(tok)
+    def line_of(k: int) -> int:
+        """The line number of body[k]."""
+        return [i for i, parts in enumerate(rows, start=1) if parts][k + 1]
 
-    numeric = all(_is_int(t) for t in tokens)  # vacuously numeric when edgeless
-    if numeric:
-        values = sorted({int(t) for t in tokens})
-        if len(values) < n and all(1 <= x <= n for x in values):
+    shapes = set(map(len, body))
+    if not shapes <= {2, 3}:
+        k = next(k for k, parts in enumerate(body) if len(parts) not in (2, 3))
+        raise ParseError(f"line {line_of(k)}: expected 'u v' or 'u v id'")
+    if len(body) != m:
+        raise ParseError(f"declared {m} edges but found {len(body)} edge lines")
+
+    us = [parts[0] for parts in body]
+    vs = [parts[1] for parts in body]
+    tokens = list(dict.fromkeys(chain.from_iterable(zip(us, vs))))
+    try:
+        vertex_of = {t: int(t) for t in tokens}  # vacuously numeric when edgeless
+    except ValueError:
+        vertex_of = None
+    if vertex_of is not None:
+        values = sorted(set(vertex_of.values()))
+        if len(values) < n and (not values or (values[0] >= 1 and values[-1] <= n)):
             values = list(range(1, n + 1))
         if len(values) != n:
-            bad = next(
-                (ln, t)
-                for ln, u, v, _ in raw_edges
-                for t in (u, v)
-                if not (1 <= int(t) <= n)
+            k, t = next(
+                (k, t)
+                for k, pair in enumerate(zip(us, vs))
+                for t in pair
+                if not (1 <= vertex_of[t] <= n)
             )
-            raise ParseError(f"line {bad[0]}: unknown vertex token '{bad[1]}'")
-        vertex_of = {tok: int(tok) for tok in tokens}
+            raise ParseError(f"line {line_of(k)}: unknown vertex token '{t}'")
         vertices = tuple(values)
         labels = None
     else:
         if len(tokens) > n:
             extra = tokens[n]
-            lineno = next(ln for ln, u, v, _ in raw_edges if extra in (u, v))
-            raise ParseError(f"line {lineno}: unknown vertex token '{extra}'")
+            k = next(k for k, pair in enumerate(zip(us, vs)) if extra in pair)
+            raise ParseError(f"line {line_of(k)}: unknown vertex token '{extra}'")
         if len(tokens) < n:
             raise ParseError(f"declared {n} vertices but only {len(tokens)} distinct tokens appear")
-        vertex_of = {tok: i + 1 for i, tok in enumerate(tokens)}
+        vertex_of = {tok: i for i, tok in enumerate(tokens, start=1)}
         vertices = tuple(range(1, n + 1))
-        labels = {i + 1: tok for i, tok in enumerate(tokens)}
+        labels = dict(enumerate(tokens, start=1))
 
-    explicit: set[int] = set()
-    for lineno, _, _, eid in raw_edges:
-        if eid is not None:
-            if not _is_int(eid) or int(eid) < 0:
-                raise ParseError(f"line {lineno}: edge id must be a nonnegative integer")
-            if int(eid) in explicit:
-                raise ParseError(f"line {lineno}: duplicate explicit edge id {eid}")
-            explicit.add(int(eid))
-
-    edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-    next_implicit = 0
-    for lineno, u, v, eid in raw_edges:
-        if eid is None:
-            while next_implicit in explicit:
-                next_implicit += 1
-            key = next_implicit
-            next_implicit += 1
-        else:
-            key = int(eid)
-        edges[key] = (vertex_of[u], vertex_of[v])
+    ids = _edge_ids(body, line_of) if 3 in shapes else range(m)
+    edges = dict(zip(ids, zip(map(vertex_of.__getitem__, us), map(vertex_of.__getitem__, vs))))
     return Multigraph(vertices=vertices, edges=edges, labels=labels)
 
 
-def _is_int(token: str) -> bool:
+def _header(parts: list[str], lineno: int) -> tuple[int, int]:
+    """The counts (n, m) of the header line's tokens."""
+    if len(parts) != 2:
+        raise ParseError(f"line {lineno}: expected header 'n m'")
     try:
-        int(token)
+        n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        return False
-    return True
+        raise ParseError(f"line {lineno}: header counts must be integers") from None
+    if n < 0 or m < 0:
+        raise ParseError(f"line {lineno}: header counts must be nonnegative")
+    if n > VERTEX_BOUND:
+        raise CapacityError(f"line {lineno}: {n} vertices exceed the bound of {VERTEX_BOUND}")
+    return n, m
+
+
+def _edge_ids(body: list[list[str]], line_of: Callable[[int], int]) -> list[EdgeId]:
+    """The id of each edge row: its explicit id, else the least id that no
+    explicit id takes and no earlier row was given."""
+    explicit = [parts[2] for parts in body if len(parts) == 3]
+    try:
+        taken = list(map(int, explicit))
+    except ValueError:
+        taken = []
+    if len(taken) != len(explicit) or min(taken) < 0 or len(set(taken)) != len(taken):
+        seen: set[int] = set()
+        for k, parts in enumerate(body):
+            if len(parts) == 3:
+                eid = parts[2]
+                try:
+                    key = int(eid)
+                except ValueError:
+                    key = -1
+                if key < 0:
+                    raise ParseError(f"line {line_of(k)}: edge id must be a nonnegative integer")
+                if key in seen:
+                    raise ParseError(f"line {line_of(k)}: duplicate explicit edge id {eid}")
+                seen.add(key)
+    if len(taken) == len(body):
+        return taken
+    reserved = set(taken)
+    given = iter(taken)
+    ids: list[EdgeId] = []
+    next_implicit = 0
+    for parts in body:
+        if len(parts) == 3:
+            ids.append(next(given))
+        else:
+            while next_implicit in reserved:
+                next_implicit += 1
+            ids.append(next_implicit)
+            next_implicit += 1
+    return ids
 
 
 def format_edge_list(G: Multigraph) -> str:
     """Inverse of parse_edge_list, with explicit edge ids for fidelity."""
     lines = [f"{G.n} {G.m}"]
-    for e in G.sorted_edges:
-        u, v = G.edges[e]
-        lines.append(f"{G.label_of(u)} {G.label_of(v)} {e}")
+    order = G.sorted_edges
+    rows = zip(order, map(G.edges.__getitem__, order))
+    if G.labels:
+        name = {v: G.labels.get(v, str(v)) for v in G.vertices}
+        lines += [f"{name[u]} {name[v]} {e}" for e, (u, v) in rows]
+    else:
+        lines += [f"{u} {v} {e}" for e, (u, v) in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -317,17 +340,26 @@ def bfs_parents(
     so parents precede their children and each tree's keys are contiguous.
     """
     parent: ParentMap = {}
+    incidence = G.incidence
     for r in starts:
         if r in parent:
             continue
         parent[r] = None
         queue = deque([r])
-        while queue:
-            x = queue.popleft()
-            for e, y in G.incidence[x]:
-                if y not in parent and (edges is None or e in edges):
-                    parent[y] = (x, e)
-                    queue.append(y)
+        if edges is None:
+            while queue:
+                x = queue.popleft()
+                for e, y in incidence[x]:
+                    if y not in parent:
+                        parent[y] = (x, e)
+                        queue.append(y)
+        else:
+            while queue:
+                x = queue.popleft()
+                for e, y in incidence[x]:
+                    if y not in parent and e in edges:
+                        parent[y] = (x, e)
+                        queue.append(y)
     return parent
 
 
@@ -408,19 +440,36 @@ def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap
     contract = set(contract)
     if delete & contract:
         raise ArgumentError(f"delete and contract sets overlap: {sorted(delete & contract)}")
-    for e in delete | contract:
-        if e not in G.edges:
-            raise ArgumentError(f"unknown edge id {e}")
-
-    blocks = VertexUnion(G.vertices)
-    for e in contract:
-        blocks.union(*G.edges[e])
-    vertex_image = {v: blocks.find(v) for v in G.vertices}
-    new_vertices = tuple(sorted(set(vertex_image.values())))
     removed = delete | contract
+    if not removed <= G.edges.keys():
+        raise ArgumentError(f"unknown edge id {next(e for e in removed if e not in G.edges)}")
+
+    # union-find without method calls: up maps a merged vertex toward the
+    # least vertex of its block, which up lacks, so up[x] < x throughout;
+    # each find halves the path it walks
+    edges = G.edges
+    up: dict[VertexId, VertexId] = {}
+    for e in contract:
+        a, b = edges[e]
+        while a in up:
+            p = up[a]
+            up[a] = up.get(p, p)
+            a = up[a]
+        while b in up:
+            p = up[b]
+            up[b] = up.get(p, p)
+            b = up[b]
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    vertex_image = {v: v for v in G.vertices}
+    for v in sorted(up):  # up[v] < v, so its image is already final
+        vertex_image[v] = vertex_image[up[v]]
+    new_vertices = tuple(sorted(v for v in G.vertices if v not in up))
     new_edges = {
         e: (vertex_image[u], vertex_image[v])
-        for e, (u, v) in G.edges.items()
+        for e, (u, v) in edges.items()
         if e not in removed
     }
     labels = None

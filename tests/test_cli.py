@@ -698,6 +698,30 @@ def test_matrix_built_only_by_its_column_readers(
 # output goldens: sha256 of stdout and the exit code, per input and command
 # ---------------------------------------------------------------------------
 
+# named vertices, comments, tabs and implicit ids: the labelled parse, minor
+# and format_edge_list paths
+LABELED_TEXT = (
+    "# K4 on alpha, beta, gamma, delta: alpha-gamma and beta-delta run through\n"
+    "# series paths, gamma-delta is doubled, and bridges hang off beta, gamma\n"
+    "# and delta\n"
+    "13 16   # n m; every id implicit\n"
+    "alpha beta\n"
+    "alpha ag.1      # alpha .. gamma\n"
+    "ag.1 ag.2\n"
+    "ag.2 gamma\n"
+    "alpha delta\n"
+    "beta gamma\n"
+    "beta bd         # beta .. delta\n"
+    "bd delta\n"
+    "gamma delta\n"
+    "\tgamma\tdelta\t# its parallel twin\n"
+    "beta leaf-x     # pendant bridges\n"
+    "gamma tail.1\n"
+    "tail.1 tail.2\n"
+    "tail.2 tail.3\n"
+    "delta leaf-y\n"
+    "leaf-y leaf-z\n"
+)
 DISCONNECTED_TEXT = "6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n"
 GOLDEN_INPUTS = {
     "k4": lambda: K4_TEXT,
@@ -705,6 +729,7 @@ GOLDEN_INPUTS = {
     "core50": lambda: _core_with_pendants(50),
     "gen300": lambda: format_edge_list(gen(201, 7, max_vertices=100)),
     "disconnected": lambda: DISCONNECTED_TEXT,
+    "labeled": lambda: LABELED_TEXT,
 }
 GOLDEN_COMMANDS = {
     "analyze": ["analyze"],
@@ -754,6 +779,14 @@ OUTPUT_GOLDENS = {
     "gen300-hull-char3": (0, "ec1032ffc48f94f893d25cb9f53d3dcec05a9e4349cd877eedb0b360d8841a1c"),
     "gen300-hull-group": (0, "88fbf0dedc04dc689082399069f4c0f4540e5cd45d47305bcc03a5cc2ded203a"),
     "disconnected-analyze": (0, "bfc74515cf2e2ffd56c71d02a144a5f2c22efb51abd105de447c2ac68b279b4b"),
+    "labeled-analyze": (0, "108616fc28fb85313ef4848ac9c1d07e3b53699a38d0737355645ede44d1f485"),
+    "labeled-basis-simple": (0, "eac8300d313f07c0f01807c0013cb586f2aff98360dce509d4784c953db1d9d6"),
+    "labeled-basis-semi": (0, "65ab06e4354255e792360b0d96898e514bed4d7efadb87c3d0eee6d39dbc4401"),
+    "labeled-basis-topo": (0, "496c324908b671933611d4df2b4dee7b6170225c72fcf8facc2740b4c6417005"),
+    "labeled-verify-semi": (0, "db9527bc0245aa7dd75bc4a1bf4feb8f2260d278ee2c92a0ff782048cd01499e"),
+    "labeled-verify-topo": (0, "db9527bc0245aa7dd75bc4a1bf4feb8f2260d278ee2c92a0ff782048cd01499e"),
+    "labeled-hull-char3": (0, "5cd8f5be5aef54502fa75ce16774dab71c88aa03d66fab8a42747df98f906771"),
+    "labeled-hull-group": (0, "4a1e0cf0ab5d85b82ca620c9096a5d7f223c1eb2a0ecdfa105a76e101e03bf31"),
 }
 # "<input>-<command>" -> (exit code, stderr); stdout stays empty
 ERROR_GOLDENS = {
@@ -762,6 +795,7 @@ ERROR_GOLDENS = {
     "disconnected-hull-char3": (2, "error: graph is disconnected: components {1,2,3}; {4,5,6}\n"),
     "c3-extend": (2, "error: not 3-edge-connected: nontrivial series class [0, 1, 2]\n"),
     "core50-extend": (2, "error: not 3-edge-connected: bridge edge 7\n"),
+    "labeled-extend": (2, "error: not 3-edge-connected: bridge edge 10\n"),
 }
 
 
@@ -811,6 +845,16 @@ def test_component_bases_certify_as_their_lifted_vectors(name):
             lifted = certify(G, vectors, tree=T.tree_edges, sequences=sequences)
             assert certify_components(cos, bases) == lifted, (method, root)
             assert lifted.certified, (method, root)
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"])
+def test_a_comment_holding_a_splitlines_break_stays_a_comment(capsys, tmp_path, char):
+    """The edge-list file breaks lines only where text-mode open() does, so
+    the triangle with such a character in its header comment is C3."""
+    graph = tmp_path / "c3.txt"
+    graph.write_bytes(f"3 3 # triangle{char}and a note\n1 2\n2 3\n3 1\n".encode())
+    code, out = run(capsys, "analyze", str(graph))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == OUTPUT_GOLDENS["c3-analyze"]
 
 
 def test_parser_is_reused_after_a_usage_error(capsys, k4_file):

@@ -80,6 +80,19 @@ class TestParse:
         G = parse_edge_list("3 3\n-0 1\n1 2\n2 -0\n")
         assert G.edges == parse_edge_list("3 3\n0 1\n1 2\n2 0\n").edges
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newline_and_carriage_return_end_lines(self, char):
+        """str.splitlines() breaks lines at these characters too; a comment
+        holding one stays one comment, and line numbers count only "\\n",
+        "\\r\\n" and "\\r"."""
+        G = parse_edge_list(f"3 3 # triangle{char}and more\n1 2\n2 3\n3 1\n")
+        assert (G.vertices, G.edges) == ((1, 2, 3), {0: (1, 2), 1: (2, 3), 2: (3, 1)})
+        text = f"3 3 # a{char}b\n1 2\r\n2 3 # c{char}d{char}e\r3 1 1 1\n"
+        with pytest.raises(ParseError, match="^line 4: expected 'u v' or 'u v id'$"):
+            parse_edge_list(text)
+
     def test_vertex_count_past_the_bound(self, monkeypatch):
         monkeypatch.setattr(multigraph, "VERTEX_BOUND", 5)
         assert parse_edge_list("5 0\n").n == 5
@@ -302,6 +315,60 @@ class TestForestsAgainstNetworkx:
             }
 
 
+class TestMinorAgainstNetworkx:
+    @given(loose_multigraphs(), st.data())
+    def test_minor_is_the_quotient_by_the_contracted_components(self, G, data):
+        """On relabelled vertices in any order, with some labels: each vertex
+        maps to the least vertex of its component under the contracted
+        edges, surviving edges keep their ids, order and mapped ends, and
+        labels are restricted to the surviving vertices.  The contract set
+        often holds a whole cycle, a loop included."""
+        nx = pytest.importorskip("networkx")
+        names = data.draw(st.lists(st.integers(-30, 30), min_size=G.n, max_size=G.n, unique=True))
+        labelled = data.draw(st.sets(st.sampled_from(names)))
+        G = Multigraph(
+            tuple(names),
+            {e: (names[u], names[v]) for e, (u, v) in G.edges.items()},
+            {v: f"x{v}" for v in labelled} or None,
+        )
+        contract = data.draw(st.sets(st.sampled_from(G.sorted_edges))) if G.m else set()
+        if G.m and data.draw(st.booleans()):
+            try:
+                contract |= {key for *_, key in nx.find_cycle(_nx_graph(G))}
+            except nx.NetworkXNoCycle:
+                pass
+        rest = [e for e in G.sorted_edges if e not in contract]
+        delete = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+
+        mm = minor(G, delete, contract)
+        parts = _nx_parts(_nx_graph(G, contract))
+        image = {v: vs[0] for vs in parts for v in vs}
+        assert mm.vertex_image == image
+        assert mm.result.vertices == tuple(vs[0] for vs in parts)
+        kept = [e for e in G.edges if e not in delete | contract]
+        assert list(mm.result.edges.items()) == [
+            (e, (image[G.edges[e][0]], image[G.edges[e][1]])) for e in kept
+        ]
+        if G.labels:
+            assert mm.result.labels == {
+                v: G.labels[v] for v in mm.result.vertices if v in G.labels
+            }
+        else:
+            assert mm.result.labels is None
+
+    def test_long_chain_contracted_from_its_far_end(self):
+        """A 20000-vertex path whose edge ids run from its far end links the
+        blocks into one long chain; an edge from the far end to every
+        vertex then walks it again and again.  Path halving keeps that
+        quick, and every vertex lands on vertex 1."""
+        n = 20_000
+        edges = {e: (n - e - 1, n - e) for e in range(n - 1)}
+        edges |= {n + k: (n, k) for k in range(1, n)}
+        G = Multigraph(tuple(range(1, n + 1)), edges)
+        mm = minor(G, set(), set(edges))
+        assert mm.result.vertices == (1,) and set(mm.vertex_image.values()) == {1}
+
+
 class TestMinor:
     def test_contract_triangle_to_loop(self, c3):
         mm = minor(c3, delete=set(), contract={0, 1})
@@ -428,5 +495,7 @@ def test_connected_components():
 
 
 def test_multigraph_rejects_unknown_endpoint():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="^edge 0 references unknown vertex$"):
         Multigraph(vertices=(1,), edges={0: (1, 2)})
+    with pytest.raises(ArgumentError, match="^edge 5 references unknown vertex$"):
+        Multigraph(vertices=(1, 2), edges={3: (1, 1), 5: (2, 4), 4: (7, 1)})
