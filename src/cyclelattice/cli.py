@@ -31,6 +31,7 @@ from .lattice_basis import (
     _semi_fundamental_3ec,
     _simple_3ec,
     indicator_matrix,
+    matches_all_cycles_lattice,
     per_component,
     require_three_edge_connected,
     spanning_forest,
@@ -43,13 +44,7 @@ from .multigraph import (
     parse_edge_list,
     tree_parts,
 )
-from .oracle import (
-    IntegerMatrix,
-    decimal,
-    enumerate_cycles,
-    hnf_lattices_equal,
-    smith_invariants,
-)
+from .oracle import decimal, enumerate_cycles, smith_invariants
 from .topo_extension import ExtensionSequence, _chain_3ec, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
@@ -193,14 +188,6 @@ def _entry_vector(entry: dict) -> dict[int, int]:
     return {e: mult for e in entry["edges"]}
 
 
-def _hnf_oracle(G: Multigraph, vectors: list[dict[int, int]]) -> bool:
-    """Do the vectors generate the lattice of all cycles?  Exact, by
-    enumerating every cycle, so only for G.m <= HNF_ORACLE_EDGE_LIMIT."""
-    A = indicator_matrix(G, enumerate_cycles(G))
-    B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
-    return hnf_lattices_equal(A, B)
-
-
 # per method, the construction per_component runs on each component
 _CONSTRUCTIONS = {
     "semi-fundamental": _semi_fundamental_3ec,
@@ -209,7 +196,7 @@ _CONSTRUCTIONS = {
 }
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     if args.tree_seed is not None:
         T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
@@ -217,24 +204,20 @@ def cmd_basis(args: argparse.Namespace) -> int:
     built, bases = per_component(cos, _CONSTRUCTIONS[args.method])
     entries = [_entry(edges, tag) for edges, tag in built]
     cert = certify_components(cos, bases)
-    certified = cert.certified
     doc = {
         "graph": format_edge_list(G),
         "tree": sorted(T.tree_edges),
         "cycles": entries,
         "determinant": decimal(cert.determinant),
-        "certified": certified,
+        "certified": cert.certified,
     }
     if args.method == "topological":
         doc["sequences"] = [basis.sequence.to_json() for basis in bases]
     if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
-        doc["hnf_equal"] = _hnf_oracle(G, [_entry_vector(entry) for entry in entries])
-        certified = certified and doc["hnf_equal"]
-        doc["certified"] = certified
-    _emit(doc, args)
-    if args.verify and not certified:
-        return 3
-    return 0
+        vectors = [_entry_vector(entry) for entry in entries]
+        doc["hnf_equal"] = matches_all_cycles_lattice(G, vectors)
+        doc["certified"] = cert.certified and doc["hnf_equal"]
+    return doc, doc["certified"] or not args.verify
 
 
 def _load_document(path: str) -> dict:
@@ -286,25 +269,27 @@ def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
     return None if is_simple_cycle(G, set(edges)) else f"entry {idx} is not a cycle"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     candidate = _load_document(args.basis)
+    checks = [
+        {"name": name, "passed": passed, "detail": detail}
+        for name, passed, detail in _verify_checks(G, T, candidate)
+    ]
+    accepted = all(c["passed"] for c in checks)
+    return {"accepted": accepted, "checks": checks}, accepted
+
+
+def _verify_checks(G: Multigraph, T: SpanningForest, candidate: dict):
+    """verify's checks of a document, as (name, passed, detail), up to the
+    first failure that leaves nothing for the later checks to judge."""
     entries = candidate["cycles"]
-    checks = []
-
-    def check(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-        return passed
-
     problem = next(
         (p for p in (_entry_problem(G, i, e) for i, e in enumerate(entries)) if p), None
     )
+    yield "entries-are-cycles", not problem, problem or f"{len(entries)} entries"
     if problem:
-        check("entries-are-cycles", False, problem)
-        _emit({"accepted": False, "checks": checks}, args)
-        return 3
-    check("entries-are-cycles", True, f"{len(entries)} entries")
-
+        return
     vectors = [_entry_vector(entry) for entry in entries]
     tree = candidate.get("tree")
     if not (isinstance(tree, list) and all(type(e) is int for e in tree)):
@@ -312,37 +297,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         cert = certify(G, vectors, tree=tree, sequences=_document_sequences(candidate))
     except CapacityError as exc:
-        check("determinant", False, str(exc))
-        _emit({"accepted": False, "checks": checks}, args)
-        return 3
+        yield "determinant", False, str(exc)
+        return
     if not cert.in_cycle_space:
-        check("rational-cycle-space", False, "entry violates bridge/series structure")
-        accepted = False
-    else:
-        count_ok = check(
-            "cardinality",
-            len(entries) == cert.size,
-            f"{len(entries)} entries, expected {cert.size}",
-        )
-        check(
-            "determinant",
-            cert.certified,
-            "; ".join(
-                f"|det|={decimal(c.determinant)} expected {decimal(c.expected)}"
-                for c in cert.components
-            )
-            or "no components",
-        )
-        hnf_ok = True
-        if G.m <= HNF_ORACLE_EDGE_LIMIT:
-            hnf_ok = check("hnf-lattice-equality", _hnf_oracle(G, vectors), "exact")
-        accepted = bool(count_ok and cert.certified and hnf_ok)
-    doc = {"accepted": accepted, "checks": checks}
-    _emit(doc, args)
-    return 0 if accepted else 3
+        yield "rational-cycle-space", False, "entry violates bridge/series structure"
+        return
+    yield "cardinality", len(entries) == cert.size, f"{len(entries)} entries, expected {cert.size}"
+    yield "determinant", cert.certified, "; ".join(
+        f"|det|={decimal(c.determinant)} expected {decimal(c.expected)}"
+        for c in cert.components
+    ) or "no components"
+    if G.m <= HNF_ORACLE_EDGE_LIMIT:
+        yield "hnf-lattice-equality", matches_all_cycles_lattice(G, vectors), "exact"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
     G = _load_graph(args.input)
     cos = cosimplify(G)
     partition, hat = cos.partition, cos.hat_graph
@@ -359,23 +328,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "cosimplification": {
             "n": hat.n,
             "m": hat.m,
-            "components": len(cos.hat_tree.component_roots),
+            "components": cos.hat_component_count,
             # by construction: a cut of hat of one or two edges would be one of
             # G, but G's bridges are deleted and a series class keeps one edge
             "components_three_edge_connected": True,
         },
     }
-    _emit(doc, args)
-    return 0
+    return doc, True
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     cos = cosimplify(G, forest=T)
     require_three_edge_connected(cos)
     chain = _chain_3ec(G, keep_prefixes=True)
     cert = certify_components(cos, [chain.final_basis] if cos.components else [])
-    certified = cert.certified
     doc = {
         "sequence": chain.sequence.to_json(),
         "chain": {
@@ -383,23 +350,19 @@ def cmd_extend(args: argparse.Namespace) -> int:
             "bases": [[sorted(c) for c in cycles] for cycles in chain.added],
             "final_basis": [_entry(c, tag) for c, tag in chain.final_basis.entries()],
             "determinant": decimal(cert.determinant),
-            "certified": certified,
+            "certified": cert.certified,
         },
     }
     if args.verify:
         # the chain path certifies every prefix by induction over the steps;
         # a graph without edges has none
-        certified = certified and all(c.kind == "chain" for c in cert.components if c.m)
+        certified = cert.certified and all(c.kind == "chain" for c in cert.components if c.m)
         doc["chain"]["prefixes_certified"] = certified
         doc["chain"]["certified"] = certified
-    del chain  # its cycle sets are not needed while printing
-    _emit(doc, args)
-    if args.verify and not certified:
-        return 3
-    return 0
+    return doc, doc["chain"]["certified"] or not args.verify
 
 
-def cmd_hull(args: argparse.Namespace) -> int:
+def cmd_hull(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     if (args.char is None) == (args.group is None):
         raise ArgumentError("hull needs exactly one of --char or --group")
@@ -425,13 +388,10 @@ def cmd_hull(args: argparse.Namespace) -> int:
             span = AbelianGroupSpec(tuple(q for q in orders if q > 1))
             verified = span.describe() == doc["factors"]
     doc["verified"] = verified
-    _emit(doc, args)
-    if args.verify and not verified:
-        return 3
-    return 0
+    return doc, verified or not args.verify
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[dict | None, bool]:
     if args.count < 0:
         raise ArgumentError("count must be nonnegative")
     graphs = []
@@ -441,12 +401,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             gen(args.steps, derived_seed, max_vertices=args.max_vertices)
         )
     if args.output == "json":
-        _emit({"graphs": [format_edge_list(G) for G in graphs]}, args)
-    else:
-        for index, G in enumerate(graphs):
-            print(f"# graph {index} (seed {args.seed}, steps {args.steps})")
-            sys.stdout.write(format_edge_list(G))
-    return 0
+        return {"graphs": [format_edge_list(G) for G in graphs]}, True
+    for index, G in enumerate(graphs):
+        print(f"# graph {index} (seed {args.seed}, steps {args.steps})")
+        sys.stdout.write(format_edge_list(G))
+    return None, True
 
 
 _COMMANDS = {
@@ -466,7 +425,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args)
+        # a command returns its document (None when it printed its own) and
+        # whether what it was asked to verify holds
+        doc, ok = _COMMANDS[args.command](args)
+        if doc is not None:
+            _emit(doc, args)
+        return 0 if ok else 3
     except (OSError, ParseError, StructureError, PreconditionError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,6 +89,12 @@ class Cosimplification:
         """The parent is 3-edge-connected: connected and the identity."""
         return self.identity and len(self.forest.component_roots) <= 1
 
+    @property
+    def hat_component_count(self) -> int:
+        """Components of hat_graph, off the forest: deleting a bridge, a
+        forest edge, adds one, and contracting forest edges adds none."""
+        return len(self.forest.component_roots) + len(self.partition.bridges)
+
     @cached_property
     def hat_tree(self) -> SpanningForest:
         """The forest's surviving edges, a spanning forest of hat_graph, each

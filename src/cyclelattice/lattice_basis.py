@@ -31,10 +31,10 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
-    VertexUnion,
     edge_disjoint_paths,
     minor,
     spanning_forest,
+    tree_path,
 )
 from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
 
@@ -381,33 +381,8 @@ def double_edge_combination(
 # ---------------------------------------------------------------------------
 
 
-def _cycle_edge_at(
-    G: Multigraph, blocks: VertexUnion, cycle: set[EdgeId], v: VertexId, excluding: EdgeId
-) -> EdgeId:
-    for e in cycle:
-        if e != excluding and v in map(blocks.find, G.edges[e]):
-            return e
-    raise InternalError(f"cycle has no second edge at vertex {v}")
-
-
-def _path_end_data(
-    G: Multigraph, blocks: VertexUnion, path_edges: set[EdgeId]
-) -> tuple[VertexId, VertexId, EdgeId, EdgeId]:
-    """Endpoints of a tree path and its two end edges, least endpoint first."""
-    deg: dict[VertexId, list[EdgeId]] = {}
-    for e in path_edges:
-        for v in G.edges[e]:
-            deg.setdefault(blocks.find(v), []).append(e)
-    ends = sorted(v for v, es in deg.items() if len(es) == 1)
-    if len(ends) != 2:
-        raise InternalError("edge set is not a simple path")
-    v0, vk = ends
-    return v0, vk, deg[v0][0], deg[vk][0]
-
-
 def _shrink_pair(
     fcm: FundamentalCycleMatrix,
-    blocks: VertexUnion,
     remaining: set[EdgeId],
     e: EdgeId,
     f: EdgeId,
@@ -415,36 +390,36 @@ def _shrink_pair(
 ) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
     """One cycle exchange: replace (e, f) so the tree intersection shrinks.
 
-    Removing the end edges a, a' of the intersection path splits the tree
-    into the side of v0, the middle and the side of vk; a non-tree edge
-    joins the middle to one outer side exactly when it crosses one of a, a'.
+    In the contracted tree inter is a path, and its end edges a, a' are
+    the first and last of its edges along e's tree path.  Removing them
+    splits the tree into the side of one end, the middle and the side of
+    the other; a non-tree edge joins the middle to an outer side exactly
+    when it crosses one of a, a'.  x is the least such edge.
+
+    Say x crosses a, at the end v0 of inter, so the contracted cycles of x
+    and e both pass v0 along a.  If they leave v0 by one edge, that edge
+    is a remaining tree edge outside inter (not e or x, as e is not on the
+    cycle of x), so their tree intersection is no part of inter.  If they
+    leave by different edges, their shared path starts at v0, as two tree
+    paths meet in a path; it holds a and stops before a', so it is a
+    nonempty proper part of inter.  So e shrinks the intersection exactly
+    when its cycle and that of x part at v0; the same holds for f, and the
+    larger of e and f that shrinks it is kept.
     """
     G = fcm.tree.parent_graph
-    v0, vk, a, a_prime = _path_end_data(G, blocks, inter)
-    reconnecting = fcm.rows[a] ^ fcm.rows[a_prime]
+    ends = [t for t in tree_path(fcm.tree.parents, *G.edges[e]) if t in inter]
+    reconnecting = fcm.rows[ends[0]] ^ fcm.rows[ends[-1]]
     if not reconnecting:
         raise StructureError(
             "no reconnecting non-tree edge: graph is not 3-edge-connected"
         )
     x = min(reconnecting)
-    anchor = (v0, a) if x in fcm.rows[a] else (vk, a_prime)
-
-    cyc_e, cyc_f, cyc_x = (fcm.columns[y] & remaining | {y} for y in (e, f, x))
-    at_x = _cycle_edge_at(G, blocks, cyc_x, *anchor)
-    diverges_e = _cycle_edge_at(G, blocks, cyc_e, *anchor) != at_x
-    diverges_f = _cycle_edge_at(G, blocks, cyc_f, *anchor) != at_x
-    if diverges_e and diverges_f:
-        keep = max(e, f)  # replace the cycle with the smaller non-tree id
-    elif diverges_e:
-        keep = e
-    elif diverges_f:
-        keep = f
-    else:
-        raise InternalError("neither cycle diverges from the exchange cycle")
-    new_inter = remaining & fcm.columns[keep] & fcm.columns[x]
-    if not new_inter or not new_inter < inter:
-        raise InternalError("cycle exchange failed to shrink the intersection")
-    return keep, x, new_inter
+    on_x = remaining & fcm.columns[x]
+    for keep in (max(e, f), min(e, f)):
+        new_inter = on_x & fcm.columns[keep]
+        if new_inter and new_inter < inter:
+            return keep, x, new_inter
+    raise InternalError("cycle exchange shrinks the intersection of neither cycle")
 
 
 def _seed_pair(
@@ -469,10 +444,8 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
 
     The tree edges are contracted one by one, but every query is answered on
     the fixed tree T: the fundamental cycle of e in the contracted graph is
-    the original one minus the contracted edges, a non-tree edge crosses a
-    surviving tree edge t exactly when it lies in t's row, and the blocks of
-    contracted edges name each contracted vertex by its least vertex, as in
-    minor.
+    the original one minus the contracted edges, and a non-tree edge
+    crosses a surviving tree edge t exactly when it lies in t's row.
     """
     fcm = fundamental_cycle_matrix(G, T)
     order = sorted(fcm.columns)
@@ -481,7 +454,6 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
 
     remaining = set(T.tree_edges)
     seeds = iter(sorted(remaining))  # a seed is contracted before the next is drawn
-    blocks = VertexUnion(G.vertices)
     stack: list[tuple[EdgeId, EdgeId, set[EdgeId]]] = []
     while remaining:
         if not stack:
@@ -489,12 +461,11 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
             stack.append(_seed_pair(fcm, remaining, seed))
         e, f, inter = stack[-1]
         while len(inter) > 1:
-            e, f, inter = _shrink_pair(fcm, blocks, remaining, e, f, inter)
+            e, f, inter = _shrink_pair(fcm, remaining, e, f, inter)
             stack.append((e, f, inter))
         (t,) = inter
         cycles.append(fcm.cycle_edges(e) ^ fcm.cycle_edges(f))
         tags.append(Provenance(kind="semi-fundamental", e=e, f=f, t=t))
-        blocks.union(*G.edges[t])
         remaining.discard(t)
         stack.pop()
         for _, _, pinter in stack:
@@ -571,9 +542,10 @@ def indicator_matrix(G: Multigraph, cycles) -> IntegerMatrix:
     return IntegerMatrix.from_vectors([{e: 1 for e in c} for c in cycles], order)
 
 
-def matches_all_cycles_lattice(G: Multigraph, cycles, limit: int = 100_000) -> bool:
-    """HNF equality of the given cycles against every enumerated cycle of G."""
-    all_cycles = enumerate_cycles(G, limit=limit)
-    A = indicator_matrix(G, all_cycles)
-    B = indicator_matrix(G, cycles)
+def matches_all_cycles_lattice(G: Multigraph, vectors: list[dict[EdgeId, int]]) -> bool:
+    """Do the vectors (a basis's vectors(), multipliers included) generate
+    the lattice of every enumerated cycle of G?  Exact, by HNF equality, so
+    only for small graphs."""
+    A = indicator_matrix(G, enumerate_cycles(G))
+    B = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
     return hnf_lattices_equal(A, B)

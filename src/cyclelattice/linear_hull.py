@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
 
-from .cycle_structure import Cosimplification, cosimplify, fundamental_cycle_matrix
+from .cycle_structure import Cosimplification, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
 from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
 from .multigraph import Multigraph
@@ -167,19 +167,16 @@ def hull_basis_mod_p(
     return vectors
 
 
-def hull_report(
-    G: Multigraph | Cosimplification, K: FieldSpec | None, A: AbelianGroupSpec | None
-) -> dict:
-    """Hull summary for a connected graph, summed over its cosimplification.
+def hull_report(cos: Cosimplification, K: FieldSpec | None, A: AbelianGroupSpec | None) -> dict:
+    """Hull summary for a connected graph, given by its cosimplification.
 
     The closed-form dimensions assume a 3-edge-connected graph; they are
     summed over the components of the cosimplification (a lattice
-    isomorphism), and the report is flagged as derived unless G itself is
-    3-edge-connected.  G may be given by its cosimplification.
+    isomorphism), and the report is flagged as derived unless the graph
+    itself is 3-edge-connected.
     """
-    cos = G if isinstance(G, Cosimplification) else cosimplify(G)
     hat = cos.hat_graph
-    rank = hat.n - len(cos.hat_tree.component_roots)
+    rank = hat.n - cos.hat_component_count
     report: dict = {"derived": not cos.three_edge_connected}
     if K is not None:
         report["characteristic"] = K.characteristic

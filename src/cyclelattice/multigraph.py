@@ -168,28 +168,6 @@ class MinorMap:
     vertex_image: dict[VertexId, VertexId]
 
 
-class VertexUnion:
-    """Union-find over vertices; every block is named by its least vertex."""
-
-    def __init__(self, vertices):
-        self.rep: dict[VertexId, VertexId] = {v: v for v in vertices}
-
-    def find(self, v: VertexId) -> VertexId:
-        rep = self.rep
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
-    def union(self, u: VertexId, v: VertexId) -> bool:
-        """Merge the blocks of u and v; False when they are one block already."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.rep[max(ru, rv)] = min(ru, rv)
-        return True
-
-
 def parse_edge_list(text: str) -> Multigraph:
     """Parse an edge-list document.
 

@@ -227,6 +227,48 @@ class TestVerify:
         assert verdict["checks"][0]["name"] == "entries-are-cycles"
         assert verdict["checks"][0]["passed"] is False
 
+    def test_entry_not_an_object_rejected(self, capsys, k4_file, tmp_path):
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"cycles": [[0, 1, 3]]}))
+        code, verdict = run_json(capsys, "verify", k4_file, str(path))
+        assert code == 3
+        detail = "entry 0 is not an object"
+        check = {"name": "entries-are-cycles", "passed": False, "detail": detail}
+        assert verdict == {"accepted": False, "checks": [check], "format": 2}
+
+    def test_doubled_bridge_is_outside_the_cycle_space(self, capsys, tmp_path):
+        text = _core_with_pendants(50)
+        bridge = min(cosimplify(parse_edge_list(text)).partition.bridges)
+        graph = tmp_path / "core50.txt"
+        graph.write_text(text)
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({"cycles": [{"edges": [bridge], "multiplier": 2}]}))
+        code, verdict = run_json(capsys, "verify", str(graph), str(path))
+        assert code == 3
+        assert verdict["accepted"] is False
+        assert verdict["checks"][-1]["name"] == "rational-cycle-space"
+        assert verdict["checks"][-1]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, certified",
+    [
+        (["basis"], lambda doc: doc["certified"]),
+        (["extend"], lambda doc: doc["chain"]["certified"]),
+    ],
+    ids=["basis", "extend"],
+)
+def test_an_uncertified_basis_fails_only_under_verify(
+    capsys, k4_file, monkeypatch, argv, certified
+):
+    monkeypatch.setattr(
+        cli, "certify_components", lambda cos, bases: certificate.Certificate(0, False, 6, ())
+    )
+    code, doc = run_json(capsys, *argv, k4_file)
+    assert (code, certified(doc)) == (0, False)
+    code, doc = run_json(capsys, *argv, "--verify", k4_file)
+    assert (code, certified(doc)) == (3, False)
+
 
 class TestExtend:
     def test_b3(self, capsys, b3_file):
@@ -612,8 +654,12 @@ def test_partition_count_does_not_grow_with_components(
     document's tree with forest_from_edges.  basis and
     extend certify the component bases they built, with certify_components,
     so they check no forest and project nothing; no component forest is
-    searched again."""
+    searched again.  When the graph is not 3-edge-connected, basis and
+    verify search the reduced graph once for the components' forests;
+    hull and analyze count its components off the forest and search it
+    not at all."""
     bfs_on_input = {"basis": 1, "verify": 2, "hull": 1, "analyze": 1, "extend": 1}
+    bfs_on_reduced = {"basis": 1, "verify": 1, "hull": 0, "analyze": 0, "extend": 0}
     # per command: calls of certify, certify_components and _project, and
     # forest_from_edges calls on the input graph
     certifying = {
@@ -647,6 +693,8 @@ def test_partition_count_does_not_grow_with_components(
 
         assert on_input(seen["connected_components"]) == [], name
         assert len(on_input(seen["bfs_parents"])) == bfs_on_input[command[0]], name
+        reduced = bfs_on_reduced[command[0]] if name != "k4" else 0
+        assert len(seen["bfs_parents"]) == bfs_on_input[command[0]] + reduced, name
         counts = (
             len(seen["certify"]),
             len(seen["certify_components"]),

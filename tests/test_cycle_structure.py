@@ -18,7 +18,6 @@ from cyclelattice.errors import StructureError
 from cyclelattice.multigraph import (
     Multigraph,
     SpanningForest,
-    VertexUnion,
     forest_from_edges,
     parse_edge_list,
     spanning_forest,
@@ -167,9 +166,20 @@ def _component_count(G, deleted):
 
 def _random_forest(draw, G):
     """A spanning forest of G grown by Kruskal's rule over a random edge order."""
-    blocks = VertexUnion(G.vertices)
-    order = draw(st.permutations(G.sorted_edges))
-    forest = forest_from_edges(G, [e for e in order if blocks.union(*G.edges[e])])
+    root = {v: v for v in G.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tree = []
+    for e in draw(st.permutations(G.sorted_edges)):
+        u, v = map(find, G.edges[e])
+        if u != v:
+            root[u] = v
+            tree.append(e)
+    forest = forest_from_edges(G, tree)
     assert forest is not None
     return forest
 

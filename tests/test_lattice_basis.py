@@ -242,7 +242,7 @@ class TestSemiFundamentalBasis:
         basis, triples = semi_fundamental_basis(k4, T)
         det, ok = certify_cycle_basis(k4, basis)
         assert ok and abs(det) == 8
-        assert matches_all_cycles_lattice(k4, basis.cycles)
+        assert matches_all_cycles_lattice(k4, basis.vectors())
         _assert_triples_witness(k4, T, triples)
         diam = max(tree_diameter(T).values())
         assert all(len(c) <= 2 * diam for c in basis.cycles)
@@ -270,7 +270,7 @@ class TestSemiFundamentalBasis:
     def test_hnf_oracle_equality(self, k4, b3, tri_pendant, c3, two_loops):
         for G in (k4, b3, tri_pendant, c3, two_loops):
             basis, _ = semi_fundamental_basis(G)
-            assert matches_all_cycles_lattice(G, basis.cycles)
+            assert matches_all_cycles_lattice(G, basis.vectors())
 
     def test_random_instances(self):
         for seed in range(12):
@@ -297,7 +297,7 @@ class TestSemiFundamentalBasis:
             assert ok, (trial, det)
             _assert_triples_witness(G, T, triples)
             if G.m <= 13:
-                assert matches_all_cycles_lattice(G, basis.cycles), trial
+                assert matches_all_cycles_lattice(G, basis.vectors()), trial
 
     def test_no_minor_on_a_3ec_graph(self, monkeypatch):
         # the contractions are replayed on the fixed tree, never as minors
@@ -319,7 +319,7 @@ class TestSemiFundamentalBasis:
         for trial in range(60):
             G = _random_connected_graph(rng)
             basis, _ = semi_fundamental_basis(G)
-            assert matches_all_cycles_lattice(G, basis.cycles), (trial, G.edges)
+            assert matches_all_cycles_lattice(G, basis.vectors()), (trial, G.edges)
 
     def test_disconnected_rejected(self):
         from cyclelattice.errors import StructureError
@@ -426,7 +426,7 @@ class TestLiftBasis:
 
     def test_triangle_with_pendant(self, tri_pendant):
         basis, _ = semi_fundamental_basis(tri_pendant)
-        assert matches_all_cycles_lattice(tri_pendant, basis.cycles)
+        assert matches_all_cycles_lattice(tri_pendant, basis.vectors())
         assert [sorted(c) for c in basis.cycles] == [[0, 1, 2]]
 
 

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, PreconditionError
 from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
 from cyclelattice.linear_hull import (
@@ -163,16 +164,16 @@ class TestAgainstEnumeration:
 
 class TestHullReport:
     def test_direct(self, k4):
-        doc = hull_report(k4, FieldSpec(3), None)
+        doc = hull_report(cosimplify(k4), FieldSpec(3), None)
         assert doc == {"derived": False, "characteristic": 3, "dimension": 6}
 
     def test_group_report(self, b3):
-        doc = hull_report(b3, None, AbelianGroupSpec((4,)))
+        doc = hull_report(cosimplify(b3), None, AbelianGroupSpec((4,)))
         assert doc["order"] == "32"
         assert doc["derived"] is False
 
     def test_derived_route(self, c3):
-        doc = hull_report(c3, FieldSpec(3), None)
+        doc = hull_report(cosimplify(c3), FieldSpec(3), None)
         assert doc["derived"] is True
         assert doc["dimension"] == 1  # the collapsed loop spans one coordinate
 
@@ -180,7 +181,7 @@ class TestHullReport:
         for G in (c3, tri_pendant):
             M = _all_cycles_matrix(G)
             for p in (3, 5):
-                doc = hull_report(G, FieldSpec(p), None)
+                doc = hull_report(cosimplify(G), FieldSpec(p), None)
                 assert doc["dimension"] == rank_mod_p(M, p)
-            doc2 = hull_report(G, FieldSpec(2), None)
+            doc2 = hull_report(cosimplify(G), FieldSpec(2), None)
             assert doc2["dimension"] == rank_mod_p(M, 2)

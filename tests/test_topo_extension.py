@@ -362,7 +362,7 @@ class TestCompatibleChain:
         assert len(chain.final_basis.cycles) == 6
         det, ok = certify_cycle_basis(k4, chain.final_basis)
         assert ok and abs(det) == 8
-        assert matches_all_cycles_lattice(k4, chain.final_basis.cycles)
+        assert matches_all_cycles_lattice(k4, chain.final_basis.vectors())
 
     def test_nestedness(self, k4, b3):
         for G in (k4, b3):
