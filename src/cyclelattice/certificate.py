@@ -109,7 +109,16 @@ def certify(
     component's own sequence cannot certify.
     """
     T = forest_from_edges(G, tree) if tree is not None else None
-    cos = cosimplify(G, forest=T or spanning_forest(G))
+    return _certify_vectors(cosimplify(G, forest=T or spanning_forest(G)), vectors, sequences)
+
+
+def _certify_vectors(
+    cos: Cosimplification, vectors: list[dict[EdgeId, int]], sequences
+) -> Certificate:
+    """certify of the vectors on a cosimplification of their graph, built on
+    the forest certify would take: each vector projected onto cos and
+    matched to its component, and each sequence to the component its base
+    maps to."""
     hat = cos.hat_graph
     projected = _project(cos, vectors)
     if projected is None:
@@ -142,15 +151,19 @@ def certify_components(cos: Cosimplification, bases) -> Certificate:
 def _certify_parts(cos: Cosimplification, members: dict, hints: dict) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
     along the sequence hinted there, both keyed by the component's least
-    vertex; a vertex without edges is a component of its own."""
-    hat = cos.hat_graph
+    vertex.  A vertex without edges is a component of its own, with no
+    vectors and determinant 1; only a sequence hinted there is replayed."""
     parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
-    parts.update((v, (Multigraph((v,), {}), None)) for v in hat.vertices if not hat.incidence[v])
-    results = []
+    results = {}
+    for v in cos.isolated_vertices:
+        if hints.get(v) is None:
+            results[v] = ComponentCertificate(1, 0, 1, "generic")
+        else:
+            parts[v] = (Multigraph((v,), {}), None)
     for key, (H, T_H) in sorted(parts.items()):
         vecs = members.get(key, [])
         if len(vecs) != H.m:
-            results.append(ComponentCertificate(H.n, H.m, 0, "unmatched"))
+            results[key] = ComponentCertificate(H.n, H.m, 0, "unmatched")
             continue
         det, kind = None, "chain"
         if hints.get(key) is not None:
@@ -162,9 +175,10 @@ def _certify_parts(cos: Cosimplification, members: dict, hints: dict) -> Certifi
                 det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
                 if det is None:
                     raise
-        results.append(ComponentCertificate(H.n, H.m, det, kind))
-    determinant = prod(r.determinant for r in results)
-    return Certificate(determinant, all(r.ok for r in results), hat.m, tuple(results))
+        results[key] = ComponentCertificate(H.n, H.m, det, kind)
+    ordered = tuple(results[key] for key in sorted(results))
+    determinant = prod(r.determinant for r in ordered)
+    return Certificate(determinant, all(r.ok for r in ordered), cos.hat_graph.m, ordered)
 
 
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:

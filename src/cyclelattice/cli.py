@@ -15,8 +15,8 @@ import json
 import sys
 from math import gcd
 
-from .certificate import certify, certify_components
-from .cycle_structure import cosimplify, is_simple_cycle
+from .certificate import _certify_vectors, certify_components
+from .cycle_structure import Cosimplification, cosimplify
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -40,6 +40,7 @@ from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
     Multigraph,
     SpanningForest,
+    forest_from_edges,
     format_edge_list,
     parse_edge_list,
     tree_parts,
@@ -249,8 +250,9 @@ def _document_sequences(doc: dict) -> list[ExtensionSequence]:
     return sequences
 
 
-def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
-    """Why a document entry is neither a cycle nor a doubled edge set, or None."""
+def _entry_problem(cos: Cosimplification, idx: int, entry) -> str | None:
+    """Why a document entry is neither a cycle nor a doubled edge set of
+    cos.parent, or None."""
     if not isinstance(entry, dict):
         return f"entry {idx} is not an object"
     edges = entry.get("edges")
@@ -261,41 +263,52 @@ def _entry_problem(G: Multigraph, idx: int, entry) -> str | None:
         return f"entry {idx} has unsupported multiplier {mult!r}"
     if len(set(edges)) != len(edges):
         return f"entry {idx} repeats an edge id"
-    unknown = [e for e in edges if e not in G.edges]
+    unknown = [e for e in edges if e not in cos.parent.edges]
     if unknown:
         return f"entry {idx} names unknown edge {unknown[0]}"
     if mult == 2:
         return None if edges else f"entry {idx} doubles no edge"
-    return None if is_simple_cycle(G, set(edges)) else f"entry {idx} is not a cycle"
+    return None if cos.is_cycle(edges) else f"entry {idx} is not a cycle"
+
+
+def _document_forest(G: Multigraph, T: SpanningForest, tree) -> SpanningForest:
+    """The forest verify certifies on: the document's tree when it is a list
+    of integer ids that forms a spanning forest of G, else T, the forest G
+    was loaded with.  A tree of T's own edges is T, checked no second time."""
+    if not (isinstance(tree, list) and all(type(e) is int for e in tree)):
+        return T
+    if T.tree_edges == set(tree):
+        return T
+    return forest_from_edges(G, tree) or T
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     candidate = _load_document(args.basis)
+    cos = cosimplify(G, forest=_document_forest(G, T, candidate.get("tree")))
     checks = [
         {"name": name, "passed": passed, "detail": detail}
-        for name, passed, detail in _verify_checks(G, T, candidate)
+        for name, passed, detail in _verify_checks(cos, candidate)
     ]
     accepted = all(c["passed"] for c in checks)
     return {"accepted": accepted, "checks": checks}, accepted
 
 
-def _verify_checks(G: Multigraph, T: SpanningForest, candidate: dict):
-    """verify's checks of a document, as (name, passed, detail), up to the
-    first failure that leaves nothing for the later checks to judge."""
+def _verify_checks(cos: Cosimplification, candidate: dict):
+    """verify's checks of a document on one cosimplification of its graph,
+    as (name, passed, detail), up to the first failure that leaves nothing
+    for the later checks to judge."""
+    G = cos.parent
     entries = candidate["cycles"]
     problem = next(
-        (p for p in (_entry_problem(G, i, e) for i, e in enumerate(entries)) if p), None
+        (p for p in (_entry_problem(cos, i, e) for i, e in enumerate(entries)) if p), None
     )
     yield "entries-are-cycles", not problem, problem or f"{len(entries)} entries"
     if problem:
         return
     vectors = [_entry_vector(entry) for entry in entries]
-    tree = candidate.get("tree")
-    if not (isinstance(tree, list) and all(type(e) is int for e in tree)):
-        tree = T.tree_edges
     try:
-        cert = certify(G, vectors, tree=tree, sequences=_document_sequences(candidate))
+        cert = _certify_vectors(cos, vectors, _document_sequences(candidate))
     except CapacityError as exc:
         yield "determinant", False, str(exc)
         return

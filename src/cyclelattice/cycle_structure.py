@@ -7,6 +7,8 @@ or raise explicitly.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +20,6 @@ from .multigraph import (
     VertexId,
     bfs_parents,
     forest_of,
-    minor,
     spanning_forest,
     tree_parts,
     tree_path,
@@ -106,6 +107,12 @@ class Cosimplification:
         return forest_of(hat, bfs_parents(hat, sorted(hat.vertices), edges))
 
     @cached_property
+    def isolated_vertices(self) -> tuple[VertexId, ...]:
+        """Vertices of hat_graph without edges, each a component of its own."""
+        hat = self.hat_graph
+        return tuple(v for v in hat.vertices if not hat.incidence[v])
+
+    @cached_property
     def components(self) -> tuple[tuple[Multigraph, SpanningForest], ...]:
         """Components of hat_graph that have edges, by least vertex, each
         with the restriction of hat_tree to it.  They are 3-edge-connected
@@ -113,14 +120,97 @@ class Cosimplification:
         hat, tree = self.hat_graph, self.hat_tree
         if len(tree.component_roots) == 1:
             return ((hat, tree),) if hat.m else ()
+        isolated = set(self.isolated_vertices)
+        parents = {v: up for v, up in tree.parents.items() if v not in isolated}
         out = []
         # sorted: the forest cosimplify was given may put a preferred root first
-        for vs, es, up in sorted(tree_parts(hat, tree.parents)):
-            if es:
-                labels = {v: hat.labels[v] for v in vs if v in hat.labels} if hat.labels else None
-                H = Multigraph(vs, {e: hat.edges[e] for e in es}, labels)
-                out.append((H, forest_of(H, up)))
+        for vs, es, up in sorted(tree_parts(hat, parents)):
+            labels = {v: hat.labels[v] for v in vs if v in hat.labels} if hat.labels else None
+            H = Multigraph(vs, {e: hat.edges[e] for e in es}, labels)
+            out.append((H, forest_of(H, up)))
         return tuple(out)
+
+    @cached_property
+    def series_paths(self) -> dict[EdgeId, tuple[tuple[VertexId, VertexId], ...] | None]:
+        """Each series class, keyed by its representative, as the end pairs
+        (a, b) of its paths between ports, the vertices that edges of two or
+        more classes meet.
+
+        A vertex other than a port meets one class only, so its degree in
+        any union of classes is its degree in that class.  A class is ()
+        when such a degree is not 2, or its degree at a port is 3 or more: no
+        union that holds it is a simple cycle.  It is None when a path of it
+        closes without reaching a port: only a walk of the union decides.
+        Exact for any partition of the edges into classes, so it does not
+        rely on the partition being that of the series classes.
+        """
+        ends = self.parent.edges
+        owner: dict[VertexId, EdgeId] = {}
+        ports: set[VertexId] = set()
+        for rep, cls in self.section.items():
+            for e in cls:
+                for x in ends[e]:
+                    if owner.setdefault(x, rep) != rep:
+                        ports.add(x)
+        out: dict[EdgeId, tuple[tuple[VertexId, VertexId], ...] | None] = {}
+        for rep, cls in self.section.items():
+            at: dict[VertexId, list[EdgeId]] = {}  # a loop is listed twice
+            for e in cls:
+                u, v = ends[e]
+                at.setdefault(u, []).append(e)
+                at.setdefault(v, []).append(e)
+            if any(len(es) > 2 or len(es) < 2 and x not in ports for x, es in at.items()):
+                out[rep] = ()
+                continue
+            paths: list[tuple[VertexId, VertexId]] = []
+            finished: set[EdgeId] = set()  # the last edge of each path walked
+            walked = 0
+            for a, es in at.items():
+                if a not in ports:
+                    continue
+                for e in es:
+                    if e in finished:
+                        continue
+                    x = a
+                    while True:
+                        walked += 1
+                        u, v = ends[e]
+                        x = v if u == x else u
+                        if x in ports:
+                            break
+                        first, second = at[x]
+                        e = second if first == e else first
+                    finished.add(e)
+                    paths.append((a, x))
+            out[rep] = tuple(paths) if walked == len(cls) else None
+        return out
+
+    def classes_form_cycle(self, reps: Collection[EdgeId]) -> bool:
+        """Is the union of the series classes of these representatives a
+        simple cycle of the parent?
+
+        Off series_paths: with no class () or None, the union is a
+        subdivision of the multigraph on the ports whose edges are the
+        classes' paths, so it is a cycle exactly when that multigraph is
+        one, which takes a walk over the paths only.
+        """
+        classes = [self.series_paths[rep] for rep in reps]
+        if () in classes:
+            return False
+        if None in classes:
+            return is_simple_cycle(self.parent, self.lift_edges(reps))
+        paths = [pair for cls in classes for pair in cls]
+        return _closes_one_cycle(paths, range(len(paths)))
+
+    def is_cycle(self, edges: Collection[EdgeId]) -> bool:
+        """is_simple_cycle of the parent, on the classes when the edges are
+        a union of whole series classes (classes_form_cycle), else on the
+        edges themselves."""
+        if not self.identity:
+            count = Counter(map(self.projection.get, edges))  # bridges count under None
+            if None not in count and all(k == len(self.section[r]) for r, k in count.items()):
+                return self.classes_form_cycle(count)
+        return is_simple_cycle(self.parent, set(edges))
 
     def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:
         out: set[EdgeId] = set()
@@ -213,8 +303,39 @@ def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplif
             projection[e] = rep
     hat = G
     if partition.bridges or to_contract:
-        hat = minor(G, delete=set(partition.bridges), contract=to_contract).result
+        hat = _contract_forest_edges(G, T, partition.bridges, to_contract)
     return Cosimplification(G, T, partition, hat, projection, section)
+
+
+def _contract_forest_edges(
+    G: Multigraph, T: SpanningForest, delete: Iterable[EdgeId], contract: set[EdgeId]
+) -> Multigraph:
+    """minor(G, delete, contract).result for edges `contract` of the forest T.
+
+    One pass over T's parent map, parents before children, puts each
+    vertex in the block of its parent when the edge to it is contracted;
+    each block is named by its least vertex, as minor names it.  Contracted
+    forest edges close no cycle, so none of them becomes a loop.
+    """
+    top: dict[VertexId, VertexId] = {}  # vertex -> the first vertex of its block
+    least: dict[VertexId, VertexId] = {}  # first vertex of a block -> its least
+    for v, up in T.parents.items():
+        if up is not None and up[1] in contract:
+            t = top[v] = top[up[0]]
+            if v < least[t]:
+                least[t] = v
+        else:
+            top[v] = least[v] = v
+    image = {v: v for v in G.vertices}
+    for v, t in top.items():
+        image[v] = least[t]
+    removed = contract.union(delete)
+    edges = {e: (image[u], image[v]) for e, (u, v) in G.edges.items() if e not in removed}
+    vertices = tuple(sorted(v for v in G.vertices if image[v] == v))
+    labels = None
+    if G.labels:
+        labels = {v: G.labels[v] for v in vertices if v in G.labels}
+    return Multigraph(vertices=vertices, edges=edges, labels=labels)
 
 
 def three_edge_connectivity_witness(G: Multigraph | Cosimplification) -> tuple[str, object] | None:
@@ -250,8 +371,15 @@ def is_simple_cycle(G: Multigraph, edges: frozenset[EdgeId] | set[EdgeId]) -> bo
     A loop alone is a cycle of length 1; a pair of parallel edges is a cycle
     of length 2.
     """
-    ends = G.edges
-    if not edges or not edges <= ends.keys():
+    return edges <= G.edges.keys() and _closes_one_cycle(G.edges, edges)
+
+
+def _closes_one_cycle(
+    ends: Sequence[tuple[VertexId, VertexId]] | dict[EdgeId, tuple[VertexId, VertexId]],
+    edges: Collection[EdgeId],
+) -> bool:
+    """Do these edges, with ends[e] the ends of e, form one cycle?"""
+    if not edges:
         return False
     # the first and second edge at each vertex; a loop is both at its vertex
     first: dict[VertexId, EdgeId] = {}

@@ -16,7 +16,6 @@ from .cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
     fundamental_cycle_matrix,
-    is_simple_cycle,
     three_edge_connectivity_witness,
 )
 from .errors import (
@@ -522,13 +521,13 @@ def per_component(cos: Cosimplification, construct):
 
 
 def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:
-    """Each representative edge replaced by its series class (never a bridge)."""
+    """Each representative edge replaced by its series class (never a bridge),
+    checked to be a simple cycle of the parent class by class."""
     if any(e not in cos.section for e in cycle):
         raise ArgumentError("cycle uses edges outside the cosimplification")
-    lifted = cos.lift_edges(cycle)
-    if not is_simple_cycle(cos.parent, lifted):
+    if not cos.classes_form_cycle(cycle):
         raise InternalError("lifted edge set is not a simple cycle")
-    return lifted
+    return cos.lift_edges(cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ import random
 import pytest
 
 from cyclelattice import certificate, topo_extension
-from cyclelattice.certificate import certify, certify_components, certify_cycle_basis
+from cyclelattice.certificate import (
+    ComponentCertificate,
+    certify,
+    certify_components,
+    certify_cycle_basis,
+)
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
@@ -400,6 +405,17 @@ def test_non_3ec_graphs_are_certified_per_component():
     assert certify(G, [{0: 1, 1: 1, 2: 1}]).components[1].kind == "unmatched"
     with pytest.raises(ArgumentError):
         certify(G, [{99: 1}])
+
+
+def test_one_vertex_is_certified_along_a_zero_step_hint():
+    """The vertex of the one-vertex graph has no edges; a sequence hinted
+    there is still replayed, so the component is a chain."""
+    G = parse_edge_list("1 0\n")
+    sequence = compatible_chain(G).sequence
+    assert sequence.steps == ()
+    chain = certify(G, [], sequences=[sequence])
+    assert chain.components == (ComponentCertificate(1, 0, 1, "chain"),)
+    assert certify(G, []).components == (ComponentCertificate(1, 0, 1, "generic"),)
 
 
 class TestVerifyDocuments:

@@ -649,26 +649,32 @@ def test_partition_count_does_not_grow_with_components(
 ):
     """Each command reduces its graph once: bridges_and_series_classes runs
     once, and connected_components never runs on the input graph.  The
-    forest BFS runs on the input graph a fixed number of times: once for
-    the spanning forest, and for verify once more, where certify checks the
-    document's tree with forest_from_edges.  basis and
-    extend certify the component bases they built, with certify_components,
-    so they check no forest and project nothing; no component forest is
-    searched again.  When the graph is not 3-edge-connected, basis and
-    verify search the reduced graph once for the components' forests;
-    hull and analyze count its components off the forest and search it
-    not at all."""
-    bfs_on_input = {"basis": 1, "verify": 2, "hull": 1, "analyze": 1, "extend": 1}
+    forest BFS runs once on the input graph, for the spanning forest.
+    basis and extend certify the component bases they built, with
+    certify_components, so they check no forest and project nothing.
+    verify certifies with certify's core, _certify_vectors, on the one
+    cosimplification it also checks the entries on: a document tree with
+    the load forest's edges is that forest and is not checked again,
+    another spanning forest is checked once, with forest_from_edges, and
+    reduced on, and a tree that is no forest is checked once and the load
+    forest taken instead.  No component forest is searched again.  When
+    the graph is not 3-edge-connected, basis and verify search the reduced
+    graph once for the components' forests; hull and analyze count its
+    components off the forest and search it not at all."""
+    bfs_on_input = {"basis": 1, "verify": 1, "hull": 1, "analyze": 1, "extend": 1}
     bfs_on_reduced = {"basis": 1, "verify": 1, "hull": 0, "analyze": 0, "extend": 0}
-    # per command: calls of certify, certify_components and _project, and
-    # forest_from_edges calls on the input graph
+    # per command: calls of certify, _certify_vectors, certify_components and
+    # _project, and forest_from_edges calls on the input graph
     certifying = {
-        "basis": (0, 1, 0, 0),
-        "extend": (0, 1, 0, 0),
-        "verify": (1, 0, 1, 1),
-        "hull": (0, 0, 0, 0),
-        "analyze": (0, 0, 0, 0),
+        "basis": (0, 0, 1, 0, 0),
+        "extend": (0, 0, 1, 0, 0),
+        "verify": (0, 1, 0, 1, 0),
+        "hull": (0, 0, 0, 0, 0),
+        "analyze": (0, 0, 0, 0, 0),
     }
+    names = ["bridges_and_series_classes", "connected_components", "bfs_parents"]
+    names += ["certify", "_certify_vectors", "certify_components", "_project"]
+    names += ["forest_from_edges"]
     inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
     for name, text in inputs.items():
         if command[0] == "extend" and name != "k4":
@@ -681,14 +687,12 @@ def test_partition_count_does_not_grow_with_components(
             doc = tmp_path / f"{name}.json"
             doc.write_text(capsys.readouterr().out)
             argv.append(str(doc))
-        names = ["bridges_and_series_classes", "connected_components", "bfs_parents"]
-        names += ["certify", "certify_components", "_project", "forest_from_edges"]
         seen = _calls(monkeypatch, argv, names)
         capsys.readouterr()
         assert len(seen["bridges_and_series_classes"]) == 1, name
         G = parse_edge_list(text)
 
-        def on_input(calls):
+        def on_input(calls, G=G):
             return [H for H in calls if (H.n, H.m) == (G.n, G.m)]
 
         assert on_input(seen["connected_components"]) == [], name
@@ -697,6 +701,7 @@ def test_partition_count_does_not_grow_with_components(
         assert len(seen["bfs_parents"]) == bfs_on_input[command[0]] + reduced, name
         counts = (
             len(seen["certify"]),
+            len(seen["_certify_vectors"]),
             len(seen["certify_components"]),
             len(seen["_project"]),
             len(on_input(seen["forest_from_edges"])),
@@ -705,6 +710,22 @@ def test_partition_count_does_not_grow_with_components(
         cos = cosimplify(G)
         components = {(H.n, H.m) for H, _ in cos.components if H is not cos.hat_graph}
         assert [H for H in seen["bfs_parents"] if (H.n, H.m) in components] == [], name
+        if command != ["verify"]:
+            continue
+        other = spanning_forest(G, prefer_root=G.vertices[-1]).tree_edges
+        assert other != spanning_forest(G).tree_edges, name
+        for tree in (sorted(other), sorted(G.edges)):  # another forest; no forest
+            document = json.loads(doc.read_text())
+            document["tree"] = tree
+            retreed = tmp_path / f"{name}-retreed.json"
+            retreed.write_text(json.dumps(document))
+            seen = _calls(monkeypatch, ["verify", str(graph), str(retreed)], names)
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict["accepted"], name
+            assert len(seen["bridges_and_series_classes"]) == 1, name
+            assert len(on_input(seen["bfs_parents"])) == 2, (name, tree)
+            assert len(on_input(seen["forest_from_edges"])) == 1, (name, tree)
+            assert len(seen["_certify_vectors"]) == 1, name
 
 
 @pytest.mark.parametrize(
@@ -893,6 +914,34 @@ def test_component_bases_certify_as_their_lifted_vectors(name):
             lifted = certify(G, vectors, tree=T.tree_edges, sequences=sequences)
             assert certify_components(cos, bases) == lifted, (method, root)
             assert lifted.certified, (method, root)
+
+
+def test_edgeless_components_keep_their_certificates(capsys, tmp_path):
+    """core50 reduces to K4 and 50 pendant leaves without edges.  Each leaf
+    is certified at once as (1, 0, 1, "generic"), after the core, by
+    certify_components and certify alike, and verify lists it in its
+    determinant detail (the core50-verify-semi golden holds the whole
+    document)."""
+    text = _core_with_pendants(50)
+    G = parse_edge_list(text)
+    cos = cosimplify(G)
+    leaves = [(1, 0, 1, "generic")] * 50
+    for method, kind in (("semi-fundamental", "generic"), ("topological", "chain")):
+        entries, bases = per_component(cos, cli._CONSTRUCTIONS[method])
+        vectors = [cli._entry_vector(cli._entry(edges, tag)) for edges, tag in entries]
+        sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
+        for cert in (certify_components(cos, bases), certify(G, vectors, sequences=sequences)):
+            got = [(c.n, c.m, c.determinant, c.kind) for c in cert.components]
+            assert got == [(4, 6, 8, kind)] + leaves, method
+    graph = tmp_path / "core50.txt"
+    graph.write_text(text)
+    assert main(["basis", str(graph)]) == 0
+    doc = tmp_path / "core50.json"
+    doc.write_text(capsys.readouterr().out)
+    code, verdict = run_json(capsys, "verify", str(graph), str(doc))
+    assert code == 0
+    detail = "; ".join(["|det|=8 expected 8"] + ["|det|=1 expected 1"] * 50)
+    assert verdict["checks"][-1] == {"name": "determinant", "passed": True, "detail": detail}
 
 
 @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"])
