@@ -134,25 +134,35 @@ def _certify_vectors(
     for seq in sequences:
         base = next(iter(seq.vertex_map.values()), None)
         hints[home_of.get(base, base)] = seq
-    return _certify_parts(cos, members, hints)
+    return _certify_parts(cos, members, hints, {})
 
 
 def certify_components(cos: Cosimplification, bases) -> Certificate:
     """certify of bases built on cos.components, one per component in order,
     before they are lifted to cos.parent: each basis's vectors on its
     component, along the basis's extension sequence when it has one, with no
-    forest to check and nothing to project."""
+    forest to check and nothing to project.  A basis built on the
+    component's own forest lends the generic path its fundamental-cycle
+    columns, so the matrix is not built again."""
     built = dict(zip((H.vertices[0] for H, _ in cos.components), bases, strict=True))
     members = {key: basis.vectors() for key, basis in built.items()}
     hints = {key: getattr(basis, "sequence", None) for key, basis in built.items()}
-    return _certify_parts(cos, members, hints)
+    columns = {
+        H.vertices[0]: getattr(basis, "fundamental_columns", None)
+        for (H, T_H), basis in zip(cos.components, bases)
+        if getattr(basis, "tree", None) is T_H
+    }
+    return _certify_parts(cos, members, hints, columns)
 
 
-def _certify_parts(cos: Cosimplification, members: dict, hints: dict) -> Certificate:
+def _certify_parts(
+    cos: Cosimplification, members: dict, hints: dict, columns: dict
+) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
-    along the sequence hinted there, both keyed by the component's least
-    vertex.  A vertex without edges is a component of its own, with no
-    vectors and determinant 1; only a sequence hinted there is replayed."""
+    along the sequence hinted there, and on the generic path with the
+    fundamental-cycle columns given there, all keyed by the component's
+    least vertex.  A vertex without edges is a component of its own, with
+    no vectors and determinant 1; only a sequence hinted there is replayed."""
     parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
     results = {}
     for v in cos.isolated_vertices:
@@ -170,7 +180,7 @@ def _certify_parts(cos: Cosimplification, members: dict, hints: dict) -> Certifi
             det = _chain_determinant(H, vecs, hints[key])
         if det is None:
             try:
-                det, kind = _generic_determinant(H, T_H, vecs), "generic"
+                det, kind = _generic_determinant(H, T_H, vecs, columns.get(key)), "generic"
             except CapacityError:
                 det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
                 if det is None:
@@ -228,15 +238,20 @@ def _project(
 
 
 def _generic_determinant(
-    H: Multigraph, T_H: SpanningForest | None, vectors: list[dict[EdgeId, int]]
+    H: Multigraph,
+    T_H: SpanningForest | None,
+    vectors: list[dict[EdgeId, int]],
+    fcm: dict[EdgeId, frozenset[EdgeId]] | None = None,
 ) -> int:
     """|det| of the square matrix with these columns, rows indexed by H's edges.
 
-    T_H is a spanning tree of the connected graph H, None when H has no edges.
+    T_H is a spanning tree of the connected graph H, None when H has no
+    edges; fcm, when given, the columns of its fundamental-cycle matrix.
     """
     if not H.m:
         return 1
-    fcm = fundamental_cycle_matrix(H, T_H).columns
+    if fcm is None:
+        fcm = fundamental_cycle_matrix(H, T_H).columns
     columns = []
     for vec in vectors:
         y: dict[EdgeId, int] = {}
@@ -365,7 +380,7 @@ def _grown_edges(sequence) -> dict[EdgeId, tuple[VertexId, VertexId]] | None:
     if base.n != 1 or base.m != 0:
         return None
     try:
-        return sequence.grown_edges()
+        return sequence.grown_edges
     except ArgumentError:
         return None
 

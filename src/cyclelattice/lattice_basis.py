@@ -116,11 +116,16 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class SimpleBasis:
-    """Fundamental cycles plus doubled tree edges (the non-cycle basis)."""
+    """Fundamental cycles plus doubled tree edges (the non-cycle basis).
+
+    fundamental_columns are the columns of the fundamental-cycle matrix of
+    tree that the construction read, a hint for certify_components.
+    """
 
     tree: SpanningForest
     cycle_part: tuple[tuple[EdgeId, frozenset[EdgeId]], ...]
     doubled_part: tuple[EdgeId, ...]
+    fundamental_columns: dict[EdgeId, frozenset[EdgeId]] | None = None
 
     def vectors(self) -> list[dict[EdgeId, int]]:
         """Column vectors, doubled tree edges first."""
@@ -139,13 +144,16 @@ class SimpleBasis:
 class CycleBasis:
     """Ordered list of cycles with provenance; certified means size m.
 
-    tree, and the ExtensionSequence of a chain's basis, are certify's hints.
+    tree, and the ExtensionSequence of a chain's basis, are certify's hints;
+    fundamental_columns, the columns of the fundamental-cycle matrix of
+    tree that a construction read, are certify_components's.
     """
 
     cycles: tuple[frozenset[EdgeId], ...]
     provenance: tuple[Provenance, ...]
     tree: SpanningForest | None = None
     sequence: object | None = None
+    fundamental_columns: dict[EdgeId, frozenset[EdgeId]] | None = None
 
     def __post_init__(self):
         if len(self.cycles) != len(self.provenance):
@@ -201,7 +209,7 @@ def _simple_3ec(G: Multigraph, T: SpanningForest) -> SimpleBasis:
     fcm = fundamental_cycle_matrix(G, T)
     cycle_part = tuple((e, fcm.cycle_edges(e)) for e in sorted(fcm.columns))
     doubled_part = tuple(sorted(T.tree_edges))
-    return SimpleBasis(tree=T, cycle_part=cycle_part, doubled_part=doubled_part)
+    return SimpleBasis(T, cycle_part, doubled_part, fundamental_columns=fcm.columns)
 
 
 def lattice_determinant(G: Multigraph) -> int:
@@ -470,7 +478,7 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
         for _, _, pinter in stack:
             pinter.discard(t)
         stack = [entry for entry in stack if entry[2]]
-    return CycleBasis(cycles=tuple(cycles), provenance=tuple(tags), tree=T)
+    return CycleBasis(tuple(cycles), tuple(tags), tree=T, fundamental_columns=fcm.columns)
 
 
 def semi_fundamental_basis(

@@ -15,10 +15,24 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 
 from .errors import ArgumentError, InternalError, StructureError
 from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
-from .multigraph import EdgeId, Multigraph, SpanningForest, VertexId, bfs_parents, tree_path
+from .multigraph import (
+    EdgeId,
+    Multigraph,
+    ParentMap,
+    SpanningForest,
+    VertexId,
+    bfs_parents,
+    tree_path,
+)
+
+# The chain rebuilds its spanning tree as a BFS tree of the grown graph each
+# time the graph's edge count reaches this multiple of its count at the last
+# rebuild: about 3m extra work in all, and the tree stays shallow.
+TREE_REBUILD_GROWTH = 3 / 2
 
 
 @dataclass(frozen=True)
@@ -256,8 +270,13 @@ class ExtensionSequence:
             graphs.append(grown.freeze(dict(labels) if labels else None))
         return graphs
 
+    @cached_property
     def grown_edges(self) -> dict[EdgeId, tuple[VertexId, VertexId]]:
-        """Edges of the fully grown graph; ArgumentError when a step does not apply."""
+        """Edges of the fully grown graph; ArgumentError when a step does not apply.
+
+        Replayed on first access, unless the chain built along the sequence
+        filled it from its own replay.
+        """
         grown = _GrownGraph(self.base)
         for step in self.steps:
             grown.apply(step)
@@ -656,32 +675,45 @@ def _path_vertices(G: Multigraph, edges: list[EdgeId], start: VertexId) -> list[
     return verts
 
 
+def _at_step(index: int | None, step: ExtensionStep, grown: _GrownGraph) -> str:
+    """Where a chain failed: the step and the size of the grown graph."""
+    where = "the step" if index is None else f"step {index}"
+    a, b = step.endpoints
+    return (
+        f"{where} (kind {step.kind}, endpoints {a}, {b}) on a grown graph "
+        f"with n={len(grown.adj)}, m={len(grown.ends)}"
+    )
+
+
 def _extending_cycles(
-    grown: _GrownGraph, step: ExtensionStep, kind_a_path
+    grown: _GrownGraph,
+    step: ExtensionStep,
+    parent: ParentMap | None,
+    index: int | None = None,
 ) -> list[frozenset[EdgeId]]:
     """The cycles extending a basis across `step`, read off the graph before it.
 
-    kind_a_path(a, b) closes a kind-A step between distinct endpoints; the
-    halves of divided edges close through shortest paths avoiding them.
+    Each cycle closes a route between two vertices of that graph: the new
+    edge's endpoints for kind A, and for kinds B and C an end of a divided
+    edge and the anchor or an end of the other divided edge, through the
+    matching halves.  A route is the path of the spanning tree `parent`
+    (which spans the graph) when that path avoids every divided edge, and
+    otherwise a shortest path avoiding them; with no tree, always the
+    latter.  `index` names the step in errors.
     """
     e = step.new_edge
+    sf, sg = step.split_f, step.split_g
     if step.kind == "A":
         a, b = step.endpoints
         if a == b:
             return [frozenset({e})]
-        path = kind_a_path(a, b)
-        if path is None:
-            raise InternalError("no path between the endpoints of a kind-A step")
-        return [frozenset(path) | {e}]
-    # each route joins an end of a divided edge to the anchor or to an end
-    # of the other divided edge, closing through the matching halves
-    sf, sg = step.split_f, step.split_g
-    u1, u2 = grown.ends[sf.old]
-    if step.kind == "B":
+        routes = [(a, b, ())]
+    elif step.kind == "B":
         b = step.endpoints[1]
+        u1, u2 = grown.ends[sf.old]
         routes = [(u1, b, (sf.first,)), (u2, b, (sf.second,))]
     else:
-        w1, w2 = grown.ends[sg.old]
+        (u1, u2), (w1, w2) = grown.ends[sf.old], grown.ends[sg.old]
         routes = [
             (u1, w1, (sf.first, sg.first)),
             (u2, w2, (sf.second, sg.second)),
@@ -690,9 +722,14 @@ def _extending_cycles(
     banned = {split.old for split in step.splits()}
     cycles = []
     for s_end, t_end, halves in routes:
-        path = _bfs_path(grown.adj, s_end, t_end, banned=banned)
+        path = None if parent is None else tree_path(parent, s_end, t_end)
+        if path is None or not banned.isdisjoint(path):
+            path = _bfs_path(grown.adj, s_end, t_end, banned=banned)
         if path is None:
-            raise InternalError("the ends of a divided edge fall apart without it")
+            raise InternalError(
+                f"no route from {s_end} to {t_end} avoiding the divided edges at "
+                + _at_step(index, step, grown)
+            )
         cycles.append(frozenset(path) | {*halves, e})
     return cycles
 
@@ -707,21 +744,23 @@ def extend_basis(
 
     Kind A adds one cycle through the new edge (the loop itself when the
     endpoints coincide); kind B adds two cycles, one through each half of
-    the divided edge; kind C adds three.  Path choices are deterministic
-    BFS; when tree_edges (a spanning tree of H) is given, the kind-A path
-    is the tree path, as in `compatible_chain`.
+    the divided edge; kind C adds three.  Each route is a deterministic
+    shortest path; when tree_edges (a spanning tree of H) is given, it is
+    the tree path wherever that avoids the divided edges, as in
+    `compatible_chain`.  InternalError when tree_edges do not span H.
     """
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
-
-    def kind_a_path(a, b):
-        if tree_edges is None:
-            return _bfs_path(grown.adj, a, b)
-        parent = bfs_parents(H, (a,), tree_edges)
-        return tree_path(parent, a, b) if b in parent else None
-
-    return _extending_cycles(grown, step, kind_a_path)
+    parent = None
+    if tree_edges is not None:
+        parent = bfs_parents(H, H.vertices[:1], tree_edges)
+        if len(parent) != H.n:
+            raise InternalError(
+                f"tree edges reach {len(parent)} of the {H.n} vertices at "
+                + _at_step(None, step, grown)
+            )
+    return _extending_cycles(grown, step, parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,8 +772,8 @@ class CompatibleChain:
     and `bases` and `graphs` replay one basis and one graph per grown graph
     from them on first access; otherwise `added` and `bases` are empty and
     `graphs` is None.  `final_basis` is always present, translated into the
-    target graph's edge ids.  `tree` is the maintained spanning tree, also
-    translated.
+    target graph's edge ids.  `tree` is the maintained spanning tree of the
+    fully grown graph, also translated.
     """
 
     sequence: ExtensionSequence
@@ -766,32 +805,46 @@ class CompatibleChain:
 def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleChain:
     """Grow G from a vertex and extend a cycle basis at every step.
 
-    The maintained spanning tree, a parent map rooted at the base vertex,
-    drives kind-A extending cycles; divided tree edges keep both halves in
-    the tree, a divided non-tree edge hangs the split vertex off its first
-    half, and the new edge never enters, so the tree stays spanning.
+    The extending cycles close along a spanning tree of the grown graph that
+    the chain maintains (see _ChainTree): every kind-A cycle, and every
+    kind-B or kind-C route whose tree path avoids the divided edges; the
+    other routes are shortest paths.
     """
     return _chain_3ec(G, keep_prefixes, extension_sequence(G))
 
 
-def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
-    """compatible_chain along seq (built here when None), with no 3EC check."""
-    if seq is None:
-        seq = _SequenceBuilder(G).build()
-    grown = _GrownGraph(seq.base)
-    (root,) = seq.base.vertices
-    parent: dict[VertexId, tuple[VertexId, EdgeId] | None] = {root: None}
-    tags: list[Provenance] = []
-    # per grown graph, the cycles its step adds, in that graph's edge ids
-    added: list[tuple[frozenset[EdgeId], ...]] = [()]
+class _ChainTree:
+    """The chain's spanning tree of the grown graph, a parent map rooted at
+    the base vertex.
 
-    def kind_a_path(a, b):
-        return tree_path(parent, a, b)
+    follow(grown, step), after grown.apply(step), keeps it spanning: a
+    divided tree edge keeps both halves in the tree, a divided non-tree
+    edge hangs the split vertex off its first half, and the new edge never
+    enters.  Each time the edge count reaches TREE_REBUILD_GROWTH times its
+    count at the last rebuild, the map is rebuilt instead, as a BFS tree of
+    the grown graph from the root, so the tree paths stay short.
+    """
 
-    for i, step in enumerate(seq.steps):
-        added.append(tuple(_extending_cycles(grown, step, kind_a_path)))
-        tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in added[-1])
-        grown.apply(step)
+    __slots__ = ("root", "parent", "rebuilt_at")
+
+    def __init__(self, root: VertexId):
+        self.root = root
+        self.parent: ParentMap = {root: None}
+        self.rebuilt_at = 0
+
+    def follow(self, grown: _GrownGraph, step: ExtensionStep):
+        m = len(grown.ends)
+        if m >= TREE_REBUILD_GROWTH * self.rebuilt_at:
+            self.parent = parent = {self.root: None}
+            adj, queue = grown.adj, [self.root]
+            for x in queue:  # a list iteration sees the items appended to it
+                for e, y in adj[x].items():
+                    if y not in parent:
+                        parent[y] = (x, e)
+                        queue.append(y)
+            self.rebuilt_at = m
+            return
+        parent = self.parent
         for split in step.splits():
             u, x = grown.ends[split.first]
             v = grown.ends[split.second][1]
@@ -802,6 +855,33 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
             else:
                 parent[x] = (u, split.first)
 
+
+def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
+    """compatible_chain along seq (built here when None), with no 3EC check.
+
+    Fills seq.grown_edges from the chain's own replay.
+    """
+    if seq is None:
+        seq = _SequenceBuilder(G).build()
+    grown = _GrownGraph(seq.base)
+    (root,) = seq.base.vertices
+    tree = _ChainTree(root)
+    tags: list[Provenance] = []
+    # per grown graph, the cycles its step adds, in that graph's edge ids
+    added: list[tuple[frozenset[EdgeId], ...]] = [()]
+
+    for i, step in enumerate(seq.steps):
+        added.append(tuple(_extending_cycles(grown, step, tree.parent, i)))
+        tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in added[-1])
+        grown.apply(step)
+        tree.follow(grown, step)
+        if len(tree.parent) != len(grown.adj):
+            raise InternalError(
+                f"the maintained tree misses {len(grown.adj) - len(tree.parent)} "
+                f"vertices after {_at_step(i, step, grown)}"
+            )
+    seq.__dict__["grown_edges"] = grown.ends  # fills the cached property
+
     edge_map = seq.edge_map
     # every edge id ever used -> the target edges it grows into
     image = {x: (g,) for x, g in edge_map.items()}
@@ -809,9 +889,11 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
         for split in step.splits():
             image[split.old] = image[split.first] + image[split.second]
     final_cycles = tuple(
-        frozenset(g for x in cyc for g in image[x]) for new in added for cyc in new
+        frozenset(chain.from_iterable(map(image.__getitem__, cyc)))
+        for new in added
+        for cyc in new
     )
-    final_tree_edges = frozenset(edge_map[up[1]] for up in parent.values() if up is not None)
+    final_tree_edges = frozenset(edge_map[up[1]] for up in tree.parent.values() if up is not None)
     final_tree = SpanningForest(
         parent_graph=G, tree_edges=final_tree_edges, component_roots=(min(G.vertices),)
     )

@@ -364,7 +364,7 @@ def test_residual_cap_raises_capacity_error(k4, monkeypatch):
 
 
 def test_topological_basis_past_the_cap_is_certified_without_a_hint(monkeypatch):
-    # on the chain's own tree this basis leaves a 7x7 residual
+    # on the chain's own tree this basis leaves a 16x16 residual
     G = gen(steps=41, seed=5, max_vertices=20)
     basis = compatible_chain(G, keep_prefixes=False).final_basis
     monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
@@ -374,7 +374,7 @@ def test_topological_basis_past_the_cap_is_certified_without_a_hint(monkeypatch)
     assert [c.kind for c in cert.components] == ["chain"]
     # out of chain order the built sequence certifies nothing
     random.Random(5).shuffle(vectors)
-    with pytest.raises(CapacityError, match="7x7.*cap of 0"):
+    with pytest.raises(CapacityError, match="16x16.*cap of 0"):
         certify(G, vectors, tree=basis.tree.tree_edges)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclelattice import certificate
+from cyclelattice import certificate, topo_extension
 from cyclelattice.cli import main
 from cyclelattice.errors import ArgumentError
 from cyclelattice.multigraph import format_edge_list, parse_edge_list
@@ -110,30 +110,60 @@ def test_extend_at_m3000_stays_within_three_topological_documents(tmp_path):
 
 # sha256 of json.dumps([[sorted(c) for c in basis.cycles] for basis in
 # compatible_chain(G, keep_prefixes=True).bases], separators=(",", ":")),
-# recorded while `extend` still wrote every prefix in full (format 1)
+# recorded while `extend` still wrote every prefix in full (format 1), and
+# re-recorded once when the chain's routes moved onto its rebuilt tree
 FULL_PREFIX_DIGESTS = {
     "k4": "5e242865a8a7f8f846a41f0c04b5d29d4bd449c7b2d60d69596a266841db3a0a",
-    "gen300": "7929cb9029944adb64ba8764cf813927687068b31d045ce7cabd0d80bd75ed53",
-    "gen0": "2672f6968da4f7a7bcfe114de015a07278688deab794593d44edaf290b33f8e4",
+    "gen300": "8eeb32e000b6769b8e9b691fbdccc4bc8d09c691a5753129f48a5e2ec6e03e36",
+    "gen0": "0da10fd20f4423d2413563c8a4cb2a9d6fec4382d8665add88b4e5ace2b51e38",
     "gen1": "1e60293cbbec282c4c5ba6a93e1eff90bc89679f7e123d61ae411d6f06075059",
-    "gen2": "0c967f0a812a3c2c8910b2cf033b83b51dfbdad3128754945197255f58304a4f",
-    "gen3": "5e3914439fe104d2d569d87b7165792457198c73f09d131cbc7708dc8efd0e80",
-    "gen4": "69d129c5ef015e9faec1e0e071c7a822d680f1a4a81a1197dfa0e7e980afc257",
-    "gen5": "897b8a97159614c2a83f3a85029ebe7a03dbe779d5124aec79ff9b8b21bb5bfe",
-    "gen6": "c9be02e8921832aad7d7de7448d875e45b6d32b1124a33bdaf650984391e874f",
+    "gen2": "5850039db181fde1a0ee8333c112e0ea4fc4eb3c79ac61800679988fe54e7502",
+    "gen3": "889d63305ea8153f57b04a20b070f0c14599162057d8b5d707795794b004ea7a",
+    "gen4": "40ec9c4d23757c6b46e99564374a3734dce690252dff359b4b7c09ffc95af4a5",
+    "gen5": "c2e39b90be8f36d41333fc394de00d571c6423d37523e10b1f6de9b4e82dd82f",
+    "gen6": "ef6abdafa063958ab592194fb396341dda9ab87dc238c8bf340e17b3bde7c0ca",
     "gen7": "e74c7709857ab152cd65faf2265d79c25741b8003a98f7afdb36b25575933ac4",
     "gen8": "df397b89421c04cf9e38399c70f36cb9d66a607c4ea005efff909163eec3dce3",
-    "gen9": "9b18c2c93a0dcf7c7259d64c524a58fed9be18eb7c47c47b056ddad88924ea98",
-    "gen10": "128d5020328aea00749c98a1c97d146d03ad6de75ff7b0176474422c6bc9208d",
-    "gen11": "83a1564f14a391c8ac2766d26fb3b126955f46d45667ea6af1575039ac0ab3e4",
-    "gen12": "392f46a9af87fc60c8c39308bba6557cfa00cb2e5748d7c729615bd2aaa05612",
-    "gen13": "bc851b775b71e863b5aa98275ab5bc572945c826efa48f8fa6238cf624f254da",
+    "gen9": "1d39e1cdbb1c9c603b2ad36e4680afdcd767ebfa0f61aeb4256f6bfd2bab1db7",
+    "gen10": "7440320dfc7798e863eb0b2d3b2a49255fcf892233803fe326ee925b2e9fe8b2",
+    "gen11": "909df11ff69eff932f925a3cd3044397c832dbcd1d3b9ba583eb2b39f6c39f37",
+    "gen12": "b639950021fb80f4a1b789c21c2a36dd61d64f268e87ce4c16b65656c342b282",
+    "gen13": "a06447d98246b36bd5612d48a8fb7b8a8415b88e75938f2fa2390cd6885e3870",
     "gen14": "1cdf98042389a7a5c25b25efbb872dd27ec511ead599d131193ae463afea8ea2",
-    "gen15": "9c377f294a19accbb80586c1dcc3fc8b3e21bda1ec156d6c9a3a7b14cd0999e3",
-    "gen16": "650070d19d5a4f280d6c608f501c03c871c194005da8d50a5d372327eb408837",
+    "gen15": "fc130084028340abf010c705beef1178beb04b450d271198a3a26191a1cbc74a",
+    "gen16": "2edae5f8c9415e51f65863fd3a1670fbdcdb0ee5c0a8f6021300161da34a8d44",
     "gen17": "a01325d2043dae2f609f04041ad2b79e606b1518c11eb3dc96a5c2325e634c85",
-    "gen18": "deb8cc693fbe5ed11494ca9909014b1aa5f1b87315aa7287a5dd63564f115315",
-    "gen19": "7a363fbf9b243c2bd6f297096f73395d051eeb539e85c6eaa13685cd9fb0f7b7",
+    "gen18": "5e3d059415131b03b8a03135cfa155bc89b766950be6c47709ccc663485f7109",
+    "gen19": "5a8a4204b45b3206ca957b6eef6262fcd1603a476728d995bdc466c264f2969d",
+}
+
+
+# sha256 of the "sequence" field of `extend` on each graph above, as compact
+# sorted JSON, recorded before the chain's routes moved onto its rebuilt tree,
+# which changed only the cycles
+SEQUENCE_DIGESTS = {
+    "k4": "ac68b7ca8a7362c7c8dc5fafbadaab04bb53588edee8f5771190e2259dd3c9a2",
+    "gen300": "b5dfc4bef6de3f4af896db9ed6de7ecce5cc1f07793dc60f3941a145b31eb5b8",
+    "gen0": "36bd9d40b0a2f66e6d786908cd4c3630d9b98fe87f487a4b0528e3bb369ccd10",
+    "gen1": "fc1c295a49886d921cf7c8edbead9d8f9b2d0425163b14333235a9b5ae7a48a5",
+    "gen2": "9c5ba5462a292be078b0d6b5206386b2f12069ea92060d50c053e411d6f60b94",
+    "gen3": "521f1537945adc2cac3787fb4e422a2e30c9d9aa24f7a52c38e8d30f04233bbf",
+    "gen4": "874d105cad504ef80e8efa67425e70b21375527ed0059c455ae79a3c19f9d965",
+    "gen5": "42f03d0551a8f142812d94345c76a0461f8fa9a6e7749cc10ee5b6691a2cf7f4",
+    "gen6": "c735250fe562afbb4c6ec60a72cf88aad6ab3f023e7860f6f4d9da5bdb295991",
+    "gen7": "3d000d1580ce4d0f81fdf9a125b6a1518c631da38b75f495e245add00af5488d",
+    "gen8": "35ef318528986b3dd6c8bdfc577a99bc1398a036804443350210e8f06a1fb232",
+    "gen9": "a8687beab062295fabf58854ba1d9bd7a5302f4e1e68215a6981fd136094dc26",
+    "gen10": "d4f159a477da6dc23842cdc0b6234757cab409f8d66e4e9ac941745a0d40b862",
+    "gen11": "5571253944ba04e47b624588b58ad4e0fae8b198d4ad954d6f6ba8a53db7c917",
+    "gen12": "b9540afb01f5c646fd1fc4f0b41ee2170348422b579d33f28faf74ecb791c29f",
+    "gen13": "1af40d0a13708f78cd134819a89eb69ee561ff714c2d25f1f2c7a8ba92ba4957",
+    "gen14": "e5824d5246411ed3a2cba05c234b5938af169789f80a3061bcf6293c1f10cfd1",
+    "gen15": "c204423b373be283eb86e91cff912ee088a96714e9369e1dccf56e87b891744e",
+    "gen16": "018acad3b56059a22c9a3325ac0ab55732560d0b860e41231a686ed55b2eb1d5",
+    "gen17": "c7c6af06830b644ff8a678c2e74d5e0c5248f7ad7ebf1678d270b50de1534706",
+    "gen18": "f672d4aa21c56a7cd3bc63da46669f67646d5ae3d906e8bf69f89c697333a941",
+    "gen19": "32475041d6620d8059ec43f7d75d5d57ba630f470013a3223c4f93e646318f6f",
 }
 
 
@@ -173,6 +203,13 @@ def test_delta_prefixes_replay_to_the_full_prefixes(tmp_path, name):
     assert [[sorted(c) for c in cycles] for cycles in chain.added] == deltas
 
 
+@pytest.mark.parametrize("name", list(SEQUENCE_DIGESTS))
+def test_extend_sequence_is_pinned(tmp_path, name):
+    code, out = _call(["extend", _write(tmp_path, "g.txt", _prefix_graph_text(name))])
+    sequence = json.dumps(json.loads(out)["sequence"], sort_keys=True, separators=(",", ":"))
+    assert (code, hashlib.sha256(sequence.encode()).hexdigest()) == (0, SEQUENCE_DIGESTS[name])
+
+
 # ---------------------------------------------------------------------------
 # topological documents carry their sequences; verify takes them as hints
 # ---------------------------------------------------------------------------
@@ -194,10 +231,10 @@ def test_topological_document_certifies_along_its_sequences(
     calls = []  # the components with edges that took the generic path
     generic = certificate._generic_determinant
 
-    def counted(H, T_H, vectors):
+    def counted(H, T_H, vectors, fcm=None):
         if H.m:
             calls.append(H)
-        return generic(H, T_H, vectors)
+        return generic(H, T_H, vectors, fcm)
 
     monkeypatch.setattr(certificate, "_generic_determinant", counted)
     code, verdict = _call(["verify", graph, _write(tmp_path, "doc.json", out)])
@@ -207,6 +244,46 @@ def test_topological_document_certifies_along_its_sequences(
     code, bare = _call(["verify", graph, _write(tmp_path, "bare.json", json.dumps(doc))])
     assert (code, bare) == (0, verdict)
     assert len(calls) == components
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("twin", "basis"),
+        ("twin", "verify"),
+        ("gen300", "basis"),
+        ("gen300", "extend"),
+        ("gen300", "verify"),
+    ],
+)
+def test_each_sequence_is_replayed_once(tmp_path, monkeypatch, name, command):
+    """The chain fills its sequence's grown edges from its own replay, so
+    certifying a basis or an extend chain replays nothing more: one
+    _GrownGraph.apply per step.  A sequence parsed from a document replays
+    itself, once."""
+    text = TWIN_TEXT if name == "twin" else _prefix_graph_text(name)
+    graph = _write(tmp_path, "g.txt", text)
+    topological = ["basis", "--method", "topological", graph]
+    argv = {"basis": topological, "extend": ["extend", "--verify", graph]}.get(command)
+    if command == "verify":
+        argv = ["verify", graph, _write(tmp_path, "doc.json", _call(topological)[1])]
+    calls = []
+    apply = topo_extension._GrownGraph.apply
+
+    def counted(self, step):
+        calls.append(step)
+        return apply(self, step)
+
+    monkeypatch.setattr(topo_extension._GrownGraph, "apply", counted)
+    code, out = _call(argv)
+    assert code == 0
+    if command == "verify":
+        assert json.loads(out)["accepted"] is True
+        doc = json.loads(Path(argv[-1]).read_text())
+    else:
+        doc = json.loads(out)
+    sequences = doc["sequences"] if "sequences" in doc else [doc["sequence"]]
+    assert len(calls) == sum(len(sequence["steps"]) for sequence in sequences) > 0
 
 
 @pytest.mark.parametrize("method", ["simple", "semi-fundamental", "topological"])

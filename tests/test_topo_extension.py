@@ -11,7 +11,7 @@ from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connecte
 from cyclelattice.errors import ArgumentError, InternalError, StructureError
 from cyclelattice.certificate import certify_cycle_basis
 from cyclelattice.lattice_basis import EdgeVector, matches_all_cycles_lattice
-from cyclelattice import topo_extension
+from cyclelattice import certificate, topo_extension
 from cyclelattice.multigraph import Multigraph, parse_edge_list
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import (
@@ -283,23 +283,12 @@ class TestExtendBasis:
 
 
 def _tree_at(chain, i):
-    """The chain's maintained tree before step i, in that graph's edge ids.
-
-    A divided tree edge leaves both halves in the tree and a divided
-    non-tree edge leaves its second half out, so an edge of graph i is a
-    tree edge exactly when every edge it divides into ends in the final tree.
-    """
-    to_grown = {e: r for r, e in chain.sequence.edge_map.items()}
-    final = {to_grown[e] for e in chain.tree.tree_edges}
-    halves = {}
-    for step in chain.sequence.steps[i:]:
-        for split in step.splits():
-            halves[split.old] = (split.first, split.second)
-
-    def in_tree(e):
-        return all(in_tree(h) for h in halves[e]) if e in halves else e in final
-
-    return frozenset(e for e in chain.graphs[i].edges if in_tree(e))
+    """The chain's maintained tree before step i, in that graph's edge ids:
+    the chain's own tree helper, driven over the replayed graphs."""
+    tree = topo_extension._ChainTree(chain.graphs[0].vertices[0])
+    for k, step in enumerate(chain.sequence.steps[:i]):
+        tree.follow(topo_extension._GrownGraph(chain.graphs[k + 1]), step)
+    return frozenset(up[1] for up in tree.parent.values() if up is not None)
 
 
 @st.composite
@@ -428,6 +417,73 @@ class TestCompatibleChain:
         assert peak < 6.8 * 2**20, peak
 
 
+class TestChainRoutes:
+    """Routes read off the chain's tree, rebuilt as the graph grows, with a
+    shortest path only where the tree path crosses a divided edge."""
+
+    # gen's kind weights even, all B, all C (but the first step, a loop) and
+    # mostly A, with no vertex cap; then loop-heavy instances on one to
+    # three vertices, where gen's steps are of kind A and many close a loop
+    CORPUS = [
+        *((40 + 20 * seed, seed, None, weights) for seed, weights in enumerate(
+            [(1.0, 1.0, 1.0), (1e-9, 1.0, 0.0), (1e-9, 0.0, 1.0), (5.0, 1.0, 1.0)] * 3
+        )),
+        *((40 + 10 * seed, 50 + seed, 1 + seed % 3, (1.0, 1.0, 1.0)) for seed in range(6)),
+    ]
+
+    def test_corpus_certifies_on_the_chain_path(self, monkeypatch):
+        def no_generic_path(*args):
+            raise AssertionError("generic path taken")
+
+        monkeypatch.setattr(certificate, "_generic_determinant", no_generic_path)
+        kinds = set()
+        for steps, seed, max_vertices, weights in self.CORPUS:
+            G = gen(steps, seed, max_vertices=max_vertices, kind_weights=weights)
+            chain = compatible_chain(G, keep_prefixes=False)
+            kinds |= {step.kind for step in chain.sequence.steps}
+            final = chain.final_basis
+            assert all(is_simple_cycle(G, c) for c in final.cycles), (steps, seed)
+            assert certify_cycle_basis(G, final) == (2 ** (G.n - 1), True), (steps, seed)
+        assert kinds == {"A", "B", "C"}
+
+    def test_shortest_paths_only_as_a_fallback(self, monkeypatch):
+        """At m = 3000, against the shortest-path routes before: 1925
+        searches and 33 232 edges in all."""
+        G = gen(2001, 0, max_vertices=1000)
+        calls = []
+        search = topo_extension._bfs_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(topo_extension, "_bfs_path", counted)
+        chain = compatible_chain(G, keep_prefixes=False)
+        assert len(calls) <= 400
+        assert sum(map(len, chain.final_basis.cycles)) <= 33232
+
+    def test_errors_name_the_step(self, monkeypatch):
+        G = gen(120, 3, max_vertices=50)
+        seq = extension_sequence(G)
+        graphs = seq.replay()
+        monkeypatch.setattr(topo_extension, "_bfs_path", lambda *args, **kwargs: None)
+        with pytest.raises(InternalError) as caught:
+            topo_extension._chain_3ec(G, False, seq)
+        message = str(caught.value)
+        i = int(message.split(" at step ")[1].split()[0])
+        step, H = seq.steps[i], graphs[i]
+        a, b = step.endpoints
+        assert step.kind in "BC"
+        assert f"step {i} (kind {step.kind}, endpoints {a}, {b}) on a grown graph " in message
+        assert message.endswith(f"with n={H.n}, m={H.m}")
+        # with no tree a kind-A route is a search too, so it fails the same way
+        j = next(
+            k for k, x in enumerate(seq.steps) if x.kind == "A" and len(set(x.endpoints)) == 2
+        )
+        with pytest.raises(InternalError, match=r"at the step \(kind A, .* n=\d+, m=\d+$"):
+            extend_basis(graphs[j], None, seq.steps[j])
+
+
 class TestGen:
     def test_deterministic(self):
         a = gen(steps=7, seed=5)
@@ -463,6 +519,14 @@ def _chain_digest(G):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _sequence_digest(G):
+    """sha256 of the extension sequence alone."""
+    sequence = compatible_chain(G, keep_prefixes=False).sequence.to_json()
+    return hashlib.sha256(
+        json.dumps(sequence, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
 def _gen_digest(G):
     doc = {
         "vertices": list(G.vertices),
@@ -481,24 +545,43 @@ def _golden(steps, seed, max_vertices, kind_weights, m, digest):
 
 class TestGolden:
     """Pinned outputs.  The `gen` digests date from the construction that
-    rebuilt a graph per step; the chain digests from the bidirectional
-    shortest-path search, whose ties differ from the one-sided BFS before it."""
+    rebuilt a graph per step; the chain digests from the routes read off the
+    chain's rebuilt tree, with a shortest path only where that tree's path
+    crosses a divided edge.  The sequence digests are older than both."""
 
     @pytest.mark.parametrize(
         "steps, seed, max_vertices, kind_weights, m, digest",
         [
-            _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "31df4e57f029553d9d757dd972463f32e44129a0c59c8fb68a0baf2d443ce0eb"),
-            _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "1a4a2368d80b1c78dc2c0cd71d6a2451545c8fee7e7defa0cd9b5251929629ec"),
-            _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "100e86ad23edeb6d0ad5a7ffce94f8dcd656fe91a9994ea066306b8218687ed2"),
-            _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "856be0c2f216430b2f47ba0398cc0ba80a79f76bf229869c0b0313dd93f90836"),
-            _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "dabcc74e22c6f1f1cc20c28a87875e0494b6b585306bbc58c0af0f2f4265ef2f"),
-            _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "606d79b05a34a2c3b11c6d7022ad4fc8e26f4f2af5f391b210eafaa12bfec016"),
+            _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "fc8a547a053b0db06ed7f46b01786303878e1abf03fc725e0586a9e01401355f"),
+            _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "f1a0dee8655998dd4063b508c2c70efaad403dcb61b4ae75b68ca56f9e058d64"),
+            _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "50ff367eb3b5f52df3e539164b626a2ff510a44fe534c54d08ea33f79a2464e8"),
+            _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "158b0bc8ea5b5a2c804675ad4b5e2a7495fee044a3877a18acd1a44b5fea86ab"),
+            _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "64142d31ef02cfd7b9415573d9d6051bc1190dd1ea94cd51d21d2fcd6068edbf"),
+            _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "2ab4f2795e467b841e9f5281ec327514b7367f66534b033fbf3e5affd8943aef"),
         ],
     )
     def test_compatible_chain(self, steps, seed, max_vertices, kind_weights, m, digest):
         G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
         assert G.m == m
         assert _chain_digest(G) == digest
+
+    @pytest.mark.parametrize(
+        "steps, seed, max_vertices, kind_weights, m, digest",
+        [
+            _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "4e4b62b44867a627c02305d17b64a64e739fc51d71ad2b38fa81b826dec00256"),
+            _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "d1318448878fe711e6646b7bef69111624feac3e0ad352c6e6a12cd82321432a"),
+            _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "c11f73b18c4e929dfcfbb846c4f02818cda9bab1ee0491bf7ec7c92fe99c517e"),
+            _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "4a0cd7b88e8b11573599932ac4b3a75970cec886e7fd89381d7943bee361524f"),
+            _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "6df3c6e84fbbf344faedc0b385c6144829befb719021c01f680a5fc40c71a6c3"),
+            _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "d9a91183eaf82e962926b24967befca1f570cecb2a9565eae795740b101b8dc5"),
+        ],
+    )
+    def test_sequence(self, steps, seed, max_vertices, kind_weights, m, digest):
+        """The sequence alone, recorded before the chain's routes moved onto
+        its rebuilt tree: the routes change the cycles, never the sequence."""
+        G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
+        assert G.m == m
+        assert _sequence_digest(G) == digest
 
     @pytest.mark.parametrize(
         "steps, seed, max_vertices, kind_weights, m, digest",
