@@ -109,27 +109,27 @@ def certify(
     component's own sequence cannot certify.
     """
     T = forest_from_edges(G, tree) if tree is not None else None
-    return _certify_vectors(cosimplify(G, forest=T or spanning_forest(G)), vectors, sequences)
+    cos = cosimplify(G, forest=T or spanning_forest(G))
+    return _certify_vectors(cos, [cos.project(vec) for vec in vectors], sequences)
 
 
 def _certify_vectors(
-    cos: Cosimplification, vectors: list[dict[EdgeId, int]], sequences
+    cos: Cosimplification, images: list[dict[EdgeId, int] | None], sequences
 ) -> Certificate:
-    """certify of the vectors on a cosimplification of their graph, built on
-    the forest certify would take: each vector projected onto cos and
-    matched to its component, and each sequence to the component its base
-    maps to."""
+    """certify of vectors given by their images under cos.project, on a
+    cosimplification of their graph built on the forest certify would take:
+    each image matched to its component, and each sequence to the component
+    its base maps to.  A vector without an image is out of the cycle space."""
     hat = cos.hat_graph
-    projected = _project(cos, vectors)
-    if projected is None:
+    if any(image is None for image in images):
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
     home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
     members: dict[VertexId, list[dict[EdgeId, int]]] = {}
-    for vec in projected:
-        homes = {home_of[hat.edges[e][0]] for e in vec}
+    for image in images:
+        homes = {home_of[hat.edges[e][0]] for e in image}
         if len(homes) == 1:
-            members.setdefault(homes.pop(), []).append(vec)
+            members.setdefault(homes.pop(), []).append(image)
     hints = {}  # least vertex of a component -> the sequence based in it
     for seq in sequences:
         base = next(iter(seq.vertex_map.values()), None)
@@ -202,36 +202,6 @@ def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
     return cert.determinant, cert.certified
 
 
-def _project(
-    cos: Cosimplification, vectors: list[dict[EdgeId, int]]
-) -> list[dict[EdgeId, int]] | None:
-    """Vectors over the cosimplification's edges; None when one has no image.
-
-    A vector has an image when it vanishes on bridges and is constant on
-    each series class; the class's representative then carries the value.
-    """
-    out = []
-    for vec in vectors:
-        support = {e: c for e, c in vec.items() if c}
-        if not support.keys() <= cos.projection.keys():
-            unknown = min(support.keys() - cos.projection.keys())
-            raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
-        if cos.identity:
-            out.append(support)
-            continue
-        proj: dict[EdgeId, int] = {}
-        seen: dict[EdgeId, int] = {}
-        for e, c in support.items():
-            rep = cos.projection[e]
-            if rep is None or proj.setdefault(rep, c) != c:
-                return None
-            seen[rep] = seen.get(rep, 0) + 1
-        if any(count != len(cos.section[rep]) for rep, count in seen.items()):
-            return None
-        out.append(proj)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # generic path: unimodular reduction, then peeling
 # ---------------------------------------------------------------------------
@@ -265,8 +235,8 @@ def _generic_determinant(
         return 0
     if len(cols) > RESIDUAL_CAP:
         raise CapacityError(
-            f"residual block of {len(cols)}x{len(cols)} after peeling exceeds "
-            f"the cap of {RESIDUAL_CAP}"
+            f"residual block of {len(cols)}x{len(cols)} after peeling a component "
+            f"with n={H.n}, m={H.m} exceeds the cap of {RESIDUAL_CAP}"
         )
     block = IntegerMatrix.from_rows([[col.get(r, 0) for col in cols] for r in rows])
     return abs(factor * exact_determinant(block))

@@ -16,7 +16,7 @@ import sys
 from math import gcd
 
 from .certificate import _certify_vectors, certify_components
-from .cycle_structure import Cosimplification, cosimplify
+from .cycle_structure import Cosimplification, cosimplify, is_simple_cycle
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -184,11 +184,6 @@ def _entry(edges, tag: Provenance) -> dict:
     return entry
 
 
-def _entry_vector(entry: dict) -> dict[int, int]:
-    mult = entry.get("multiplier", 1)
-    return {e: mult for e in entry["edges"]}
-
-
 # per method, the construction per_component runs on each component
 _CONSTRUCTIONS = {
     "semi-fundamental": _semi_fundamental_3ec,
@@ -215,7 +210,7 @@ def cmd_basis(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.method == "topological":
         doc["sequences"] = [basis.sequence.to_json() for basis in bases]
     if args.verify and G.m <= HNF_ORACLE_EDGE_LIMIT:
-        vectors = [_entry_vector(entry) for entry in entries]
+        vectors = [dict.fromkeys(e["edges"], e.get("multiplier", 1)) for e in entries]
         doc["hnf_equal"] = matches_all_cycles_lattice(G, vectors)
         doc["certified"] = cert.certified and doc["hnf_equal"]
     return doc, doc["certified"] or not args.verify
@@ -250,25 +245,35 @@ def _document_sequences(doc: dict) -> list[ExtensionSequence]:
     return sequences
 
 
-def _entry_problem(cos: Cosimplification, idx: int, entry) -> str | None:
+def _entry_image(cos: Cosimplification, idx: int, entry) -> tuple[str | None, dict | None]:
     """Why a document entry is neither a cycle nor a doubled edge set of
-    cos.parent, or None."""
+    cos.parent, or None; and its vector's image under cos.project.
+
+    A cycle with an image on a reduction other than the identity is checked
+    on its series classes, any other on its edges.
+    """
     if not isinstance(entry, dict):
-        return f"entry {idx} is not an object"
+        return f"entry {idx} is not an object", None
     edges = entry.get("edges")
     if not isinstance(edges, list) or any(type(e) is not int for e in edges):
-        return f"entry {idx} has no list of integer edge ids"
+        return f"entry {idx} has no list of integer edge ids", None
     mult = entry.get("multiplier", 1)
     if type(mult) is not int or mult not in (1, 2):
-        return f"entry {idx} has unsupported multiplier {mult!r}"
-    if len(set(edges)) != len(edges):
-        return f"entry {idx} repeats an edge id"
-    unknown = [e for e in edges if e not in cos.parent.edges]
-    if unknown:
-        return f"entry {idx} names unknown edge {unknown[0]}"
+        return f"entry {idx} has unsupported multiplier {mult!r}", None
+    vector = dict.fromkeys(edges, mult)
+    if len(vector) != len(edges):
+        return f"entry {idx} repeats an edge id", None
+    if not vector.keys() <= cos.parent.edges.keys():
+        unknown = next(e for e in edges if e not in cos.parent.edges)
+        return f"entry {idx} names unknown edge {unknown}", None
+    image = cos.project(vector)
     if mult == 2:
-        return None if edges else f"entry {idx} doubles no edge"
-    return None if cos.is_cycle(edges) else f"entry {idx} is not a cycle"
+        return None if edges else f"entry {idx} doubles no edge", image
+    if image is None or cos.identity:
+        cycle = is_simple_cycle(cos.parent, vector.keys())
+    else:
+        cycle = cos.classes_form_cycle(image)
+    return None if cycle else f"entry {idx} is not a cycle", image
 
 
 def _document_forest(G: Multigraph, T: SpanningForest, tree) -> SpanningForest:
@@ -300,15 +305,16 @@ def _verify_checks(cos: Cosimplification, candidate: dict):
     for the later checks to judge."""
     G = cos.parent
     entries = candidate["cycles"]
-    problem = next(
-        (p for p in (_entry_problem(cos, i, e) for i, e in enumerate(entries)) if p), None
-    )
-    yield "entries-are-cycles", not problem, problem or f"{len(entries)} entries"
-    if problem:
-        return
-    vectors = [_entry_vector(entry) for entry in entries]
+    images = []
+    for idx, entry in enumerate(entries):
+        problem, image = _entry_image(cos, idx, entry)
+        if problem:
+            yield "entries-are-cycles", False, problem
+            return
+        images.append(image)
+    yield "entries-are-cycles", True, f"{len(entries)} entries"
     try:
-        cert = _certify_vectors(cos, vectors, _document_sequences(candidate))
+        cert = _certify_vectors(cos, images, _document_sequences(candidate))
     except CapacityError as exc:
         yield "determinant", False, str(exc)
         return
@@ -321,6 +327,7 @@ def _verify_checks(cos: Cosimplification, candidate: dict):
         for c in cert.components
     ) or "no components"
     if G.m <= HNF_ORACLE_EDGE_LIMIT:
+        vectors = [dict.fromkeys(e["edges"], e.get("multiplier", 1)) for e in entries]
         yield "hnf-lattice-equality", matches_all_cycles_lattice(G, vectors), "exact"
 
 

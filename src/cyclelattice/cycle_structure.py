@@ -7,12 +7,11 @@ or raise explicitly.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import StructureError
+from .errors import ArgumentError, StructureError
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -202,15 +201,30 @@ class Cosimplification:
         paths = [pair for cls in classes for pair in cls]
         return _closes_one_cycle(paths, range(len(paths)))
 
-    def is_cycle(self, edges: Collection[EdgeId]) -> bool:
-        """is_simple_cycle of the parent, on the classes when the edges are
-        a union of whole series classes (classes_form_cycle), else on the
-        edges themselves."""
-        if not self.identity:
-            count = Counter(map(self.projection.get, edges))  # bridges count under None
-            if None not in count and all(k == len(self.section[r]) for r, k in count.items()):
-                return self.classes_form_cycle(count)
-        return is_simple_cycle(self.parent, set(edges))
+    def project(self, vector: dict[EdgeId, int]) -> dict[EdgeId, int] | None:
+        """The vector over hat_graph's edges, or None when it has no image.
+
+        A vector has an image when it vanishes on bridges and is constant on
+        each whole series class; the class's representative then carries
+        the value.  Raises ArgumentError on a nonzero entry at an edge the
+        parent lacks.
+        """
+        support = {e: c for e, c in vector.items() if c}
+        if not support.keys() <= self.projection.keys():
+            unknown = min(support.keys() - self.projection.keys())
+            raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
+        if self.identity:
+            return support
+        image: dict[EdgeId, int] = {}
+        for e, c in support.items():
+            rep = self.projection[e]
+            if rep is None or image.setdefault(rep, c) != c:
+                return None
+        # the support meets each class of the image, so it holds them all
+        # exactly when it has as many edges as they do
+        if sum(len(self.section[rep]) for rep in image) != len(support):
+            return None
+        return image
 
     def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:
         out: set[EdgeId] = set()
@@ -365,7 +379,7 @@ def is_three_edge_connected(G: Multigraph) -> bool:
     return three_edge_connectivity_witness(G) is None
 
 
-def is_simple_cycle(G: Multigraph, edges: frozenset[EdgeId] | set[EdgeId]) -> bool:
+def is_simple_cycle(G: Multigraph, edges: Set[EdgeId]) -> bool:
     """True when the edge set induces a connected subgraph with all degrees 2.
 
     A loop alone is a cycle of length 1; a pair of parallel edges is a cycle

@@ -72,6 +72,8 @@ class AbelianGroupSpec:
                 raise ArgumentError(
                     f"group factor {tok!r} is not an integer or a power like 2^3"
                 ) from None
+            if k < 0:
+                raise ArgumentError(f"group factor {tok!r} has a negative exponent")
             if abs(b) > 1 and k > FACTOR_BOUND.bit_length():
                 raise ArgumentError(f"group factor {tok!r} exceeds the bound {FACTOR_BOUND}")
             factors.append(b**k)

@@ -1,10 +1,18 @@
 """Differential tests of the certificates against dense Bareiss elimination."""
 
+import contextlib
+import copy
 import dataclasses
+import functools
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclelattice import certificate, topo_extension
 from cyclelattice.certificate import (
@@ -14,7 +22,7 @@ from cyclelattice.certificate import (
     certify_cycle_basis,
 )
 from cyclelattice.cli import main
-from cyclelattice.cycle_structure import cosimplify
+from cyclelattice.cycle_structure import Cosimplification, cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
 from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
 from cyclelattice.multigraph import (
@@ -31,6 +39,14 @@ from cyclelattice.topo_extension import (
     compatible_chain,
     gen,
 )
+
+K4_TEXT = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+C3_TEXT = "3 3\n1 2\n2 3\n3 1\n"
+
+
+def _doubled(doc):
+    """The first doubled entry of a basis document."""
+    return next(e for e in doc["cycles"] if e.get("multiplier") == 2)
 
 
 def dense(G, vectors):
@@ -407,6 +423,24 @@ def test_non_3ec_graphs_are_certified_per_component():
         certify(G, [{99: 1}])
 
 
+def test_certify_projects_each_vector_once(monkeypatch):
+    """certify maps Cosimplification.project over its vectors, in order,
+    also when the first has no image."""
+    G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
+    calls = []
+    project = Cosimplification.project
+
+    def counted(cos, vector):
+        calls.append(vector)
+        return project(cos, vector)
+
+    monkeypatch.setattr(Cosimplification, "project", counted)
+    for vectors in ([{0: 1, 1: 1, 2: 1}, {4: 1, 5: 1, 6: 1}], [{3: 1}, {0: 2, 1: 2, 2: 2}]):
+        calls.clear()
+        certify(G, vectors)
+        assert calls == vectors
+
+
 def test_one_vertex_is_certified_along_a_zero_step_hint():
     """The vertex of the one-vertex graph has no edges; a sequence hinted
     there is still replayed, so the component is a chain."""
@@ -437,25 +471,80 @@ class TestVerifyDocuments:
         return code, out
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "text, corrupt, failed",
         [
-            lambda entry: entry["edges"].append(999),
-            lambda entry: entry["edges"].append(entry["edges"][0]),
-            lambda entry: entry.update(multiplier=2.0),
-            lambda entry: entry.update(multiplier=True),
-            lambda entry: entry.update(edges="0"),
+            pytest.param(
+                K4_TEXT,
+                lambda doc: _doubled(doc)["edges"].append(999),
+                ("entries-are-cycles", "entry {i} names unknown edge 999"),
+                id="unknown-edge",
+            ),
+            pytest.param(
+                K4_TEXT,
+                lambda doc: _doubled(doc)["edges"].append(_doubled(doc)["edges"][0]),
+                ("entries-are-cycles", "entry {i} repeats an edge id"),
+                id="repeated-edge",
+            ),
+            pytest.param(
+                K4_TEXT,
+                lambda doc: _doubled(doc).update(multiplier=2.0),
+                ("entries-are-cycles", "entry {i} has unsupported multiplier 2.0"),
+                id="float-multiplier",
+            ),
+            pytest.param(
+                K4_TEXT,
+                lambda doc: _doubled(doc).update(multiplier=True),
+                ("entries-are-cycles", "entry {i} has unsupported multiplier True"),
+                id="bool-multiplier",
+            ),
+            pytest.param(
+                K4_TEXT,
+                lambda doc: _doubled(doc).update(edges="0"),
+                ("entries-are-cycles", "entry {i} has no list of integer edge ids"),
+                id="edges-string",
+            ),
+            # C3 is one series class {0, 1, 2}, reduced to a loop
+            pytest.param(
+                C3_TEXT,
+                lambda doc: doc.update(cycles=[{"edges": [0, 1]}]),
+                ("entries-are-cycles", "entry 0 is not a cycle"),
+                id="c3-half-class",
+            ),
+            pytest.param(
+                C3_TEXT,
+                lambda doc: doc.update(cycles=[{"edges": [0, 1], "multiplier": 2}]),
+                ("rational-cycle-space", "entry violates bridge/series structure"),
+                id="c3-half-class-doubled",
+            ),
+            pytest.param(
+                C3_TEXT,
+                lambda doc: doc["cycles"].insert(0, {"edges": [], "multiplier": 2}),
+                ("entries-are-cycles", "entry 0 doubles no edge"),
+                id="c3-doubles-nothing",
+            ),
+            pytest.param(
+                C3_TEXT,
+                lambda doc: doc["cycles"].append({"edges": [0, True, 2]}),
+                ("entries-are-cycles", "entry 1 has no list of integer edge ids"),
+                id="c3-bool-edge-id",
+            ),
         ],
-        ids=["unknown-edge", "repeated-edge", "float-multiplier", "bool-multiplier", "edges-string"],
     )
-    def test_bad_entries_fail_a_named_check(self, capsys, k4_file, tmp_path, corrupt):
-        doc = self._simple_doc(capsys, k4_file)
-        doubled = next(e for e in doc["cycles"] if e.get("multiplier") == 2)
-        corrupt(doubled)
-        code, out = self._verify(capsys, k4_file, tmp_path, doc)
+    def test_bad_entries_fail_a_named_check(self, capsys, tmp_path, text, corrupt, failed):
+        """Each bad entry fails the named check with its pinned detail, and
+        every check before it passes."""
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        doc = self._simple_doc(capsys, str(graph))
+        i = next((j for j, e in enumerate(doc["cycles"]) if e.get("multiplier") == 2), None)
+        corrupt(doc)
+        code, out = self._verify(capsys, str(graph), tmp_path, doc)
         verdict = json.loads(out.out)
         assert code == 3 and verdict["accepted"] is False
-        assert verdict["checks"][-1]["name"] == "entries-are-cycles"
-        assert verdict["checks"][-1]["passed"] is False
+        *passed, last = verdict["checks"]
+        name, detail = failed
+        assert last == {"name": name, "passed": False, "detail": detail.format(i=i)}
+        assert all(c["passed"] for c in passed)
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"tree": [0]}', "\udcff"])
     def test_malformed_documents_exit_2(self, capsys, k4_file, tmp_path, text):
@@ -500,17 +589,19 @@ class TestVerifyDocuments:
         assert main(["basis", "--method", "topological", str(graph)]) == 0
         doc = capsys.readouterr().out
         calls = []
-        project = certificate._project
+        project = Cosimplification.project
 
-        def counted(*args):
-            calls.append(len(args[1]))
-            return project(*args)
+        def counted(cos, vector):
+            calls.append(vector)
+            return project(cos, vector)
 
-        monkeypatch.setattr(certificate, "_project", counted)
+        monkeypatch.setattr(Cosimplification, "project", counted)
         monkeypatch.setattr(certificate, "RESIDUAL_CAP", 0)
         code, out = self._verify(capsys, str(graph), tmp_path, doc)
         assert code == 0 and json.loads(out.out)["accepted"] is True
-        assert calls == [G.m]
+        entries = json.loads(doc)["cycles"]
+        assert len(entries) == G.m
+        assert calls == [dict.fromkeys(e["edges"], e.get("multiplier", 1)) for e in entries]
 
     def test_topological_verify_rebuilds_no_chain(self, capsys, tmp_path, monkeypatch):
         G = gen(steps=41, seed=3, max_vertices=20)
@@ -530,3 +621,83 @@ class TestVerifyDocuments:
         code, out = self._verify(capsys, str(graph), tmp_path, doc)
         assert code == 0 and json.loads(out.out)["accepted"] is True
         assert calls == []
+
+
+# Small graphs that reduce: bridges, series classes, and (the last two) two
+# components after cosimplification.  Every one has m <= 14, so verify also
+# runs its HNF check.
+REDUCED_TEXTS = [
+    C3_TEXT,
+    "4 4\n1 2\n2 3\n3 1\n3 4\n",
+    "7 9\n1 2\n1 3\n1 4\n2 5\n5 3\n2 4\n3 4\n1 6\n2 7\n",
+    "6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n",
+    "7 9\n1 2\n1 3\n3 2\n1 4\n4 2\n2 5\n5 6\n6 7\n7 5\n",
+]
+
+
+@functools.cache
+def _reduced_documents():
+    """(graph text, basis document) for each reduced graph and method."""
+    out = []
+    for text in REDUCED_TEXTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "g.txt"
+            graph.write_text(text)
+            for method in ("simple", "semi-fundamental", "topological"):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert main(["basis", "--method", method, str(graph)]) == 0
+                out.append((text, json.loads(stdout.getvalue())))
+    return out
+
+
+@st.composite
+def tampered_bases(draw):
+    """A basis document of a reduced graph with one to three entries
+    tampered with: an edge dropped or added, the multiplier flipped, or one
+    entry repeated in place of another."""
+    text, doc = draw(st.sampled_from(_reduced_documents()))
+    doc = copy.deepcopy(doc)
+    cycles = doc["cycles"]
+    m = parse_edge_list(text).m
+    for _ in range(draw(st.integers(1, 3))):
+        entry = cycles[draw(st.integers(0, len(cycles) - 1))]
+        action = draw(st.sampled_from(["drop", "add", "flip", "repeat"]))
+        if action == "drop" and entry["edges"]:
+            entry["edges"].pop(draw(st.integers(0, len(entry["edges"]) - 1)))
+        elif action == "add":
+            entry["edges"].append(draw(st.integers(0, m - 1)))
+        elif action == "flip":
+            entry["multiplier"] = 3 - entry.get("multiplier", 1)
+        elif action == "repeat":
+            cycles[draw(st.integers(0, len(cycles) - 1))] = copy.deepcopy(entry)
+    return text, doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(tampered_bases())
+def test_tampered_bases_get_one_verdict_from_determinant_and_hnf(case):
+    """verify of a tampered basis never raises and exits 0 or 3.  When the
+    entries are cycles or doubled edge sets, there are as many as edges of
+    the cosimplification, and each entry's image lies in one component,
+    the determinant check and the HNF check agree."""
+    text, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.txt"
+        graph.write_text(text)
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["verify", str(graph), str(path)])
+    verdict = json.loads(stdout.getvalue())
+    assert code in (0, 3) and verdict["accepted"] == (code == 0)
+    checks = {c["name"]: c["passed"] for c in verdict["checks"]}
+    if not (checks["entries-are-cycles"] and checks.get("cardinality")):
+        return
+    cos = cosimplify(parse_edge_list(text))
+    component = {e: H.vertices[0] for H, _ in cos.components for e in H.edges}
+    for entry in doc["cycles"]:
+        if len({component[cos.projection[e]] for e in entry["edges"]}) != 1:
+            return
+    assert checks["determinant"] == checks["hnf-lattice-equality"]

@@ -215,7 +215,8 @@ class TestVerify:
         assert verdict["checks"][-1] == {
             "name": "determinant",
             "passed": False,
-            "detail": "residual block of 3x3 after peeling exceeds the cap of 2",
+            "detail": "residual block of 3x3 after peeling a component with n=4, m=6 "
+            "exceeds the cap of 2",
         }
 
     def test_non_cycle_entry_rejected(self, capsys, k4_file, tmp_path):
@@ -483,6 +484,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert repr(group.split(",")[-1]) in err
 
+    @pytest.mark.parametrize("group", ["0^-1", "2^-1", "1^-5", "3,2^-2"])
+    def test_group_negative_exponent_exits_1(self, capsys, b3_file, group):
+        assert main(["hull", "--group", group, b3_file]) == 1
+        out = capsys.readouterr()
+        token = group.split(",")[-1]
+        assert out.out == ""
+        assert out.err == f"error: group factor {token!r} has a negative exponent\n"
+
 
 class TestLargeNumbers:
     """Decimal strings past the interpreter's int-to-str digit cap, and
@@ -607,7 +616,8 @@ def _core_with_pendants(pendants: int) -> str:
 def _calls(monkeypatch, argv, names) -> dict[str, list]:
     """The first argument of every call of each certificate, cycle_structure
     or multigraph function in `names`, under every module name it is
-    imported by, while main(argv) runs."""
+    imported by, while main(argv) runs.  A name "Class.method" names a
+    method of a cycle_structure class; its first argument is the instance."""
     modules = [cyclelattice] + [
         importlib.import_module(f"cyclelattice.{info.name}")
         for info in pkgutil.iter_modules(cyclelattice.__path__)
@@ -615,8 +625,11 @@ def _calls(monkeypatch, argv, names) -> dict[str, list]:
     seen: dict[str, list] = {name: [] for name in names}
     with monkeypatch.context() as patch:
         for name in names:
+            owner, _, method = name.rpartition(".")
             original = (
-                getattr(certificate, name, None)
+                getattr(getattr(cycle_structure, owner), method)
+                if owner
+                else getattr(certificate, name, None)
                 or getattr(cycle_structure, name, None)
                 or getattr(multigraph, name)
             )
@@ -625,6 +638,8 @@ def _calls(monkeypatch, argv, names) -> dict[str, list]:
                 seen[name].append(args[0])
                 return original(*args, **kwargs)
 
+            if owner:
+                patch.setattr(getattr(cycle_structure, owner), method, counted)
             for module in modules:
                 if getattr(module, name, None) is original:
                     patch.setattr(module, name, counted)
@@ -653,7 +668,8 @@ def test_partition_count_does_not_grow_with_components(
     basis and extend certify the component bases they built, with
     certify_components, so they check no forest and project nothing.
     verify certifies with certify's core, _certify_vectors, on the one
-    cosimplification it also checks the entries on: a document tree with
+    cosimplification it also checks the entries on, and projects each entry
+    onto it once, with Cosimplification.project: a document tree with
     the load forest's edges is that forest and is not checked again,
     another spanning forest is checked once, with forest_from_edges, and
     reduced on, and a tree that is no forest is checked once and the load
@@ -663,17 +679,18 @@ def test_partition_count_does_not_grow_with_components(
     components off the forest and search it not at all."""
     bfs_on_input = {"basis": 1, "verify": 1, "hull": 1, "analyze": 1, "extend": 1}
     bfs_on_reduced = {"basis": 1, "verify": 1, "hull": 0, "analyze": 0, "extend": 0}
-    # per command: calls of certify, _certify_vectors, certify_components and
-    # _project, and forest_from_edges calls on the input graph
+    # per command: calls of certify, _certify_vectors and certify_components,
+    # calls of Cosimplification.project beyond one per document entry, and
+    # forest_from_edges calls on the input graph
     certifying = {
         "basis": (0, 0, 1, 0, 0),
         "extend": (0, 0, 1, 0, 0),
-        "verify": (0, 1, 0, 1, 0),
+        "verify": (0, 1, 0, 0, 0),
         "hull": (0, 0, 0, 0, 0),
         "analyze": (0, 0, 0, 0, 0),
     }
     names = ["bridges_and_series_classes", "connected_components", "bfs_parents"]
-    names += ["certify", "_certify_vectors", "certify_components", "_project"]
+    names += ["certify", "_certify_vectors", "certify_components", "Cosimplification.project"]
     names += ["forest_from_edges"]
     inputs = {"k4": K4_TEXT, "core2": _core_with_pendants(2), "core50": _core_with_pendants(50)}
     for name, text in inputs.items():
@@ -689,6 +706,7 @@ def test_partition_count_does_not_grow_with_components(
             argv.append(str(doc))
         seen = _calls(monkeypatch, argv, names)
         capsys.readouterr()
+        entries = len(json.loads(doc.read_text())["cycles"]) if command == ["verify"] else 0
         assert len(seen["bridges_and_series_classes"]) == 1, name
         G = parse_edge_list(text)
 
@@ -703,7 +721,7 @@ def test_partition_count_does_not_grow_with_components(
             len(seen["certify"]),
             len(seen["_certify_vectors"]),
             len(seen["certify_components"]),
-            len(seen["_project"]),
+            len(seen["Cosimplification.project"]) - entries,
             len(on_input(seen["forest_from_edges"])),
         )
         assert counts == certifying[command[0]], name
@@ -726,6 +744,7 @@ def test_partition_count_does_not_grow_with_components(
             assert len(on_input(seen["bfs_parents"])) == 2, (name, tree)
             assert len(on_input(seen["forest_from_edges"])) == 1, (name, tree)
             assert len(seen["_certify_vectors"]) == 1, name
+            assert len(seen["Cosimplification.project"]) == entries, name
 
 
 @pytest.mark.parametrize(
@@ -923,6 +942,13 @@ def test_error_golden(capsys, tmp_path, case):
     assert _golden_run(capsys, tmp_path, case) == (code, "", err)
 
 
+def _entry_vectors(entries) -> list[dict[int, int]]:
+    """The vectors of the document entries basis writes for per_component's
+    (edges, provenance) pairs, lifted to the input graph."""
+    written = [cli._entry(edges, tag) for edges, tag in entries]
+    return [dict.fromkeys(e["edges"], e.get("multiplier", 1)) for e in written]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
 def test_component_bases_certify_as_their_lifted_vectors(name):
     """certify_components of the bases basis builds gives the certificate
@@ -934,7 +960,7 @@ def test_component_bases_certify_as_their_lifted_vectors(name):
         cos = cosimplify(G, forest=T)
         for method, construct in cli._CONSTRUCTIONS.items():
             entries, bases = per_component(cos, construct)
-            vectors = [cli._entry_vector(cli._entry(edges, tag)) for edges, tag in entries]
+            vectors = _entry_vectors(entries)
             sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
             lifted = certify(G, vectors, tree=T.tree_edges, sequences=sequences)
             assert certify_components(cos, bases) == lifted, (method, root)
@@ -953,7 +979,7 @@ def test_edgeless_components_keep_their_certificates(capsys, tmp_path):
     leaves = [(1, 0, 1, "generic")] * 50
     for method, kind in (("semi-fundamental", "generic"), ("topological", "chain")):
         entries, bases = per_component(cos, cli._CONSTRUCTIONS[method])
-        vectors = [cli._entry_vector(cli._entry(edges, tag)) for edges, tag in entries]
+        vectors = _entry_vectors(entries)
         sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
         for cert in (certify_components(cos, bases), certify(G, vectors, sequences=sequences)):
             got = [(c.n, c.m, c.determinant, c.kind) for c in cert.components]

@@ -6,17 +6,22 @@ ports (Cosimplification.series_paths).  It must agree with is_simple_cycle
 on every union, also for groupings of the edges that are not the series
 classes, because exactness does not rest on the partition.  cosimplify
 builds the reduced graph off the forest; it must be the graph minor builds.
+Cosimplification.project reads a vector's image on the reduced graph.
 """
 
 import random
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
+from cyclelattice.cli import _entry_image
 from cyclelattice.cycle_structure import (
     cosimplify,
     fundamental_cycle_matrix,
     is_simple_cycle,
 )
+from cyclelattice.errors import ArgumentError
 from cyclelattice.multigraph import Multigraph, minor, parse_edge_list, spanning_forest
 from cyclelattice.topo_extension import gen
 
@@ -134,6 +139,13 @@ def _random_unions(rng: random.Random, reps: list[int], count: int):
         yield rng.sample(reps, rng.randint(1, min(len(reps), 5)))
 
 
+def _entry_is_cycle(cos, edges) -> bool:
+    """verify's check of a document entry of multiplier 1: on its classes
+    when it has an image on a reduction, else on its edges."""
+    problem, _ = _entry_image(cos, 0, {"edges": edges})
+    return problem is None
+
+
 class TestClassesFormCycle:
     def test_series_classes(self):
         """Every fundamental cycle and neighbour sum, as the union of its
@@ -148,7 +160,7 @@ class TestClassesFormCycle:
             # an entry of verify: any edge set, whole classes or not, bridges too
             for _ in range(4):
                 edges = rng.sample(sorted(G.edges), rng.randint(0, min(G.m, 6)))
-                assert cos.is_cycle(edges) == is_simple_cycle(G, set(edges)), (G.edges, edges)
+                assert _entry_is_cycle(cos, edges) == is_simple_cycle(G, set(edges)), (G.edges, edges)
         assert sum(tally[r] for r in ("paths", "reject", "walk")) >= 60_000
         assert tally == {"paths": 88_617, "walk": 4_787, "cycles": 36_543}
 
@@ -167,7 +179,7 @@ class TestClassesFormCycle:
             _check(cos, unions, tally)
             for _ in range(2):
                 edges = rng.sample(sorted(G.edges), rng.randint(0, min(G.m, 6)))
-                assert cos.is_cycle(edges) == is_simple_cycle(G, set(edges)), (G.edges, edges)
+                assert _entry_is_cycle(cos, edges) == is_simple_cycle(G, set(edges)), (G.edges, edges)
         assert sum(tally[r] for r in ("paths", "reject", "walk")) >= 40_000
         assert min(tally["paths"], tally["reject"], tally["walk"]) > 0
         assert tally == {"paths": 29_391, "reject": 15_710, "walk": 979, "cycles": 3_305}
@@ -222,3 +234,19 @@ class TestReducedGraph:
                 assert hat.labels == expected.labels, (G, root)
                 reduced += 1
         assert reduced == 1184
+
+
+def test_project_reads_images_off_the_series_classes():
+    """Two triangles joined by a bridge: edges 0, 1, 2 form one class."""
+    G = parse_edge_list("6 7\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n")
+    cos = cosimplify(G)
+    (a,) = {cos.projection[e] for e in (0, 1, 2)}
+    assert cos.project({0: 2, 1: 2, 2: 2, 3: 0}) == {a: 2}
+    assert cos.project({}) == {}
+    assert cos.project({0: 1, 1: 1}) is None  # part of a class
+    assert cos.project({0: 1, 1: 1, 2: 2}) is None  # unequal values
+    assert cos.project({3: 1}) is None  # a bridge
+    with pytest.raises(ArgumentError, match="unknown edge 98"):
+        cos.project({99: 1, 98: 1, 0: 1})
+    identity = cosimplify(parse_edge_list("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"))
+    assert identity.project({0: 1, 1: 0, 3: 1}) == {0: 1, 3: 1}

@@ -48,6 +48,10 @@ class TestSpecs:
         assert AbelianGroupSpec.parse("4").cyclic_factors == (4,)
         with pytest.raises(ArgumentError):
             AbelianGroupSpec.parse("")
+        for token in ("0^-1", "2^-1", "1^-5"):
+            with pytest.raises(ArgumentError) as info:
+                AbelianGroupSpec.parse(token)
+            assert str(info.value) == f"group factor {token!r} has a negative exponent"
 
 
 class TestHullDimension:
