@@ -264,7 +264,9 @@ def bridges_and_series_classes(
     order) whose fundamental cycle holds it.  By cycle/cut duality a tree
     edge's is the XOR of the bits held by the vertices below it, each vertex
     holding its non-tree edges' bits (a loop's cancels).  Bridges have
-    signature 0; the classes group the rest by signature, by least edge.  A
+    signature 0; the classes group the rest by signature, by least edge.
+    When every signature is nonzero and distinct, as in a 3-edge-connected
+    graph, each edge is a class of its own and nothing is grouped.  A
     non-tree edge whose ends the forest does not join raises StructureError.
     """
     if T is None:
@@ -289,6 +291,10 @@ def bridges_and_series_classes(
     if unjoined:
         e = non_tree[(unjoined & -unjoined).bit_length() - 1]
         raise StructureError(f"non-tree edge {e} joins different forest components")
+    values = signature.values()
+    if 0 not in values and len(set(values)) == len(signature):
+        classes = tuple(map(frozenset, zip(G.sorted_edges)))
+        return SeriesPartition(bridges=frozenset(), classes=classes)
     groups: dict[int, list[EdgeId]] = {}
     for e, sig in signature.items():
         groups.setdefault(sig, []).append(e)
@@ -302,10 +308,16 @@ def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplif
     Only edges of the forest (spanning_forest(G) when none is given) are
     contracted: every nontrivial class has at most one non-forest edge, and
     the representative is that edge when there is one, else the class's
-    least edge.  With nothing to delete or contract, hat_graph is G itself.
+    least edge.  With nothing to delete or contract, hat_graph is G itself,
+    and every edge is its own class's representative.
     """
     T = forest if forest is not None else spanning_forest(G)
     partition = bridges_and_series_classes(G, T)
+    if _all_classes_single(partition, G.m):
+        edges = G.sorted_edges  # the classes' order, one edge each
+        return Cosimplification(
+            G, T, partition, G, dict(zip(edges, edges)), dict(zip(edges, partition.classes))
+        )
     projection: dict[EdgeId, EdgeId | None] = {e: None for e in partition.bridges}
     section: dict[EdgeId, frozenset[EdgeId]] = {}
     to_contract: set[EdgeId] = set()
@@ -315,10 +327,13 @@ def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplif
         to_contract |= cls - {rep}
         for e in cls:
             projection[e] = rep
-    hat = G
-    if partition.bridges or to_contract:
-        hat = _contract_forest_edges(G, T, partition.bridges, to_contract)
+    hat = _contract_forest_edges(G, T, partition.bridges, to_contract)
     return Cosimplification(G, T, partition, hat, projection, section)
+
+
+def _all_classes_single(partition: SeriesPartition, m: int) -> bool:
+    """No bridge and only one-edge classes, read off the counts alone."""
+    return not partition.bridges and len(partition.classes) == m
 
 
 def _contract_forest_edges(
@@ -367,12 +382,11 @@ def three_edge_connectivity_witness(G: Multigraph | Cosimplification) -> tuple[s
         partition = bridges_and_series_classes(G, T)
     if len(T.component_roots) > 1:
         return ("disconnected", len(T.component_roots))
+    if _all_classes_single(partition, T.parent_graph.m):
+        return None
     if partition.bridges:
         return ("bridge", min(partition.bridges))
-    nontrivial = partition.nontrivial_classes
-    if nontrivial:
-        return ("series", min(nontrivial, key=min))
-    return None
+    return ("series", min(partition.nontrivial_classes, key=min))
 
 
 def is_three_edge_connected(G: Multigraph) -> bool:

@@ -9,6 +9,7 @@ of cycles only; this module builds them, and `certificate` certifies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cycle_structure import (
     Cosimplification,
@@ -91,8 +92,7 @@ class EdgeVector:
         return all(c == 0 for c in self.coords.values())
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """How a basis element was obtained."""
 
     kind: str  # fundamental | semi-fundamental | extension | lifted | doubled
@@ -418,7 +418,8 @@ def _shrink_pair(
     reconnecting = fcm.rows[ends[0]] ^ fcm.rows[ends[-1]]
     if not reconnecting:
         raise StructureError(
-            "no reconnecting non-tree edge: graph is not 3-edge-connected"
+            f"no reconnecting non-tree edge for e={e}, f={f} sharing {len(inter)} "
+            "tree edges: graph is not 3-edge-connected"
         )
     x = min(reconnecting)
     on_x = remaining & fcm.columns[x]
@@ -426,7 +427,10 @@ def _shrink_pair(
         new_inter = on_x & fcm.columns[keep]
         if new_inter and new_inter < inter:
             return keep, x, new_inter
-    raise InternalError("cycle exchange shrinks the intersection of neither cycle")
+    raise InternalError(
+        f"cycle exchange of e={e}, f={f} through x={x} shrinks their intersection "
+        f"of {len(inter)} tree edges for neither cycle"
+    )
 
 
 def _seed_pair(
@@ -436,13 +440,13 @@ def _seed_pair(
     crossing = sorted(fcm.rows[t])[:2]
     if len(crossing) < 2:
         raise StructureError(
-            f"fundamental cut of tree edge {t} has fewer than two non-tree edges; "
-            "graph is not 3-edge-connected"
+            f"fundamental cut of tree edge t={t} has the non-tree edges {crossing}, "
+            "fewer than two: graph is not 3-edge-connected"
         )
     e, f = crossing
     inter = remaining & fcm.columns[e] & fcm.columns[f]
     if t not in inter:
-        raise InternalError("seed pair does not share the seeding tree edge")
+        raise InternalError(f"seed pair e={e}, f={f} does not share the seeding tree edge t={t}")
     return e, f, inter
 
 
@@ -516,15 +520,17 @@ def per_component(cos: Cosimplification, construct):
     """
     entries: list[tuple[frozenset[EdgeId], Provenance]] = []
     bases = []
+    identity, lifted = cos.identity, Provenance("lifted")
     for H, T_H in cos.components:
         bases.append(construct(H, T_H))
+        if identity:
+            entries.extend(bases[-1].entries())
+            continue
         for edges, tag in bases[-1].entries():
-            if cos.identity:
-                entries.append((edges, tag))
-            elif tag.kind == "doubled":
+            if tag.kind == "doubled":
                 entries.append((cos.lift_edges(edges), tag))
             else:
-                entries.append((_lift_cycle(cos, edges), Provenance("lifted")))
+                entries.append((_lift_cycle(cos, edges), lifted))
     return entries, bases
 
 
@@ -532,10 +538,15 @@ def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[Ed
     """Each representative edge replaced by its series class (never a bridge),
     checked to be a simple cycle of the parent class by class."""
     if any(e not in cos.section for e in cycle):
-        raise ArgumentError("cycle uses edges outside the cosimplification")
+        raise ArgumentError(f"{_on_reduced(cos, cycle)} uses edges outside the cosimplification")
     if not cos.classes_form_cycle(cycle):
-        raise InternalError("lifted edge set is not a simple cycle")
+        raise InternalError(f"{_on_reduced(cos, cycle)} does not lift to a simple cycle")
     return cos.lift_edges(cycle)
+
+
+def _on_reduced(cos: Cosimplification, cycle: frozenset[EdgeId]) -> str:
+    hat = cos.hat_graph
+    return f"cycle of length {len(cycle)} on the reduced graph with n={hat.n}, m={hat.m}"
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def enumerate_cycles(G: Multigraph, limit: int = 100_000) -> list[frozenset[Edge
     def record(edges: frozenset[EdgeId]):
         cycles.append(edges)
         if len(cycles) > limit:
-            raise CapacityError(f"more than {limit} cycles")
+            raise CapacityError(f"more than {limit} cycles in a graph with n={G.n}, m={G.m}")
 
     non_loop = [e for e in G.sorted_edges if not G.is_loop(e)]
     for e in G.sorted_edges:

@@ -411,10 +411,8 @@ class _SequenceBuilder:
         for e, w in G.incidence[v0]:
             if w == v0:
                 return [e], [v0, v0]
-        # a one-off O(m) copy into _bfs_path's adjacency form, once per sequence
-        adj = {v: dict(pairs) for v, pairs in G.incidence.items()}
         for e0, x in G.incidence[v0]:
-            path = _bfs_path(adj, x, v0, banned={e0})
+            path = _bfs_path(G.incidence, x, v0, banned={e0})
             if path is not None:
                 verts = _path_vertices(G, [e0] + path, v0)
                 return [e0] + path, verts
@@ -572,7 +570,8 @@ class _SequenceBuilder:
             found = self._find_path()
             if found is None:
                 raise InternalError(
-                    "no admissible extension path although edges remain uncovered"
+                    f"no admissible extension path with {len(self.covered)} of m={G.m} "
+                    f"edges covered (steps emitted so far: {len(self.steps)})"
                 )
             # While the covered part is the first cycle, one grown loop at
             # v0 = min(V), a path must start at v0: one between two inner
@@ -592,7 +591,9 @@ class _SequenceBuilder:
         edge_map: dict[EdgeId, EdgeId] = {}
         for rid, te in self.top.items():
             if len(te.gpath) != 1:
-                raise InternalError("a grown edge still represents a longer path")
+                raise InternalError(
+                    f"grown edge {rid} still represents a path of {len(te.gpath)} edges"
+                )
             edge_map[rid] = te.gpath[0]
         return ExtensionSequence(
             base=self.base,
@@ -616,33 +617,37 @@ def extension_sequence(G: Multigraph) -> ExtensionSequence:
 
 
 def _bfs_path(
-    adj: dict[VertexId, dict[EdgeId, VertexId]],
+    adj: dict[VertexId, dict[EdgeId, VertexId] | tuple[tuple[EdgeId, VertexId], ...]],
     s: VertexId,
     t: VertexId,
     banned: set[EdgeId] = frozenset(),
 ) -> list[EdgeId] | None:
-    """Shortest s-t path as edge ids in s->t order, in adj (v -> {edge: other end}).
+    """Shortest s-t path as edge ids in s->t order.
 
-    Banned edges and loops are unused; None when t cannot be reached.  The
-    search is bidirectional and layer-synchronous (Pohl 1971): each round
-    expands one whole layer of the side with the smaller frontier, s's side
-    on equal sizes, in the listed order of vertices and edges.  Until the
-    sides meet, each holds exactly the ball around its root, so every edge
-    into the other side lands in that side's deepest layer: every meeting of
-    the first layer that reaches it has the least depth there, and the first
-    one found is taken.
+    adj maps each vertex to {edge: other end}, as _GrownGraph.adj does, or
+    to ((edge, other end), ...) pairs, as Multigraph.incidence does; both
+    are walked in their listed order, so the two shapes of one graph give
+    one path.  Banned edges and loops are unused; None when t cannot be
+    reached.  The search is bidirectional and layer-synchronous (Pohl
+    1971): each round expands one whole layer of the side with the smaller
+    frontier, s's side on equal sizes, in the listed order of vertices and
+    edges.  Until the sides meet, each holds exactly the ball around its
+    root, so every edge into the other side lands in that side's deepest
+    layer: every meeting of the first layer that reaches it has the least
+    depth there, and the first one found is taken.
     """
     if s == t:
         return []
     # per side, vertex -> (vertex, edge) one step back toward the side's root
     back: tuple[dict, dict] = ({s: None}, {t: None})
     layers = [[s], [t]]
+    by_dict = isinstance(adj[s], dict)
     while layers[0] and layers[1]:
         i = 0 if len(layers[0]) <= len(layers[1]) else 1
         mine, other = back[i], back[1 - i]
         nxt = []
         for x in layers[i]:
-            for e, y in adj[x].items():
+            for e, y in adj[x].items() if by_dict else adj[x]:
                 # a loop lands on x, which is already in mine
                 if y in mine or e in banned:
                     continue
@@ -797,7 +802,7 @@ class CompatibleChain:
             olds = {split.old for split in step.splits()}
             cycles = [c if olds.isdisjoint(c) else embed_cycle(step, c) for c in cycles]
             cycles.extend(new)
-            tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in new)
+            tags.extend([Provenance("extension", step=i, case=step.kind)] * len(new))
             bases.append(CycleBasis(cycles=tuple(cycles), provenance=tuple(tags)))
         return tuple(bases)
 
@@ -872,7 +877,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
 
     for i, step in enumerate(seq.steps):
         added.append(tuple(_extending_cycles(grown, step, tree.parent, i)))
-        tags.extend(Provenance(kind="extension", step=i, case=step.kind) for _ in added[-1])
+        tags.extend([Provenance("extension", step=i, case=step.kind)] * len(added[-1]))
         grown.apply(step)
         tree.follow(grown, step)
         if len(tree.parent) != len(grown.adj):

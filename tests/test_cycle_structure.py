@@ -191,39 +191,107 @@ def with_random_forest(draw):
     return G, _random_forest(draw, G)
 
 
+@st.composite
+def gen_variants(draw):
+    """A 3-edge-connected gen graph, as it is or with one edge subdivided,
+    one pendant edge added or one edge doubled, the variant's name and a
+    random spanning forest.  Subdividing makes a two-edge series class and a
+    pendant edge is a bridge; the other two keep every class one edge."""
+    G = gen(draw(st.integers(0, 24)), draw(st.integers(0, 2**16)), draw(st.integers(1, 10)))
+    edges, n = dict(G.edges), G.n
+    variants = ["as is", "subdivided", "pendant", "doubled"] if edges else ["as is", "pendant"]
+    variant = draw(st.sampled_from(variants))
+    new = max(edges, default=-1) + 1
+    if variant == "subdivided":
+        e = draw(st.sampled_from(G.sorted_edges))
+        u, v = edges[e]
+        edges[e], edges[new] = (u, n), (n, v)
+        n += 1
+    elif variant == "pendant":
+        edges[new] = (draw(st.sampled_from(G.vertices)), n)
+        n += 1
+    elif variant == "doubled":
+        edges[new] = edges[draw(st.sampled_from(G.sorted_edges))]
+    H = Multigraph(vertices=tuple(range(n)), edges=edges)
+    return H, _random_forest(draw, H), variant
+
+
+def _assert_bridges_match_networkx(G, forest):
+    nx = pytest.importorskip("networkx")
+    H = nx.MultiGraph()
+    H.add_nodes_from(G.vertices)
+    H.add_edges_from((u, v, e) for e, (u, v) in G.edges.items())
+    expected = {e for u, v in nx.bridges(H) for e in H[u][v]}
+    for T in (None, forest):
+        assert bridges_and_series_classes(G, T).bridges == frozenset(expected)
+
+
+def _assert_classes_are_the_two_edge_cuts(G, forest):
+    base = _component_count(G, set())
+    for T in (None, forest):
+        part = bridges_and_series_classes(G, T)
+        class_of = {e: cls for cls in part.classes for e in cls}
+        assert set(class_of) == set(G.edges) - part.bridges
+        assert sum(map(len, part.classes)) == len(class_of)
+        least = [min(cls) for cls in part.classes]
+        assert least == sorted(least)
+        candidates = [e for e in class_of if not G.is_loop(e)]
+        for e, f in combinations(candidates, 2):
+            splits = _component_count(G, {e, f}) > base
+            assert (class_of[e] is class_of[f]) == splits, (e, f)
+        assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
+
+
+def _assert_identity_read_off_the_partition(G, forest):
+    """The reduction is the identity exactly when the partition has no bridge
+    and only one-edge classes; its maps then send each edge to itself and to
+    its own class, and the graph is 3-edge-connected exactly when it is also
+    connected."""
+    for T in (None, forest):
+        cos = cosimplify(G, forest=T)
+        part = cos.partition
+        single = not part.bridges and all(len(cls) == 1 for cls in part.classes)
+        assert cos.identity == single
+        if single:
+            assert cos.hat_graph is G
+            assert cos.projection == {e: e for e in G.edges}
+            assert cos.section == {e: frozenset({e}) for e in G.edges}
+        connected = len(cos.forest.component_roots) <= 1
+        assert (three_edge_connectivity_witness(cos) is None) == (single and connected)
+        assert (three_edge_connectivity_witness(G) is None) == (single and connected)
+
+
 class TestDifferentialOracles:
     """bridges_and_series_classes against networkx and brute-force cuts, on
-    the BFS forest and on a random one: the signatures are read off its shape."""
+    the BFS forest and on a random one: the signatures are read off its shape.
+    The gen variants run the oracles on both sides of the one-edge-classes
+    exit, on graphs the rough multigraphs rarely give: 3-edge-connected ones
+    with every edge its own class."""
 
     @settings(max_examples=150)
     @given(with_random_forest())
     def test_bridges_match_networkx(self, GT):
-        G, forest = GT
-        nx = pytest.importorskip("networkx")
-        H = nx.MultiGraph()
-        H.add_nodes_from(G.vertices)
-        H.add_edges_from((u, v, e) for e, (u, v) in G.edges.items())
-        expected = {e for u, v in nx.bridges(H) for e in H[u][v]}
-        for T in (None, forest):
-            assert bridges_and_series_classes(G, T).bridges == frozenset(expected)
+        _assert_bridges_match_networkx(*GT)
 
     @settings(max_examples=150)
     @given(with_random_forest())
     def test_series_classes_are_the_two_edge_cuts(self, GT):
-        G, forest = GT
-        base = _component_count(G, set())
+        _assert_classes_are_the_two_edge_cuts(*GT)
+
+    @settings(max_examples=150)
+    @given(with_random_forest())
+    def test_identity_is_read_off_the_partition(self, GT):
+        _assert_identity_read_off_the_partition(*GT)
+
+    @settings(max_examples=150)
+    @given(gen_variants())
+    def test_gen_variants_match_both_oracles(self, GTV):
+        G, forest, variant = GTV
+        _assert_bridges_match_networkx(G, forest)
+        _assert_classes_are_the_two_edge_cuts(G, forest)
+        _assert_identity_read_off_the_partition(G, forest)
         for T in (None, forest):
-            part = bridges_and_series_classes(G, T)
-            class_of = {e: cls for cls in part.classes for e in cls}
-            assert set(class_of) == set(G.edges) - part.bridges
-            assert sum(map(len, part.classes)) == len(class_of)
-            least = [min(cls) for cls in part.classes]
-            assert least == sorted(least)
-            candidates = [e for e in class_of if not G.is_loop(e)]
-            for e, f in combinations(candidates, 2):
-                splits = _component_count(G, {e, f}) > base
-                assert (class_of[e] is class_of[f]) == splits, (e, f)
-            assert all(len(class_of[e]) == 1 for e in class_of if G.is_loop(e))
+            assert cosimplify(G, forest=T).identity == (variant in ("as is", "doubled"))
 
 
 @st.composite

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from cyclelattice import lattice_basis
 from cyclelattice.certificate import certify_cycle_basis
-from cyclelattice.cycle_structure import cosimplify, is_simple_cycle
+from cyclelattice.cycle_structure import cosimplify, fundamental_cycle_matrix, is_simple_cycle
 from cyclelattice.cycle_structure import three_edge_connectivity_witness
-from cyclelattice.errors import MembershipError, PreconditionError, StructureError
+from cyclelattice.errors import (
+    ArgumentError,
+    InternalError,
+    MembershipError,
+    PreconditionError,
+    StructureError,
+)
 from cyclelattice.lattice_basis import (
     EdgeVector,
+    Provenance,
     double_edge_combination,
     express_in_simple_basis,
     indicator_matrix,
@@ -451,3 +458,66 @@ def test_membership_consistent_with_hnf_span(k4):
         direct = bool(is_lattice_member(k4, EdgeVector(graph=k4, coords=vec)))
         via_hnf = hnf_contains(M, [vec[e] for e in order])
         assert direct == via_hnf, vec
+
+
+# K4 with its edge 1-2 subdivided at vertex 5: the two halves, edges 0 and 6,
+# form a series class, and the forest of spanning_forest holds both
+K4_SUBDIVIDED = "5 7\n1 5\n1 3\n1 4\n2 3\n2 4\n3 4\n5 2\n"
+
+
+class TestErrorsNameTheStepAndSizes:
+    """Each error of the semi-fundamental construction and of lifting names
+    the ids and sizes involved.  The constructions run here without their
+    3-edge-connectivity check, and the two internal errors, which no input
+    reaches, are reached with arguments no construction passes."""
+
+    def test_seed_pair_names_the_tree_edge_and_its_cut(self, c3):
+        with pytest.raises(StructureError) as err:
+            lattice_basis._semi_fundamental_3ec(c3, spanning_forest(c3))
+        assert str(err.value) == (
+            "fundamental cut of tree edge t=0 has the non-tree edges [1], fewer than two: "
+            "graph is not 3-edge-connected"
+        )
+
+    def test_seed_pair_that_misses_its_tree_edge_names_t_e_and_f(self, k4):
+        fcm = fundamental_cycle_matrix(k4, spanning_forest(k4))
+        with pytest.raises(InternalError) as err:
+            lattice_basis._seed_pair(fcm, set(), 0)  # no tree edge remains
+        assert str(err.value) == "seed pair e=3, f=4 does not share the seeding tree edge t=0"
+
+    def test_shrink_pair_names_the_pair_and_the_intersection_size(self):
+        G = parse_edge_list(K4_SUBDIVIDED)
+        with pytest.raises(StructureError) as err:
+            lattice_basis._semi_fundamental_3ec(G, spanning_forest(G))
+        assert str(err.value) == (
+            "no reconnecting non-tree edge for e=3, f=4 sharing 2 tree edges: "
+            "graph is not 3-edge-connected"
+        )
+
+    def test_exchange_that_shrinks_nothing_names_the_pair(self, k4):
+        fcm = fundamental_cycle_matrix(k4, spanning_forest(k4))
+        with pytest.raises(InternalError) as err:
+            lattice_basis._shrink_pair(fcm, set(), 3, 4, set(fcm.columns[3]))
+        assert str(err.value) == (
+            "cycle exchange of e=3, f=4 through x=4 shrinks their intersection of 2 tree edges "
+            "for neither cycle"
+        )
+
+    def test_lift_names_the_cycle_length_and_the_reduced_size(self):
+        cos = cosimplify(parse_edge_list(K4_SUBDIVIDED))
+        where = "cycle of length 1 on the reduced graph with n=4, m=6"
+        with pytest.raises(ArgumentError) as err:
+            lattice_basis._lift_cycle(cos, frozenset({99}))
+        assert str(err.value) == f"{where} uses edges outside the cosimplification"
+        with pytest.raises(InternalError) as err:
+            lattice_basis._lift_cycle(cos, frozenset({1}))  # one edge, no loop
+        assert str(err.value) == f"{where} does not lift to a simple cycle"
+
+
+def test_provenance_is_a_tuple_of_its_fields():
+    tag = Provenance("semi-fundamental", e=3, f=4, t=0)
+    assert tag == ("semi-fundamental", 3, 4, 0, None, None)
+    assert tag.label() == "semi-fundamental(e=3,f=4,t=0)"
+    assert tag._replace(kind="lifted").label() == "lifted"
+    assert Provenance("doubled", t=2).label() == "doubled(t=2)"
+    assert Provenance("extension", step=1, case="B").label() == "extension(step=1,kind=B)"

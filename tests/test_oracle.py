@@ -60,6 +60,11 @@ class TestEnumerateCycles:
         with pytest.raises(CapacityError):
             enumerate_cycles(k4, limit=3)
 
+    def test_limit_error_names_the_graph_size(self, k4):
+        with pytest.raises(CapacityError) as err:
+            enumerate_cycles(k4, limit=3)
+        assert str(err.value) == "more than 3 cycles in a graph with n=4, m=6"
+
 
 class TestExactDeterminant:
     def test_identity(self):

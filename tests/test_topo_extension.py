@@ -171,6 +171,22 @@ class TestExtensionSequence:
         with pytest.raises(PreconditionError):
             extension_sequence(c3)
 
+    def test_path_left_as_a_longer_grown_edge_names_it(self, c3):
+        # the unchecked builder on a cycle covers it with one path, which no
+        # later step divides
+        with pytest.raises(InternalError) as err:
+            topo_extension._SequenceBuilder(c3).build()
+        assert str(err.value) == "grown edge 0 still represents a path of 3 edges"
+
+    def test_missing_extension_path_names_the_coverage_and_steps(self, k4, monkeypatch):
+        # no input reaches it: a 3-edge-connected graph always has a path
+        monkeypatch.setattr(topo_extension._SequenceBuilder, "_find_path", lambda self: None)
+        with pytest.raises(InternalError) as err:
+            extension_sequence(k4)
+        assert str(err.value) == (
+            "no admissible extension path with 3 of m=6 edges covered (steps emitted so far: 1)"
+        )
+
     def test_random_corpus(self):
         for seed in range(25):
             G = gen(steps=3 + seed % 7, seed=seed, max_vertices=10)
@@ -332,8 +348,30 @@ class TestBfsPath:
                 x = v if x == u else u
             assert x == t
 
+    @settings(max_examples=200)
+    @given(_path_queries())
+    def test_incidence_pairs_give_the_same_path(self, query):
+        """The search walks Multigraph.incidence, as the sequence builder
+        hands it over, in the order it walks the dict of the same graph."""
+        adj, edges, s, t, banned = query
+        G = Multigraph(vertices=tuple(adj), edges=dict(enumerate(edges)))
+        expected = topo_extension._bfs_path(adj, s, t, banned=banned)
+        assert topo_extension._bfs_path(G.incidence, s, t, banned=banned) == expected
+
 
 class TestCompatibleChain:
+    def test_cycles_of_one_step_share_its_tag(self):
+        G = gen(40, 3, max_vertices=12)
+        chain = compatible_chain(G)
+        tags = chain.final_basis.provenance
+        assert len(tags) == G.m
+        for step in range(len(chain.sequence.steps)):
+            at_step = [tag for tag in tags if tag.step == step]
+            assert len(at_step) == "ABC".index(chain.sequence.steps[step].kind) + 1
+            assert all(tag is at_step[0] for tag in at_step)
+        for basis in chain.bases[1:]:
+            assert basis.provenance == tags[: len(basis.provenance)]
+
     def test_single_loop(self, loop_graph):
         chain = compatible_chain(loop_graph)
         assert len(chain.bases) == 2
