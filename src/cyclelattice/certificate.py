@@ -29,6 +29,7 @@ from math import prod
 
 from .cycle_structure import (
     Cosimplification,
+    FundamentalCycleMatrix,
     cosimplify,
     fundamental_cycle_matrix,
     is_simple_cycle,
@@ -143,24 +144,24 @@ def certify_components(cos: Cosimplification, bases) -> Certificate:
     component, along the basis's extension sequence when it has one, with no
     forest to check and nothing to project.  A basis built on the
     component's own forest lends the generic path its fundamental-cycle
-    columns, so the matrix is not built again."""
+    matrix, so the matrix is not built again."""
     built = dict(zip((H.vertices[0] for H, _ in cos.components), bases, strict=True))
     members = {key: basis.vectors() for key, basis in built.items()}
     hints = {key: getattr(basis, "sequence", None) for key, basis in built.items()}
-    columns = {
-        H.vertices[0]: getattr(basis, "fundamental_columns", None)
+    matrices = {
+        H.vertices[0]: getattr(basis, "matrix", None)
         for (H, T_H), basis in zip(cos.components, bases)
         if getattr(basis, "tree", None) is T_H
     }
-    return _certify_parts(cos, members, hints, columns)
+    return _certify_parts(cos, members, hints, matrices)
 
 
 def _certify_parts(
-    cos: Cosimplification, members: dict, hints: dict, columns: dict
+    cos: Cosimplification, members: dict, hints: dict, matrices: dict
 ) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
     along the sequence hinted there, and on the generic path with the
-    fundamental-cycle columns given there, all keyed by the component's
+    fundamental-cycle matrix given there, all keyed by the component's
     least vertex.  A vertex without edges is a component of its own, with
     no vectors and determinant 1; only a sequence hinted there is replayed."""
     parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
@@ -180,7 +181,7 @@ def _certify_parts(
             det = _chain_determinant(H, vecs, hints[key])
         if det is None:
             try:
-                det, kind = _generic_determinant(H, T_H, vecs, columns.get(key)), "generic"
+                det, kind = _generic_determinant(H, T_H, vecs, matrices.get(key)), "generic"
             except CapacityError:
                 det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
                 if det is None:
@@ -211,24 +212,26 @@ def _generic_determinant(
     H: Multigraph,
     T_H: SpanningForest | None,
     vectors: list[dict[EdgeId, int]],
-    fcm: dict[EdgeId, frozenset[EdgeId]] | None = None,
+    fcm: FundamentalCycleMatrix | None = None,
 ) -> int:
     """|det| of the square matrix with these columns, rows indexed by H's edges.
 
     T_H is a spanning tree of the connected graph H, None when H has no
-    edges; fcm, when given, the columns of its fundamental-cycle matrix.
+    edges; fcm, when given, its fundamental-cycle matrix.
     """
     if not H.m:
         return 1
     if fcm is None:
-        fcm = fundamental_cycle_matrix(H, T_H).columns
+        fcm = fundamental_cycle_matrix(H, T_H)
+    cycles = fcm.cycles
     columns = []
     for vec in vectors:
         y: dict[EdgeId, int] = {}
         for e, c in vec.items():
             y[e] = y.get(e, 0) + c
-            for t in fcm.get(e, ()):
-                y[t] = y.get(t, 0) - c
+            for t in cycles.get(e, ()):
+                if t != e:  # the tree edges of e's cycle
+                    y[t] = y.get(t, 0) - c
         columns.append({r: a for r, a in y.items() if a})
     factor, rows, cols = _peel(H.sorted_edges, columns)
     if factor == 0:

@@ -27,27 +27,27 @@ from .multigraph import (
 
 @dataclass(frozen=True, eq=False)
 class FundamentalCycleMatrix:
-    """Binary incidence of tree edges in fundamental cycles.
+    """Binary incidence of edges in the fundamental cycles of a forest.
 
-    columns[e] lists the tree edges of the cycle closed by non-tree edge e;
-    a loop closes the empty set.  By cycle/cut duality the row of a tree
-    edge t is exactly the fundamental cut of t minus t itself.
+    Stored: cycles[e] is the whole fundamental cycle of non-tree edge e,
+    e itself included (a loop closes {e}), keyed in ascending edge order.
+    Derived on first read, for the readers that need them: rows[t] lists,
+    ascending, the non-tree edges whose cycle holds tree edge t.  By
+    cycle/cut duality rows[t] is exactly the fundamental cut of t minus t.
     """
 
     tree: SpanningForest
-    columns: dict[EdgeId, frozenset[EdgeId]]
+    cycles: dict[EdgeId, frozenset[EdgeId]]
 
     @cached_property
-    def rows(self) -> dict[EdgeId, frozenset[EdgeId]]:
-        row: dict[EdgeId, set[EdgeId]] = {t: set() for t in self.tree.tree_edges}
-        for e, col in self.columns.items():
-            for t in col:
-                row[t].add(e)
-        return {t: frozenset(s) for t, s in row.items()}
-
-    def cycle_edges(self, e: EdgeId) -> frozenset[EdgeId]:
-        """Full edge set of the fundamental cycle of non-tree edge e."""
-        return self.columns[e] | {e}
+    def rows(self) -> dict[EdgeId, list[EdgeId]]:
+        # The cycles are keyed ascending, so each row comes out ascending.
+        rows: dict[EdgeId, list[EdgeId]] = {t: [] for t in self.tree.tree_edges}
+        for e, cycle in self.cycles.items():
+            for t in cycle:
+                if t != e:
+                    rows[t].append(e)
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,16 +234,19 @@ class Cosimplification:
 
 
 def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCycleMatrix:
-    """Fundamental cycle matrix, each column read off the forest's tree path.
+    """Fundamental cycle matrix, from one walk of each tree path.
 
-    The column of a non-tree edge with endpoints v, v' holds the edges of
-    the forest path from v to v'; a loop's column is empty.  A non-tree
-    edge whose ends the forest does not join raises StructureError.
+    The non-tree edges are taken in ascending order.  The cycle of one with
+    endpoints v, v' holds it and the edges of the forest path from v to v',
+    read off multigraph.tree_path.  A forest of another graph raises
+    ArgumentError; a non-tree edge whose ends the forest does not join
+    raises StructureError.
     """
-    parent = T.parents
-    columns: dict[EdgeId, frozenset[EdgeId]] = {}
+    _require_forest_of(G, T)
+    parent, tree_edges = T.parents, T.tree_edges
+    cycles: dict[EdgeId, frozenset[EdgeId]] = {}
     for e in G.sorted_edges:
-        if e in T.tree_edges:
+        if e in tree_edges:
             continue
         u, v = G.edges[e]
         path = tree_path(parent, u, v) if u in parent and v in parent else None
@@ -251,8 +254,15 @@ def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCyc
             raise StructureError(
                 f"non-tree edge {e} joins different forest components"
             )
-        columns[e] = frozenset(path)
-    return FundamentalCycleMatrix(tree=T, columns=columns)
+        path.append(e)
+        cycles[e] = frozenset(path)
+    return FundamentalCycleMatrix(tree=T, cycles=cycles)
+
+
+def _require_forest_of(G: Multigraph, T: SpanningForest) -> None:
+    """ArgumentError unless T was built on G itself."""
+    if T.parent_graph is not G:
+        raise ArgumentError("spanning forest was built on another graph")
 
 
 def bridges_and_series_classes(
@@ -267,10 +277,13 @@ def bridges_and_series_classes(
     signature 0; the classes group the rest by signature, by least edge.
     When every signature is nonzero and distinct, as in a 3-edge-connected
     graph, each edge is a class of its own and nothing is grouped.  A
-    non-tree edge whose ends the forest does not join raises StructureError.
+    forest of another graph raises ArgumentError; a non-tree edge whose ends
+    the forest does not join raises StructureError.
     """
     if T is None:
         T = spanning_forest(G)
+    else:
+        _require_forest_of(G, T)
     below = dict.fromkeys(T.parents, 0)
     signature = dict.fromkeys(G.sorted_edges, 0)
     non_tree = [e for e in G.sorted_edges if e not in T.tree_edges]

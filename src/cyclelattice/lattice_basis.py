@@ -118,14 +118,14 @@ class Provenance(NamedTuple):
 class SimpleBasis:
     """Fundamental cycles plus doubled tree edges (the non-cycle basis).
 
-    fundamental_columns are the columns of the fundamental-cycle matrix of
-    tree that the construction read, a hint for certify_components.
+    matrix is the fundamental-cycle matrix of tree that the construction
+    read, a hint for certify_components.
     """
 
     tree: SpanningForest
     cycle_part: tuple[tuple[EdgeId, frozenset[EdgeId]], ...]
     doubled_part: tuple[EdgeId, ...]
-    fundamental_columns: dict[EdgeId, frozenset[EdgeId]] | None = None
+    matrix: FundamentalCycleMatrix | None = None
 
     def vectors(self) -> list[dict[EdgeId, int]]:
         """Column vectors, doubled tree edges first."""
@@ -145,15 +145,15 @@ class CycleBasis:
     """Ordered list of cycles with provenance; certified means size m.
 
     tree, and the ExtensionSequence of a chain's basis, are certify's hints;
-    fundamental_columns, the columns of the fundamental-cycle matrix of
-    tree that a construction read, are certify_components's.
+    matrix, the fundamental-cycle matrix of tree that a construction read,
+    is certify_components's.
     """
 
     cycles: tuple[frozenset[EdgeId], ...]
     provenance: tuple[Provenance, ...]
     tree: SpanningForest | None = None
     sequence: object | None = None
-    fundamental_columns: dict[EdgeId, frozenset[EdgeId]] | None = None
+    matrix: FundamentalCycleMatrix | None = None
 
     def __post_init__(self):
         if len(self.cycles) != len(self.provenance):
@@ -207,9 +207,8 @@ def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> SimpleBasis:
 def _simple_3ec(G: Multigraph, T: SpanningForest) -> SimpleBasis:
     """simple_basis on a graph that is 3-edge-connected by construction."""
     fcm = fundamental_cycle_matrix(G, T)
-    cycle_part = tuple((e, fcm.cycle_edges(e)) for e in sorted(fcm.columns))
     doubled_part = tuple(sorted(T.tree_edges))
-    return SimpleBasis(T, cycle_part, doubled_part, fundamental_columns=fcm.columns)
+    return SimpleBasis(T, tuple(fcm.cycles.items()), doubled_part, matrix=fcm)
 
 
 def lattice_determinant(G: Multigraph) -> int:
@@ -326,7 +325,7 @@ def express_in_simple_basis(
     if not member:
         raise MembershipError(member.reason or "not a lattice member")
     fcm = fundamental_cycle_matrix(G, T)
-    cycle_coeffs = {e: p.coords[e] for e in fcm.columns}
+    cycle_coeffs = {e: p.coords[e] for e in fcm.cycles}
     doubled_coeffs = {}
     for t in sorted(T.tree_edges):
         diff = p.coords[t] - sum(p.coords[e] for e in fcm.rows[t])
@@ -337,7 +336,7 @@ def express_in_simple_basis(
     rebuilt = {e: 0 for e in G.edges}
     for e, coef in cycle_coeffs.items():
         if coef:
-            for x in fcm.cycle_edges(e):
+            for x in fcm.cycles[e]:
                 rebuilt[x] += coef
     for t, coef in doubled_coeffs.items():
         rebuilt[t] += 2 * coef
@@ -413,18 +412,18 @@ def _shrink_pair(
     when its cycle and that of x part at v0; the same holds for f, and the
     larger of e and f that shrinks it is kept.
     """
-    G = fcm.tree.parent_graph
+    G, rows, cycles = fcm.tree.parent_graph, fcm.rows, fcm.cycles
     ends = [t for t in tree_path(fcm.tree.parents, *G.edges[e]) if t in inter]
-    reconnecting = fcm.rows[ends[0]] ^ fcm.rows[ends[-1]]
+    reconnecting = set(rows[ends[0]]).symmetric_difference(rows[ends[-1]])
     if not reconnecting:
         raise StructureError(
             f"no reconnecting non-tree edge for e={e}, f={f} sharing {len(inter)} "
             "tree edges: graph is not 3-edge-connected"
         )
     x = min(reconnecting)
-    on_x = remaining & fcm.columns[x]
+    on_x = remaining & cycles[x]  # a non-tree edge is never in remaining
     for keep in (max(e, f), min(e, f)):
-        new_inter = on_x & fcm.columns[keep]
+        new_inter = on_x & cycles[keep]
         if new_inter and new_inter < inter:
             return keep, x, new_inter
     raise InternalError(
@@ -436,15 +435,16 @@ def _shrink_pair(
 def _seed_pair(
     fcm: FundamentalCycleMatrix, remaining: set[EdgeId], t: EdgeId
 ) -> tuple[EdgeId, EdgeId, set[EdgeId]]:
-    """Two fundamental cycles through the remaining tree edge t."""
-    crossing = sorted(fcm.rows[t])[:2]
+    """Two fundamental cycles through the remaining tree edge t: the first
+    two of its row, which is ascending."""
+    crossing = fcm.rows[t][:2]
     if len(crossing) < 2:
         raise StructureError(
             f"fundamental cut of tree edge t={t} has the non-tree edges {crossing}, "
             "fewer than two: graph is not 3-edge-connected"
         )
     e, f = crossing
-    inter = remaining & fcm.columns[e] & fcm.columns[f]
+    inter = remaining & fcm.cycles[e] & fcm.cycles[f]
     if t not in inter:
         raise InternalError(f"seed pair e={e}, f={f} does not share the seeding tree edge t={t}")
     return e, f, inter
@@ -456,12 +456,13 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
     The tree edges are contracted one by one, but every query is answered on
     the fixed tree T: the fundamental cycle of e in the contracted graph is
     the original one minus the contracted edges, and a non-tree edge
-    crosses a surviving tree edge t exactly when it lies in t's row.
+    crosses a surviving tree edge t exactly when it lies in t's row.  The
+    stored cycles are read as they are: a semi-fundamental cycle is the
+    symmetric difference of two of them.
     """
     fcm = fundamental_cycle_matrix(G, T)
-    order = sorted(fcm.columns)
-    cycles = [fcm.cycle_edges(e) for e in order]
-    tags = [Provenance(kind="fundamental", e=e) for e in order]
+    cycles = list(fcm.cycles.values())
+    tags = [Provenance(kind="fundamental", e=e) for e in fcm.cycles]
 
     remaining = set(T.tree_edges)
     seeds = iter(sorted(remaining))  # a seed is contracted before the next is drawn
@@ -475,14 +476,14 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
             e, f, inter = _shrink_pair(fcm, remaining, e, f, inter)
             stack.append((e, f, inter))
         (t,) = inter
-        cycles.append(fcm.cycle_edges(e) ^ fcm.cycle_edges(f))
+        cycles.append(fcm.cycles[e] ^ fcm.cycles[f])
         tags.append(Provenance(kind="semi-fundamental", e=e, f=f, t=t))
         remaining.discard(t)
         stack.pop()
         for _, _, pinter in stack:
             pinter.discard(t)
         stack = [entry for entry in stack if entry[2]]
-    return CycleBasis(tuple(cycles), tuple(tags), tree=T, fundamental_columns=fcm.columns)
+    return CycleBasis(tuple(cycles), tuple(tags), tree=T, matrix=fcm)
 
 
 def semi_fundamental_basis(

@@ -158,7 +158,7 @@ def hull_basis_mod_p(
         if tree is None:
             raise ArgumentError("characteristic-2 reduction needs a tree-based source")
         fcm = fundamental_cycle_matrix(G, tree)
-        vectors = [{e: 1 for e in fcm.cycle_edges(x)} for x in sorted(fcm.columns)]
+        vectors = [dict.fromkeys(cyc, 1) for cyc in fcm.cycles.values()]
     expected = _dimension(G.m, G.n - 1, K)
     order = list(G.sorted_edges)
     rank = rank_mod_p(IntegerMatrix.from_vectors(vectors, order), p)

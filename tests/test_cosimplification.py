@@ -88,7 +88,7 @@ def _graphs(seed: int, count: int):
 def _cycles(G: Multigraph) -> list[frozenset[int]]:
     """The fundamental cycles of G's BFS forest, and the sums of neighbours."""
     fcm = fundamental_cycle_matrix(G, spanning_forest(G))
-    cycles = [fcm.cycle_edges(e) for e in sorted(fcm.columns)]
+    cycles = [fcm.cycles[e] for e in sorted(fcm.cycles)]
     return cycles + [a ^ b for a, b in zip(cycles, cycles[1:])]
 
 

@@ -30,40 +30,40 @@ class TestFundamentalCycleMatrix:
     def test_k4_star_column(self, k4):
         T = spanning_forest(k4)
         fcm = fundamental_cycle_matrix(k4, T)
-        assert fcm.columns[3] == frozenset({0, 1})  # 2-1-3 through the root
-        assert fcm.columns[4] == frozenset({0, 2})
-        assert fcm.columns[5] == frozenset({1, 2})
+        assert fcm.cycles[3] - {3} == frozenset({0, 1})  # 2-1-3 through the root
+        assert fcm.cycles[4] - {4} == frozenset({0, 2})
+        assert fcm.cycles[5] - {5} == frozenset({1, 2})
 
     def test_b3_columns(self, b3):
         T = spanning_forest(b3)
         fcm = fundamental_cycle_matrix(b3, T)
-        assert fcm.columns[1] == frozenset({0})
-        assert fcm.columns[2] == frozenset({0})
+        assert fcm.cycles[1] - {1} == frozenset({0})
+        assert fcm.cycles[2] - {2} == frozenset({0})
 
     def test_loop_zero_column(self, loop_graph):
         T = spanning_forest(loop_graph)
         fcm = fundamental_cycle_matrix(loop_graph, T)
-        assert fcm.columns[0] == frozenset()
-        assert fcm.cycle_edges(0) == frozenset({0})
+        assert fcm.cycles[0] - {0} == frozenset()
+        assert fcm.cycles[0] == frozenset({0})
 
     def test_duality_rows_columns(self, k4, tri_pendant):
         for G in (k4, tri_pendant):
             T = spanning_forest(G)
             fcm = fundamental_cycle_matrix(G, T)
             for t in T.tree_edges:
-                for e in fcm.columns:
-                    assert (t in fcm.columns[e]) == (e in fcm.rows[t])
+                for e in fcm.cycles:
+                    assert (t in fcm.cycles[e]) == (e in fcm.rows[t])
 
     def test_columns_are_cycles(self, k4, b3, tri_pendant):
         for G in (k4, b3, tri_pendant):
             fcm = fundamental_cycle_matrix(G, spanning_forest(G))
-            for e in fcm.columns:
-                assert is_simple_cycle(G, fcm.cycle_edges(e))
+            for cycle in fcm.cycles.values():
+                assert is_simple_cycle(G, cycle)
 
     def test_per_component_forest(self):
         G = parse_edge_list("6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
         fcm = fundamental_cycle_matrix(G, spanning_forest(G))
-        assert len(fcm.columns) == 2
+        assert len(fcm.cycles) == 2
 
 
 class TestBridgesAndSeries:
@@ -333,6 +333,25 @@ def _forest_path(G, T, u, v):
     return frozenset(path)
 
 
+def _fundamental_cut(G, T, t):
+    """Ascending non-tree edges across the two sides that deleting t splits
+    its tree into, each side labelled by a search over T's other edges."""
+    adj = {x: [] for x in G.vertices}
+    for s in T.tree_edges - {t}:
+        a, b = G.edges[s]
+        adj[a].append(b)
+        adj[b].append(a)
+    side = {G.edges[t][0]}
+    stack = list(side)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in side:
+                side.add(y)
+                stack.append(y)
+    non_tree = set(G.edges) - T.tree_edges
+    return sorted(e for e in non_tree if (G.edges[e][0] in side) != (G.edges[e][1] in side))
+
+
 class TestColumnsFromTreePaths:
     """fundamental_cycle_matrix against an independent search in the forest."""
 
@@ -341,9 +360,27 @@ class TestColumnsFromTreePaths:
     def test_columns_are_the_forest_paths(self, GT):
         G, T = GT
         fcm = fundamental_cycle_matrix(G, T)
-        assert set(fcm.columns) == set(G.edges) - T.tree_edges
-        for e, col in fcm.columns.items():
-            assert col == _forest_path(G, T, *G.edges[e]), e
+        assert set(fcm.cycles) == set(G.edges) - T.tree_edges
+        for e, cycle in fcm.cycles.items():
+            assert cycle - {e} == _forest_path(G, T, *G.edges[e]), e
+
+    @settings(max_examples=100)
+    @given(forested_multigraphs())
+    def test_rows_are_the_fundamental_cuts_ascending(self, GT):
+        G, T = GT
+        fcm = fundamental_cycle_matrix(G, T)
+        assert fcm.rows.keys() == T.tree_edges
+        for t, row in fcm.rows.items():
+            assert list(row) == _fundamental_cut(G, T, t), t
+
+    @settings(max_examples=100)
+    @given(forested_multigraphs())
+    def test_cycles_are_stored_whole(self, GT):
+        G, T = GT
+        fcm = fundamental_cycle_matrix(G, T)
+        assert list(fcm.cycles) == sorted(set(G.edges) - T.tree_edges)
+        for e, cycle in fcm.cycles.items():
+            assert cycle == _forest_path(G, T, *G.edges[e]) | {e}, e
 
     @pytest.mark.parametrize(
         "tree, roots",
@@ -379,7 +416,7 @@ class TestColumnsFromTreePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fcm.columns == {n // 2: frozenset(G.edges) - {n // 2}}
+        assert fcm.cycles == {n // 2: frozenset(G.edges)}
         assert peak < 16 * 2**20, peak
 
 

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclelattice import lattice_basis
+from cyclelattice import cycle_structure, lattice_basis, multigraph
 from cyclelattice.certificate import certify_cycle_basis
-from cyclelattice.cycle_structure import cosimplify, fundamental_cycle_matrix, is_simple_cycle
-from cyclelattice.cycle_structure import three_edge_connectivity_witness
+from cyclelattice.cycle_structure import (
+    bridges_and_series_classes,
+    cosimplify,
+    fundamental_cycle_matrix,
+    is_simple_cycle,
+    three_edge_connectivity_witness,
+)
 from cyclelattice.errors import (
     ArgumentError,
     InternalError,
@@ -29,12 +34,14 @@ from cyclelattice.lattice_basis import (
     semi_fundamental_basis,
     simple_basis,
 )
+from cyclelattice.linear_hull import FieldSpec, hull_basis_mod_p
 from cyclelattice.multigraph import (
     SpanningForest,
     minor,
     parse_edge_list,
     spanning_forest,
     tree_diameter,
+    tree_path,
 )
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import gen
@@ -465,6 +472,62 @@ def test_membership_consistent_with_hnf_span(k4):
 K4_SUBDIVIDED = "5 7\n1 5\n1 3\n1 4\n2 3\n2 4\n3 4\n5 2\n"
 
 
+# K4 again, its edges listed in another order: a forest of it is no forest of K4
+K4_RENUMBERED = "4 6\n1 2\n3 4\n1 3\n2 4\n1 4\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda G, T: fundamental_cycle_matrix(G, T), id="fundamental_cycle_matrix"),
+        pytest.param(lambda G, T: bridges_and_series_classes(G, T), id="bridges_and_series"),
+        pytest.param(lambda G, T: cosimplify(G, forest=T), id="cosimplify"),
+        pytest.param(lambda G, T: simple_basis(G, T), id="simple_basis"),
+        pytest.param(lambda G, T: semi_fundamental_basis(G, T), id="semi_fundamental_basis"),
+        pytest.param(
+            lambda G, T: express_in_simple_basis(G, T, EdgeVector.indicator(G, [0, 1, 3])),
+            id="express_in_simple_basis",
+        ),
+        pytest.param(
+            lambda G, T: hull_basis_mod_p(G, FieldSpec(2), simple_basis(T.parent_graph, T)),
+            id="hull_basis_mod_p",
+        ),
+    ],
+)
+def test_forest_of_another_graph_is_rejected(k4, call):
+    T = spanning_forest(parse_edge_list(K4_RENUMBERED))
+    with pytest.raises(ArgumentError, match="spanning forest was built on another graph"):
+        call(k4, T)
+
+
+def test_semi_fundamental_walks_one_tree_path_per_cycle_and_exchange(monkeypatch):
+    """The matrix walks the tree path of each non-tree edge once, and each
+    cycle exchange walks one more; nothing else walks the tree."""
+    walks, exchanges = [], []
+
+    def counted_path(*args):
+        walks.append(args[1:])
+        return tree_path(*args)
+
+    shrink = lattice_basis._shrink_pair
+
+    def counted_shrink(*args):
+        exchanges.append(args[2:4])
+        return shrink(*args)
+
+    for module in (multigraph, cycle_structure, lattice_basis):
+        monkeypatch.setattr(module, "tree_path", counted_path)
+    monkeypatch.setattr(lattice_basis, "_shrink_pair", counted_shrink)
+    for seed in range(4):
+        G = gen(2 * 60 + 1, seed, max_vertices=60)
+        T = spanning_forest(G)
+        walks.clear()
+        exchanges.clear()
+        lattice_basis._semi_fundamental_3ec(G, T)
+        assert exchanges, seed
+        assert len(walks) <= G.m - G.n + 1 + len(exchanges), seed
+
+
 class TestErrorsNameTheStepAndSizes:
     """Each error of the semi-fundamental construction and of lifting names
     the ids and sizes involved.  The constructions run here without their
@@ -497,7 +560,7 @@ class TestErrorsNameTheStepAndSizes:
     def test_exchange_that_shrinks_nothing_names_the_pair(self, k4):
         fcm = fundamental_cycle_matrix(k4, spanning_forest(k4))
         with pytest.raises(InternalError) as err:
-            lattice_basis._shrink_pair(fcm, set(), 3, 4, set(fcm.columns[3]))
+            lattice_basis._shrink_pair(fcm, set(), 3, 4, set(fcm.cycles[3] - {3}))
         assert str(err.value) == (
             "cycle exchange of e=3, f=4 through x=4 shrinks their intersection of 2 tree edges "
             "for neither cycle"

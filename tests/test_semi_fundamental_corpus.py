@@ -118,10 +118,10 @@ def test_corpus_reaches_every_exchange_case(monkeypatch):
         keep, x, new_inter = shrink_pair(*args)
         fcm = args[0]
         remaining, e, f, inter = args[-4:]
-        shared = {y: remaining & fcm.columns[y] & fcm.columns[x] for y in (e, f)}
+        shared = {y: remaining & fcm.cycles[y] & fcm.cycles[x] for y in (e, f)}
         shrinks = [y for y in (e, f) if shared[y] and shared[y] < inter]
         assert keep == max(shrinks)
-        assert new_inter == remaining & fcm.columns[keep] & fcm.columns[x]
+        assert new_inter == remaining & fcm.cycles[keep] & fcm.cycles[x]
         cases["both" if len(shrinks) == 2 else "e" if shrinks == [e] else "f"] += 1
         return keep, x, new_inter
 
