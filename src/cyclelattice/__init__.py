@@ -46,14 +46,12 @@ from .linear_hull import (
     hull_group_structure,
 )
 from .multigraph import (
-    MinorMap,
     Multigraph,
     SpanningForest,
     connected_components,
     edge_disjoint_paths,
     forest_from_edges,
     format_edge_list,
-    minor,
     parse_edge_list,
     spanning_forest,
     tree_diameter,

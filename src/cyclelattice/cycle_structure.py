@@ -352,11 +352,12 @@ def _all_classes_single(partition: SeriesPartition, m: int) -> bool:
 def _contract_forest_edges(
     G: Multigraph, T: SpanningForest, delete: Iterable[EdgeId], contract: set[EdgeId]
 ) -> Multigraph:
-    """minor(G, delete, contract).result for edges `contract` of the forest T.
+    """G with the edges `delete` deleted and the edges `contract` of the forest T contracted.
 
     One pass over T's parent map, parents before children, puts each
-    vertex in the block of its parent when the edge to it is contracted;
-    each block is named by its least vertex, as minor names it.  Contracted
+    vertex in the block of its parent when the edge to it is contracted.
+    Each block is named by its least vertex; surviving edges keep their
+    ids and order, and labels stay on surviving vertices.  Contracted
     forest edges close no cycle, so none of them becomes a loop.
     """
     top: dict[VertexId, VertexId] = {}  # vertex -> the first vertex of its block

@@ -32,7 +32,6 @@ from .multigraph import (
     SpanningForest,
     VertexId,
     edge_disjoint_paths,
-    minor,
     spanning_forest,
     tree_path,
 )
@@ -238,7 +237,7 @@ def is_lattice_member(G: Multigraph, p: EdgeVector) -> MembershipResult:
                 False, reason=f"unequal values on series class {sorted(cls)}"
             )
     for v in G.vertices:
-        s = sum(2 * p.coords[e] if w == v else p.coords[e] for e, w in G.incidence[v])
+        s = sum(2 * p.coords[e] if w == v else p.coords[e] for e, w in G.incidence[v].items())
         if s % 2 != 0:
             return MembershipResult(False, reason=f"odd incidence sum at vertex {v}")
 
@@ -360,7 +359,7 @@ def double_edge_combination(
     if G.is_loop(e):
         return [(2, frozenset({e}))]
     u, v = G.edges[e]
-    without_e = minor(G, delete={e}, contract=set()).result
+    without_e = Multigraph(G.vertices, {x: uv for x, uv in G.edges.items() if x != e}, G.labels)
     paths = edge_disjoint_paths(without_e, u, v, 2)
     if len(paths) < 2:
         raise InternalError("3-edge-connected graph lost 2-connectivity after one deletion")

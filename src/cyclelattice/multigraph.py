@@ -1,8 +1,9 @@
-"""Undirected multigraph model: loops, parallel edges, minors, forests, paths.
+"""Undirected multigraph model: loops, parallel edges, forests, paths.
 
 Vertex and edge ids are plain ints.  Edge ids are dense, assigned at parse
-time, and never reused; minor operations keep the surviving ids so that
-vectors indexed by edge id embed canonically across minors.
+time, and never reused; a graph derived from another by deleting or
+contracting edges keeps the surviving ids, so that vectors indexed by edge
+id embed canonically across such graphs.
 """
 
 from __future__ import annotations
@@ -64,20 +65,22 @@ class Multigraph:
         return u == v
 
     @cached_property
-    def incidence(self) -> dict[VertexId, tuple[tuple[EdgeId, VertexId], ...]]:
-        """v -> ((edge, other endpoint), ...) sorted by edge id; loops listed once."""
-        inc: dict[VertexId, list[tuple[EdgeId, VertexId]]] = {v: [] for v in self.vertices}
+    def incidence(self) -> dict[VertexId, dict[EdgeId, VertexId]]:
+        """v -> {edge: other endpoint} in edge-id order; loops listed once.
+
+        The inner dicts are shared by every reader: copy one before growing it.
+        """
+        inc: dict[VertexId, dict[EdgeId, VertexId]] = {v: {} for v in self.vertices}
         edges = self.edges
         for e in self.sorted_edges:
             u, v = edges[e]
-            inc[u].append((e, v))
-            if v != u:
-                inc[v].append((e, u))
-        return {v: tuple(pairs) for v, pairs in inc.items()}
+            inc[u][e] = v
+            inc[v][e] = u
+        return inc
 
     def degree(self, v: VertexId) -> int:
         """Non-loop incidences plus twice the loop incidences."""
-        return sum(2 if w == v else 1 for _, w in self.incidence[v])
+        return sum(2 if w == v else 1 for w in self.incidence[v].values())
 
     def label_of(self, v: VertexId) -> str:
         if self.labels and v in self.labels:
@@ -158,14 +161,6 @@ def tree_path(parent: ParentMap, u: VertexId, v: VertexId) -> list[EdgeId] | Non
             trail_v[y] = len(up_v)
         elif step_u is None:
             return None
-
-
-@dataclass(frozen=True, eq=False)
-class MinorMap:
-    """Result of deleting and contracting edge sets, with the vertex quotient."""
-
-    result: Multigraph
-    vertex_image: dict[VertexId, VertexId]
 
 
 def parse_edge_list(text: str) -> Multigraph:
@@ -312,8 +307,10 @@ def bfs_parents(
 ) -> ParentMap:
     """Parent map of a BFS from each start, in order, that is not yet reached.
 
-    The search walks only `edges` when they are given, else every edge of
-    G, each vertex's in id order.  A start maps to None and every vertex it
+    G is read through its `incidence` alone, so a graph grown in place that
+    keeps the same shape is searched as a Multigraph is.  The search walks
+    only `edges` when they are given, else every edge of G, each vertex's
+    in its incidence order.  A start maps to None and every vertex it
     reaches to (its parent, the edge to it).  Keys are in discovery order,
     so parents precede their children and each tree's keys are contiguous.
     """
@@ -327,14 +324,14 @@ def bfs_parents(
         if edges is None:
             while queue:
                 x = queue.popleft()
-                for e, y in incidence[x]:
+                for e, y in incidence[x].items():
                     if y not in parent:
                         parent[y] = (x, e)
                         queue.append(y)
         else:
             while queue:
                 x = queue.popleft()
-                for e, y in incidence[x]:
+                for e, y in incidence[x].items():
                     if y not in parent and e in edges:
                         parent[y] = (x, e)
                         queue.append(y)
@@ -408,55 +405,6 @@ def forest_from_edges(G: Multigraph, edges) -> SpanningForest | None:
     return F
 
 
-def minor(G: Multigraph, delete: set[EdgeId], contract: set[EdgeId]) -> MinorMap:
-    """Delete one edge set and contract another; order independent.
-
-    Contracting a loop (including an edge made parallel-then-loop by earlier
-    contractions) is the same as deleting it.  Surviving edges keep their ids.
-    """
-    delete = set(delete)
-    contract = set(contract)
-    if delete & contract:
-        raise ArgumentError(f"delete and contract sets overlap: {sorted(delete & contract)}")
-    removed = delete | contract
-    if not removed <= G.edges.keys():
-        raise ArgumentError(f"unknown edge id {next(e for e in removed if e not in G.edges)}")
-
-    # union-find without method calls: up maps a merged vertex toward the
-    # least vertex of its block, which up lacks, so up[x] < x throughout;
-    # each find halves the path it walks
-    edges = G.edges
-    up: dict[VertexId, VertexId] = {}
-    for e in contract:
-        a, b = edges[e]
-        while a in up:
-            p = up[a]
-            up[a] = up.get(p, p)
-            a = up[a]
-        while b in up:
-            p = up[b]
-            up[b] = up.get(p, p)
-            b = up[b]
-        if a < b:
-            up[b] = a
-        elif b < a:
-            up[a] = b
-    vertex_image = {v: v for v in G.vertices}
-    for v in sorted(up):  # up[v] < v, so its image is already final
-        vertex_image[v] = vertex_image[up[v]]
-    new_vertices = tuple(sorted(v for v in G.vertices if v not in up))
-    new_edges = {
-        e: (vertex_image[u], vertex_image[v])
-        for e, (u, v) in edges.items()
-        if e not in removed
-    }
-    labels = None
-    if G.labels:
-        labels = {v: G.labels[v] for v in new_vertices if v in G.labels}
-    result = Multigraph(vertices=new_vertices, edges=new_edges, labels=labels)
-    return MinorMap(result=result, vertex_image=vertex_image)
-
-
 def edge_disjoint_paths(
     G: Multigraph, u: VertexId, v: VertexId, k: int
 ) -> list[list[EdgeId]]:
@@ -483,7 +431,7 @@ def edge_disjoint_paths(
             x = queue.popleft()
             if x == v:
                 break
-            for e, y in G.incidence[x]:
+            for e, y in G.incidence[x].items():
                 if y == x or y in prev:
                     continue
                 a, _ = G.edges[e]

@@ -89,7 +89,7 @@ def enumerate_cycles(G: Multigraph, limit: int = 100_000) -> list[frozenset[Edge
         u, v = G.edges[e0]
         path_edges: list[EdgeId] = []
         visited = {v}
-        stack = [(v, iter(G.incidence[v]))]
+        stack = [(v, iter(G.incidence[v].items()))]
         while stack:
             x, incident = stack[-1]
             for e, y in incident:
@@ -100,7 +100,7 @@ def enumerate_cycles(G: Multigraph, limit: int = 100_000) -> list[frozenset[Edge
                 elif y not in visited:
                     visited.add(y)
                     path_edges.append(e)
-                    stack.append((y, iter(G.incidence[y])))
+                    stack.append((y, iter(G.incidence[y].items())))
                     break
             else:
                 stack.pop()

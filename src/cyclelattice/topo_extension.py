@@ -150,38 +150,36 @@ def _json_map(value) -> dict[int, int]:
 class _GrownGraph:
     """A multigraph grown in place, one extension step at a time.
 
-    `ends` maps edge -> (u, v) and `adj` maps v -> {edge: other end}, loops
-    listed once.  Both keep insertion order, which is edge-id order when the
-    graph starts from a Multigraph and every step brings larger ids, as the
-    steps of `extension_sequence` and `gen` do.
+    `ends` maps edge -> (u, v) and `incidence` maps v -> {edge: other end},
+    loops listed once, the shape of Multigraph.incidence.  Both keep
+    insertion order, which is edge-id order when the graph starts from a
+    Multigraph and every step brings larger ids, as the steps of
+    `extension_sequence` and `gen` do.
     """
 
-    __slots__ = ("ends", "adj")
+    __slots__ = ("ends", "incidence")
 
     def __init__(self, H: Multigraph):
-        # ends keeps H's own edge order, so a frozen graph lists edges as H did
+        # ends keeps H's own edge order, so a frozen graph lists edges as H did;
+        # the inner dicts are copied, as H's cached ones must not grow
         self.ends: dict[EdgeId, tuple[VertexId, VertexId]] = dict(H.edges)
-        self.adj: dict[VertexId, dict[EdgeId, VertexId]] = {v: {} for v in H.vertices}
-        for e in H.sorted_edges:
-            u, v = H.edges[e]
-            self.adj[u][e] = v
-            self.adj[v][e] = u
+        self.incidence = {v: dict(d) for v, d in H.incidence.items()}
 
     def _add(self, e: EdgeId, u: VertexId, v: VertexId):
         self.ends[e] = (u, v)
-        self.adj[u][e] = v
-        self.adj[v][e] = u
+        self.incidence[u][e] = v
+        self.incidence[v][e] = u
 
     def apply(self, step: ExtensionStep):
         """Apply one extension step in place; surviving edges keep their ids."""
-        ends, adj = self.ends, self.adj
+        ends, incidence = self.ends, self.incidence
         splits = step.splits()
         new_ids = [step.new_edge]
         for split in splits:
             new_ids.extend((split.first, split.second))
             if split.old not in ends:
                 raise ArgumentError(f"split references unknown edge {split.old}")
-            if split.vertex in adj:
+            if split.vertex in incidence:
                 raise ArgumentError(f"split vertex {split.vertex} already exists")
         if len(set(new_ids)) != len(new_ids):
             raise ArgumentError("new edge ids collide")
@@ -192,19 +190,19 @@ class _GrownGraph:
             raise ArgumentError("split vertices collide")
 
         for x in step.endpoints[len(splits):]:
-            if x not in adj:
+            if x not in incidence:
                 raise ArgumentError(f"kind {step.kind}: endpoint {x} does not exist")
         for split in splits:
             u, v = ends.pop(split.old)
-            del adj[u][split.old]
-            adj[v].pop(split.old, None)  # already gone when old is a loop
-            adj[split.vertex] = {}
+            del incidence[u][split.old]
+            incidence[v].pop(split.old, None)  # already gone when old is a loop
+            incidence[split.vertex] = {}
             self._add(split.first, u, split.vertex)
             self._add(split.second, split.vertex, v)
         self._add(step.new_edge, *step.endpoints)
 
     def freeze(self, labels: dict[VertexId, str] | None = None) -> Multigraph:
-        return Multigraph(vertices=tuple(sorted(self.adj)), edges=dict(self.ends), labels=labels)
+        return Multigraph(tuple(sorted(self.incidence)), dict(self.ends), labels)
 
 
 def apply_extension(H: Multigraph, step: ExtensionStep) -> Multigraph:
@@ -385,7 +383,7 @@ class _SequenceBuilder:
         old = self.deg[v]
         self.deg[v] = old + amount
         if old < 3 <= self.deg[v]:
-            for e, _w in self.G.incidence[v]:
+            for e in self.G.incidence[v]:
                 if e not in self.covered:
                     self.sweep_queue.append(e)
 
@@ -408,10 +406,10 @@ class _SequenceBuilder:
 
     def _closed_path_from(self, v0: VertexId) -> tuple[list[EdgeId], list[VertexId]]:
         G = self.G
-        for e, w in G.incidence[v0]:
+        for e, w in G.incidence[v0].items():
             if w == v0:
                 return [e], [v0, v0]
-        for e0, x in G.incidence[v0]:
+        for e0, x in G.incidence[v0].items():
             path = _bfs_path(G.incidence, x, v0, banned={e0})
             if path is not None:
                 verts = _path_vertices(G, [e0] + path, v0)
@@ -441,7 +439,7 @@ class _SequenceBuilder:
         retry: list[EdgeId] = []
         while queue:
             x = queue.popleft()
-            for e, y in G.incidence[x]:
+            for e, y in G.incidence[x].items():
                 if e in self.covered:
                     continue
                 if self.deg[y] > 0:
@@ -472,7 +470,7 @@ class _SequenceBuilder:
         queue = deque([v])
         while queue:
             x = queue.popleft()
-            for e, y in G.incidence[x]:
+            for e, y in G.incidence[x].items():
                 if e in self.covered or e == e_land or y == x:
                     continue
                 if self.deg[y] > 0 or y in seen:
@@ -617,37 +615,34 @@ def extension_sequence(G: Multigraph) -> ExtensionSequence:
 
 
 def _bfs_path(
-    adj: dict[VertexId, dict[EdgeId, VertexId] | tuple[tuple[EdgeId, VertexId], ...]],
+    adj: dict[VertexId, dict[EdgeId, VertexId]],
     s: VertexId,
     t: VertexId,
     banned: set[EdgeId] = frozenset(),
 ) -> list[EdgeId] | None:
     """Shortest s-t path as edge ids in s->t order.
 
-    adj maps each vertex to {edge: other end}, as _GrownGraph.adj does, or
-    to ((edge, other end), ...) pairs, as Multigraph.incidence does; both
-    are walked in their listed order, so the two shapes of one graph give
-    one path.  Banned edges and loops are unused; None when t cannot be
-    reached.  The search is bidirectional and layer-synchronous (Pohl
-    1971): each round expands one whole layer of the side with the smaller
-    frontier, s's side on equal sizes, in the listed order of vertices and
-    edges.  Until the sides meet, each holds exactly the ball around its
-    root, so every edge into the other side lands in that side's deepest
-    layer: every meeting of the first layer that reaches it has the least
-    depth there, and the first one found is taken.
+    adj maps each vertex to {edge: other end}, as the `incidence` of a
+    Multigraph or a _GrownGraph does.  Banned edges and loops are unused;
+    None when t cannot be reached.  The search is bidirectional and
+    layer-synchronous (Pohl 1971): each round expands one whole layer of the
+    side with the smaller frontier, s's side on equal sizes, in the listed
+    order of vertices and edges.  Until the sides meet, each holds exactly
+    the ball around its root, so every edge into the other side lands in
+    that side's deepest layer: every meeting of the first layer that reaches
+    it has the least depth there, and the first one found is taken.
     """
     if s == t:
         return []
     # per side, vertex -> (vertex, edge) one step back toward the side's root
     back: tuple[dict, dict] = ({s: None}, {t: None})
     layers = [[s], [t]]
-    by_dict = isinstance(adj[s], dict)
     while layers[0] and layers[1]:
         i = 0 if len(layers[0]) <= len(layers[1]) else 1
         mine, other = back[i], back[1 - i]
         nxt = []
         for x in layers[i]:
-            for e, y in adj[x].items() if by_dict else adj[x]:
+            for e, y in adj[x].items():
                 # a loop lands on x, which is already in mine
                 if y in mine or e in banned:
                     continue
@@ -686,7 +681,7 @@ def _at_step(index: int | None, step: ExtensionStep, grown: _GrownGraph) -> str:
     a, b = step.endpoints
     return (
         f"{where} (kind {step.kind}, endpoints {a}, {b}) on a grown graph "
-        f"with n={len(grown.adj)}, m={len(grown.ends)}"
+        f"with n={len(grown.incidence)}, m={len(grown.ends)}"
     )
 
 
@@ -729,7 +724,7 @@ def _extending_cycles(
     for s_end, t_end, halves in routes:
         path = None if parent is None else tree_path(parent, s_end, t_end)
         if path is None or not banned.isdisjoint(path):
-            path = _bfs_path(grown.adj, s_end, t_end, banned=banned)
+            path = _bfs_path(grown.incidence, s_end, t_end, banned=banned)
         if path is None:
             raise InternalError(
                 f"no route from {s_end} to {t_end} avoiding the divided edges at "
@@ -826,8 +821,9 @@ class _ChainTree:
     divided tree edge keeps both halves in the tree, a divided non-tree
     edge hangs the split vertex off its first half, and the new edge never
     enters.  Each time the edge count reaches TREE_REBUILD_GROWTH times its
-    count at the last rebuild, the map is rebuilt instead, as a BFS tree of
-    the grown graph from the root, so the tree paths stay short.
+    count at the last rebuild, the map is rebuilt instead, by bfs_parents
+    as a BFS tree of the grown graph from the root, so the tree paths stay
+    short.
     """
 
     __slots__ = ("root", "parent", "rebuilt_at")
@@ -840,13 +836,7 @@ class _ChainTree:
     def follow(self, grown: _GrownGraph, step: ExtensionStep):
         m = len(grown.ends)
         if m >= TREE_REBUILD_GROWTH * self.rebuilt_at:
-            self.parent = parent = {self.root: None}
-            adj, queue = grown.adj, [self.root]
-            for x in queue:  # a list iteration sees the items appended to it
-                for e, y in adj[x].items():
-                    if y not in parent:
-                        parent[y] = (x, e)
-                        queue.append(y)
+            self.parent = bfs_parents(grown, (self.root,))
             self.rebuilt_at = m
             return
         parent = self.parent
@@ -880,9 +870,9 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
         tags.extend([Provenance("extension", step=i, case=step.kind)] * len(added[-1]))
         grown.apply(step)
         tree.follow(grown, step)
-        if len(tree.parent) != len(grown.adj):
+        if len(tree.parent) != len(grown.incidence):
             raise InternalError(
-                f"the maintained tree misses {len(grown.adj) - len(tree.parent)} "
+                f"the maintained tree misses {len(grown.incidence) - len(tree.parent)} "
                 f"vertices after {_at_step(i, step, grown)}"
             )
     seq.__dict__["grown_edges"] = grown.ends  # fills the cached property

@@ -1,8 +1,10 @@
+import collections
 import hashlib
 import importlib
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +20,7 @@ from cyclelattice.cycle_structure import cosimplify, fundamental_cycle_matrix
 from cyclelattice.errors import InternalError
 from cyclelattice.lattice_basis import indicator_matrix, per_component
 from cyclelattice.multigraph import (
+    Multigraph,
     forest_from_edges,
     format_edge_list,
     parse_edge_list,
@@ -711,12 +714,15 @@ def test_partition_count_does_not_grow_with_components(
         G = parse_edge_list(text)
 
         def on_input(calls, G=G):
-            return [H for H in calls if (H.n, H.m) == (G.n, G.m)]
+            return [H for H in calls if isinstance(H, Multigraph) and (H.n, H.m) == (G.n, G.m)]
 
+        # the topological chain also rebuilds its tree of the graph it grows
+        # with bfs_parents; those searches are of no forest of a Multigraph
+        forest_searches = [H for H in seen["bfs_parents"] if isinstance(H, Multigraph)]
         assert on_input(seen["connected_components"]) == [], name
         assert len(on_input(seen["bfs_parents"])) == bfs_on_input[command[0]], name
         reduced = bfs_on_reduced[command[0]] if name != "k4" else 0
-        assert len(seen["bfs_parents"]) == bfs_on_input[command[0]] + reduced, name
+        assert len(forest_searches) == bfs_on_input[command[0]] + reduced, name
         counts = (
             len(seen["certify"]),
             len(seen["_certify_vectors"]),
@@ -727,7 +733,7 @@ def test_partition_count_does_not_grow_with_components(
         assert counts == certifying[command[0]], name
         cos = cosimplify(G)
         components = {(H.n, H.m) for H, _ in cos.components if H is not cos.hat_graph}
-        assert [H for H in seen["bfs_parents"] if (H.n, H.m) in components] == [], name
+        assert [H for H in forest_searches if (H.n, H.m) in components] == [], name
         if command != ["verify"]:
             continue
         other = spanning_forest(G, prefer_root=G.vertices[-1]).tree_edges
@@ -1059,3 +1065,56 @@ def test_each_module_imports_alone(module):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def _fuzz_graph(rng: random.Random) -> str:
+    """An edge list on n <= 7 vertices and m <= 13 edges, drawn so that
+    loops, parallel edges, bridges and several components are common."""
+    n = rng.randint(1, 7)
+    rows: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 13)):
+        roll = rng.random()
+        if rows and roll < 0.2:
+            rows.append(rng.choice(rows))  # a parallel edge
+        elif roll < 0.3:
+            v = rng.randint(1, n)
+            rows.append((v, v))
+        else:
+            rows.append((rng.randint(1, n), rng.randint(1, n)))
+    return f"{n} {len(rows)}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+
+
+def test_random_small_multigraphs_through_every_command(capsys, tmp_path):
+    """300 seeded multigraphs through analyze, basis --verify by each method,
+    verify of each exit-0 basis document, extend --verify and hull over a
+    field and a group: every command exits 0-3 without a traceback, every
+    exit-0 basis is certified, and verify accepts its document."""
+    rng = random.Random(7)
+    graph, doc_path = tmp_path / "g.txt", tmp_path / "basis.json"
+    start = time.perf_counter()
+    exits = collections.Counter()
+
+    def call(*argv):
+        code = main([argv[0], str(graph), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert 0 <= code <= 3 and "Traceback" not in err, (argv, graph.read_text(), err)
+        exits[argv[0], code] += 1
+        return code, out
+
+    for _ in range(300):
+        graph.write_text(_fuzz_graph(rng))
+        call("analyze")
+        for method in ("simple", "semi-fundamental", "topological"):
+            code, out = call("basis", "--verify", "--method", method)
+            if code != 0:
+                continue
+            assert json.loads(out)["certified"] is True, (method, graph.read_text())
+            doc_path.write_text(out)
+            code, out = call("verify", str(doc_path))
+            assert code == 0 and json.loads(out)["accepted"] is True, (method, graph.read_text())
+        call("extend", "--verify")
+        call("hull", "--char", "3")
+        call("hull", "--group", "4,3")
+    # the draw reaches both the exit-0 paths and the refusals
+    assert exits["basis", 0] and exits["basis", 2] and exits["extend", 0], exits
+    assert time.perf_counter() - start < 10

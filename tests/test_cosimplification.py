@@ -5,7 +5,8 @@ classes is a simple cycle of the parent from each class's paths between
 ports (Cosimplification.series_paths).  It must agree with is_simple_cycle
 on every union, also for groupings of the edges that are not the series
 classes, because exactness does not rest on the partition.  cosimplify
-builds the reduced graph off the forest; it must be the graph minor builds.
+builds the reduced graph off the forest; it must be the quotient networkx
+builds.
 Cosimplification.project reads a vector's image on the reduced graph.
 """
 
@@ -22,7 +23,7 @@ from cyclelattice.cycle_structure import (
     is_simple_cycle,
 )
 from cyclelattice.errors import ArgumentError
-from cyclelattice.multigraph import Multigraph, minor, parse_edge_list, spanning_forest
+from cyclelattice.multigraph import Multigraph, parse_edge_list, spanning_forest
 from cyclelattice.topo_extension import gen
 
 
@@ -212,9 +213,10 @@ def _relabeled(rng: random.Random, G: Multigraph) -> Multigraph:
 
 
 class TestReducedGraph:
-    def test_reduced_graph_is_the_minor(self):
-        """cosimplify's reduced graph against minor with the bridges deleted
-        and every class edge but the representative contracted: the same
+    def test_reduced_graph_is_the_minor(self, nx_quotient):
+        """cosimplify's reduced graph against the networkx quotient with the
+        bridges deleted and every class edge but the representative
+        contracted, the minor the paper reduces to: the same
         vertices, edge dict in order and labels, on 600 random multigraphs
         (disconnected ones among them) on the BFS forest and on one with a
         preferred root."""
@@ -227,7 +229,7 @@ class TestReducedGraph:
                     assert cos.hat_graph is G
                     continue
                 contract = {e for rep, cls in cos.section.items() for e in cls if e != rep}
-                expected = minor(G, delete=set(cos.partition.bridges), contract=contract).result
+                expected = nx_quotient(G, contract, cos.partition.bridges)
                 hat = cos.hat_graph
                 assert hat.vertices == expected.vertices, (G, root)
                 assert list(hat.edges.items()) == list(expected.edges.items()), (G, root)

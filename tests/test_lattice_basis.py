@@ -37,7 +37,6 @@ from cyclelattice.lattice_basis import (
 from cyclelattice.linear_hull import FieldSpec, hull_basis_mod_p
 from cyclelattice.multigraph import (
     SpanningForest,
-    minor,
     parse_edge_list,
     spanning_forest,
     tree_diameter,
@@ -204,15 +203,20 @@ class TestDoubleEdgeCombination:
         assert total == {0: 2, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
 
     def test_all_edges_of_fixtures(self, k4, b3, two_loops):
-        for G in (k4, b3, two_loops):
-            for e in G.edges:
-                combo = double_edge_combination(G, e)
-                total = {x: 0 for x in G.edges}
-                for coef, cyc in combo:
+        """On every edge of the fixtures, of K4 with one edge doubled and a
+        loop added, and of 20 generated graphs, the paths found in G - e
+        close cycles that are simple and sum to 2*chi_e."""
+        k4_plus = parse_edge_list("4 8\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n1 2\n3 3\n")
+        graphs = [k4, b3, two_loops, k4_plus]
+        graphs += [gen(steps=12, seed=s, max_vertices=8) for s in range(20)]
+        for G in graphs:
+            for e in G.sorted_edges:
+                total = dict.fromkeys(G.edges, 0)
+                for coef, cyc in double_edge_combination(G, e):
+                    assert is_simple_cycle(G, cyc), (G.edges, e, cyc)
                     for x in cyc:
                         total[x] += coef
-                assert total[e] == 2
-                assert all(v == 0 for x, v in total.items() if x != e)
+                assert total == {x: 2 if x == e else 0 for x in G.edges}, (G.edges, e)
 
 
 class TestSemiFundamentalBasis:
@@ -243,12 +247,12 @@ class TestSemiFundamentalBasis:
         assert len(semi) == k4.n - 1
         assert len(triples) == k4.n - 1
 
-    def test_pair_intersections_in_contracted_graphs(self, k4):
+    def test_pair_intersections_in_contracted_graphs(self, k4, nx_quotient):
         basis, triples = semi_fundamental_basis(k4)
         T = spanning_forest(k4)
-        _assert_triples_witness(k4, T, triples)
+        _assert_triples_witness(nx_quotient, k4, T, triples)
 
-    def test_path_tree_forces_exchange(self, k4):
+    def test_path_tree_forces_exchange(self, k4, nx_quotient):
         # a path tree makes the seeded cycles overlap in two edges
         T = SpanningForest(
             parent_graph=k4, tree_edges=frozenset({0, 3, 5}), component_roots=(1,)
@@ -257,7 +261,7 @@ class TestSemiFundamentalBasis:
         det, ok = certify_cycle_basis(k4, basis)
         assert ok and abs(det) == 8
         assert matches_all_cycles_lattice(k4, basis.vectors())
-        _assert_triples_witness(k4, T, triples)
+        _assert_triples_witness(nx_quotient, k4, T, triples)
         diam = max(tree_diameter(T).values())
         assert all(len(c) <= 2 * diam for c in basis.cycles)
 
@@ -286,16 +290,16 @@ class TestSemiFundamentalBasis:
             basis, _ = semi_fundamental_basis(G)
             assert matches_all_cycles_lattice(G, basis.vectors())
 
-    def test_random_instances(self):
+    def test_random_instances(self, nx_quotient):
         for seed in range(12):
             G = gen(steps=4 + seed % 5, seed=seed, max_vertices=9)
             T = spanning_forest(G)
             basis, triples = semi_fundamental_basis(G, T)
             det, ok = certify_cycle_basis(G, basis)
             assert ok, (seed, det)
-            _assert_triples_witness(G, T, triples)
+            _assert_triples_witness(nx_quotient, G, T, triples)
 
-    def test_random_spanning_trees_force_exchanges(self):
+    def test_random_spanning_trees_force_exchanges(self, nx_quotient):
         # deep non-BFS trees give seeded cycle pairs with long overlaps,
         # exercising the exchange loop and the reuse of shrunk pairs
         # plus a few instances at m = 150..300, where the pairs overlap longer
@@ -309,19 +313,21 @@ class TestSemiFundamentalBasis:
             basis, triples = semi_fundamental_basis(G, T)
             det, ok = certify_cycle_basis(G, basis)
             assert ok, (trial, det)
-            _assert_triples_witness(G, T, triples)
+            _assert_triples_witness(nx_quotient, G, T, triples)
             if G.m <= 13:
                 assert matches_all_cycles_lattice(G, basis.vectors()), trial
 
     def test_no_minor_on_a_3ec_graph(self, monkeypatch):
-        # the contractions are replayed on the fixed tree, never as minors
+        # the graph is its own cosimplification and the exchange contracts on
+        # the fixed tree, so the package's one contraction never runs
         calls = []
+        contract = cycle_structure._contract_forest_edges
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return minor(*args, **kwargs)
+            return contract(*args, **kwargs)
 
-        monkeypatch.setattr(lattice_basis, "minor", counted)
+        monkeypatch.setattr(cycle_structure, "_contract_forest_edges", counted)
         G = gen(201, seed=3, max_vertices=100)
         basis, triples = semi_fundamental_basis(G)
         assert len(triples) == G.n - 1 > 0
@@ -380,12 +386,12 @@ def _random_connected_graph(rng):
     return Multigraph(vertices=tuple(verts), edges=edges)
 
 
-def _assert_triples_witness(G, T, triples):
-    """Independent re-check: in G_k the pair's cycles meet exactly in t_k."""
+def _assert_triples_witness(quotient, G, T, triples):
+    """Independent re-check: in G_k, the quotient of G by the tree edges
+    contracted so far, the pair's cycles meet exactly in t_k."""
     contracted = []
     for t_k, e_k, f_k in triples:
-        mm = minor(G, delete=set(), contract=set(contracted))
-        Gk = mm.result
+        Gk = quotient(G, contracted)
         tree_k = frozenset(T.tree_edges - set(contracted))
         Tk = SpanningForest(
             parent_graph=Gk,

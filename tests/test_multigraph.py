@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelattice import multigraph
+from cyclelattice.cycle_structure import _contract_forest_edges
 from cyclelattice.errors import ArgumentError, CapacityError, ParseError
 from cyclelattice.multigraph import (
     Multigraph,
@@ -11,7 +12,6 @@ from cyclelattice.multigraph import (
     edge_disjoint_paths,
     forest_from_edges,
     format_edge_list,
-    minor,
     parse_edge_list,
     spanning_forest,
     tree_diameter,
@@ -37,6 +37,13 @@ class TestParse:
     def test_loop_degree_counts_twice(self, loop_graph):
         (v,) = loop_graph.vertices
         assert loop_graph.degree(v) == 2
+
+    def test_incidence_lists_edges_ascending_and_loops_once(self):
+        # out of id order: loops 0 and 3 at 1, parallel edges 1 and 4, edge 2
+        G = parse_edge_list("3 5\n1 2 4\n1 1 0\n2 3 2\n1 2 1\n1 1 3\n")
+        assert G.incidence == {1: {0: 1, 1: 2, 3: 1, 4: 2}, 2: {1: 1, 2: 3, 4: 1}, 3: {2: 2}}
+        assert all(list(d) == sorted(d) for d in G.incidence.values())
+        assert [G.degree(v) for v in G.vertices] == [6, 3, 1]
 
     def test_explicit_ids(self):
         G = parse_edge_list("2 2\na b 5\na b\n")
@@ -316,14 +323,16 @@ class TestForestsAgainstNetworkx:
 
 
 class TestMinorAgainstNetworkx:
+    """The minors the package builds, all by its one contraction,
+    cycle_structure._contract_forest_edges, against the networkx quotient."""
+
     @given(loose_multigraphs(), st.data())
-    def test_minor_is_the_quotient_by_the_contracted_components(self, G, data):
-        """On relabelled vertices in any order, with some labels: each vertex
-        maps to the least vertex of its component under the contracted
-        edges, surviving edges keep their ids, order and mapped ends, and
-        labels are restricted to the surviving vertices.  The contract set
-        often holds a whole cycle, a loop included."""
-        nx = pytest.importorskip("networkx")
+    def test_minor_is_the_quotient_by_the_contracted_components(self, nx_quotient, G, data):
+        """On relabelled vertices in any order, with some labels, a random
+        spanning forest, some of its edges contracted and some other edges
+        deleted: each vertex maps to the least vertex of its block, surviving
+        edges keep their ids, order and mapped ends, and labels are
+        restricted to the surviving vertices."""
         names = data.draw(st.lists(st.integers(-30, 30), min_size=G.n, max_size=G.n, unique=True))
         labelled = data.draw(st.sets(st.sampled_from(names)))
         G = Multigraph(
@@ -331,100 +340,58 @@ class TestMinorAgainstNetworkx:
             {e: (names[u], names[v]) for e, (u, v) in G.edges.items()},
             {v: f"x{v}" for v in labelled} or None,
         )
-        contract = data.draw(st.sets(st.sampled_from(G.sorted_edges))) if G.m else set()
-        if G.m and data.draw(st.booleans()):
-            try:
-                contract |= {key for *_, key in nx.find_cycle(_nx_graph(G))}
-            except nx.NetworkXNoCycle:
-                pass
+        T = forest_from_edges(G, _greedy_forest(G, data))
+        tree = sorted(T.tree_edges)
+        contract = data.draw(st.sets(st.sampled_from(tree))) if tree else set()
         rest = [e for e in G.sorted_edges if e not in contract]
         delete = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
 
-        mm = minor(G, delete, contract)
-        parts = _nx_parts(_nx_graph(G, contract))
-        image = {v: vs[0] for vs in parts for v in vs}
-        assert mm.vertex_image == image
-        assert mm.result.vertices == tuple(vs[0] for vs in parts)
-        kept = [e for e in G.edges if e not in delete | contract]
-        assert list(mm.result.edges.items()) == [
-            (e, (image[G.edges[e][0]], image[G.edges[e][1]])) for e in kept
-        ]
-        if G.labels:
-            assert mm.result.labels == {
-                v: G.labels[v] for v in mm.result.vertices if v in G.labels
-            }
-        else:
-            assert mm.result.labels is None
+        H = _contract_forest_edges(G, T, delete, contract)
+        expected = nx_quotient(G, contract, delete)
+        assert H.vertices == expected.vertices
+        assert list(H.edges.items()) == list(expected.edges.items())
+        assert H.labels == expected.labels
 
     def test_long_chain_contracted_from_its_far_end(self):
-        """A 20000-vertex path whose edge ids run from its far end links the
-        blocks into one long chain; an edge from the far end to every
-        vertex then walks it again and again.  Path halving keeps that
-        quick, and every vertex lands on vertex 1."""
+        """A 20000-vertex path rooted at its far end, vertex n, with an edge
+        from there to every vertex: contracting the whole path walks one
+        block from n down to vertex 1, which names it, and every other
+        edge becomes a loop at 1."""
         n = 20_000
         edges = {e: (n - e - 1, n - e) for e in range(n - 1)}
         edges |= {n + k: (n, k) for k in range(1, n)}
         G = Multigraph(tuple(range(1, n + 1)), edges)
-        mm = minor(G, set(), set(edges))
-        assert mm.result.vertices == (1,) and set(mm.vertex_image.values()) == {1}
+        T = SpanningForest(G, frozenset(range(n - 1)), component_roots=(n,))
+        H = _contract_forest_edges(G, T, (), set(range(n - 1)))
+        assert H.vertices == (1,) and set(H.edges.values()) == {(1, 1)}
 
 
 class TestMinor:
+    """Hand-checked minors of the package's one contraction."""
+
     def test_contract_triangle_to_loop(self, c3):
-        mm = minor(c3, delete=set(), contract={0, 1})
-        assert mm.result.n == 1
-        assert set(mm.result.edges) == {2}
-        assert mm.result.is_loop(2)
+        H = _contract_forest_edges(c3, forest_from_edges(c3, {0, 1}), (), {0, 1})
+        assert H.n == 1
+        assert set(H.edges) == {2}
+        assert H.is_loop(2)
 
     def test_delete_keeps_ids(self, k4):
-        mm = minor(k4, delete={5}, contract=set())
-        assert set(mm.result.edges) == {0, 1, 2, 3, 4}
-        assert mm.result.n == 4
+        H = _contract_forest_edges(k4, spanning_forest(k4), {5}, set())
+        assert set(H.edges) == {0, 1, 2, 3, 4}
+        assert H.n == 4
 
     def test_contract_k4_edge_endpoint_images(self, k4):
-        # contracting 1-2 merges those endpoints; hand-check all six images
-        mm = minor(k4, delete=set(), contract={0})
-        img = mm.vertex_image
-        assert img[1] == img[2]
-        merged = img[1]
-        expected = {
-            1: tuple(sorted((merged, img[3]))),
-            2: tuple(sorted((merged, img[4]))),
-            3: tuple(sorted((merged, img[3]))),
-            4: tuple(sorted((merged, img[4]))),
-            5: tuple(sorted((img[3], img[4]))),
-        }
-        got = {e: tuple(sorted(uv)) for e, uv in mm.result.edges.items()}
-        assert got == expected
-        # parallel pair between merged vertex and each of 3, 4
+        # contracting 1-2 merges those endpoints into 1; hand-check all images
+        H = _contract_forest_edges(k4, spanning_forest(k4), (), {0})
+        assert H.vertices == (1, 3, 4)
+        got = {e: tuple(sorted(uv)) for e, uv in H.edges.items()}
+        assert got == {1: (1, 3), 2: (1, 4), 3: (1, 3), 4: (1, 4), 5: (3, 4)}
+        # parallel pair between the merged vertex and each of 3, 4
         from collections import Counter
 
         counts = Counter(got.values())
-        assert counts[tuple(sorted((merged, img[3])))] == 2
-        assert counts[tuple(sorted((merged, img[4])))] == 2
-
-    def test_contracting_loop_deletes_it(self, loop_graph):
-        mm = minor(loop_graph, delete=set(), contract={0})
-        assert mm.result.m == 0
-        assert mm.result.n == 1
-
-    def test_overlap_rejected(self, k4):
-        with pytest.raises(ArgumentError):
-            minor(k4, delete={0}, contract={0})
-
-    def test_unknown_id_rejected(self, k4):
-        with pytest.raises(ArgumentError):
-            minor(k4, delete={77}, contract=set())
-
-    def test_composition(self, k4):
-        one = minor(minor(k4, {3}, set()).result, set(), {0}).result
-        two = minor(k4, {3}, {0}).result
-        assert set(one.edges) == set(two.edges)
-        assert one.vertices == two.vertices
-        assert all(
-            tuple(sorted(one.edges[e])) == tuple(sorted(two.edges[e]))
-            for e in one.edges
-        )
+        assert counts[1, 3] == 2
+        assert counts[1, 4] == 2
 
 
 class TestEdgeDisjointPaths:

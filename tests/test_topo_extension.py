@@ -12,7 +12,7 @@ from cyclelattice.errors import ArgumentError, InternalError, StructureError
 from cyclelattice.certificate import certify_cycle_basis
 from cyclelattice.lattice_basis import EdgeVector, matches_all_cycles_lattice
 from cyclelattice import certificate, topo_extension
-from cyclelattice.multigraph import Multigraph, parse_edge_list
+from cyclelattice.multigraph import Multigraph, parse_edge_list, spanning_forest
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import (
     EdgeSplit,
@@ -71,6 +71,18 @@ class TestApplyExtension:
         G = apply_extension(b3, step)
         assert {1, 2} <= set(G.edges)
         assert 0 not in G.edges
+
+    def test_grown_graph_copies_its_input(self, b3):
+        """A graph grown by a kind-B and a kind-C step keeps its own incidence
+        dicts: the cached incidence of the graph it started from is left
+        exactly as it was, in content and order."""
+        before = [list(d.items()) for d in b3.incidence.values()]
+        grown = topo_extension._GrownGraph(b3)
+        u = b3.vertices[0]
+        grown.apply(ExtensionStep("B", 12, (8, u), EdgeSplit(0, 10, 11, 8)))
+        grown.apply(ExtensionStep("C", 17, (9, 20), EdgeSplit(1, 13, 14, 9), EdgeSplit(10, 15, 16, 20)))
+        assert [list(d.items()) for d in b3.incidence.values()] == before
+        assert grown.incidence[u] == {2: 2, 12: 8, 13: 9, 15: 20}
 
     def test_dangling_references(self, b3):
         split = EdgeSplit(old=77, first=10, second=11, vertex=8)
@@ -483,6 +495,26 @@ class TestChainRoutes:
             assert all(is_simple_cycle(G, c) for c in final.cycles), (steps, seed)
             assert certify_cycle_basis(G, final) == (2 ** (G.n - 1), True), (steps, seed)
         assert kinds == {"A", "B", "C"}
+
+    def test_rebuilt_tree_is_the_bfs_forest_of_the_grown_graph(self, monkeypatch):
+        """A rebuild runs bfs_parents on the grown graph, which it reads as
+        it reads the Multigraph the grown graph freezes to: the rebuilt map
+        is that graph's spanning_forest parent map, keys in the same order."""
+        rebuilds = []
+        follow = topo_extension._ChainTree.follow
+
+        def watched(tree, grown, step):
+            before = tree.rebuilt_at
+            follow(tree, grown, step)
+            if tree.rebuilt_at != before:
+                F = spanning_forest(grown.freeze(), prefer_root=tree.root)
+                rebuilds.append(list(tree.parent.items()) == list(F.parents.items()))
+
+        monkeypatch.setattr(topo_extension._ChainTree, "follow", watched)
+        for steps, seed, max_vertices, weights in self.CORPUS:
+            G = gen(steps, seed, max_vertices=max_vertices, kind_weights=weights)
+            compatible_chain(G, keep_prefixes=False)
+        assert len(rebuilds) > len(self.CORPUS) and all(rebuilds)
 
     def test_shortest_paths_only_as_a_fallback(self, monkeypatch):
         """At m = 3000, against the shortest-path routes before: 1925
