@@ -11,6 +11,7 @@ JSON.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from math import gcd
@@ -440,6 +441,23 @@ _PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the command: the commands
+    create no reference cycles, yet the collector would keep traversing
+    their long-lived containers.  The caller's collector state comes back
+    on every exit.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

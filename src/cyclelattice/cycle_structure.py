@@ -7,11 +7,12 @@ or raise explicitly.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, StructureError
+from .errors import ArgumentError, CapacityError, StructureError
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -21,8 +22,16 @@ from .multigraph import (
     forest_of,
     spanning_forest,
     tree_parts,
-    tree_path,
+    tree_paths,
 )
+
+# Past this many non-tree edges, on a forest of one tree, the cut pass first
+# runs on pseudo-random words of this many bits, from this seed; see
+# bridges_and_series_classes.
+LABEL_BITS = 64
+LABEL_SEED = 0x5EED
+# the most bytes the exact cut signatures may take
+EXACT_PASS_BYTES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,22 +243,20 @@ class Cosimplification:
 
 
 def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCycleMatrix:
-    """Fundamental cycle matrix, from one walk of each tree path.
+    """Fundamental cycle matrix, from one walk of all the tree paths.
 
     The non-tree edges are taken in ascending order.  The cycle of one with
     endpoints v, v' holds it and the edges of the forest path from v to v',
-    read off multigraph.tree_path.  A forest of another graph raises
-    ArgumentError; a non-tree edge whose ends the forest does not join
-    raises StructureError.
+    read off multigraph.tree_paths by depth.  A forest of another graph
+    raises ArgumentError; a non-tree edge whose ends the forest does not
+    join raises StructureError.
     """
     _require_forest_of(G, T)
-    parent, tree_edges = T.parents, T.tree_edges
+    tree_edges, ends = T.tree_edges, G.edges
+    non_tree = [e for e in G.sorted_edges if e not in tree_edges]
     cycles: dict[EdgeId, frozenset[EdgeId]] = {}
-    for e in G.sorted_edges:
-        if e in tree_edges:
-            continue
-        u, v = G.edges[e]
-        path = tree_path(parent, u, v) if u in parent and v in parent else None
+    paths = tree_paths(T.parents, T.depth, map(ends.__getitem__, non_tree))
+    for e, path in zip(non_tree, paths):
         if path is None:
             raise StructureError(
                 f"non-tree edge {e} joins different forest components"
@@ -279,17 +286,71 @@ def bridges_and_series_classes(
     graph, each edge is a class of its own and nothing is grouped.  A
     forest of another graph raises ArgumentError; a non-tree edge whose ends
     the forest does not join raises StructureError.
+
+    Past LABEL_BITS non-tree edges, on a forest of one tree, the same pass
+    first runs on LABEL_BITS-bit labels: _random_labels gives each non-tree
+    edge a word in place of its bit, and every edge's label is then the
+    image of its signature under the GF(2)-linear map that sends each bit
+    to its word.  Equal signatures give equal labels and a zero signature
+    a zero label, so when every label is nonzero and no two are equal, the
+    same holds for the signatures: every edge is a class of its own, and
+    that one-sided answer is exact.  A zero or repeated label, or an end
+    the tree does not reach, leaves the answer to the exact bits, whose
+    pass raises CapacityError when its estimated size (n+m)*ceil(k/8)
+    bytes, k the number of non-tree edges, is past EXACT_PASS_BYTES.
     """
     if T is None:
         T = spanning_forest(G)
     else:
         _require_forest_of(G, T)
-    below = dict.fromkeys(T.parents, 0)
-    signature = dict.fromkeys(G.sorted_edges, 0)
     non_tree = [e for e in G.sorted_edges if e not in T.tree_edges]
-    unjoined = 0  # bits of the non-tree edges that leave a tree of the forest
-    for i, e in enumerate(non_tree):
-        bit = signature[e] = 1 << i
+    k = len(non_tree)
+    if k > LABEL_BITS and len(T.component_roots) == 1:
+        labels, unjoined = _cut_labels(G, T, non_tree, _random_labels(k))
+        if not unjoined and _nonzero_and_distinct(labels):
+            return _one_edge_classes(G)
+    size = (G.n + G.m) * -(-k // 8)
+    if size > EXACT_PASS_BYTES:
+        raise CapacityError(
+            f"exact series classes of a graph with n={G.n}, m={G.m} need about "
+            f"{size} bytes of cut signatures, past the limit of {EXACT_PASS_BYTES}"
+        )
+    signature, unjoined = _cut_labels(G, T, non_tree, (1 << i for i in range(k)))
+    if unjoined:
+        e = non_tree[(unjoined & -unjoined).bit_length() - 1]
+        raise StructureError(f"non-tree edge {e} joins different forest components")
+    if _nonzero_and_distinct(signature):
+        return _one_edge_classes(G)
+    groups: dict[int, list[EdgeId]] = {}
+    for e, sig in signature.items():
+        groups.setdefault(sig, []).append(e)
+    bridges = frozenset(groups.pop(0, ()))
+    return SeriesPartition(bridges=bridges, classes=tuple(map(frozenset, groups.values())))
+
+
+def _random_labels(k: int) -> list[int]:
+    """k pseudo-random LABEL_BITS-bit words, the same on every call."""
+    rng = random.Random(LABEL_SEED)
+    return [rng.getrandbits(LABEL_BITS) for _ in range(k)]
+
+
+def _cut_labels(
+    G: Multigraph, T: SpanningForest, non_tree: list[EdgeId], labels: Iterable[int]
+) -> tuple[dict[EdgeId, int], int]:
+    """Every edge's label, keyed in ascending edge order, and the OR of
+    the labels left unjoined.
+
+    Each non-tree edge takes the next label; a tree edge's is the XOR of
+    the labels held by the vertices below it, each vertex holding its
+    non-tree edges' labels.  A label is left unjoined when an end of its
+    edge is no vertex of the forest, or it reaches a root: an edge whose
+    ends share a tree enters that tree twice and cancels.
+    """
+    below = dict.fromkeys(T.parents, 0)
+    label = dict.fromkeys(G.sorted_edges, 0)
+    unjoined = 0
+    for e, bit in zip(non_tree, labels):
+        label[e] = bit
         for x in G.edges[e]:
             if x in below:
                 below[x] ^= bit
@@ -300,19 +361,17 @@ def bridges_and_series_classes(
             unjoined |= below[v]
         else:
             below[up[0]] ^= below[v]
-            signature[up[1]] = below[v]
-    if unjoined:
-        e = non_tree[(unjoined & -unjoined).bit_length() - 1]
-        raise StructureError(f"non-tree edge {e} joins different forest components")
-    values = signature.values()
-    if 0 not in values and len(set(values)) == len(signature):
-        classes = tuple(map(frozenset, zip(G.sorted_edges)))
-        return SeriesPartition(bridges=frozenset(), classes=classes)
-    groups: dict[int, list[EdgeId]] = {}
-    for e, sig in signature.items():
-        groups.setdefault(sig, []).append(e)
-    bridges = frozenset(groups.pop(0, ()))
-    return SeriesPartition(bridges=bridges, classes=tuple(map(frozenset, groups.values())))
+            label[up[1]] = below[v]
+    return label, unjoined
+
+
+def _nonzero_and_distinct(label: dict[EdgeId, int]) -> bool:
+    values = label.values()
+    return 0 not in values and len(set(values)) == len(label)
+
+
+def _one_edge_classes(G: Multigraph) -> SeriesPartition:
+    return SeriesPartition(bridges=frozenset(), classes=tuple(map(frozenset, zip(G.sorted_edges))))
 
 
 def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplification:

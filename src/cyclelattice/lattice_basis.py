@@ -33,7 +33,7 @@ from .multigraph import (
     VertexId,
     edge_disjoint_paths,
     spanning_forest,
-    tree_path,
+    tree_paths,
 )
 from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
 
@@ -411,8 +411,9 @@ def _shrink_pair(
     when its cycle and that of x part at v0; the same holds for f, and the
     larger of e and f that shrinks it is kept.
     """
-    G, rows, cycles = fcm.tree.parent_graph, fcm.rows, fcm.cycles
-    ends = [t for t in tree_path(fcm.tree.parents, *G.edges[e]) if t in inter]
+    T = fcm.tree
+    G, rows, cycles = T.parent_graph, fcm.rows, fcm.cycles
+    ends = [t for t in next(tree_paths(T.parents, T.depth, [G.edges[e]])) if t in inter]
     reconnecting = set(rows[ends[0]]).symmetric_difference(rows[ends[-1]])
     if not reconnecting:
         raise StructureError(

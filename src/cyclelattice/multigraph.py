@@ -9,7 +9,7 @@ id embed canonically across such graphs.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -117,50 +117,88 @@ class SpanningForest:
             raise StructureError("tree edges and roots do not form a forest of the graph")
         return parent
 
+    @cached_property
+    def depth(self) -> dict[VertexId, int]:
+        """vertex -> its number of edges below its root, the forest's rank
+        for tree_paths."""
+        return tree_depths(self.parents)
+
     def path_edges(self, u: VertexId, v: VertexId) -> list[EdgeId]:
         """Edges of the unique forest path from u to v, in path order."""
-        parent = self.parents
-        path = tree_path(parent, u, v) if u in parent and v in parent else None
+        path = next(tree_paths(self.parents, self.depth, [(u, v)]))
         if path is None:
             raise ArgumentError(f"no forest path joins vertices {u} and {v}")
         return path
 
 
-def tree_path(parent: ParentMap, u: VertexId, v: VertexId) -> list[EdgeId] | None:
-    """Edges of the tree path from u to v, in path order, off a parent map.
+def tree_depths(parent: ParentMap) -> dict[VertexId, int]:
+    """vertex -> its number of edges below its root, off a parent map.
 
-    parent maps each vertex to (its parent, the edge to it), a root to None.
-    Both ends climb one edge per round, and the first end to land on the
-    other's trail stands at their lowest common ancestor, so the walk needs
-    no depths and takes at most twice the path length.  [] when u == v,
-    None when u and v lie in different trees.
+    One pass when parents precede their children, as in a bfs_parents map;
+    a vertex met before its parent climbs to the first vertex measured.
     """
-    if u == v:
-        return []
-    x, y = u, v
-    up_u: list[EdgeId] = []
-    up_v: list[EdgeId] = []
-    trail_u = {u: 0}
-    trail_v = {v: 0}
-    while True:
-        step_u = parent[x]
-        if step_u is not None:
-            x, e = step_u
-            up_u.append(e)
-            j = trail_v.get(x)
-            if j is not None:
-                return up_u + up_v[:j][::-1]
-            trail_u[x] = len(up_u)
-        step_v = parent[y]
-        if step_v is not None:
-            y, e = step_v
-            up_v.append(e)
-            j = trail_u.get(y)
-            if j is not None:
-                return up_u[:j] + up_v[::-1]
-            trail_v[y] = len(up_v)
-        elif step_u is None:
-            return None
+    depth: dict[VertexId, int] = {}
+    for v, up in parent.items():
+        if up is None:
+            depth[v] = 0
+            continue
+        d = depth.get(up[0])
+        if d is None:  # v comes before its parent: measure its ancestors first
+            trail, x = [], up[0]
+            while x not in depth and parent[x] is not None:
+                trail.append(x)
+                x = parent[x][0]
+            d = depth.setdefault(x, 0)
+            for y in reversed(trail):
+                d += 1
+                depth[y] = d
+        depth[v] = d + 1
+    return depth
+
+
+def tree_paths(
+    parent: ParentMap, rank: Mapping[VertexId, int], pairs: Iterable[tuple[VertexId, VertexId]]
+) -> Iterator[list[EdgeId] | None]:
+    """For each pair (u, v), the edges of the tree path from u to v in path
+    order, off a parent map; None when u and v lie in different trees, or
+    one of them in none.
+
+    parent maps each vertex to (its parent, the edge to it), a root to None,
+    and rank grows strictly from a parent to each child, as depth does.  So
+    a proper ancestor of a vertex ranks below it: while the ends differ,
+    the one of higher rank (u on a tie) is no ancestor of the other, and it
+    climbs one edge.  The ends meet at their lowest common ancestor, and a
+    root that would climb has no descendant among the other end's
+    ancestors.  [] when u == v.
+    """
+    for u, v in pairs:
+        ru, rv = rank.get(u), rank.get(v)
+        if ru is None or rv is None:
+            yield None
+            continue
+        up: list[EdgeId] = []
+        down: list[EdgeId] = []
+        while u != v:
+            if ru >= rv:
+                step = parent[u]
+                if step is None:
+                    break
+                u, e = step
+                up.append(e)
+                ru = rank[u]
+            else:
+                step = parent[v]
+                if step is None:
+                    break
+                v, e = step
+                down.append(e)
+                rv = rank[v]
+        if u != v:
+            yield None
+            continue
+        down.reverse()
+        up += down
+        yield up
 
 
 def parse_edge_list(text: str) -> Multigraph:
@@ -493,9 +531,7 @@ def tree_diameter(F: SpanningForest) -> dict[VertexId, int]:
 
     def farthest(start: VertexId) -> tuple[VertexId, int]:
         """The least vertex at the greatest depth from start, and that depth."""
-        depth: dict[VertexId, int] = {}
-        for v, up in bfs_parents(F.parent_graph, (start,), F.tree_edges).items():
-            depth[v] = 0 if up is None else depth[up[0]] + 1
+        depth = tree_depths(bfs_parents(F.parent_graph, (start,), F.tree_edges))
         far = max(depth.values())
         return min(v for v, d in depth.items() if d == far), far
 

@@ -26,13 +26,17 @@ from .multigraph import (
     SpanningForest,
     VertexId,
     bfs_parents,
-    tree_path,
+    tree_depths,
+    tree_paths,
 )
 
 # The chain rebuilds its spanning tree as a BFS tree of the grown graph each
 # time the graph's edge count reaches this multiple of its count at the last
 # rebuild: about 3m extra work in all, and the tree stays shallow.
 TREE_REBUILD_GROWTH = 3 / 2
+# A rebuilt tree ranks each vertex by its depth times this gap, so a vertex
+# that divides a tree edge can take a rank strictly between its ends'.
+RANK_GAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -689,6 +693,7 @@ def _extending_cycles(
     grown: _GrownGraph,
     step: ExtensionStep,
     parent: ParentMap | None,
+    rank: dict[VertexId, int] | None,
     index: int | None = None,
 ) -> list[frozenset[EdgeId]]:
     """The cycles extending a basis across `step`, read off the graph before it.
@@ -697,9 +702,9 @@ def _extending_cycles(
     edge's endpoints for kind A, and for kinds B and C an end of a divided
     edge and the anchor or an end of the other divided edge, through the
     matching halves.  A route is the path of the spanning tree `parent`
-    (which spans the graph) when that path avoids every divided edge, and
-    otherwise a shortest path avoiding them; with no tree, always the
-    latter.  `index` names the step in errors.
+    (which spans the graph), walked by `rank`, when that path avoids every
+    divided edge, and otherwise a shortest path avoiding them; with no
+    tree, always the latter.  `index` names the step in errors.
     """
     e = step.new_edge
     sf, sg = step.split_f, step.split_g
@@ -720,9 +725,10 @@ def _extending_cycles(
             (u1, w2, (sf.first, sg.second)),
         ]
     banned = {split.old for split in step.splits()}
+    ends = [(s_end, t_end) for s_end, t_end, _ in routes]
+    paths = [None] * len(routes) if parent is None else tree_paths(parent, rank, ends)
     cycles = []
-    for s_end, t_end, halves in routes:
-        path = None if parent is None else tree_path(parent, s_end, t_end)
+    for (s_end, t_end, halves), path in zip(routes, paths):
         if path is None or not banned.isdisjoint(path):
             path = _bfs_path(grown.incidence, s_end, t_end, banned=banned)
         if path is None:
@@ -752,7 +758,7 @@ def extend_basis(
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
-    parent = None
+    parent = rank = None
     if tree_edges is not None:
         parent = bfs_parents(H, H.vertices[:1], tree_edges)
         if len(parent) != H.n:
@@ -760,7 +766,8 @@ def extend_basis(
                 f"tree edges reach {len(parent)} of the {H.n} vertices at "
                 + _at_step(None, step, grown)
             )
-    return _extending_cycles(grown, step, parent)
+        rank = tree_depths(parent)
+    return _extending_cycles(grown, step, parent, rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -815,40 +822,58 @@ def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleCha
 
 class _ChainTree:
     """The chain's spanning tree of the grown graph, a parent map rooted at
-    the base vertex.
+    the base vertex, with a rank that grows strictly from each parent to
+    its child, for tree_paths.
 
     follow(grown, step), after grown.apply(step), keeps it spanning: a
-    divided tree edge keeps both halves in the tree, a divided non-tree
-    edge hangs the split vertex off its first half, and the new edge never
-    enters.  Each time the edge count reaches TREE_REBUILD_GROWTH times its
-    count at the last rebuild, the map is rebuilt instead, by bfs_parents
-    as a BFS tree of the grown graph from the root, so the tree paths stay
-    short.
+    divided tree edge keeps both halves in the tree, and the split vertex
+    ranks strictly between its new parent and child; a divided non-tree
+    edge hangs the split vertex off its first half, RANK_GAP above it; the
+    new edge never enters.  When no integer lies between, every rank is
+    recomputed from the same parent map.  Each time the edge count reaches
+    TREE_REBUILD_GROWTH times its count at the last rebuild, the map is
+    rebuilt instead, by bfs_parents as a BFS tree of the grown graph from
+    the root, so the tree paths stay short.
     """
 
-    __slots__ = ("root", "parent", "rebuilt_at")
+    __slots__ = ("root", "parent", "rank", "rebuilt_at")
 
     def __init__(self, root: VertexId):
         self.root = root
         self.parent: ParentMap = {root: None}
+        self.rank = {root: 0}
         self.rebuilt_at = 0
 
     def follow(self, grown: _GrownGraph, step: ExtensionStep):
         m = len(grown.ends)
         if m >= TREE_REBUILD_GROWTH * self.rebuilt_at:
             self.parent = bfs_parents(grown, (self.root,))
+            self.rank = _spaced_ranks(self.parent)
             self.rebuilt_at = m
             return
-        parent = self.parent
+        parent, rank = self.parent, self.rank
         for split in step.splits():
             u, x = grown.ends[split.first]
             v = grown.ends[split.second][1]
             if parent[v] == (u, split.old):
                 parent[x], parent[v] = (u, split.first), (x, split.second)
+                low, high = rank[u], rank[v]
             elif parent[u] == (v, split.old):
                 parent[x], parent[u] = (v, split.second), (x, split.first)
+                low, high = rank[v], rank[u]
             else:
                 parent[x] = (u, split.first)
+                rank[x] = rank[u] + RANK_GAP
+                continue
+            if high - low > 1:
+                rank[x] = (low + high) // 2
+            else:
+                self.rank = rank = _spaced_ranks(parent)
+
+
+def _spaced_ranks(parent: ParentMap) -> dict[VertexId, int]:
+    """Each vertex's depth times RANK_GAP."""
+    return {v: d * RANK_GAP for v, d in tree_depths(parent).items()}
 
 
 def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
@@ -866,7 +891,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     added: list[tuple[frozenset[EdgeId], ...]] = [()]
 
     for i, step in enumerate(seq.steps):
-        added.append(tuple(_extending_cycles(grown, step, tree.parent, i)))
+        added.append(tuple(_extending_cycles(grown, step, tree.parent, tree.rank, i)))
         tags.extend([Provenance("extension", step=i, case=step.kind)] * len(added[-1]))
         grown.apply(step)
         tree.follow(grown, step)

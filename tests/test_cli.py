@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import importlib
 import json
@@ -432,6 +433,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: line 1: 4 vertices exceed the bound of 3\n"
 
+    def test_exact_series_classes_past_the_byte_limit_exit_2(self, capsys, c3_file, monkeypatch):
+        monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 5)
+        assert main(["analyze", c3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: exact series classes of a graph with n=3, m=3 need about 6 bytes "
+            "of cut signatures, past the limit of 5\n"
+        )
+
     def test_extend_without_vertices_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("0 0\n")
@@ -494,6 +505,55 @@ class TestExitCodes:
         token = group.split(",")[-1]
         assert out.out == ""
         assert out.err == f"error: group factor {token!r} has a negative exponent\n"
+
+
+class TestCollectorPause:
+    """main pauses the cyclic garbage collector for the command and gives
+    the caller's state back on every exit."""
+
+    def test_paused_during_the_command(self, capsys, k4_file, monkeypatch):
+        seen = []
+        analyze = cli._COMMANDS["analyze"]
+
+        def watched(args):
+            seen.append(gc.isenabled())
+            return analyze(args)
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", watched)
+        assert gc.isenabled()
+        assert main(["analyze", k4_file]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "{k4}"], 0),
+            (["basis"], 1),  # argparse exits
+            (["basis", "--tree-seed", "nowhere", "{k4}"], 1),
+            (["analyze", "{missing}"], 2),
+            (["verify", "{k4}", "{short}"], 3),
+            (["basis", "{k4}"], 4),
+        ],
+    )
+    def test_caller_state_restored_on_every_exit(
+        self, capsys, tmp_path, k4_file, monkeypatch, argv, code, enabled
+    ):
+        def broken(H, T_H):
+            raise InternalError("broken construction")
+
+        if code == 4:
+            monkeypatch.setitem(cli._CONSTRUCTIONS, "semi-fundamental", broken)
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"cycles": [{"edges": [0, 1, 3]}]}))
+        paths = {"k4": k4_file, "missing": str(tmp_path / "missing.txt"), "short": str(short)}
+        if not enabled:
+            gc.disable()
+        try:
+            assert main([arg.format(**paths) for arg in argv]) == code
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestLargeNumbers:
@@ -922,7 +982,10 @@ def _golden_run(capsys, tmp_path, case: str) -> tuple[int, str, str]:
         argv = ["verify", str(graph), str(doc)]
     else:
         argv = [*argv, str(graph)]
+    gc.collect()
     code = main(argv)
+    # the command leaves no reference cycles for the paused collector
+    assert gc.collect() == 0, case
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

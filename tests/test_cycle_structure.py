@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyclelattice import cycle_structure
 from cyclelattice.cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
@@ -14,7 +15,7 @@ from cyclelattice.cycle_structure import (
     is_three_edge_connected,
     three_edge_connectivity_witness,
 )
-from cyclelattice.errors import StructureError
+from cyclelattice.errors import CapacityError, StructureError
 from cyclelattice.multigraph import (
     Multigraph,
     SpanningForest,
@@ -198,9 +199,23 @@ def gen_variants(draw):
     random spanning forest.  Subdividing makes a two-edge series class and a
     pendant edge is a bridge; the other two keep every class one edge."""
     G = gen(draw(st.integers(0, 24)), draw(st.integers(0, 2**16)), draw(st.integers(1, 10)))
+    return _variant(draw, G)
+
+
+@st.composite
+def labelled_gen_variants(draw, variant):
+    """One variant of gen_variants on a gen(81, ., max_vertices=40) graph:
+    n=40, m=120 and 81 non-tree edges, past LABEL_BITS, so the labels answer
+    first, and the exact bits after them on the subdivided and pendant
+    variants."""
+    return _variant(draw, gen(81, draw(st.integers(0, 2**16)), max_vertices=40), variant)
+
+
+def _variant(draw, G, variant=None):
     edges, n = dict(G.edges), G.n
     variants = ["as is", "subdivided", "pendant", "doubled"] if edges else ["as is", "pendant"]
-    variant = draw(st.sampled_from(variants))
+    if variant is None:
+        variant = draw(st.sampled_from(variants))
     new = max(edges, default=-1) + 1
     if variant == "subdivided":
         e = draw(st.sampled_from(G.sorted_edges))
@@ -292,6 +307,100 @@ class TestDifferentialOracles:
         _assert_identity_read_off_the_partition(G, forest)
         for T in (None, forest):
             assert cosimplify(G, forest=T).identity == (variant in ("as is", "doubled"))
+
+
+class TestLabels:
+    """Past LABEL_BITS non-tree edges on one tree, the cut pass first runs
+    on random words, and its one-edge-classes answer is taken only when it
+    is exact; everything else goes to the exact bits."""
+
+    @pytest.mark.parametrize("variant", ["as is", "subdivided", "pendant", "doubled"])
+    @settings(max_examples=2)
+    @given(data=st.data())
+    def test_labelled_gen_variants_match_both_oracles(self, variant, data):
+        G, forest, _ = data.draw(labelled_gen_variants(variant))
+        assert G.m - G.n + 1 > cycle_structure.LABEL_BITS
+        _assert_bridges_match_networkx(G, forest)
+        _assert_classes_are_the_two_edge_cuts(G, forest)
+        _assert_identity_read_off_the_partition(G, forest)
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Count the runs of the cut pass: one item per run."""
+        passes = []
+        cut_labels = cycle_structure._cut_labels
+
+        def counted(*args):
+            passes.append(args[3])
+            return cut_labels(*args)
+
+        monkeypatch.setattr(cycle_structure, "_cut_labels", counted)
+        return passes
+
+    @pytest.mark.parametrize("variant", ["as is", "pendant"])
+    @pytest.mark.parametrize("fault", ["zero", "repeated"])
+    def test_a_zero_or_repeated_label_goes_to_the_exact_bits(self, monkeypatch, variant, fault):
+        G = gen(81, 5, max_vertices=40)
+        if variant == "pendant":
+            leaf, e = G.n + 1, max(G.edges) + 1
+            G = Multigraph(G.vertices + (leaf,), {**G.edges, e: (G.vertices[0], leaf)})
+        with pytest.MonkeyPatch.context() as patch:  # the exact bits alone
+            passes = self._count_passes(patch)
+            patch.setattr(cycle_structure, "LABEL_BITS", 10**9)
+            expected = bridges_and_series_classes(G)
+        assert len(passes) == 1
+        random_labels = cycle_structure._random_labels
+
+        def faulty(k):
+            labels = random_labels(k)
+            labels[7] = 0 if fault == "zero" else labels[3]
+            return labels
+
+        monkeypatch.setattr(cycle_structure, "_random_labels", faulty)
+        passes = self._count_passes(monkeypatch)
+        part = bridges_and_series_classes(G)
+        assert len(passes) == 2  # the labels, then the exact bits
+        assert part.bridges == expected.bridges
+        assert part.classes == expected.classes
+
+    def test_labels_answer_a_3ec_graph_without_the_exact_bits(self, monkeypatch):
+        G = gen(81, 0, max_vertices=40)
+        monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 0)
+        part = bridges_and_series_classes(G)
+        assert part.classes == tuple(frozenset({e}) for e in G.sorted_edges)
+        assert three_edge_connectivity_witness(G) is None
+
+    def test_exact_bits_past_the_byte_limit_raise_capacity_error(self, monkeypatch, c3):
+        monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 5)
+        with pytest.raises(CapacityError) as caught:
+            bridges_and_series_classes(c3)
+        assert str(caught.value) == (
+            "exact series classes of a graph with n=3, m=3 need about 6 bytes "
+            "of cut signatures, past the limit of 5"
+        )
+        monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 6)
+        assert bridges_and_series_classes(c3).classes == (frozenset({0, 1, 2}),)
+
+    @pytest.mark.parametrize(
+        "tree, roots, unjoined",
+        [
+            ({0, 1}, (1, 3), 40),  # two trees, and edge 40 runs between them
+            ({0}, (1,), 1),  # one tree, which never reaches 3 and 4
+        ],
+    )
+    def test_unjoined_edge_past_the_label_bits_is_named(self, tree, roots, unjoined):
+        """More than LABEL_BITS non-tree edges: 1-2, 3-4, then 2-3 as edge 40
+        among 69 copies of 1-2."""
+        edges = {0: (1, 2), 1: (3, 4)}
+        edges.update((e, (1, 2)) for e in range(2, 72))
+        edges[40] = (2, 3)
+        G = Multigraph((1, 2, 3, 4), edges)
+        T = SpanningForest(G, frozenset(tree), roots)
+        for build in (fundamental_cycle_matrix, bridges_and_series_classes):
+            with pytest.raises(StructureError) as caught:
+                build(G, T)
+            message = f"non-tree edge {unjoined} joins different forest components"
+            assert str(caught.value) == message
 
 
 @st.composite

@@ -40,7 +40,7 @@ from cyclelattice.multigraph import (
     parse_edge_list,
     spanning_forest,
     tree_diameter,
-    tree_path,
+    tree_paths,
 )
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import gen
@@ -508,12 +508,14 @@ def test_forest_of_another_graph_is_rejected(k4, call):
 
 def test_semi_fundamental_walks_one_tree_path_per_cycle_and_exchange(monkeypatch):
     """The matrix walks the tree path of each non-tree edge once, and each
-    cycle exchange walks one more; nothing else walks the tree."""
+    cycle exchange walks one more; nothing else walks the tree.  A walk is
+    one path that tree_paths yields."""
     walks, exchanges = [], []
 
     def counted_path(*args):
-        walks.append(args[1:])
-        return tree_path(*args)
+        for path in tree_paths(*args):
+            walks.append(path)
+            yield path
 
     shrink = lattice_basis._shrink_pair
 
@@ -522,7 +524,7 @@ def test_semi_fundamental_walks_one_tree_path_per_cycle_and_exchange(monkeypatch
         return shrink(*args)
 
     for module in (multigraph, cycle_structure, lattice_basis):
-        monkeypatch.setattr(module, "tree_path", counted_path)
+        monkeypatch.setattr(module, "tree_paths", counted_path)
     monkeypatch.setattr(lattice_basis, "_shrink_pair", counted_shrink)
     for seed in range(4):
         G = gen(2 * 60 + 1, seed, max_vertices=60)

@@ -14,8 +14,9 @@ from cyclelattice.multigraph import (
     format_edge_list,
     parse_edge_list,
     spanning_forest,
+    tree_depths,
     tree_diameter,
-    tree_path,
+    tree_paths,
 )
 
 
@@ -165,11 +166,33 @@ def _naive_tree_path(parent, u, v):
     return edges_u[:i] + edges_v[:j][::-1]
 
 
+@given(parent_maps(), st.data())
+def test_tree_path_matches_the_ancestor_lists(parent, data):
+    """tree_paths on ranks that are no depths: depth times a random gap,
+    plus a random offset below the gap, so rank still grows strictly from
+    each parent to its child."""
+    gap = data.draw(st.integers(1, 5))
+    n = len(parent)
+    offsets = data.draw(st.lists(st.integers(0, gap - 1), min_size=n, max_size=n))
+    depth = tree_depths(parent)
+    rank = {v: depth[v] * gap + offset for v, offset in zip(parent, offsets)}
+    pairs = [(u, v) for u in parent for v in parent]
+    for (u, v), path in zip(pairs, tree_paths(parent, rank, pairs), strict=True):
+        assert path == _naive_tree_path(parent, u, v), (u, v)
+
+
 @given(parent_maps())
-def test_tree_path_matches_the_ancestor_lists(parent):
-    for u in parent:
-        for v in parent:
-            assert tree_path(parent, u, v) == _naive_tree_path(parent, u, v), (u, v)
+def test_tree_depths_in_any_key_order(parent):
+    """The depths are the ancestor counts, whether or not parents precede
+    their children in the map."""
+    expected = {}
+    for v in parent:
+        x, expected[v] = v, 0
+        while parent[x] is not None:
+            x = parent[x][0]
+            expected[v] += 1
+    assert tree_depths(parent) == expected
+    assert tree_depths(dict(reversed(parent.items()))) == expected
 
 
 class TestSpanningForest:
@@ -224,7 +247,7 @@ class TestSpanningForest:
         T = spanning_forest(parse_edge_list("4 2\n1 2\n3 4\n"))
         with pytest.raises(ArgumentError):
             T.path_edges(1, 3)
-        assert tree_path(T.parents, 2, 4) is None
+        assert list(tree_paths(T.parents, T.depth, [(2, 4), (2, 1), (5, 1)])) == [None, [0], None]
 
     def test_path_edges_to_an_unreached_vertex_rejected(self, k4):
         with pytest.raises(ArgumentError):

@@ -516,6 +516,27 @@ class TestChainRoutes:
             compatible_chain(G, keep_prefixes=False)
         assert len(rebuilds) > len(self.CORPUS) and all(rebuilds)
 
+    @pytest.mark.parametrize("gap", [topo_extension.RANK_GAP, 1, 2])
+    def test_rank_grows_along_every_parent_edge(self, monkeypatch, gap):
+        """After every follow, each vertex of the tree has a rank, and it
+        ranks strictly above its parent, so tree_paths may walk by it."""
+        checked = []
+        follow = topo_extension._ChainTree.follow
+
+        def watched(tree, grown, step):
+            follow(tree, grown, step)
+            assert tree.rank.keys() == tree.parent.keys()
+            for v, up in tree.parent.items():
+                assert up is None or tree.rank[up[0]] < tree.rank[v], (v, up)
+            checked.append(step.kind)
+
+        monkeypatch.setattr(topo_extension, "RANK_GAP", gap)
+        monkeypatch.setattr(topo_extension._ChainTree, "follow", watched)
+        for steps, seed, max_vertices, weights in self.CORPUS:
+            G = gen(steps, seed, max_vertices=max_vertices, kind_weights=weights)
+            compatible_chain(G, keep_prefixes=False)
+        assert set(checked) == {"A", "B", "C"}
+
     def test_shortest_paths_only_as_a_fallback(self, monkeypatch):
         """At m = 3000, against the shortest-path routes before: 1925
         searches and 33 232 edges in all."""
@@ -619,20 +640,30 @@ class TestGolden:
     chain's rebuilt tree, with a shortest path only where that tree's path
     crosses a divided edge.  The sequence digests are older than both."""
 
-    @pytest.mark.parametrize(
-        "steps, seed, max_vertices, kind_weights, m, digest",
-        [
-            _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "fc8a547a053b0db06ed7f46b01786303878e1abf03fc725e0586a9e01401355f"),
-            _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "f1a0dee8655998dd4063b508c2c70efaad403dcb61b4ae75b68ca56f9e058d64"),
-            _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "50ff367eb3b5f52df3e539164b626a2ff510a44fe534c54d08ea33f79a2464e8"),
-            _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "158b0bc8ea5b5a2c804675ad4b5e2a7495fee044a3877a18acd1a44b5fea86ab"),
-            _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "64142d31ef02cfd7b9415573d9d6051bc1190dd1ea94cd51d21d2fcd6068edbf"),
-            _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "2ab4f2795e467b841e9f5281ec327514b7367f66534b033fbf3e5affd8943aef"),
-        ],
-    )
+    CHAINS = [
+        _golden(30, 1, None, (1.0, 1.0, 1.0), 60, "fc8a547a053b0db06ed7f46b01786303878e1abf03fc725e0586a9e01401355f"),
+        _golden(60, 2, 25, (1.0, 1.0, 1.0), 84, "f1a0dee8655998dd4063b508c2c70efaad403dcb61b4ae75b68ca56f9e058d64"),
+        _golden(100, 3, None, (1.0, 2.0, 3.0), 245, "50ff367eb3b5f52df3e539164b626a2ff510a44fe534c54d08ea33f79a2464e8"),
+        _golden(200, 4, 80, (1.0, 1.0, 1.0), 279, "158b0bc8ea5b5a2c804675ad4b5e2a7495fee044a3877a18acd1a44b5fea86ab"),
+        _golden(401, 5, 200, (3.0, 1.0, 1.0), 600, "64142d31ef02cfd7b9415573d9d6051bc1190dd1ea94cd51d21d2fcd6068edbf"),
+        _golden(2001, 0, 1000, (1.0, 1.0, 1.0), 3000, "2ab4f2795e467b841e9f5281ec327514b7367f66534b033fbf3e5affd8943aef"),
+    ]
+
+    @pytest.mark.parametrize("steps, seed, max_vertices, kind_weights, m, digest", CHAINS)
     def test_compatible_chain(self, steps, seed, max_vertices, kind_weights, m, digest):
         G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
         assert G.m == m
+        assert _chain_digest(G) == digest
+
+    @pytest.mark.parametrize("steps, seed, max_vertices, kind_weights, m, digest", CHAINS)
+    def test_compatible_chain_when_every_split_reranks(
+        self, monkeypatch, steps, seed, max_vertices, kind_weights, m, digest
+    ):
+        """With a rank gap of 1 no integer lies between a tree edge's ends,
+        so every divided tree edge recomputes the ranks from the same
+        parent map, and the chain is unchanged."""
+        monkeypatch.setattr(topo_extension, "RANK_GAP", 1)
+        G = gen(steps, seed, max_vertices=max_vertices, kind_weights=kind_weights)
         assert _chain_digest(G) == digest
 
     @pytest.mark.parametrize(
