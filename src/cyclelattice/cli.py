@@ -336,6 +336,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
     G = _load_graph(args.input)
     cos = cosimplify(G)
     partition, hat = cos.partition, cos.hat_graph
+    # every edge not a bridge is a class, less |c| - 1 for each nontrivial class c
+    merged = sum(len(cls) - 1 for cls in partition.nontrivial_classes)
     doc = {
         "n": G.n,
         "m": G.m,
@@ -345,7 +347,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
         "nontrivial_series_classes": sorted(
             [sorted(cls) for cls in partition.nontrivial_classes]
         ),
-        "series_class_count": len(partition.classes),
+        "series_class_count": G.m - len(partition.bridges) - merged,
         "cosimplification": {
             "n": hat.n,
             "m": hat.m,

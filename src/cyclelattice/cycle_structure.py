@@ -61,14 +61,11 @@ class FundamentalCycleMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SeriesPartition:
-    """Bridges plus the partition of non-bridge edges into series classes."""
+    """Bridges plus the series classes of two or more edges, by least edge;
+    every other edge that is not a bridge is a class of its own."""
 
     bridges: frozenset[EdgeId]
-    classes: tuple[frozenset[EdgeId], ...]
-
-    @property
-    def nontrivial_classes(self) -> tuple[frozenset[EdgeId], ...]:
-        return tuple(c for c in self.classes if len(c) > 1)
+    nontrivial_classes: tuple[frozenset[EdgeId], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +73,10 @@ class Cosimplification:
     """Minor with bridges deleted and series classes collapsed to one edge.
 
     It is built on a spanning forest of the parent, and only forest edges
-    are contracted.  projection sends every edge of the parent to its class
-    representative, or to None for bridges; section inverts it class-wise.
+    are contracted.  projection sends each bridge to None and each edge of
+    a nontrivial class to the class's representative; section sends each
+    such representative to its class.  An edge neither lists is a class of
+    its own, its own representative, so the identity holds two empty maps.
     partition holds the bridges and series classes it was built from.
     """
 
@@ -110,7 +109,7 @@ class Cosimplification:
         tree rooted at its least vertex."""
         if self.identity:
             return self.forest
-        edges = frozenset(t for t in self.forest.tree_edges if self.projection[t] == t)
+        edges = frozenset(t for t in self.forest.tree_edges if self.projection.get(t, t) == t)
         hat = self.hat_graph
         return forest_of(hat, bfs_parents(hat, sorted(hat.vertices), edges))
 
@@ -138,6 +137,14 @@ class Cosimplification:
             out.append((H, forest_of(H, up)))
         return tuple(out)
 
+    def _classes(self) -> Iterable[tuple[EdgeId, Collection[EdgeId]]]:
+        """(representative, class) of every series class: those of section,
+        then each edge that neither map lists, as a class of its own."""
+        yield from self.section.items()
+        for e in self.parent.edges:
+            if e not in self.projection:
+                yield e, (e,)
+
     @cached_property
     def series_paths(self) -> dict[EdgeId, tuple[tuple[VertexId, VertexId], ...] | None]:
         """Each series class, keyed by its representative, as the end pairs
@@ -155,13 +162,13 @@ class Cosimplification:
         ends = self.parent.edges
         owner: dict[VertexId, EdgeId] = {}
         ports: set[VertexId] = set()
-        for rep, cls in self.section.items():
+        for rep, cls in self._classes():
             for e in cls:
                 for x in ends[e]:
                     if owner.setdefault(x, rep) != rep:
                         ports.add(x)
         out: dict[EdgeId, tuple[tuple[VertexId, VertexId], ...] | None] = {}
-        for rep, cls in self.section.items():
+        for rep, cls in self._classes():
             at: dict[VertexId, list[EdgeId]] = {}  # a loop is listed twice
             for e in cls:
                 u, v = ends[e]
@@ -219,27 +226,25 @@ class Cosimplification:
         parent lacks.
         """
         support = {e: c for e, c in vector.items() if c}
-        if not support.keys() <= self.projection.keys():
-            unknown = min(support.keys() - self.projection.keys())
+        if not support.keys() <= self.parent.edges.keys():
+            unknown = min(support.keys() - self.parent.edges.keys())
             raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
         if self.identity:
             return support
         image: dict[EdgeId, int] = {}
         for e, c in support.items():
-            rep = self.projection[e]
+            rep = self.projection.get(e, e)
             if rep is None or image.setdefault(rep, c) != c:
                 return None
         # the support meets each class of the image, so it holds them all
         # exactly when it has as many edges as they do
-        if sum(len(self.section[rep]) for rep in image) != len(support):
+        if sum(len(self.section.get(rep, (rep,))) for rep in image) != len(support):
             return None
         return image
 
-    def lift_edges(self, edges: frozenset[EdgeId]) -> frozenset[EdgeId]:
-        out: set[EdgeId] = set()
-        for e in edges:
-            out |= self.section[e]
-        return frozenset(out)
+    def lift_edges(self, edges: Iterable[EdgeId]) -> frozenset[EdgeId]:
+        """The union of the series classes of these representatives."""
+        return frozenset(x for e in edges for x in self.section.get(e, (e,)))
 
 
 def fundamental_cycle_matrix(G: Multigraph, T: SpanningForest) -> FundamentalCycleMatrix:
@@ -281,9 +286,9 @@ def bridges_and_series_classes(
     order) whose fundamental cycle holds it.  By cycle/cut duality a tree
     edge's is the XOR of the bits held by the vertices below it, each vertex
     holding its non-tree edges' bits (a loop's cancels).  Bridges have
-    signature 0; the classes group the rest by signature, by least edge.
-    When every signature is nonzero and distinct, as in a 3-edge-connected
-    graph, each edge is a class of its own and nothing is grouped.  A
+    signature 0; the nontrivial classes are the groups of two or more edges
+    with one signature, by least edge.  When every signature is nonzero and
+    distinct, as in a 3-edge-connected graph, nothing is grouped.  A
     forest of another graph raises ArgumentError; a non-tree edge whose ends
     the forest does not join raises StructureError.
 
@@ -308,7 +313,7 @@ def bridges_and_series_classes(
     if k > LABEL_BITS and len(T.component_roots) == 1:
         labels, unjoined = _cut_labels(G, T, non_tree, _random_labels(k))
         if not unjoined and _nonzero_and_distinct(labels):
-            return _one_edge_classes(G)
+            return SeriesPartition(frozenset(), ())
     size = (G.n + G.m) * -(-k // 8)
     if size > EXACT_PASS_BYTES:
         raise CapacityError(
@@ -320,12 +325,13 @@ def bridges_and_series_classes(
         e = non_tree[(unjoined & -unjoined).bit_length() - 1]
         raise StructureError(f"non-tree edge {e} joins different forest components")
     if _nonzero_and_distinct(signature):
-        return _one_edge_classes(G)
+        return SeriesPartition(frozenset(), ())
     groups: dict[int, list[EdgeId]] = {}
     for e, sig in signature.items():
         groups.setdefault(sig, []).append(e)
     bridges = frozenset(groups.pop(0, ()))
-    return SeriesPartition(bridges=bridges, classes=tuple(map(frozenset, groups.values())))
+    classes = tuple(frozenset(g) for g in groups.values() if len(g) > 1)
+    return SeriesPartition(bridges=bridges, nontrivial_classes=classes)
 
 
 def _random_labels(k: int) -> list[int]:
@@ -370,42 +376,27 @@ def _nonzero_and_distinct(label: dict[EdgeId, int]) -> bool:
     return 0 not in values and len(set(values)) == len(label)
 
 
-def _one_edge_classes(G: Multigraph) -> SeriesPartition:
-    return SeriesPartition(bridges=frozenset(), classes=tuple(map(frozenset, zip(G.sorted_edges))))
-
-
 def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplification:
     """Delete bridges, contract all but one edge of each nontrivial class.
 
     Only edges of the forest (spanning_forest(G) when none is given) are
     contracted: every nontrivial class has at most one non-forest edge, and
     the representative is that edge when there is one, else the class's
-    least edge.  With nothing to delete or contract, hat_graph is G itself,
-    and every edge is its own class's representative.
+    least edge.  With nothing to delete or contract, hat_graph is G itself
+    and both maps are empty.
     """
     T = forest if forest is not None else spanning_forest(G)
     partition = bridges_and_series_classes(G, T)
-    if _all_classes_single(partition, G.m):
-        edges = G.sorted_edges  # the classes' order, one edge each
-        return Cosimplification(
-            G, T, partition, G, dict(zip(edges, edges)), dict(zip(edges, partition.classes))
-        )
-    projection: dict[EdgeId, EdgeId | None] = {e: None for e in partition.bridges}
+    projection: dict[EdgeId, EdgeId | None] = dict.fromkeys(partition.bridges)
     section: dict[EdgeId, frozenset[EdgeId]] = {}
     to_contract: set[EdgeId] = set()
-    for cls in partition.classes:
+    for cls in partition.nontrivial_classes:
         rep = min(cls - T.tree_edges, default=min(cls))
         section[rep] = cls
         to_contract |= cls - {rep}
-        for e in cls:
-            projection[e] = rep
-    hat = _contract_forest_edges(G, T, partition.bridges, to_contract)
+        projection.update(dict.fromkeys(cls, rep))
+    hat = _contract_forest_edges(G, T, partition.bridges, to_contract) if projection else G
     return Cosimplification(G, T, partition, hat, projection, section)
-
-
-def _all_classes_single(partition: SeriesPartition, m: int) -> bool:
-    """No bridge and only one-edge classes, read off the counts alone."""
-    return not partition.bridges and len(partition.classes) == m
 
 
 def _contract_forest_edges(
@@ -455,11 +446,11 @@ def three_edge_connectivity_witness(G: Multigraph | Cosimplification) -> tuple[s
         partition = bridges_and_series_classes(G, T)
     if len(T.component_roots) > 1:
         return ("disconnected", len(T.component_roots))
-    if _all_classes_single(partition, T.parent_graph.m):
-        return None
     if partition.bridges:
         return ("bridge", min(partition.bridges))
-    return ("series", min(partition.nontrivial_classes, key=min))
+    if partition.nontrivial_classes:
+        return ("series", partition.nontrivial_classes[0])
+    return None
 
 
 def is_three_edge_connected(G: Multigraph) -> bool:

@@ -193,6 +193,13 @@ def require_three_edge_connected(G: Multigraph | Cosimplification):
     raise PreconditionError(f"not 3-edge-connected: graph has {detail} components")
 
 
+def three_edge_connected_rank(G: Multigraph) -> int:
+    """n minus the component count of G, once require_three_edge_connected
+    passes: G then has one component, or none when it has no vertex."""
+    require_three_edge_connected(G)
+    return G.n - min(G.n, 1)
+
+
 def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> SimpleBasis:
     """Basis from fundamental cycles plus 2*chi_t for every tree edge.
 
@@ -211,9 +218,9 @@ def _simple_3ec(G: Multigraph, T: SpanningForest) -> SimpleBasis:
 
 
 def lattice_determinant(G: Multigraph) -> int:
-    """Closed form 2^(n-1) for 3-edge-connected graphs."""
-    require_three_edge_connected(G)
-    return 2 ** (G.n - 1)
+    """Closed form 2^(n-1) for 3-edge-connected graphs, and 1 for the
+    graph with no vertex."""
+    return 2 ** three_edge_connected_rank(G)
 
 
 def is_lattice_member(G: Multigraph, p: EdgeVector) -> MembershipResult:
@@ -230,7 +237,7 @@ def is_lattice_member(G: Multigraph, p: EdgeVector) -> MembershipResult:
     for e in sorted(partition.bridges):
         if p.coords[e] != 0:
             return MembershipResult(False, reason=f"nonzero on bridge edge {e}")
-    for cls in partition.classes:
+    for cls in partition.nontrivial_classes:
         values = {p.coords[e] for e in cls}
         if len(values) > 1:
             return MembershipResult(
@@ -538,7 +545,7 @@ def per_component(cos: Cosimplification, construct):
 def _lift_cycle(cos: Cosimplification, cycle: frozenset[EdgeId]) -> frozenset[EdgeId]:
     """Each representative edge replaced by its series class (never a bridge),
     checked to be a simple cycle of the parent class by class."""
-    if any(e not in cos.section for e in cycle):
+    if not cycle <= cos.hat_graph.edges.keys():
         raise ArgumentError(f"{_on_reduced(cos, cycle)} uses edges outside the cosimplification")
     if not cos.classes_form_cycle(cycle):
         raise InternalError(f"{_on_reduced(cos, cycle)} does not lift to a simple cycle")

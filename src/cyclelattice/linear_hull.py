@@ -14,7 +14,7 @@ from math import isqrt
 
 from .cycle_structure import Cosimplification, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
-from .lattice_basis import CycleBasis, SimpleBasis, require_three_edge_connected
+from .lattice_basis import CycleBasis, SimpleBasis, three_edge_connected_rank
 from .multigraph import Multigraph
 from .oracle import IntegerMatrix, _is_prime, decimal, rank_mod_p
 
@@ -103,9 +103,9 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 def hull_dimension(G: Multigraph, K: FieldSpec) -> int:
-    """Dimension of the K-span of cycle vectors: m, or m-n+1 when char 2."""
-    require_three_edge_connected(G)
-    return _dimension(G.m, G.n - 1, K)
+    """Dimension of the K-span of cycle vectors: m, or m-n+1 when char 2
+    (with no vertex, n-1 reads 0)."""
+    return _dimension(G.m, three_edge_connected_rank(G), K)
 
 
 def _dimension(m: int, r: int, K: FieldSpec) -> int:
@@ -119,10 +119,9 @@ def hull_group_structure(G: Multigraph, A: AbelianGroupSpec) -> AbelianGroupSpec
 
     Each odd-primary factor contributes m copies of itself; each factor of
     order 2^k contributes m-n+1 copies of 2^k and n-1 copies of 2^(k-1),
-    the trivial factors being dropped.
+    the trivial factors being dropped (with no vertex, n-1 reads 0).
     """
-    require_three_edge_connected(G)
-    return _group_structure(G.m, G.n - 1, A)
+    return _group_structure(G.m, three_edge_connected_rank(G), A)
 
 
 def _group_structure(m: int, r: int, A: AbelianGroupSpec) -> AbelianGroupSpec:
@@ -147,7 +146,7 @@ def hull_basis_mod_p(
     fundamental cycles do (the rest of the lattice collapses), so the
     source must carry a spanning tree.
     """
-    require_three_edge_connected(G)
+    r = three_edge_connected_rank(G)
     p = K.characteristic
     if p == 0:
         raise ArgumentError("reduction needs a positive characteristic")
@@ -159,7 +158,7 @@ def hull_basis_mod_p(
             raise ArgumentError("characteristic-2 reduction needs a tree-based source")
         fcm = fundamental_cycle_matrix(G, tree)
         vectors = [dict.fromkeys(cyc, 1) for cyc in fcm.cycles.values()]
-    expected = _dimension(G.m, G.n - 1, K)
+    expected = _dimension(G.m, r, K)
     order = list(G.sorted_edges)
     rank = rank_mod_p(IntegerMatrix.from_vectors(vectors, order), p)
     if rank != expected:

@@ -878,6 +878,41 @@ LABELED_TEXT = (
     "leaf-y leaf-z\n"
 )
 DISCONNECTED_TEXT = "6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n"
+
+
+def test_an_edge_of_its_own_class_is_its_own_image():
+    """The reduction lists only the bridges and the nontrivial classes; every
+    other edge maps and lifts to itself, stays in the reduced forest when
+    it is a forest edge, and is one path between its ends."""
+    G = parse_edge_list(LABELED_TEXT)
+    cos = cosimplify(G)
+    assert cos.projection == {**dict.fromkeys(range(10, 16)), 1: 3, 2: 3, 3: 3, 6: 7, 7: 7}
+    assert cos.section == {3: frozenset({1, 2, 3}), 7: frozenset({6, 7})}
+    own = [0, 4, 5, 8, 9]  # alpha-beta, alpha-delta, beta-gamma, gamma-delta twice
+    assert cos.lift_edges(own) == frozenset(own)
+    assert cos.lift_edges([0, 3, 7]) == {0, 1, 2, 3, 6, 7}
+    assert cos.project(dict.fromkeys(own, 2)) == dict.fromkeys(own, 2)
+    assert cos.project({0: 1, 1: 1, 2: 1, 3: 1, 5: 1}) == {0: 1, 3: 1, 5: 1}
+    assert cos.project({0: 1, 10: 1}) is None
+    assert cos.forest.tree_edges & set(own) == {0, 4, 5}
+    assert cos.hat_tree.tree_edges == {0, 4, 5}
+    assert cos.series_paths == {
+        3: ((1, 5),), 7: ((2, 6),), 0: ((1, 2),), 4: ((1, 6),), 5: ((2, 5),),
+        8: ((5, 6),), 9: ((5, 6),),
+    }
+    # a gen core with pendant edges: every core edge is a class of its own
+    core = gen(30, 11, max_vertices=12)
+    e, v = max(core.edges) + 1, max(core.vertices) + 1
+    pendants = {e: (core.vertices[0], v), e + 1: (core.vertices[3], v + 1)}
+    G = Multigraph(core.vertices + (v, v + 1), {**core.edges, **pendants})
+    cos = cosimplify(G)
+    assert cos.projection == dict.fromkeys(pendants) and cos.section == {}
+    assert cos.lift_edges(core.edges) == core.edges.keys()
+    cycle = fundamental_cycle_matrix(core, spanning_forest(core)).cycles
+    for vector in ({e: 1 for e in c} for c in cycle.values()):
+        assert cos.project(vector) == vector
+    assert cos.hat_tree.tree_edges == cos.forest.tree_edges - pendants.keys()
+    assert cos.series_paths == {e: (core.edges[e],) for e in core.edges}
 GOLDEN_INPUTS = {
     "k4": lambda: K4_TEXT,
     "c3": lambda: C3_TEXT,
@@ -1147,11 +1182,46 @@ def _fuzz_graph(rng: random.Random) -> str:
     return f"{n} {len(rows)}\n" + "".join(f"{u} {v}\n" for u, v in rows)
 
 
+def _two_edge_cut_partition(G: Multigraph) -> tuple[list[int], list[list[int]]]:
+    """Bridges and series classes by brute force, by least edge: an edge is
+    a bridge when deleting it adds a component, and two other edges share a
+    class when deleting both does (never so for a loop)."""
+
+    def components(deleted) -> int:
+        root = {v: v for v in G.vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        count = G.n
+        for e, (u, v) in G.edges.items():
+            a, b = find(u), find(v)
+            if e not in deleted and a != b:
+                root[a] = b
+                count -= 1
+        return count
+
+    base = components(())
+    bridges = [e for e in G.sorted_edges if components({e}) > base]
+    classes: list[list[int]] = []
+    for e in G.sorted_edges:
+        if e not in bridges:
+            home = next((c for c in classes if components({e, c[0]}) > base), None)
+            if home is None:
+                classes.append([e])
+            else:
+                home.append(e)
+    return bridges, classes
+
+
 def test_random_small_multigraphs_through_every_command(capsys, tmp_path):
     """300 seeded multigraphs through analyze, basis --verify by each method,
     verify of each exit-0 basis document, extend --verify and hull over a
     field and a group: every command exits 0-3 without a traceback, every
-    exit-0 basis is certified, and verify accepts its document."""
+    exit-0 basis is certified, verify accepts its document, and analyze's
+    bridges and series classes, and their count, are the brute-force ones."""
     rng = random.Random(7)
     graph, doc_path = tmp_path / "g.txt", tmp_path / "basis.json"
     start = time.perf_counter()
@@ -1166,7 +1236,12 @@ def test_random_small_multigraphs_through_every_command(capsys, tmp_path):
 
     for _ in range(300):
         graph.write_text(_fuzz_graph(rng))
-        call("analyze")
+        code, out = call("analyze")
+        doc = json.loads(out)
+        bridges, classes = _two_edge_cut_partition(parse_edge_list(graph.read_text()))
+        assert code == 0 and doc["bridges"] == bridges, graph.read_text()
+        assert doc["nontrivial_series_classes"] == [c for c in classes if len(c) > 1], graph.read_text()
+        assert doc["series_class_count"] == len(classes), graph.read_text()
         for method in ("simple", "semi-fundamental", "topological"):
             code, out = call("basis", "--verify", "--method", method)
             if code != 0:

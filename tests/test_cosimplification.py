@@ -124,7 +124,7 @@ def _regroup(rng: random.Random, cos):
     cycle = sorted(rng.choice(cycles)) if cycles else []
     groups = _split(rng, cycle)
     on_cycle = len(groups)
-    groups += _split(rng, sorted(cos.projection.keys() - cos.partition.bridges - set(cycle)))
+    groups += _split(rng, sorted(cos.parent.edges.keys() - cos.partition.bridges - set(cycle)))
     if on_cycle and len(groups) > on_cycle and rng.random() < 0.3:
         extra = groups.pop(rng.randrange(on_cycle, len(groups)))
         groups[rng.randrange(on_cycle)] += extra
@@ -154,8 +154,8 @@ class TestClassesFormCycle:
         tally: Counter = Counter()
         for rng, G in _graphs(2020, 2000):
             cos = cosimplify(G)
-            reps = sorted(cos.section)
-            unions = [sorted({cos.projection[e] for e in c}) for c in _cycles(G)]
+            reps = sorted(cos.hat_graph.edges)
+            unions = [sorted({cos.projection.get(e, e) for e in c}) for c in _cycles(G)]
             unions += _random_unions(rng, reps, 48 - len(unions))
             _check(cos, unions, tally)
             # an entry of verify: any edge set, whole classes or not, bridges too

@@ -67,26 +67,38 @@ class TestFundamentalCycleMatrix:
         assert len(fcm.cycles) == 2
 
 
+def _all_classes(G, part) -> list[frozenset]:
+    """The whole partition of the non-bridge edges, by least edge: the
+    listed classes, and every other non-bridge edge as a class of its own."""
+    listed = {e for cls in part.nontrivial_classes for e in cls}
+    alone = [frozenset({e}) for e in G.edges if e not in listed and e not in part.bridges]
+    return sorted([*part.nontrivial_classes, *alone], key=min)
+
+
 class TestBridgesAndSeries:
     def test_triangle_single_class(self, c3):
         part = bridges_and_series_classes(c3)
         assert not part.bridges
-        assert part.classes == (frozenset({0, 1, 2}),)
+        assert part.nontrivial_classes == (frozenset({0, 1, 2}),)
+        assert _all_classes(c3, part) == [frozenset({0, 1, 2})]
 
     def test_bridge_only(self, p2):
         part = bridges_and_series_classes(p2)
         assert part.bridges == frozenset({0})
-        assert part.classes == ()
+        assert part.nontrivial_classes == ()
+        assert _all_classes(p2, part) == []
 
     def test_k4_singletons(self, k4):
         part = bridges_and_series_classes(k4)
         assert not part.bridges
-        assert sorted(map(sorted, part.classes)) == [[0], [1], [2], [3], [4], [5]]
+        assert part.nontrivial_classes == ()
+        assert sorted(map(sorted, _all_classes(k4, part))) == [[0], [1], [2], [3], [4], [5]]
 
     def test_loops_are_singleton_classes(self, two_loops):
         part = bridges_and_series_classes(two_loops)
         assert not part.bridges
-        assert sorted(map(sorted, part.classes)) == [[0], [1]]
+        assert part.nontrivial_classes == ()
+        assert sorted(map(sorted, _all_classes(two_loops, part))) == [[0], [1]]
 
     def test_matches_brute_force_on_small_graphs(self):
         texts = [
@@ -113,7 +125,7 @@ class TestBridgesAndSeries:
             expected_classes = sorted(map(sorted, groups.values()))
             part = bridges_and_series_classes(G)
             assert part.bridges == frozenset(expected_bridges), text
-            assert sorted(map(sorted, part.classes)) == expected_classes, text
+            assert sorted(map(sorted, _all_classes(G, part))) == expected_classes, text
 
 
 @st.composite
@@ -245,10 +257,12 @@ def _assert_classes_are_the_two_edge_cuts(G, forest):
     base = _component_count(G, set())
     for T in (None, forest):
         part = bridges_and_series_classes(G, T)
-        class_of = {e: cls for cls in part.classes for e in cls}
+        classes = _all_classes(G, part)
+        class_of = {e: cls for cls in classes for e in cls}
         assert set(class_of) == set(G.edges) - part.bridges
-        assert sum(map(len, part.classes)) == len(class_of)
-        least = [min(cls) for cls in part.classes]
+        assert sum(map(len, classes)) == len(class_of)
+        assert all(len(cls) > 1 for cls in part.nontrivial_classes)
+        least = [min(cls) for cls in part.nontrivial_classes]
         assert least == sorted(least)
         candidates = [e for e in class_of if not G.is_loop(e)]
         for e, f in combinations(candidates, 2):
@@ -259,18 +273,20 @@ def _assert_classes_are_the_two_edge_cuts(G, forest):
 
 def _assert_identity_read_off_the_partition(G, forest):
     """The reduction is the identity exactly when the partition has no bridge
-    and only one-edge classes; its maps then send each edge to itself and to
-    its own class, and the graph is 3-edge-connected exactly when it is also
-    connected."""
+    and only one-edge classes; its maps then list no edge, so each edge is
+    its own class, and the graph is 3-edge-connected exactly when it is
+    also connected.  Either way each reduced edge lifts to its whole class."""
     for T in (None, forest):
         cos = cosimplify(G, forest=T)
         part = cos.partition
-        single = not part.bridges and all(len(cls) == 1 for cls in part.classes)
+        classes = _all_classes(G, part)
+        assert sorted(map(cos.lift_edges, zip(cos.hat_graph.edges)), key=min) == classes
+        single = not part.bridges and all(len(cls) == 1 for cls in classes)
         assert cos.identity == single
         if single:
             assert cos.hat_graph is G
-            assert cos.projection == {e: e for e in G.edges}
-            assert cos.section == {e: frozenset({e}) for e in G.edges}
+            assert cos.projection == {} and cos.section == {}
+            assert all(cos.lift_edges([e]) == {e} for e in G.edges)
         connected = len(cos.forest.component_roots) <= 1
         assert (three_edge_connectivity_witness(cos) is None) == (single and connected)
         assert (three_edge_connectivity_witness(G) is None) == (single and connected)
@@ -361,13 +377,14 @@ class TestLabels:
         part = bridges_and_series_classes(G)
         assert len(passes) == 2  # the labels, then the exact bits
         assert part.bridges == expected.bridges
-        assert part.classes == expected.classes
+        assert part.nontrivial_classes == expected.nontrivial_classes
 
     def test_labels_answer_a_3ec_graph_without_the_exact_bits(self, monkeypatch):
         G = gen(81, 0, max_vertices=40)
         monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 0)
         part = bridges_and_series_classes(G)
-        assert part.classes == tuple(frozenset({e}) for e in G.sorted_edges)
+        assert not part.bridges and part.nontrivial_classes == ()
+        assert _all_classes(G, part) == [frozenset({e}) for e in G.sorted_edges]
         assert three_edge_connectivity_witness(G) is None
 
     def test_exact_bits_past_the_byte_limit_raise_capacity_error(self, monkeypatch, c3):
@@ -379,7 +396,7 @@ class TestLabels:
             "of cut signatures, past the limit of 5"
         )
         monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 6)
-        assert bridges_and_series_classes(c3).classes == (frozenset({0, 1, 2}),)
+        assert bridges_and_series_classes(c3).nontrivial_classes == (frozenset({0, 1, 2}),)
 
     @pytest.mark.parametrize(
         "tree, roots, unjoined",
@@ -541,8 +558,21 @@ class TestCosimplify:
 
     def test_k4_unchanged(self, k4):
         cos = cosimplify(k4)
-        assert cos.hat_graph.m == 6
-        assert all(cos.projection[e] == e for e in k4.edges)
+        assert cos.hat_graph is k4
+        assert cos.projection == {} and cos.section == {}
+        assert all(cos.lift_edges([e]) == {e} for e in k4.edges)
+
+    @pytest.mark.parametrize("steps", [40, 200])
+    def test_a_3ec_graph_gets_nothing_per_edge(self, steps):
+        """40 non-tree edges go to the exact bits, 200 to the labels; either
+        way nothing is listed, and the reduction holds two empty maps."""
+        G = gen(steps, 3, max_vertices=steps // 2)
+        assert (G.m - G.n + 1 > cycle_structure.LABEL_BITS) == (steps > 64)
+        part = bridges_and_series_classes(G)
+        assert part.bridges == frozenset() and part.nontrivial_classes == ()
+        cos = cosimplify(G)
+        assert cos.hat_graph is G and cos.three_edge_connected
+        assert cos.projection == {} and cos.section == {}
 
     def test_bridge_projects_to_epsilon(self, p2):
         cos = cosimplify(p2)

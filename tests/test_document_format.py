@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -201,6 +202,22 @@ def test_delta_prefixes_replay_to_the_full_prefixes(tmp_path, name):
         FULL_PREFIX_DIGESTS[name]
     )
     assert [[sorted(c) for c in cycles] for cycles in chain.added] == deltas
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """README's two Python blocks, run as printed: the library quick start,
+    and the chain-prefix replay fed the extend document of K4, whose
+    prefixes are the chain's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    replay, quick_start = blocks  # in README's order
+    exec(compile(quick_start, "README quick start", "exec"), {})
+    code, out = _call(["extend", _write(tmp_path, "k4.txt", K4_TEXT)])
+    assert code == 0
+    scope = {"doc": json.loads(out)}
+    exec(compile(replay, "README chain-prefix replay", "exec"), scope)
+    chain = compatible_chain(parse_edge_list(K4_TEXT), keep_prefixes=True)
+    assert [set(cycles) for cycles in scope["prefixes"]] == [set(b.cycles) for b in chain.bases]
 
 
 @pytest.mark.parametrize("name", list(SEQUENCE_DIGESTS))

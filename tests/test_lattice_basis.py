@@ -36,6 +36,7 @@ from cyclelattice.lattice_basis import (
 )
 from cyclelattice.linear_hull import FieldSpec, hull_basis_mod_p
 from cyclelattice.multigraph import (
+    Multigraph,
     SpanningForest,
     parse_edge_list,
     spanning_forest,
@@ -105,6 +106,11 @@ class TestLatticeDeterminant:
     def test_precondition(self, c3):
         with pytest.raises(PreconditionError):
             lattice_determinant(c3)
+
+    def test_graph_with_no_vertices(self):
+        """No vertex, so no component: 2^(n - 0) = 1, an int."""
+        det = lattice_determinant(Multigraph((), {}))
+        assert det == 1 and type(det) is int
 
 
 class TestMembership:
@@ -374,8 +380,6 @@ def _random_spanning_tree(G, rng):
 
 def _random_connected_graph(rng):
     """Random connected multigraph with loops and parallels, rarely 3ec."""
-    from cyclelattice.multigraph import Multigraph
-
     n = rng.randint(2, 7)
     verts = list(range(1, n + 1))
     edges = {}

@@ -1,7 +1,9 @@
+import json
 from math import gcd
 
 import pytest
 
+from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, PreconditionError
 from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
@@ -13,6 +15,7 @@ from cyclelattice.linear_hull import (
     hull_group_structure,
     hull_report,
 )
+from cyclelattice.multigraph import Multigraph
 from cyclelattice.oracle import (
     IntegerMatrix,
     enumerate_cycles,
@@ -87,6 +90,36 @@ class TestHullGroupStructure:
         out = hull_group_structure(b3, AbelianGroupSpec((2, 3)))
         # 2-part: m-n+1 = 2 copies of C2; 3-part: m = 3 copies of C3
         assert sorted(out.cyclic_factors) == [2, 2, 3, 3, 3]
+
+
+class TestGraphWithNoVertices:
+    """The graph with no vertex is 3-edge-connected with no component, so
+    n minus the component count is 0: the hull is the zero space."""
+
+    EMPTY = Multigraph((), {})
+
+    def test_dimension(self):
+        assert hull_dimension(self.EMPTY, FieldSpec(2)) == 0
+        assert hull_dimension(self.EMPTY, FieldSpec(3)) == 0
+
+    def test_group_structure(self):
+        out = hull_group_structure(self.EMPTY, AbelianGroupSpec.parse("2,4"))
+        assert out.cyclic_factors == () and out.order == 1
+
+    def test_basis_mod_p(self):
+        for p in (2, 3):
+            assert hull_basis_mod_p(self.EMPTY, FieldSpec(p), simple_basis(self.EMPTY)) == []
+
+    def test_cli_agrees_with_the_library(self, capsys, tmp_path):
+        graph = tmp_path / "empty.txt"
+        graph.write_text("0 0\n")
+        assert main(["hull", "--char", "2", str(graph)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dimension"] == hull_dimension(self.EMPTY, FieldSpec(2))
+        assert main(["hull", "--group", "2,4", str(graph)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        spec = hull_group_structure(self.EMPTY, AbelianGroupSpec.parse("2,4"))
+        assert (doc["factors"], doc["order"]) == (spec.describe(), str(spec.order))
 
 
 class TestHullBasisModP:
