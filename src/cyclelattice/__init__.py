@@ -27,7 +27,6 @@ from .lattice_basis import (
     EdgeVector,
     MembershipResult,
     Provenance,
-    SimpleBasis,
     double_edge_combination,
     express_in_simple_basis,
     indicator_matrix,

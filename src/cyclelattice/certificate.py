@@ -101,7 +101,7 @@ def certify(
     tree holds the edge ids of a spanning forest of G that the vectors were
     built on, and sequences the extension sequences they were built along,
     one per component of the cosimplification, found by the vertex their
-    base maps to.  Both hints change only how fast the answer comes, never
+    base vertex maps to.  Both hints change only how fast the answer comes, never
     the answer: edges that do not form a spanning forest of G are replaced
     by spanning_forest(G), and a sequence that does not replay or does not
     match the vectors falls back to the generic path.  Raises ArgumentError
@@ -120,68 +120,57 @@ def _certify_vectors(
     """certify of vectors given by their images under cos.project, on a
     cosimplification of their graph built on the forest certify would take:
     each image matched to its component, and each sequence to the component
-    its base maps to.  A vector without an image is out of the cycle space."""
+    its base vertex maps to.  A vector without an image is out of the cycle
+    space."""
     hat = cos.hat_graph
     if any(image is None for image in images):
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
     home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
-    members: dict[VertexId, list[dict[EdgeId, int]]] = {}
+    members: dict[VertexId, list[dict[EdgeId, int]]] = {key: [] for key in home_of.values()}
     for image in images:
         homes = {home_of[hat.edges[e][0]] for e in image}
         if len(homes) == 1:
-            members.setdefault(homes.pop(), []).append(image)
-    hints = {}  # least vertex of a component -> the sequence based in it
-    for seq in sequences:
-        base = next(iter(seq.vertex_map.values()), None)
-        hints[home_of.get(base, base)] = seq
-    return _certify_parts(cos, members, hints, {})
+            members[homes.pop()].append(image)
+    hints = {home_of.get(seq.vertex_map.get(seq.base_vertex)): seq for seq in sequences}
+    parts = {key: (vecs, hints.get(key), None) for key, vecs in members.items()}
+    return _certify_parts(cos, parts)
 
 
-def certify_components(cos: Cosimplification, bases) -> Certificate:
+def certify_components(cos: Cosimplification, bases: list[CycleBasis]) -> Certificate:
     """certify of bases built on cos.components, one per component in order,
     before they are lifted to cos.parent: each basis's vectors on its
     component, along the basis's extension sequence when it has one, with no
     forest to check and nothing to project.  A basis built on the
     component's own forest lends the generic path its fundamental-cycle
     matrix, so the matrix is not built again."""
-    built = dict(zip((H.vertices[0] for H, _ in cos.components), bases, strict=True))
-    members = {key: basis.vectors() for key, basis in built.items()}
-    hints = {key: getattr(basis, "sequence", None) for key, basis in built.items()}
-    matrices = {
-        H.vertices[0]: getattr(basis, "matrix", None)
-        for (H, T_H), basis in zip(cos.components, bases)
-        if getattr(basis, "tree", None) is T_H
-    }
-    return _certify_parts(cos, members, hints, matrices)
+    parts = {}
+    for (H, T_H), basis in zip(cos.components, bases, strict=True):
+        fcm = basis.matrix if basis.tree is T_H else None
+        parts[H.vertices[0]] = (basis.vectors(), basis.sequence, fcm)
+    return _certify_parts(cos, parts)
 
 
-def _certify_parts(
-    cos: Cosimplification, members: dict, hints: dict, matrices: dict
-) -> Certificate:
+def _certify_parts(cos: Cosimplification, parts: dict) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
-    along the sequence hinted there, and on the generic path with the
-    fundamental-cycle matrix given there, all keyed by the component's
-    least vertex.  A vertex without edges is a component of its own, with
-    no vectors and determinant 1; only a sequence hinted there is replayed."""
-    parts = {H.vertices[0]: (H, T_H) for H, T_H in cos.components}
-    results = {}
-    for v in cos.isolated_vertices:
-        if hints.get(v) is None:
-            results[v] = ComponentCertificate(1, 0, 1, "generic")
-        else:
-            parts[v] = (Multigraph((v,), {}), None)
-    for key, (H, T_H) in sorted(parts.items()):
-        vecs = members.get(key, [])
+    along the sequence hinted there and on the generic path with the
+    fundamental-cycle matrix given there: parts maps the least vertex of
+    every component with edges to (vectors, sequence or None, matrix or
+    None).  A vertex without edges is a component of its own, with no
+    vectors and determinant 1."""
+    results = {v: ComponentCertificate(1, 0, 1, "generic") for v in cos.isolated_vertices}
+    for H, T_H in cos.components:
+        key = H.vertices[0]
+        vecs, sequence, fcm = parts[key]
         if len(vecs) != H.m:
             results[key] = ComponentCertificate(H.n, H.m, 0, "unmatched")
             continue
         det, kind = None, "chain"
-        if hints.get(key) is not None:
-            det = _chain_determinant(H, vecs, hints[key])
+        if sequence is not None:
+            det = _chain_determinant(H, vecs, sequence)
         if det is None:
             try:
-                det, kind = _generic_determinant(H, T_H, vecs, matrices.get(key)), "generic"
+                det, kind = _generic_determinant(H, T_H, vecs, fcm), "generic"
             except CapacityError:
                 det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
                 if det is None:
@@ -194,8 +183,10 @@ def _certify_parts(
 
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
     """`certify` of the basis's vectors on its tree and along its sequence as
-    (|det|, certified); (0, False) when a member is not a simple cycle of G."""
-    if not all(is_simple_cycle(G, c) for c in basis.cycles):
+    (|det|, certified); (0, False) when a member not tagged doubled is not a
+    simple cycle of G."""
+    entries = zip(basis.cycles, basis.provenance)
+    if not all(tag.kind == "doubled" or is_simple_cycle(G, c) for c, tag in entries):
         return 0, False
     sequences = () if basis.sequence is None else (basis.sequence,)
     tree = None if basis.tree is None else basis.tree.tree_edges
@@ -210,17 +201,15 @@ def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
 
 def _generic_determinant(
     H: Multigraph,
-    T_H: SpanningForest | None,
+    T_H: SpanningForest,
     vectors: list[dict[EdgeId, int]],
     fcm: FundamentalCycleMatrix | None = None,
 ) -> int:
     """|det| of the square matrix with these columns, rows indexed by H's edges.
 
-    T_H is a spanning tree of the connected graph H, None when H has no
-    edges; fcm, when given, its fundamental-cycle matrix.
+    T_H is a spanning tree of the connected graph H; fcm, when given, its
+    fundamental-cycle matrix.
     """
-    if not H.m:
-        return 1
     if fcm is None:
         fcm = fundamental_cycle_matrix(H, T_H)
     cycles = fcm.cycles
@@ -301,8 +290,11 @@ def _chain_determinant(
     The vectors lie in the connected graph H, in chain order, one per edge;
     as each step adds k edges, the steps take them all.
     """
-    grown = _grown_edges(sequence)
-    if grown is None or not _maps_onto(H, grown, sequence):
+    try:
+        grown = sequence.grown_edges
+    except ArgumentError:  # a step does not replay
+        return None
+    if not _maps_onto(H, grown, sequence):
         return None
     to_grown = {g: r for r, g in sequence.edge_map.items()}
     cols = [{to_grown[e]: c for e, c in vec.items()} for vec in vectors]
@@ -342,20 +334,6 @@ def _chain_determinant(
             if held:
                 members[s.old] = held
     return det
-
-
-def _grown_edges(sequence) -> dict[EdgeId, tuple[VertexId, VertexId]] | None:
-    """Edges of the fully grown graph; None when a step does not replay.
-
-    The base must be a single vertex without edges, whose basis is empty.
-    """
-    base = sequence.base
-    if base.n != 1 or base.m != 0:
-        return None
-    try:
-        return sequence.grown_edges
-    except ArgumentError:
-        return None
 
 
 def _maps_onto(H, grown, sequence) -> bool:

@@ -178,10 +178,11 @@ def _load_connected(path: str) -> tuple[Multigraph, SpanningForest]:
 
 
 def _entry(edges, tag: Provenance) -> dict:
-    """A document entry; a doubled edge set carries multiplier 2."""
+    """A document entry; one whose multiplier is not 1 (a doubled edge set)
+    carries it."""
     entry = {"edges": sorted(edges), "provenance": tag.label()}
-    if tag.kind == "doubled":
-        entry["multiplier"] = 2
+    if tag.multiplier != 1:
+        entry["multiplier"] = tag.multiplier
     return entry
 
 

@@ -112,40 +112,21 @@ class Provenance(NamedTuple):
             return f"doubled(t={self.t})"
         return self.kind
 
-
-@dataclass(frozen=True, eq=False)
-class SimpleBasis:
-    """Fundamental cycles plus doubled tree edges (the non-cycle basis).
-
-    matrix is the fundamental-cycle matrix of tree that the construction
-    read, a hint for certify_components.
-    """
-
-    tree: SpanningForest
-    cycle_part: tuple[tuple[EdgeId, frozenset[EdgeId]], ...]
-    doubled_part: tuple[EdgeId, ...]
-    matrix: FundamentalCycleMatrix | None = None
-
-    def vectors(self) -> list[dict[EdgeId, int]]:
-        """Column vectors, doubled tree edges first."""
-        out: list[dict[EdgeId, int]] = [{t: 2} for t in self.doubled_part]
-        out.extend({e: 1 for e in cyc} for _, cyc in self.cycle_part)
-        return out
-
-    def entries(self) -> list[tuple[frozenset[EdgeId], Provenance]]:
-        """(edge set, tag) per vector, in the order of vectors()."""
-        out = [(frozenset({t}), Provenance("doubled", t=t)) for t in self.doubled_part]
-        out.extend((cyc, Provenance("fundamental", e=e)) for e, cyc in self.cycle_part)
-        return out
+    @property
+    def multiplier(self) -> int:
+        """The factor on the entry's edge set: 2 for a doubled edge set."""
+        return 2 if self.kind == "doubled" else 1
 
 
 @dataclass(frozen=True, eq=False)
 class CycleBasis:
-    """Ordered list of cycles with provenance; certified means size m.
+    """Ordered list of edge sets with provenance; certified means size m.
 
-    tree, and the ExtensionSequence of a chain's basis, are certify's hints;
-    matrix, the fundamental-cycle matrix of tree that a construction read,
-    is certify_components's.
+    An entry is a cycle, or a doubled edge set (a tree edge of the simple
+    basis, or its series class once lifted) whose vector carries the tag's
+    multiplier 2.  tree, and the ExtensionSequence of a chain's basis, are
+    certify's hints; matrix, the fundamental-cycle matrix of tree that a
+    construction read, is certify_components's.
     """
 
     cycles: tuple[frozenset[EdgeId], ...]
@@ -159,7 +140,7 @@ class CycleBasis:
             raise ArgumentError("provenance list must match cycles")
 
     def vectors(self) -> list[dict[EdgeId, int]]:
-        return [{e: 1 for e in cyc} for cyc in self.cycles]
+        return [dict.fromkeys(c, tag.multiplier) for c, tag in zip(self.cycles, self.provenance)]
 
     def entries(self) -> list[tuple[frozenset[EdgeId], Provenance]]:
         return list(zip(self.cycles, self.provenance))
@@ -200,21 +181,27 @@ def three_edge_connected_rank(G: Multigraph) -> int:
     return G.n - min(G.n, 1)
 
 
-def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> SimpleBasis:
+def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> CycleBasis:
     """Basis from fundamental cycles plus 2*chi_t for every tree edge.
 
-    Under a tree-first edge ordering its column matrix is block triangular
-    [[2I, A], [0, I]], so the determinant is 2^(n-1) by inspection.
+    The doubled tree edges come first, ascending, as singleton sets tagged
+    doubled, then the fundamental cycles.  Under a tree-first edge ordering
+    its column matrix is block triangular [[2I, A], [0, I]], so the
+    determinant is 2^(n-1) by inspection.
     """
     require_three_edge_connected(G)
     return _simple_3ec(G, T if T is not None else spanning_forest(G))
 
 
-def _simple_3ec(G: Multigraph, T: SpanningForest) -> SimpleBasis:
+def _simple_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
     """simple_basis on a graph that is 3-edge-connected by construction."""
     fcm = fundamental_cycle_matrix(G, T)
-    doubled_part = tuple(sorted(T.tree_edges))
-    return SimpleBasis(T, tuple(fcm.cycles.items()), doubled_part, matrix=fcm)
+    doubled = sorted(T.tree_edges)
+    cycles = [frozenset({t}) for t in doubled]
+    cycles.extend(fcm.cycles.values())
+    tags = [Provenance("doubled", t=t) for t in doubled]
+    tags.extend(Provenance("fundamental", e=e) for e in fcm.cycles)
+    return CycleBasis(tuple(cycles), tuple(tags), tree=T, matrix=fcm)
 
 
 def lattice_determinant(G: Multigraph) -> int:
@@ -518,10 +505,10 @@ def per_component(cos: Cosimplification, construct):
     """Build on each component of the cosimplification, lift to its parent.
 
     construct(H, T_H) receives every component H of cos that has edges,
-    with the restriction T_H of its forest, and returns a CycleBasis or
-    SimpleBasis of H.  H is 3-edge-connected by construction, so construct
-    need not check it.  Returns the lifted (edge set, Provenance) entries
-    of all bases in component order, and the bases as built (for
+    with the restriction T_H of its forest, and returns a CycleBasis of H.
+    H is 3-edge-connected by construction, so construct need not check it.
+    Returns the lifted (edge set, Provenance) entries of all bases in
+    component order, and the bases as built (for
     certificate.certify_components).  When the cosimplification is the
     identity an entry keeps its tag; otherwise a cycle becomes `lifted` and
     a doubled edge stays doubled(t=...) on its whole series class.

@@ -14,7 +14,7 @@ from math import isqrt
 
 from .cycle_structure import Cosimplification, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
-from .lattice_basis import CycleBasis, SimpleBasis, three_edge_connected_rank
+from .lattice_basis import CycleBasis, three_edge_connected_rank
 from .multigraph import Multigraph
 from .oracle import IntegerMatrix, _is_prime, decimal, rank_mod_p
 
@@ -137,9 +137,7 @@ def _group_structure(m: int, r: int, A: AbelianGroupSpec) -> AbelianGroupSpec:
     return AbelianGroupSpec(cyclic_factors=tuple(out))
 
 
-def hull_basis_mod_p(
-    G: Multigraph, K: FieldSpec, source: CycleBasis | SimpleBasis
-) -> list[dict[int, int]]:
+def hull_basis_mod_p(G: Multigraph, K: FieldSpec, source: CycleBasis) -> list[dict[int, int]]:
     """Reduce a lattice basis to a linear basis of the hull over GF(p).
 
     For p != 2 every basis vector survives reduction; for p = 2 only the

@@ -59,7 +59,14 @@ class IntegerMatrix:
     def from_vectors(
         cls, vectors: list[dict[EdgeId, int]], edge_order: list[EdgeId]
     ) -> "IntegerMatrix":
-        """Columns are coordinate vectors laid out along edge_order."""
+        """Columns are coordinate vectors laid out along edge_order.
+
+        ArgumentError on a nonzero entry at an edge edge_order lacks.
+        """
+        known = set(edge_order)
+        unknown = [e for vec in vectors for e, c in vec.items() if c and e not in known]
+        if unknown:
+            raise ArgumentError(f"vector has a nonzero entry at unknown edge {min(unknown)}")
         cols = [[vec.get(e, 0) for e in edge_order] for vec in vectors]
         return cls.from_columns(cols, rows=len(edge_order))
 

@@ -26,6 +26,7 @@ from .multigraph import (
     SpanningForest,
     VertexId,
     bfs_parents,
+    forest_from_edges,
     tree_depths,
     tree_paths,
 )
@@ -251,25 +252,29 @@ def embed_vector(
 
 @dataclass(frozen=True, eq=False)
 class ExtensionSequence:
-    """Growth of a graph from a single vertex, with the final correspondence.
+    """Growth of a graph from the single vertex base_vertex, with the final
+    correspondence.
 
     edge_map / vertex_map translate the ids of the fully grown graph to the
     ids of the target graph the sequence was derived from.
     """
 
-    base: Multigraph
+    base_vertex: VertexId
     steps: tuple[ExtensionStep, ...]
     edge_map: dict[EdgeId, EdgeId]
     vertex_map: dict[VertexId, VertexId]
 
+    def _base(self) -> _GrownGraph:
+        """The one-vertex graph the steps grow."""
+        return _GrownGraph(Multigraph((self.base_vertex,), {}))
+
     def replay(self) -> list[Multigraph]:
-        """Snapshots of every grown graph, base first."""
-        grown = _GrownGraph(self.base)
-        labels = self.base.labels
-        graphs = [self.base]
+        """Snapshots of every grown graph, the one-vertex base first."""
+        grown = self._base()
+        graphs = [grown.freeze()]
         for step in self.steps:
             grown.apply(step)
-            graphs.append(grown.freeze(dict(labels) if labels else None))
+            graphs.append(grown.freeze())
         return graphs
 
     @cached_property
@@ -279,14 +284,14 @@ class ExtensionSequence:
         Replayed on first access, unless the chain built along the sequence
         filled it from its own replay.
         """
-        grown = _GrownGraph(self.base)
+        grown = self._base()
         for step in self.steps:
             grown.apply(step)
         return grown.ends
 
     def to_json(self) -> dict:
         return {
-            "base_vertex": self.base.vertices[0],
+            "base_vertex": self.base_vertex,
             "steps": [s.to_json() for s in self.steps],
             "edge_map": {str(k): v for k, v in sorted(self.edge_map.items())},
             "vertex_map": {str(k): v for k, v in sorted(self.vertex_map.items())},
@@ -303,7 +308,7 @@ class ExtensionSequence:
         if not isinstance(doc["steps"], list):
             raise ArgumentError("expected a list of steps")
         return cls(
-            base=Multigraph(vertices=(_json_int(doc["base_vertex"]),), edges={}),
+            base_vertex=_json_int(doc["base_vertex"]),
             steps=tuple(ExtensionStep.from_json(step) for step in doc["steps"]),
             edge_map=_json_map(doc["edge_map"]),
             vertex_map=_json_map(doc["vertex_map"]),
@@ -313,10 +318,9 @@ class ExtensionSequence:
 class _TopEdge:
     """An edge of the suppressed (topological) graph: a path in the target."""
 
-    __slots__ = ("rid", "ends", "gpath", "gverts")
+    __slots__ = ("ends", "gpath", "gverts")
 
-    def __init__(self, rid, ends, gpath, gverts):
-        self.rid = rid
+    def __init__(self, ends, gpath, gverts):
         self.ends = ends          # endpoints as grown-graph vertex ids
         self.gpath = gpath        # target edge ids along the path
         self.gverts = gverts      # target vertices, len(gpath) + 1
@@ -348,7 +352,6 @@ class _SequenceBuilder:
         self._next_rv = 0
         self._next_rid = 0
         self.sweep_queue: deque[EdgeId] = deque()
-        self.base: Multigraph | None = None
 
     # -- id bookkeeping ----------------------------------------------------
 
@@ -364,7 +367,7 @@ class _SequenceBuilder:
         return rid
 
     def _add_top_edge(self, rid, ends, gpath, gverts):
-        te = _TopEdge(rid, ends, list(gpath), list(gverts))
+        te = _TopEdge(ends, list(gpath), list(gverts))
         self.top[rid] = te
         for gv in te.gverts[1:-1]:
             self.on_edge[gv] = rid
@@ -561,7 +564,6 @@ class _SequenceBuilder:
             raise StructureError("graph has no vertices: a growth sequence starts at one")
         v0 = min(G.vertices)
         self.gv_to_rv[v0] = self._new_rv(v0)
-        self.base = Multigraph(vertices=(self.gv_to_rv[v0],), edges={})
         if G.m > 0:
             self._translate(*self._closed_path_from(v0))
             self.h_is_cycle = True
@@ -598,7 +600,7 @@ class _SequenceBuilder:
                 )
             edge_map[rid] = te.gpath[0]
         return ExtensionSequence(
-            base=self.base,
+            base_vertex=self.gv_to_rv[v0],
             steps=tuple(self.steps),
             edge_map=edge_map,
             vertex_map=dict(self.vmap),
@@ -753,20 +755,18 @@ def extend_basis(
     the divided edge; kind C adds three.  Each route is a deterministic
     shortest path; when tree_edges (a spanning tree of H) is given, it is
     the tree path wherever that avoids the divided edges, as in
-    `compatible_chain`.  InternalError when tree_edges do not span H.
+    `compatible_chain`.  ArgumentError when tree_edges are not the edges of
+    one spanning tree of H.
     """
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
     parent = rank = None
     if tree_edges is not None:
-        parent = bfs_parents(H, H.vertices[:1], tree_edges)
-        if len(parent) != H.n:
-            raise InternalError(
-                f"tree edges reach {len(parent)} of the {H.n} vertices at "
-                + _at_step(None, step, grown)
-            )
-        rank = tree_depths(parent)
+        T = forest_from_edges(H, tree_edges)
+        if T is None or len(T.component_roots) != 1:
+            raise ArgumentError(f"tree edges are not one spanning tree of a graph with n={H.n}")
+        parent, rank = T.parents, T.depth
     return _extending_cycles(grown, step, parent, rank)
 
 
@@ -779,13 +779,12 @@ class CompatibleChain:
     and `bases` and `graphs` replay one basis and one graph per grown graph
     from them on first access; otherwise `added` and `bases` are empty and
     `graphs` is None.  `final_basis` is always present, translated into the
-    target graph's edge ids.  `tree` is the maintained spanning tree of the
-    fully grown graph, also translated.
+    target graph's edge ids; its `tree` is the maintained spanning tree of
+    the fully grown graph, also translated.
     """
 
     sequence: ExtensionSequence
     final_basis: CycleBasis
-    tree: SpanningForest | None = None
     added: tuple[tuple[frozenset[EdgeId], ...], ...] = ()
 
     @cached_property
@@ -883,9 +882,8 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     """
     if seq is None:
         seq = _SequenceBuilder(G).build()
-    grown = _GrownGraph(seq.base)
-    (root,) = seq.base.vertices
-    tree = _ChainTree(root)
+    grown = seq._base()
+    tree = _ChainTree(seq.base_vertex)
     tags: list[Provenance] = []
     # per grown graph, the cycles its step adds, in that graph's edge ids
     added: list[tuple[frozenset[EdgeId], ...]] = [()]
@@ -918,12 +916,7 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
         parent_graph=G, tree_edges=final_tree_edges, component_roots=(min(G.vertices),)
     )
     final = CycleBasis(final_cycles, tuple(tags), tree=final_tree, sequence=seq)
-    return CompatibleChain(
-        sequence=seq,
-        final_basis=final,
-        tree=final_tree,
-        added=tuple(added) if keep_prefixes else (),
-    )
+    return CompatibleChain(seq, final, added=tuple(added) if keep_prefixes else ())
 
 
 def gen(

@@ -24,7 +24,12 @@ from cyclelattice.certificate import (
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import Cosimplification, cosimplify
 from cyclelattice.errors import ArgumentError, CapacityError
-from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
+from cyclelattice.lattice_basis import (
+    CycleBasis,
+    Provenance,
+    semi_fundamental_basis,
+    simple_basis,
+)
 from cyclelattice.multigraph import (
     Multigraph,
     SpanningForest,
@@ -102,7 +107,7 @@ def _prefix_chain(chain, i):
     """The chain's first i steps as a chain of the i-th grown graph."""
     H = chain.graphs[i]
     prefix = ExtensionSequence(
-        base=chain.sequence.base,
+        base_vertex=chain.sequence.base_vertex,
         steps=chain.sequence.steps[:i],
         edge_map={e: e for e in H.edges},
         vertex_map={v: v for v in H.vertices},
@@ -117,7 +122,9 @@ def test_chain_path_agrees_with_bareiss_on_every_prefix():
         for i in range(len(chain.sequence.steps) + 1):
             H, hint = _prefix_chain(chain, i)
             cert = assert_agrees(H, hint.final_basis.vectors(), sequences=[hint.sequence])
-            assert cert.certified and cert.components[0].kind == "chain", (seed, i)
+            # prefix 0 is one vertex without edges, certified without its hint
+            want = "generic" if i == 0 else "chain"
+            assert cert.certified and cert.components[0].kind == want, (seed, i)
 
 
 def _corruptions(G, vectors):
@@ -153,15 +160,13 @@ def test_corrupted_bases_are_rejected_by_both_paths(seed):
     assert seen == {"dropped", "duplicated", "swapped-in"}
 
 
-@dataclasses.dataclass
-class _GivenVectors:
-    """A component basis as certify_components reads it: vectors and a sequence."""
-
-    given: list
-    sequence: object = None
-
-    def vectors(self):
-        return self.given
+def _given(vectors, sequence=None) -> CycleBasis:
+    """A component basis with these vectors, as certify_components reads it:
+    an edge set of 2s is tagged doubled, and a sequence may be its hint."""
+    tags = [Provenance("doubled" if 2 in v.values() else "lifted") for v in vectors]
+    basis = CycleBasis(tuple(map(frozenset, vectors)), tuple(tags), sequence=sequence)
+    assert basis.vectors() == vectors
+    return basis
 
 
 def _subdivided_with_pendant(G):
@@ -183,10 +188,10 @@ def test_corrupted_component_bases_are_rejected(seed):
     seen = set()
     for name, vectors, hints in three_bases(H):
         (sequence,) = hints.get("sequences", [None])
-        assert certify_components(cos, [_GivenVectors(vectors, sequence)]).certified, name
+        assert certify_components(cos, [_given(vectors, sequence)]).certified, name
         for kind, bad in _corruptions(H, vectors):
             seen.add(kind)
-            cert = certify_components(cos, [_GivenVectors(bad, sequence)])
+            cert = certify_components(cos, [_given(bad, sequence)])
             assert not cert.certified, (name, kind)
             if len(bad) == H.m:
                 assert cert.determinant == dense(H, bad), (name, kind)
@@ -288,7 +293,7 @@ def _sequences_the_replay_refuses(seq):
     the chain path.  A collision loses an edge and a reused split vertex
     merges two, so `_maps_onto` refuses those two sequences as well.
     """
-    (root,) = seq.base.vertices
+    root = seq.base_vertex
     first = seq.steps[0]
     assert (first.kind, first.endpoints) == ("A", (root, root))
     k = next(i for i, st in enumerate(seq.steps) if st.kind == "B")
@@ -297,10 +302,7 @@ def _sequences_the_replay_refuses(seq):
     def with_step(new_step):
         return dataclasses.replace(seq, steps=seq.steps[:k] + (new_step,) + seq.steps[k + 1 :])
 
-    loop = Multigraph((root,), {first.new_edge: (root, root)})
     stray = max(seq.vertex_map) + 1
-    yield "base-with-an-edge", dataclasses.replace(seq, base=loop, steps=seq.steps[1:])
-    yield "base-with-two-vertices", dataclasses.replace(seq, base=Multigraph((root, stray), {}))
     yield "reused-edge-id", _renamed_edge(seq, k, step.new_edge, split.old)
     yield "ids-collide-in-a-step", with_step(dataclasses.replace(step, new_edge=split.first))
     yield "split-of-an-unknown-edge", with_step(
@@ -319,8 +321,6 @@ def _sequences_the_replay_refuses(seq):
 
 
 REPLAY_RULES = [
-    "base-with-an-edge",
-    "base-with-two-vertices",
     "reused-edge-id",
     "ids-collide-in-a-step",
     "split-of-an-unknown-edge",
@@ -442,14 +442,15 @@ def test_certify_projects_each_vector_once(monkeypatch):
 
 
 def test_one_vertex_is_certified_along_a_zero_step_hint():
-    """The vertex of the one-vertex graph has no edges; a sequence hinted
-    there is still replayed, so the component is a chain."""
+    """The vertex of the one-vertex graph has no edges, so it is certified
+    as (1, 0, 1, "generic") at once: a zero-step sequence hinted there is
+    never replayed."""
     G = parse_edge_list("1 0\n")
     sequence = compatible_chain(G).sequence
     assert sequence.steps == ()
-    chain = certify(G, [], sequences=[sequence])
-    assert chain.components == (ComponentCertificate(1, 0, 1, "chain"),)
-    assert certify(G, []).components == (ComponentCertificate(1, 0, 1, "generic"),)
+    for hints in ([sequence], ()):
+        cert = certify(G, [], sequences=hints)
+        assert cert.components == (ComponentCertificate(1, 0, 1, "generic"),)
 
 
 class TestVerifyDocuments:

@@ -15,11 +15,11 @@ import pytest
 
 import cyclelattice
 from cyclelattice import certificate, cli, cycle_structure, multigraph
-from cyclelattice.certificate import certify, certify_components
+from cyclelattice.certificate import certify, certify_components, certify_cycle_basis
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify, fundamental_cycle_matrix
 from cyclelattice.errors import InternalError
-from cyclelattice.lattice_basis import indicator_matrix, per_component
+from cyclelattice.lattice_basis import CycleBasis, indicator_matrix, per_component, simple_basis
 from cyclelattice.multigraph import (
     Multigraph,
     forest_from_edges,
@@ -1065,10 +1065,43 @@ def test_component_bases_certify_as_their_lifted_vectors(name):
         for method, construct in cli._CONSTRUCTIONS.items():
             entries, bases = per_component(cos, construct)
             vectors = _entry_vectors(entries)
-            sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
+            sequences = [b.sequence for b in bases if b.sequence]
             lifted = certify(G, vectors, tree=T.tree_edges, sequences=sequences)
             assert certify_components(cos, bases) == lifted, (method, root)
             assert lifted.certified, (method, root)
+
+
+def _one_record_inputs():
+    for name in sorted(GOLDEN_INPUTS):
+        yield pytest.param(GOLDEN_INPUTS[name], id=name)
+    for seed in range(20):
+        text = format_edge_list(gen(10 + seed, 600 + seed, max_vertices=4 + seed // 2))
+        yield pytest.param(lambda text=text: text, id=f"gen-{seed}")
+
+
+@pytest.mark.parametrize("text", _one_record_inputs())
+def test_every_method_builds_one_record_with_one_multiplier(text):
+    """Every component basis of every method is a CycleBasis, and its
+    vectors carry the multiplier that basis prints for each entry: 2
+    exactly on the entries tagged doubled, one per tree edge of each
+    component in the simple basis and none elsewhere.  A simple basis of a
+    3-edge-connected graph is certified as a CycleBasis too."""
+    G = parse_edge_list(text())
+    cos = cosimplify(G, forest=spanning_forest(G))
+    for method, construct in cli._CONSTRUCTIONS.items():
+        entries, bases = per_component(cos, construct)
+        assert all(type(basis) is CycleBasis for basis in bases), method
+        multipliers = []
+        for vector in (v for basis in bases for v in basis.vectors()):
+            (value,) = set(vector.values())
+            multipliers.append(value)
+        written = [cli._entry(edges, tag).get("multiplier", 1) for edges, tag in entries]
+        assert written == multipliers, method
+        assert [tag.kind == "doubled" for _, tag in entries] == [m == 2 for m in multipliers]
+        tree_edges = sum(H.n - 1 for H, _ in cos.components)
+        assert multipliers.count(2) == (tree_edges if method == "simple" else 0), method
+    if cos.three_edge_connected and G.n:
+        assert certify_cycle_basis(G, simple_basis(G)) == (2 ** (G.n - 1), True)
 
 
 def test_edgeless_components_keep_their_certificates(capsys, tmp_path):
@@ -1084,7 +1117,7 @@ def test_edgeless_components_keep_their_certificates(capsys, tmp_path):
     for method, kind in (("semi-fundamental", "generic"), ("topological", "chain")):
         entries, bases = per_component(cos, cli._CONSTRUCTIONS[method])
         vectors = _entry_vectors(entries)
-        sequences = [b.sequence for b in bases if getattr(b, "sequence", None)]
+        sequences = [b.sequence for b in bases if b.sequence]
         for cert in (certify_components(cos, bases), certify(G, vectors, sequences=sequences)):
             got = [(c.n, c.m, c.determinant, c.kind) for c in cert.components]
             assert got == [(4, 6, 8, kind)] + leaves, method

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclelattice import cycle_structure, lattice_basis, multigraph
-from cyclelattice.certificate import certify_cycle_basis
+from cyclelattice.certificate import certify, certify_cycle_basis
 from cyclelattice.cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
@@ -47,34 +47,39 @@ from cyclelattice.oracle import IntegerMatrix, exact_determinant
 from cyclelattice.topo_extension import gen
 
 
+def _tag_counts(basis) -> tuple[int, int]:
+    """(doubled, fundamental) entries of a basis, which holds no others."""
+    kinds = [tag.kind for tag in basis.provenance]
+    assert set(kinds) <= {"doubled", "fundamental"}
+    return kinds.count("doubled"), kinds.count("fundamental")
+
+
 class TestSimpleBasis:
     def test_k4(self, k4):
         sb = simple_basis(k4)
-        assert len(sb.cycle_part) == 3
-        assert len(sb.doubled_part) == 3
+        assert _tag_counts(sb) == (3, 3)
         M = IntegerMatrix.from_vectors(sb.vectors(), list(k4.sorted_edges))
         assert abs(exact_determinant(M)) == 8
 
     def test_b3(self, b3):
         sb = simple_basis(b3)
-        assert len(sb.cycle_part) == 2
-        assert len(sb.doubled_part) == 1
+        assert _tag_counts(sb) == (1, 2)
         M = IntegerMatrix.from_vectors(sb.vectors(), list(b3.sorted_edges))
         assert abs(exact_determinant(M)) == 2
 
     def test_single_loop(self, loop_graph):
         sb = simple_basis(loop_graph)
-        assert len(sb.cycle_part) == 1
-        assert sb.doubled_part == ()
+        assert _tag_counts(sb) == (0, 1)
         M = IntegerMatrix.from_vectors(sb.vectors(), list(loop_graph.sorted_edges))
         assert abs(exact_determinant(M)) == 1
 
     def test_block_structure(self, k4):
         # tree rows first: [[2I, A], [0, I]] under tree-first ordering
         sb = simple_basis(k4)
-        order = list(sb.doubled_part) + [e for e, _ in sb.cycle_part]
+        t, _ = _tag_counts(sb)
+        assert [tag.kind for tag in sb.provenance[:t]] == ["doubled"] * t
+        order = [tag.t for tag in sb.provenance[:t]] + [tag.e for tag in sb.provenance[t:]]
         M = IntegerMatrix.from_vectors(sb.vectors(), order)
-        t = len(sb.doubled_part)
         for i in range(t):
             for j in range(t):
                 assert M.entries[i][j] == (2 if i == j else 0)
@@ -270,6 +275,17 @@ class TestSemiFundamentalBasis:
         _assert_triples_witness(nx_quotient, k4, T, triples)
         diam = max(tree_diameter(T).values())
         assert all(len(c) <= 2 * diam for c in basis.cycles)
+
+    def test_lattice_check_refuses_a_vector_off_the_graph(self, k4):
+        """A nonzero entry at an edge K4 lacks is refused, as certify refuses
+        it, not dropped before the lattices are compared."""
+        basis, _ = semi_fundamental_basis(k4)
+        vectors = basis.vectors()
+        assert matches_all_cycles_lattice(k4, vectors)
+        vectors[0] = {**vectors[0], 99: 5}
+        for check in (matches_all_cycles_lattice, certify):
+            with pytest.raises(ArgumentError, match="unknown edge 99$"):
+                check(k4, vectors)
 
     def test_length_bound(self, k4, b3):
         for G in (k4, b3):

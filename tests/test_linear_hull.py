@@ -6,7 +6,7 @@ import pytest
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import cosimplify
 from cyclelattice.errors import ArgumentError, PreconditionError
-from cyclelattice.lattice_basis import semi_fundamental_basis, simple_basis
+from cyclelattice.lattice_basis import CycleBasis, semi_fundamental_basis, simple_basis
 from cyclelattice.linear_hull import (
     AbelianGroupSpec,
     FieldSpec,
@@ -146,6 +146,14 @@ class TestHullBasisModP:
         basis, _ = semi_fundamental_basis(loop_graph)
         vectors = hull_basis_mod_p(loop_graph, FieldSpec(5), basis)
         assert vectors == [{0: 1}]
+
+    def test_source_off_the_graph_rejected(self, k4):
+        """A source cycle through an edge K4 lacks is refused, not reduced
+        with that edge left out."""
+        basis, _ = semi_fundamental_basis(k4)
+        cycles = (basis.cycles[0] | {99},) + basis.cycles[1:]
+        with pytest.raises(ArgumentError, match="unknown edge 99$"):
+            hull_basis_mod_p(k4, FieldSpec(3), CycleBasis(cycles, basis.provenance))
 
     def test_characteristic_zero_rejected(self, k4):
         basis, _ = semi_fundamental_basis(k4)

@@ -80,6 +80,13 @@ class TestExactDeterminant:
         M = IntegerMatrix.from_vectors(sb.vectors(), list(k4.sorted_edges))
         assert abs(exact_determinant(M)) == 8
 
+    def test_vectors_off_the_edge_order_rejected(self):
+        """A nonzero entry at an edge the order lacks is refused, naming the
+        least such edge; a zero there has no column to land in and is fine."""
+        with pytest.raises(ArgumentError, match="unknown edge 5$"):
+            IntegerMatrix.from_vectors([{0: 1, 7: 2}, {5: 3}], [0, 1])
+        assert IntegerMatrix.from_vectors([{0: 1, 9: 0}], [0, 1]).entries == ((1,), (0,))
+
     def test_singular(self):
         M = IntegerMatrix.from_rows([[1, 2], [2, 4]])
         assert exact_determinant(M) == 0

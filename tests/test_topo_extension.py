@@ -304,10 +304,14 @@ class TestExtendBasis:
                 assert new == list(chain.bases[i + 1].cycles[len(basis.cycles):]), i
 
     def test_tree_edges_not_spanning_rejected(self, k4):
+        """Edges that are not one spanning tree of K4, too few, closing a
+        cycle, or naming an edge K4 lacks, are refused as the caller's
+        error, not walked as a tree."""
         step = ExtensionStep(kind="A", new_edge=9, endpoints=(1, 4))
         assert extend_basis(k4, None, step, tree_edges=frozenset({0, 1, 2}))
-        with pytest.raises(InternalError):
-            extend_basis(k4, None, step, tree_edges=frozenset({0}))
+        for edges in ({0}, {0, 1, 2, 3}, {0, 1, 3}, {0, 1, 99}):
+            with pytest.raises(ArgumentError, match="not one spanning tree"):
+                extend_basis(k4, None, step, tree_edges=frozenset(edges))
 
 
 def _tree_at(chain, i):
@@ -424,7 +428,7 @@ class TestCompatibleChain:
 
     def test_tree_maintained(self, k4):
         chain = compatible_chain(k4)
-        assert len(chain.tree.tree_edges) == k4.n - 1
+        assert len(chain.final_basis.tree.tree_edges) == k4.n - 1
 
     def test_without_prefixes(self, k4):
         chain = compatible_chain(k4, keep_prefixes=False)
@@ -605,7 +609,7 @@ def _chain_digest(G):
     doc = {
         "sequence": chain.sequence.to_json(),
         "cycles": sorted((sorted(c), tag.label()) for c, tag in chain.final_basis.entries()),
-        "tree": sorted(chain.tree.tree_edges),
+        "tree": sorted(chain.final_basis.tree.tree_edges),
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
