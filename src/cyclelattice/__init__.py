@@ -24,7 +24,6 @@ from .errors import (
 )
 from .lattice_basis import (
     CycleBasis,
-    EdgeVector,
     MembershipResult,
     Provenance,
     double_edge_combination,

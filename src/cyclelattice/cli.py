@@ -35,7 +35,6 @@ from .lattice_basis import (
     matches_all_cycles_lattice,
     per_component,
     require_three_edge_connected,
-    spanning_forest,
 )
 from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
@@ -44,6 +43,7 @@ from .multigraph import (
     forest_from_edges,
     format_edge_list,
     parse_edge_list,
+    spanning_forest,
     tree_parts,
 )
 from .oracle import decimal, enumerate_cycles, smith_invariants

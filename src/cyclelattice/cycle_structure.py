@@ -225,10 +225,7 @@ class Cosimplification:
         the value.  Raises ArgumentError on a nonzero entry at an edge the
         parent lacks.
         """
-        support = {e: c for e, c in vector.items() if c}
-        if not support.keys() <= self.parent.edges.keys():
-            unknown = min(support.keys() - self.parent.edges.keys())
-            raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
+        support = self.parent.support(vector)
         if self.identity:
             return support
         image: dict[EdgeId, int] = {}

@@ -8,6 +8,7 @@ of cycles only; this module builds them, and `certificate` certifies them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,59 +37,6 @@ from .multigraph import (
     tree_paths,
 )
 from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeVector:
-    """Integer vector indexed by the edge ids of one graph."""
-
-    graph: Multigraph
-    coords: dict[EdgeId, int]
-
-    def __post_init__(self):
-        unknown = set(self.coords) - set(self.graph.edges)
-        if unknown:
-            raise ArgumentError(f"coordinates on unknown edges {sorted(unknown)}")
-        full = {e: int(self.coords.get(e, 0)) for e in self.graph.edges}
-        object.__setattr__(self, "coords", full)
-
-    @classmethod
-    def zero(cls, G: Multigraph) -> "EdgeVector":
-        return cls(graph=G, coords={})
-
-    @classmethod
-    def indicator(cls, G: Multigraph, edges) -> "EdgeVector":
-        return cls(graph=G, coords={e: 1 for e in edges})
-
-    def __add__(self, other: "EdgeVector") -> "EdgeVector":
-        self._check_universe(other)
-        return EdgeVector(
-            graph=self.graph,
-            coords={e: self.coords[e] + other.coords[e] for e in self.coords},
-        )
-
-    def __sub__(self, other: "EdgeVector") -> "EdgeVector":
-        self._check_universe(other)
-        return EdgeVector(
-            graph=self.graph,
-            coords={e: self.coords[e] - other.coords[e] for e in self.coords},
-        )
-
-    def __rmul__(self, k: int) -> "EdgeVector":
-        return EdgeVector(graph=self.graph, coords={e: k * c for e, c in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeVector) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coords.items())))
-
-    def _check_universe(self, other: "EdgeVector"):
-        if set(self.coords) != set(other.coords):
-            raise ArgumentError("vectors indexed by different edge universes")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords.values())
 
 
 class Provenance(NamedTuple):
@@ -210,43 +158,46 @@ def lattice_determinant(G: Multigraph) -> int:
     return 2 ** three_edge_connected_rank(G)
 
 
-def is_lattice_member(G: Multigraph, p: EdgeVector) -> MembershipResult:
+def is_lattice_member(G: Multigraph, p: Mapping[EdgeId, int]) -> MembershipResult:
     """Structural membership test with a decomposition certificate.
 
-    Membership holds exactly when p vanishes on bridges, is constant on each
-    series class, and has even incidence sum at every vertex (loops counting
-    twice).  On success the odd-support edges split into disjoint cycles and
-    the remainder is even.
+    p maps edges to integers, an absent edge reading 0; a nonzero entry at
+    an edge G lacks raises ArgumentError.  Membership holds exactly when p
+    vanishes on bridges, is constant on each series class, and has even
+    incidence sum at every vertex (loops counting twice).  On success the
+    odd-support edges split into disjoint cycles and the remainder is even.
     """
-    if set(p.coords) != set(G.edges):
-        raise ArgumentError("vector does not match the graph's edge set")
+    p = G.support(p)
     partition = bridges_and_series_classes(G)
     for e in sorted(partition.bridges):
-        if p.coords[e] != 0:
+        if e in p:
             return MembershipResult(False, reason=f"nonzero on bridge edge {e}")
     for cls in partition.nontrivial_classes:
-        values = {p.coords[e] for e in cls}
-        if len(values) > 1:
+        if len({p.get(e, 0) for e in cls}) > 1:
             return MembershipResult(
                 False, reason=f"unequal values on series class {sorted(cls)}"
             )
-    for v in G.vertices:
-        s = sum(2 * p.coords[e] if w == v else p.coords[e] for e, w in G.incidence[v].items())
-        if s % 2 != 0:
-            return MembershipResult(False, reason=f"odd incidence sum at vertex {v}")
-
-    odd = {e for e, c in p.coords.items() if c % 2 != 0}
+    odd = {e for e, c in p.items() if c % 2}
     loops = sorted(e for e in odd if G.is_loop(e))
+    # a loop adds twice its value to its vertex's sum, so only the other odd
+    # edges decide a vertex's parity
+    odd_ends: set[VertexId] = set()
+    for e in odd.difference(loops):
+        odd_ends.symmetric_difference_update(G.edges[e])
+    if odd_ends:
+        v = next(v for v in G.vertices if v in odd_ends)
+        return MembershipResult(False, reason=f"odd incidence sum at vertex {v}")
+
     cycles: list[frozenset[EdgeId]] = [frozenset({e}) for e in loops]
     cycles.extend(_decompose_even_edge_set(G, odd - set(loops)))
-    remainder = dict(p.coords)
+    remainder = dict(p)
     for cyc in cycles:
         for e in cyc:
             remainder[e] -= 1
     if any(c % 2 for c in remainder.values()):
         raise InternalError("odd remainder after removing odd-support cycles")
     return MembershipResult(
-        True, odd_cycles=tuple(cycles), even_remainder=remainder
+        True, odd_cycles=tuple(cycles), even_remainder={e: c for e, c in remainder.items() if c}
     )
 
 
@@ -304,9 +255,9 @@ def _decompose_even_edge_set(
 
 
 def express_in_simple_basis(
-    G: Multigraph, T: SpanningForest, p: EdgeVector
+    G: Multigraph, T: SpanningForest, p: Mapping[EdgeId, int]
 ) -> tuple[dict[EdgeId, int], dict[EdgeId, int]]:
-    """Coefficients of p over the simple basis.
+    """Coefficients of p (an absent edge reading 0) over the simple basis.
 
     Returns (cycle_coeffs, doubled_coeffs): the fundamental cycle of non-tree
     edge e carries coefficient p_e, and the doubled tree edge t carries
@@ -317,23 +268,22 @@ def express_in_simple_basis(
     member = is_lattice_member(G, p)
     if not member:
         raise MembershipError(member.reason or "not a lattice member")
+    p = G.support(p)
     fcm = fundamental_cycle_matrix(G, T)
-    cycle_coeffs = {e: p.coords[e] for e in fcm.cycles}
+    cycle_coeffs = {e: p.get(e, 0) for e in fcm.cycles}
     doubled_coeffs = {}
     for t in sorted(T.tree_edges):
-        diff = p.coords[t] - sum(p.coords[e] for e in fcm.rows[t])
+        diff = p.get(t, 0) - sum(p.get(e, 0) for e in fcm.rows[t])
         if diff % 2 != 0:
             raise InternalError(f"odd cut balance at tree edge {t}")
         doubled_coeffs[t] = diff // 2
 
-    rebuilt = {e: 0 for e in G.edges}
+    rebuilt = {t: 2 * coef for t, coef in doubled_coeffs.items()}
     for e, coef in cycle_coeffs.items():
         if coef:
             for x in fcm.cycles[e]:
-                rebuilt[x] += coef
-    for t, coef in doubled_coeffs.items():
-        rebuilt[t] += 2 * coef
-    if rebuilt != p.coords:
+                rebuilt[x] = rebuilt.get(x, 0) + coef
+    if {e: c for e, c in rebuilt.items() if c} != p:
         raise InternalError("simple-basis coefficients do not reassemble the input")
     return cycle_coeffs, doubled_coeffs
 

@@ -78,6 +78,14 @@ class Multigraph:
             inc[v][e] = u
         return inc
 
+    def support(self, vector: Mapping[EdgeId, int]) -> dict[EdgeId, int]:
+        """The vector's nonzero entries; ArgumentError at an edge G lacks."""
+        support = {e: c for e, c in vector.items() if c}
+        if not support.keys() <= self.edges.keys():
+            unknown = min(support.keys() - self.edges.keys())
+            raise ArgumentError(f"vector has a nonzero entry at unknown edge {unknown}")
+        return support
+
     def degree(self, v: VertexId) -> int:
         """Non-loop incidences plus twice the loop incidences."""
         return sum(2 if w == v else 1 for w in self.incidence[v].values())

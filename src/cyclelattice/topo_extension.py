@@ -12,13 +12,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 
 from .errors import ArgumentError, InternalError, StructureError
-from .lattice_basis import CycleBasis, EdgeVector, Provenance, require_three_edge_connected
+from .lattice_basis import CycleBasis, Provenance, require_three_edge_connected
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -175,8 +176,8 @@ class _GrownGraph:
         self.incidence[u][e] = v
         self.incidence[v][e] = u
 
-    def apply(self, step: ExtensionStep):
-        """Apply one extension step in place; surviving edges keep their ids."""
+    def check(self, step: ExtensionStep):
+        """ArgumentError unless the step applies to this graph."""
         ends, incidence = self.ends, self.incidence
         splits = step.splits()
         new_ids = [step.new_edge]
@@ -193,11 +194,15 @@ class _GrownGraph:
                 raise ArgumentError(f"new edge id {e} already exists")
         if len({s.vertex for s in splits}) != len(splits):
             raise ArgumentError("split vertices collide")
-
         for x in step.endpoints[len(splits):]:
             if x not in incidence:
                 raise ArgumentError(f"kind {step.kind}: endpoint {x} does not exist")
-        for split in splits:
+
+    def apply(self, step: ExtensionStep):
+        """Apply one extension step in place; surviving edges keep their ids."""
+        self.check(step)
+        ends, incidence = self.ends, self.incidence
+        for split in step.splits():
             u, v = ends.pop(split.old)
             del incidence[u][split.old]
             incidence[v].pop(split.old, None)  # already gone when old is a loop
@@ -228,26 +233,24 @@ def embed_cycle(step: ExtensionStep, cycle: frozenset[EdgeId]) -> frozenset[Edge
     return frozenset(out)
 
 
-def embed_vector(
-    step: ExtensionStep, x: EdgeVector, into: Multigraph | None = None
-) -> EdgeVector:
+def embed_vector(step: ExtensionStep, x: Mapping[EdgeId, int]) -> dict[EdgeId, int]:
     """Linear embedding of a vector over H into the extended graph.
 
-    A split edge's value is duplicated onto both halves; the new edge gets 0.
+    An absent edge reads 0, in x and in the result.  A split edge's value
+    goes onto both halves, and the new edge reads 0; ArgumentError on a
+    nonzero entry of x at an id the step creates.
     """
-    if into is None:
-        into = apply_extension(x.graph, step)
-    coords = dict(x.coords)
+    out = dict(x)
+    created = {step.new_edge}
     for split in step.splits():
-        if split.old not in coords:
-            raise ArgumentError(f"vector lacks split edge {split.old}")
-        value = coords.pop(split.old)
-        coords[split.first] = value
-        coords[split.second] = value
-    coords[step.new_edge] = 0
-    if set(coords) != set(into.edges):
-        raise ArgumentError("embedded vector does not match the target edge set")
-    return EdgeVector(graph=into, coords=coords)
+        created.update((split.first, split.second))
+    for e in sorted(created):
+        if out.pop(e, 0):
+            raise ArgumentError(f"vector has a nonzero entry at edge {e}, which the step creates")
+    for split in step.splits():
+        if split.old in out:
+            out[split.first] = out[split.second] = out.pop(split.old)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -755,12 +758,14 @@ def extend_basis(
     the divided edge; kind C adds three.  Each route is a deterministic
     shortest path; when tree_edges (a spanning tree of H) is given, it is
     the tree path wherever that avoids the divided edges, as in
-    `compatible_chain`.  ArgumentError when tree_edges are not the edges of
-    one spanning tree of H.
+    `compatible_chain`.  ArgumentError when the step does not apply to H,
+    as in `apply_extension`, or when tree_edges are not the edges of one
+    spanning tree of H.
     """
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
+    grown.check(step)
     parent = rank = None
     if tree_edges is not None:
         T = forest_from_edges(H, tree_edges)

@@ -22,7 +22,6 @@ from cyclelattice.errors import (
     StructureError,
 )
 from cyclelattice.lattice_basis import (
-    EdgeVector,
     Provenance,
     double_edge_combination,
     express_in_simple_basis,
@@ -121,77 +120,103 @@ class TestLatticeDeterminant:
 class TestMembership:
     def test_doubled_edge_is_member(self, k4):
         for e in k4.edges:
-            assert is_lattice_member(k4, 2 * EdgeVector.indicator(k4, [e]))
+            assert is_lattice_member(k4, {e: 2})
 
     def test_bridge_condition(self, p2):
-        assert not is_lattice_member(p2, EdgeVector.indicator(p2, [0]))
+        assert not is_lattice_member(p2, {0: 1})
 
     def test_series_condition(self, c3):
-        res = is_lattice_member(c3, EdgeVector(graph=c3, coords={0: 1, 1: 1, 2: 0}))
+        res = is_lattice_member(c3, {0: 1, 1: 1, 2: 0})
         assert not res
         assert "series" in res.reason
 
     def test_parity_condition(self, k4):
-        res = is_lattice_member(k4, EdgeVector.indicator(k4, [0]))
+        res = is_lattice_member(k4, {0: 1})
         assert not res
         assert "odd" in res.reason
 
     def test_certificate_structure(self, k4):
-        p = EdgeVector(graph=k4, coords={0: 3, 1: 1, 3: 2, 4: 0, 2: 0, 5: 0})
-        # 3*chi_01? craft a member: 2*chi_0 + chi_{triangle 0,1,3}
-        p = 2 * EdgeVector.indicator(k4, [0]) + EdgeVector.indicator(k4, [0, 1, 3])
+        # a member: 2*chi_0 + chi_{triangle 0,1,3}
+        p = {0: 3, 1: 1, 3: 1}
         res = is_lattice_member(k4, p)
         assert res
         for cyc in res.odd_cycles:
             assert is_simple_cycle(k4, cyc)
-        odd_support = {e for e, c in p.coords.items() if c % 2}
+        odd_support = {e for e, c in p.items() if c % 2}
         assert set().union(*res.odd_cycles) == odd_support if res.odd_cycles else not odd_support
         assert all(c % 2 == 0 for c in res.even_remainder.values())
 
     def test_loop_counts_twice_in_parity(self, loop_graph):
-        assert is_lattice_member(loop_graph, EdgeVector.indicator(loop_graph, [0]))
+        assert is_lattice_member(loop_graph, {0: 1})
+
+    def test_unknown_edge_is_refused_unless_zero(self, k4):
+        """An absent edge reads 0, so a zero at an unknown id is no entry."""
+        assert is_lattice_member(k4, {0: 2, 99: 0})
+        T = spanning_forest(k4)
+        for call in (
+            lambda: is_lattice_member(k4, {0: 2, 99: 4, 98: 2}),
+            lambda: express_in_simple_basis(k4, T, {0: 2, 99: 4, 98: 2}),
+        ):
+            with pytest.raises(ArgumentError, match="nonzero entry at unknown edge 98$"):
+                call()
 
 
 class TestExpressInSimpleBasis:
     def test_identity_on_fundamental_cycle(self, k4):
         T = spanning_forest(k4)
-        p = EdgeVector.indicator(k4, [0, 1, 3])
+        p = dict.fromkeys([0, 1, 3], 1)
         cyc, dbl = express_in_simple_basis(k4, T, p)
         assert cyc == {3: 1, 4: 0, 5: 0}
         assert dbl == {0: 0, 1: 0, 2: 0}
 
     def test_doubled_tree_edge(self, k4):
         T = spanning_forest(k4)
-        cyc, dbl = express_in_simple_basis(k4, T, 2 * EdgeVector.indicator(k4, [0]))
+        cyc, dbl = express_in_simple_basis(k4, T, {0: 2})
         assert all(v == 0 for v in cyc.values())
         assert dbl == {0: 1, 1: 0, 2: 0}
 
     def test_four_cycle_reassembles(self, k4):
         T = spanning_forest(k4)
-        p = EdgeVector.indicator(k4, [1, 3, 2, 4])
+        p = dict.fromkeys([1, 3, 2, 4], 1)
         cyc, dbl = express_in_simple_basis(k4, T, p)
         assert cyc[3] == 1 and cyc[4] == 1 and cyc[5] == 0
 
     def test_non_member_rejected(self, k4):
         T = spanning_forest(k4)
         with pytest.raises(MembershipError):
-            express_in_simple_basis(k4, T, EdgeVector.indicator(k4, [0]))
+            express_in_simple_basis(k4, T, {0: 1})
 
-    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-    def test_reassembly_on_random_members(self, coeffs):
-        # any integer combination of simple-basis vectors is a lattice member;
-        # express_in_simple_basis raises internally unless it reassembles exactly
-        G = parse_edge_list("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    @given(st.data())
+    def test_reassembly_on_random_members(self, data):
+        """A random integer combination of simple-basis vectors is a lattice
+        member whose coefficients come back as drawn (express_in_simple_basis
+        also raises internally unless they reassemble it exactly); one
+        non-loop entry made odd makes it a non-member."""
+        G = data.draw(st.sampled_from(REASSEMBLY_GRAPHS))
         T = spanning_forest(G)
-        vectors = simple_basis(G, T).vectors()
-        p_coords = {e: 0 for e in G.edges}
-        for c, vec in zip(coeffs, vectors):
+        basis = simple_basis(G, T)
+        drawn = data.draw(st.lists(st.integers(-3, 3), min_size=G.m, max_size=G.m))
+        p: dict[int, int] = {}
+        for c, vec in zip(drawn, basis.vectors()):
             for e, val in vec.items():
-                p_coords[e] += c * val
-        p = EdgeVector(graph=G, coords=p_coords)
+                p[e] = p.get(e, 0) + c * val
         cyc, dbl = express_in_simple_basis(G, T, p)
-        assert set(cyc) == {3, 4, 5}
-        assert set(dbl) == {0, 1, 2}
+        tags = basis.provenance
+        assert dbl == {tag.t: c for c, tag in zip(drawn, tags) if tag.kind == "doubled"}
+        assert cyc == {tag.e: c for c, tag in zip(drawn, tags) if tag.kind == "fundamental"}
+        e = data.draw(st.sampled_from([e for e in G.sorted_edges if not G.is_loop(e)]))
+        p[e] = p.get(e, 0) + 1
+        with pytest.raises(MembershipError, match="odd incidence sum"):
+            express_in_simple_basis(G, T, p)
+
+
+# K4, and gen graphs with loops and parallel edges
+REASSEMBLY_GRAPHS = [
+    parse_edge_list("4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
+    gen(steps=4, seed=1, max_vertices=5),
+    gen(steps=6, seed=3, max_vertices=5),
+    gen(steps=8, seed=4, max_vertices=5),
+]
 
 
 class TestDoubleEdgeCombination:
@@ -476,7 +501,7 @@ class TestDoubledVectorsInLattice:
             if G.m > 14:
                 continue
             for e in G.edges:
-                assert is_lattice_member(G, 2 * EdgeVector.indicator(G, [e]))
+                assert is_lattice_member(G, {e: 2})
 
 
 def test_membership_consistent_with_hnf_span(k4):
@@ -488,7 +513,7 @@ def test_membership_consistent_with_hnf_span(k4):
     vals = [-2, -1, 0, 1, 2]
     for combo in itertools.islice(itertools.product(vals, repeat=6), 0, 400, 7):
         vec = dict(zip(order, combo))
-        direct = bool(is_lattice_member(k4, EdgeVector(graph=k4, coords=vec)))
+        direct = bool(is_lattice_member(k4, vec))
         via_hnf = hnf_contains(M, [vec[e] for e in order])
         assert direct == via_hnf, vec
 
@@ -511,7 +536,7 @@ K4_RENUMBERED = "4 6\n1 2\n3 4\n1 3\n2 4\n1 4\n2 3\n"
         pytest.param(lambda G, T: simple_basis(G, T), id="simple_basis"),
         pytest.param(lambda G, T: semi_fundamental_basis(G, T), id="semi_fundamental_basis"),
         pytest.param(
-            lambda G, T: express_in_simple_basis(G, T, EdgeVector.indicator(G, [0, 1, 3])),
+            lambda G, T: express_in_simple_basis(G, T, dict.fromkeys([0, 1, 3], 1)),
             id="express_in_simple_basis",
         ),
         pytest.param(

@@ -100,3 +100,4 @@ def test_an_unknown_name_is_caught():
     assert not _resolves("certificate.NO_SUCH_CAP", modules, names)
     assert _resolves("dataclasses.replace", modules, names) is None
     assert "CycleBasis" in names and "SimpleBasis" not in names
+    assert "EdgeVector" not in names

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cyclelattice.cycle_structure import is_simple_cycle, is_three_edge_connected
 from cyclelattice.errors import ArgumentError, InternalError, StructureError
 from cyclelattice.certificate import certify_cycle_basis
-from cyclelattice.lattice_basis import EdgeVector, matches_all_cycles_lattice
+from cyclelattice.lattice_basis import matches_all_cycles_lattice
 from cyclelattice import certificate, topo_extension
 from cyclelattice.multigraph import Multigraph, parse_edge_list, spanning_forest
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
@@ -106,18 +106,15 @@ class TestApplyExtension:
 
 class TestEmbedVector:
     def test_kind_a_appends_zero(self, b3):
+        """The new edge reads 0: it is absent from the image."""
         step = ExtensionStep(kind="A", new_edge=9, endpoints=(b3.vertices[0], b3.vertices[1]))
-        G = apply_extension(b3, step)
-        x = EdgeVector.indicator(b3, [0, 1])
-        y = embed_vector(step, x, G)
-        assert y.coords == {0: 1, 1: 1, 2: 0, 9: 0}
+        assert embed_vector(step, {0: 1, 1: 1, 2: 0}) == {0: 1, 1: 1, 2: 0}
 
     def test_kind_b_duplicates(self, b3):
         split = EdgeSplit(old=0, first=10, second=11, vertex=8)
         step = ExtensionStep(kind="B", new_edge=12, endpoints=(8, b3.vertices[0]), split_f=split)
-        x = EdgeVector(graph=b3, coords={0: 1, 1: 0, 2: 0})
-        y = embed_vector(step, x)
-        assert y.coords == {10: 1, 11: 1, 1: 0, 2: 0, 12: 0}
+        y = embed_vector(step, {0: 1, 1: 0, 2: 0})
+        assert y == {10: 1, 11: 1, 1: 0, 2: 0}
 
     def test_kind_c_zero_maps_to_zero(self, b3):
         split_f = EdgeSplit(old=0, first=10, second=11, vertex=8)
@@ -125,8 +122,18 @@ class TestEmbedVector:
         step = ExtensionStep(
             kind="C", new_edge=14, endpoints=(8, 9), split_f=split_f, split_g=split_g
         )
-        y = embed_vector(step, EdgeVector.zero(b3))
-        assert y.is_zero()
+        assert embed_vector(step, {}) == {}
+        assert not any(embed_vector(step, {0: 0, 1: 0, 2: 0}).values())
+
+    def test_nonzero_entry_at_a_created_id_is_refused(self, b3):
+        """The new edge and the halves are ids the step creates, so a vector
+        over the graph before it cannot carry them; a zero there reads 0."""
+        split = EdgeSplit(old=0, first=10, second=11, vertex=8)
+        step = ExtensionStep(kind="B", new_edge=12, endpoints=(8, b3.vertices[0]), split_f=split)
+        assert embed_vector(step, {0: 3, 12: 0}) == {10: 3, 11: 3}
+        for e in (10, 11, 12):
+            with pytest.raises(ArgumentError, match=f"nonzero entry at edge {e}, which the step"):
+                embed_vector(step, {0: 1, e: 2})
 
     @given(
         st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -136,13 +143,25 @@ class TestEmbedVector:
         G = parse_edge_list("2 3\nu v\nu v\nu v\n")
         split = EdgeSplit(old=0, first=10, second=11, vertex=8)
         step = ExtensionStep(kind="B", new_edge=12, endpoints=(8, G.vertices[0]), split_f=split)
-        H = apply_extension(G, step)
         order = list(G.sorted_edges)
-        xa = EdgeVector(graph=G, coords=dict(zip(order, a)))
-        xb = EdgeVector(graph=G, coords=dict(zip(order, b)))
-        assert embed_vector(step, xa + xb, H) == embed_vector(step, xa, H) + embed_vector(
-            step, xb, H
-        )
+        xa, xb = dict(zip(order, a)), dict(zip(order, b))
+        ya, yb = embed_vector(step, xa), embed_vector(step, xb)
+        total = {e: xa[e] + xb[e] for e in order}
+        assert embed_vector(step, total) == {e: ya[e] + yb[e] for e in ya}
+        assert set(ya) == set(apply_extension(G, step).edges) - {step.new_edge}
+
+    def test_agrees_with_embed_cycle_along_chains(self, k4, b3):
+        """The two embeddings of one linear map agree on every cycle of every
+        prefix basis of a few chains, kinds A, B and C all taken."""
+        kinds = set()
+        for G in [k4, b3] + [gen(steps=15, seed=s, max_vertices=8) for s in range(4)]:
+            chain = compatible_chain(G)
+            for step, basis in zip(chain.sequence.steps, chain.bases):
+                kinds.add(step.kind)
+                for c in basis.cycles:
+                    image = dict.fromkeys(embed_cycle(step, c), 1)
+                    assert embed_vector(step, dict.fromkeys(c, 1)) == image
+        assert kinds == {"A", "B", "C"}
 
     def test_embedded_cycles_stay_cycles(self, b3):
         split = EdgeSplit(old=0, first=10, second=11, vertex=8)
@@ -257,7 +276,7 @@ class TestExtendBasis:
         G = apply_extension(b3, step_b)
         new = extend_basis(b3, basis, step_b)
         assert len(new) == 2
-        embedded = [embed_vector(step_b, EdgeVector(graph=b3, coords=vec), G).coords for vec in base_vectors]
+        embedded = [embed_vector(step_b, vec) for vec in base_vectors]
         vectors = embedded + [{e: 1 for e in c} for c in new]
         M = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
         assert abs(exact_determinant(M)) == 4  # previous det 2, multiplier 2
@@ -270,7 +289,7 @@ class TestExtendBasis:
         G = apply_extension(b3, step_c)
         new = extend_basis(b3, basis, step_c)
         assert len(new) == 3
-        embedded = [embed_vector(step_c, EdgeVector(graph=b3, coords=vec), G).coords for vec in base_vectors]
+        embedded = [embed_vector(step_c, vec) for vec in base_vectors]
         vectors = embedded + [{e: 1 for e in c} for c in new]
         M = IntegerMatrix.from_vectors(vectors, list(G.sorted_edges))
         assert abs(exact_determinant(M)) == 8  # previous det 2, multiplier 4
@@ -312,6 +331,33 @@ class TestExtendBasis:
         for edges in ({0}, {0, 1, 2, 3}, {0, 1, 3}, {0, 1, 99}):
             with pytest.raises(ArgumentError, match="not one spanning tree"):
                 extend_basis(k4, None, step, tree_edges=frozenset(edges))
+
+    def test_a_step_that_does_not_apply_is_refused(self, k4):
+        """Each step is refused with apply_extension's message before any
+        route is read: a missing endpoint or divided edge, and a new edge,
+        split vertex or half that K4 already has."""
+        cases = [
+            (ExtensionStep("A", 9, (1, 77)), "kind A: endpoint 77 does not exist"),
+            (
+                ExtensionStep("B", 12, (8, 1), EdgeSplit(77, 10, 11, 8)),
+                "split references unknown edge 77",
+            ),
+            (ExtensionStep("A", 0, (1, 2)), "new edge id 0 already exists"),
+            (
+                ExtensionStep("B", 12, (2, 1), EdgeSplit(5, 10, 11, 2)),
+                "split vertex 2 already exists",
+            ),
+            (
+                ExtensionStep("B", 12, (8, 1), EdgeSplit(5, 0, 1, 8)),
+                "new edge id 0 already exists",
+            ),
+        ]
+        for step, message in cases:
+            with pytest.raises(ArgumentError, match=f"^{message}$"):
+                apply_extension(k4, step)
+            for tree_edges in (None, frozenset({0, 1, 2})):
+                with pytest.raises(ArgumentError, match=f"^{message}$"):
+                    extend_basis(k4, None, step, tree_edges=tree_edges)
 
 
 def _tree_at(chain, i):
