@@ -8,9 +8,12 @@ that determinant exactly without a dense m x m elimination:
 - The generic path applies the unimodular row operation
   x -> (x_N, x_T - F x_N), where F is the fundamental-cycle matrix of a
   spanning tree.  Fundamental cycles become unit columns and doubled tree
-  edges singleton 2s.  It then expands along singleton rows and columns
-  and passes only the residual block, at most RESIDUAL_CAP square, to the
-  dense determinant.
+  edges singleton 2s.  It first tries one triangular pass read off the
+  vectors' tags (see _triangular_determinant): the semi-fundamental and
+  simple bases pass it as emitted, with no column of a fundamental or
+  semi-fundamental cycle mapped.  When the pass fails, it maps every
+  column, expands along singleton rows and columns and passes only the
+  residual block, at most RESIDUAL_CAP square, to the dense determinant.
 - The chain path replays the steps of an extension sequence backwards.  When
   each step's cycles are the last k, and the older cycles avoid the new
   edge and hold both halves of each divided edge or neither, the matrix is
@@ -23,9 +26,10 @@ that determinant exactly without a dense m x m elimination:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .cycle_structure import (
     Cosimplification,
@@ -35,7 +39,7 @@ from .cycle_structure import (
     is_simple_cycle,
 )
 from .errors import ArgumentError, CapacityError
-from .lattice_basis import CycleBasis
+from .lattice_basis import CycleBasis, Provenance
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -90,6 +94,17 @@ class Certificate:
     in_cycle_space: bool = True
 
 
+class _Columns(NamedTuple):
+    """The vectors lying in one component, in order.  Where tags[j] is not
+    None, column j is tags[j].multiplier on the edges supports[j] holds (a
+    set, or a dict's keys), and the tag is the triangular pass's hint;
+    vectors() lists every column as a dict, for the paths that read them."""
+
+    supports: Sequence[Collection[EdgeId]]
+    tags: Sequence[Provenance | None]
+    vectors: Callable[[], list[dict[EdgeId, int]]]
+
+
 def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
@@ -115,39 +130,51 @@ def certify(
 
 
 def _certify_vectors(
-    cos: Cosimplification, images: list[dict[EdgeId, int] | None], sequences
+    cos: Cosimplification,
+    images: list[dict[EdgeId, int] | None],
+    sequences,
+    hints: Sequence[Provenance | None] | None = None,
 ) -> Certificate:
     """certify of vectors given by their images under cos.project, on a
     cosimplification of their graph built on the forest certify would take:
-    each image matched to its component, and each sequence to the component
-    its base vertex maps to.  A vector without an image is out of the cycle
-    space."""
+    each image matched to its component, with its hint, and each sequence to
+    the component its base vertex maps to.  hints holds, per image, None or
+    a tag whose multiplier is every value of the image (see _Columns); no
+    image has a tag when it is omitted.  A vector without an image is out
+    of the cycle space."""
     hat = cos.hat_graph
     if any(image is None for image in images):
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
     home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
-    members: dict[VertexId, list[dict[EdgeId, int]]] = {key: [] for key in home_of.values()}
-    for image in images:
+    members: dict[VertexId, tuple[list, list]] = {key: ([], []) for key in home_of.values()}
+    for image, hint in zip(images, hints or [None] * len(images), strict=True):
         homes = {home_of[hat.edges[e][0]] for e in image}
         if len(homes) == 1:
-            members[homes.pop()].append(image)
-    hints = {home_of.get(seq.vertex_map.get(seq.base_vertex)): seq for seq in sequences}
-    parts = {key: (vecs, hints.get(key), None) for key, vecs in members.items()}
+            vecs, tags = members[homes.pop()]
+            vecs.append(image)
+            tags.append(hint)
+    sequence_at = {home_of.get(seq.vertex_map.get(seq.base_vertex)): seq for seq in sequences}
+    parts = {
+        key: (_Columns(vecs, tags, vecs.copy), sequence_at.get(key), None)
+        for key, (vecs, tags) in members.items()
+    }
     return _certify_parts(cos, parts)
 
 
 def certify_components(cos: Cosimplification, bases: list[CycleBasis]) -> Certificate:
     """certify of bases built on cos.components, one per component in order,
-    before they are lifted to cos.parent: each basis's vectors on its
-    component, along the basis's extension sequence when it has one, with no
-    forest to check and nothing to project.  A basis built on the
-    component's own forest lends the generic path its fundamental-cycle
-    matrix, so the matrix is not built again."""
+    before they are lifted to cos.parent: each basis's entries on its
+    component, tagged by its provenance, along the basis's extension
+    sequence when it has one, with no forest to check and nothing to
+    project.  A basis built on the component's own forest lends the generic
+    path its fundamental-cycle matrix, so the matrix is not built again.
+    Its vectors() are built only for a path that needs them."""
     parts = {}
     for (H, T_H), basis in zip(cos.components, bases, strict=True):
         fcm = basis.matrix if basis.tree is T_H else None
-        parts[H.vertices[0]] = (basis.vectors(), basis.sequence, fcm)
+        columns = _Columns(basis.cycles, basis.provenance, basis.vectors)
+        parts[H.vertices[0]] = (columns, basis.sequence, fcm)
     return _certify_parts(cos, parts)
 
 
@@ -155,24 +182,24 @@ def _certify_parts(cos: Cosimplification, parts: dict) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
     along the sequence hinted there and on the generic path with the
     fundamental-cycle matrix given there: parts maps the least vertex of
-    every component with edges to (vectors, sequence or None, matrix or
+    every component with edges to (_Columns, sequence or None, matrix or
     None).  A vertex without edges is a component of its own, with no
     vectors and determinant 1."""
     results = {v: ComponentCertificate(1, 0, 1, "generic") for v in cos.isolated_vertices}
     for H, T_H in cos.components:
         key = H.vertices[0]
-        vecs, sequence, fcm = parts[key]
-        if len(vecs) != H.m:
+        columns, sequence, fcm = parts[key]
+        if len(columns.tags) != H.m:
             results[key] = ComponentCertificate(H.n, H.m, 0, "unmatched")
             continue
         det, kind = None, "chain"
         if sequence is not None:
-            det = _chain_determinant(H, vecs, sequence)
+            det = _chain_determinant(H, columns.vectors(), sequence)
         if det is None:
             try:
-                det, kind = _generic_determinant(H, T_H, vecs, fcm), "generic"
+                det, kind = _generic_determinant(H, T_H, columns, fcm), "generic"
             except CapacityError:
-                det = _chain_determinant(H, vecs, _SequenceBuilder(H).build())
+                det = _chain_determinant(H, columns.vectors(), _SequenceBuilder(H).build())
                 if det is None:
                     raise
         results[key] = ComponentCertificate(H.n, H.m, det, kind)
@@ -195,34 +222,30 @@ def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# generic path: unimodular reduction, then peeling
+# generic path: unimodular reduction, then a triangular pass or peeling
 # ---------------------------------------------------------------------------
 
 
 def _generic_determinant(
     H: Multigraph,
     T_H: SpanningForest,
-    vectors: list[dict[EdgeId, int]],
+    columns: _Columns,
     fcm: FundamentalCycleMatrix | None = None,
 ) -> int:
     """|det| of the square matrix with these columns, rows indexed by H's edges.
 
     T_H is a spanning tree of the connected graph H; fcm, when given, its
-    fundamental-cycle matrix.
+    fundamental-cycle matrix.  The triangular pass takes the place of
+    mapping and peeling every column whenever the tags let it.
     """
     if fcm is None:
         fcm = fundamental_cycle_matrix(H, T_H)
-    cycles = fcm.cycles
-    columns = []
-    for vec in vectors:
-        y: dict[EdgeId, int] = {}
-        for e, c in vec.items():
-            y[e] = y.get(e, 0) + c
-            for t in cycles.get(e, ()):
-                if t != e:  # the tree edges of e's cycle
-                    y[t] = y.get(t, 0) - c
-        columns.append({r: a for r, a in y.items() if a})
-    factor, rows, cols = _peel(H.sorted_edges, columns)
+    det = _triangular_determinant(fcm, columns.supports, columns.tags)
+    if det is not None:
+        factor, rows, cols = det, [], []
+    else:
+        mapped = [_reduced(fcm.cycles, vec) for vec in columns.vectors()]
+        factor, rows, cols = _peel(H.sorted_edges, mapped)
     if factor == 0:
         return 0
     if len(cols) > RESIDUAL_CAP:
@@ -232,6 +255,84 @@ def _generic_determinant(
         )
     block = IntegerMatrix.from_rows([[col.get(r, 0) for col in cols] for r in rows])
     return abs(factor * exact_determinant(block))
+
+
+def _reduced(cycles: dict[EdgeId, frozenset[EdgeId]], vec: Mapping[EdgeId, int]) -> dict:
+    """The column vec under x -> (x_N, x_T - F x_N), without zero entries;
+    cycles are the fundamental cycles that make up F."""
+    y: dict[EdgeId, int] = {}
+    for e, c in vec.items():
+        y[e] = y.get(e, 0) + c
+        for t in cycles.get(e, ()):
+            if t != e:  # the tree edges of e's cycle
+                y[t] = y.get(t, 0) - c
+    return {r: a for r, a in y.items() if a}
+
+
+def _triangular_determinant(
+    fcm: FundamentalCycleMatrix,
+    supports: Sequence[Collection[EdgeId]],
+    tags: Sequence[Provenance | None],
+) -> int | None:
+    """|det| of the columns tags[j].multiplier on supports[j], read off the
+    tags in one pass, or None when a tag is missing or a check fails.
+
+    Under x -> (x_N, x_T - F x_N), a column tagged fundamental(e) that is
+    e's fundamental cycle becomes the unit column at e.  One tagged
+    semi-fundamental(e,f,t) that is the symmetric difference of the cycles
+    of two non-tree edges e != f becomes 1 at e and f and -2 on the tree
+    edges the two cycles share, so set checks stand in for its map.  Any
+    other column whose tag names a t is mapped.  Suppose every non-tree
+    edge has one fundamental column, and every other column is nonzero at
+    its own tree edge t and zero at the t of every column after it.  Then
+    the matrix is [[I, X], [0, Y]] up to the order of its columns, with Y
+    triangular, and |det| is the product of the |pivots|.  The checks hold
+    for any vectors and any tags, so a tag changes how fast the answer
+    comes, never the answer.  The state is the pivots seen so far.
+    """
+    cycles, tree = fcm.cycles, fcm.tree.tree_edges
+    unused = set(cycles)  # the non-tree edges without a fundamental column yet
+    pivots: set[EdgeId] = set()
+    det = 1
+    for support, tag in zip(supports, tags, strict=True):
+        if tag is None:
+            return None
+        e, f, t = tag.e, tag.f, tag.t
+        if tag.kind == "fundamental" and e is not None:
+            if e not in unused or not _same_edges(support, cycles[e]):
+                return None
+            unused.remove(e)
+            continue
+        if t not in tree or t in pivots:  # a pivot is a tree edge, used once
+            return None
+        if tag.kind == "semi-fundamental" and e is not None and f is not None:
+            if e == f or e not in cycles or f not in cycles:
+                return None
+            shared = cycles[e] & cycles[f]
+            # the mapped column is -2 on shared, which must hold t and
+            # otherwise only earlier pivots
+            if t not in shared or len(shared - pivots) != 1:
+                return None
+            if not _same_edges(support, cycles[e] ^ cycles[f]):
+                return None
+            pivot = 2
+        else:
+            y = _reduced(cycles, dict.fromkeys(support, tag.multiplier))
+            pivot = y.get(t, 0)
+            if not pivot:
+                return None
+            if any(r in tree and r != t and r not in pivots for r in y):
+                return None
+        pivots.add(t)
+        det *= abs(pivot)
+    if unused or len(pivots) != len(tree):
+        return None
+    return det
+
+
+def _same_edges(support: Collection[EdgeId], edges: frozenset[EdgeId]) -> bool:
+    """Does support, whose members are distinct, hold exactly these edges?"""
+    return len(support) == len(edges) and edges.issuperset(support)
 
 
 def _peel(

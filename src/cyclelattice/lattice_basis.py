@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .cycle_structure import (
     Cosimplification,
     FundamentalCycleMatrix,
+    SeriesPartition,
     bridges_and_series_classes,
     cosimplify,
     fundamental_cycle_matrix,
@@ -39,6 +40,11 @@ from .multigraph import (
 from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
 
 
+_KINDS = ("fundamental", "semi-fundamental", "extension", "lifted", "doubled")
+# the field names of a label, and the Provenance fields they fill
+_FIELDS = {"e": "e", "f": "f", "t": "t", "step": "step", "kind": "case"}
+
+
 class Provenance(NamedTuple):
     """How a basis element was obtained."""
 
@@ -60,6 +66,30 @@ class Provenance(NamedTuple):
             return f"doubled(t={self.t})"
         return self.kind
 
+    @classmethod
+    def parse(cls, label) -> Provenance | None:
+        """The tag whose label() is label, with every field the label names
+        set, or None when there is none: a label read back from a document
+        is only a hint, so an unknown kind, a field that is missing or not
+        an integer (kind= excepted) or any text label() would not write is
+        no tag."""
+        if not isinstance(label, str):
+            return None
+        kind, bracket, rest = label.partition("(")
+        if kind not in _KINDS or (bracket and not rest.endswith(")")):
+            return None
+        fields = {}
+        for item in rest[:-1].split(",") if bracket else ():
+            name, _, value = item.partition("=")
+            if name not in _FIELDS:
+                return None
+            try:
+                fields[_FIELDS[name]] = value if name == "kind" else int(value)
+            except ValueError:
+                return None
+        tag = cls(kind, **fields)
+        return tag if tag.label() == label else None
+
     @property
     def multiplier(self) -> int:
         """The factor on the entry's edge set: 2 for a doubled edge set."""
@@ -74,7 +104,8 @@ class CycleBasis:
     basis, or its series class once lifted) whose vector carries the tag's
     multiplier 2.  tree, and the ExtensionSequence of a chain's basis, are
     certify's hints; matrix, the fundamental-cycle matrix of tree that a
-    construction read, is certify_components's.
+    construction read, and provenance, which the triangular pass reads,
+    are certify_components's.
     """
 
     cycles: tuple[frozenset[EdgeId], ...]
@@ -167,8 +198,14 @@ def is_lattice_member(G: Multigraph, p: Mapping[EdgeId, int]) -> MembershipResul
     incidence sum at every vertex (loops counting twice).  On success the
     odd-support edges split into disjoint cycles and the remainder is even.
     """
-    p = G.support(p)
-    partition = bridges_and_series_classes(G)
+    return _membership(G, G.support(p), bridges_and_series_classes(G))
+
+
+def _membership(
+    G: Multigraph, p: dict[EdgeId, int], partition: SeriesPartition
+) -> MembershipResult:
+    """is_lattice_member of p, without zero entries or unknown edges, read
+    off G's bridges and series classes."""
     for e in sorted(partition.bridges):
         if e in p:
             return MembershipResult(False, reason=f"nonzero on bridge edge {e}")
@@ -265,10 +302,11 @@ def express_in_simple_basis(
     cut parity of lattice members makes the division exact.
     """
     require_three_edge_connected(G)
-    member = is_lattice_member(G, p)
+    p = G.support(p)
+    # G is 3-edge-connected: no bridge, and no series class of two edges
+    member = _membership(G, p, SeriesPartition(frozenset(), ()))
     if not member:
         raise MembershipError(member.reason or "not a lattice member")
-    p = G.support(p)
     fcm = fundamental_cycle_matrix(G, T)
     cycle_coeffs = {e: p.get(e, 0) for e in fcm.cycles}
     doubled_coeffs = {}

@@ -22,17 +22,24 @@ from cyclelattice.certificate import (
     certify_cycle_basis,
 )
 from cyclelattice.cli import main
-from cyclelattice.cycle_structure import Cosimplification, cosimplify
+from cyclelattice.cycle_structure import (
+    Cosimplification,
+    cosimplify,
+    fundamental_cycle_matrix,
+)
 from cyclelattice.errors import ArgumentError, CapacityError
 from cyclelattice.lattice_basis import (
     CycleBasis,
     Provenance,
+    _semi_fundamental_3ec,
+    _simple_3ec,
     semi_fundamental_basis,
     simple_basis,
 )
 from cyclelattice.multigraph import (
     Multigraph,
     SpanningForest,
+    forest_from_edges,
     format_edge_list,
     parse_edge_list,
     spanning_forest,
@@ -702,3 +709,268 @@ def test_tampered_bases_get_one_verdict_from_determinant_and_hnf(case):
         if len({component[cos.projection.get(e, e)] for e in entry["edges"]}) != 1:
             return
     assert checks["determinant"] == checks["hnf-lattice-equality"]
+
+
+# ---------------------------------------------------------------------------
+# the triangular pass of the generic path, against its fallback and Bareiss
+# ---------------------------------------------------------------------------
+
+
+def _peeled(H, fcm, vectors):
+    """|det| on the fallback the triangular pass stands in front of: every
+    column mapped, peeled, and the residual block's dense determinant."""
+    mapped = [certificate._reduced(fcm.cycles, vec) for vec in vectors]
+    factor, rows, cols = certificate._peel(H.sorted_edges, mapped)
+    block = IntegerMatrix.from_rows([[col.get(r, 0) for col in cols] for r in rows])
+    return abs(factor * exact_determinant(block))
+
+
+def _three_ways(H, T_H, basis):
+    """The basis's |det| from the triangular pass on its own tags (None when
+    the pass fails), from the fallback, and from dense Bareiss."""
+    fcm = fundamental_cycle_matrix(H, T_H)
+    vectors = basis.vectors()
+    triangular = certificate._triangular_determinant(fcm, basis.cycles, basis.provenance)
+    return triangular, _peeled(H, fcm, vectors), dense(H, vectors)
+
+
+def test_triangular_pass_agrees_on_the_determinant_corpus():
+    for i in range(200):
+        G = gen(steps=3 + i % 8, seed=1000 + i, max_vertices=12)
+        T = spanning_forest(G)
+        for basis in (semi_fundamental_basis(G, T)[0], simple_basis(G, T)):
+            assert _three_ways(G, T, basis) == (2 ** (G.n - 1),) * 3, i
+
+
+@pytest.mark.parametrize("n, trees", [(10, 6), (30, 4), (60, 2), (100, 1)])
+def test_triangular_pass_agrees_on_random_kruskal_trees(n, trees):
+    """gen up to m=300, each basis built on a random Kruskal tree and
+    certified with that tree as the hint."""
+    rng = random.Random(n)
+    G = gen(steps=2 * n + 1, seed=600 + n, max_vertices=n)
+    assert G.m == 3 * n
+    for _ in range(trees):
+        T = forest_from_edges(G, _random_spanning_tree(G, rng).tree_edges)
+        for basis in (semi_fundamental_basis(G, T)[0], simple_basis(G, T)):
+            want = 2 ** (G.n - 1)
+            assert _three_ways(G, T, basis) == (want, want, want)
+            cert = certify(G, basis.vectors(), tree=T.tree_edges)
+            assert (cert.determinant, cert.certified) == (want, True)
+
+
+def _subdivided_cores_with_pendants(seed):
+    """Two gen cores joined by a bridge, each core edge subdivided into a
+    series path of one to three edges, plus pendant bridges: the
+    cosimplification is the two cores and one vertex per bridge."""
+    rng = random.Random(seed)
+    vertices, edges = [], []
+    for core in (gen(steps=21, seed=seed, max_vertices=10), gen(steps=15, seed=seed + 1)):
+        shift = len(vertices)
+        vertices += [shift + v for v in core.vertices]
+        for e in core.sorted_edges:
+            u, v = (shift + x for x in core.edges[e])
+            for _ in range(rng.randrange(3)):
+                vertices.append(len(vertices))
+                edges.append((u, vertices[-1]))
+                u = vertices[-1]
+            edges.append((u, v))
+    edges.append((0, len(vertices) - 1))  # the bridge between the cores
+    for _ in range(5):
+        vertices.append(len(vertices))
+        edges.append((rng.choice(vertices[:-1]), vertices[-1]))
+    return Multigraph(tuple(vertices), dict(enumerate(edges)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triangular_pass_agrees_on_every_component_of_a_reduction(seed):
+    G = _subdivided_cores_with_pendants(700 + seed)
+    cos = cosimplify(G)
+    assert len(cos.components) == 2 and not cos.identity
+    assert cos.partition.nontrivial_classes and len(cos.partition.bridges) == 6
+    for construct in (_semi_fundamental_3ec, _simple_3ec):
+        bases = []
+        for H, T_H in cos.components:
+            bases.append(construct(H, T_H))
+            assert _three_ways(H, T_H, bases[-1]) == (2 ** (H.n - 1),) * 3
+        assert certify_components(cos, bases).certified
+
+
+def test_semi_and_simple_bases_certify_without_peeling(monkeypatch, tmp_path):
+    """With _peel made to raise, the semi-fundamental and simple bases at
+    m=3000 and their documents still certify: the triangular pass took
+    every component."""
+
+    def no_peel(*args):
+        raise AssertionError("peeled")
+
+    monkeypatch.setattr(certificate, "_peel", no_peel)
+    for seed in range(2):
+        graph = tmp_path / "g.txt"
+        graph.write_text(format_edge_list(gen(2001, seed, max_vertices=1000)))
+        for method in ("semi-fundamental", "simple"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["basis", "--method", method, str(graph)]) == 0
+            assert json.loads(stdout.getvalue())["certified"] is True
+            doc = tmp_path / "doc.json"
+            doc.write_text(stdout.getvalue())
+            with contextlib.redirect_stdout(io.StringIO()) as verdict:
+                assert main(["verify", str(graph), str(doc)]) == 0
+            assert json.loads(verdict.getvalue())["accepted"] is True
+
+
+def _retagged(entry, **fields):
+    """The entry with these fields of its tag replaced."""
+    tag = Provenance.parse(entry["provenance"])._replace(**fields)
+    return {**entry, "provenance": tag.label()}
+
+
+def _tampered_documents(semi, simple, fcm):
+    """(name, document) for one change each to a semi-fundamental and a
+    simple document built on the tree of fcm: the tags of the first
+    entries, which are fundamental, and of the first and last
+    semi-fundamental entries are read."""
+    entries = semi["cycles"]
+    tags = [Provenance.parse(e["provenance"]) for e in entries]
+    semi_at = [j for j, tag in enumerate(tags) if tag.kind == "semi-fundamental"]
+    first, last = semi_at[0], semi_at[-1]
+
+    def shared(j):
+        return fcm.cycles[tags[j].e] & fcm.cycles[tags[j].f]
+
+    def changed(j, entry):
+        return {**semi, "cycles": entries[:j] + [entry] + entries[j + 1 :]}
+
+    # a later entry sharing the tree edge of an earlier one, moved before it
+    j = next(j for j in semi_at if len(shared(j)) > 1)
+    i = next(i for i in semi_at if tags[i].t in shared(j) - {tags[j].t})
+    swapped = list(entries)
+    swapped[i], swapped[j] = entries[j], entries[i]
+    yield "swapped", {**semi, "cycles": swapped}
+    outside = min(fcm.tree.tree_edges - shared(last))
+    yield "wrong-t", changed(last, _retagged(entries[last], t=outside))
+    yield "repeated-t", changed(last, _retagged(entries[last], t=tags[first].t))
+    other = next(e for e in fcm.cycles if e not in (tags[last].e, tags[last].f))
+    yield "wrong-e", changed(last, _retagged(entries[last], e=other))
+    yield "wrong-f", changed(last, _retagged(entries[last], f=other))
+    yield "dropped", {**semi, "cycles": entries[:last] + entries[last + 1 :]}
+    # edge sets that are not what their tags say
+    yield "semi-edges", changed(last, {**entries[last], "edges": entries[first]["edges"]})
+    yield "fundamental-edges", changed(0, {**entries[0], "edges": entries[1]["edges"]})
+    doubled = next(j for j, e in enumerate(simple["cycles"]) if e.get("multiplier") == 2)
+    fundamental = next(j for j, e in enumerate(simple["cycles"]) if "multiplier" not in e)
+    for j, multiplier in ((doubled, 1), (fundamental, 2)):
+        cycles = list(simple["cycles"])
+        cycles[j] = {**cycles[j], "multiplier": multiplier}
+        yield f"multiplier-{multiplier}", {**simple, "cycles": cycles}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tampered_documents_fall_back_to_the_same_verdict(monkeypatch, tmp_path, seed):
+    """Each tampered document fails the triangular pass (when certification
+    is reached at all) and gets the verdict and determinant of verify
+    without the pass, which maps and peels every column."""
+    G = gen(steps=61, seed=seed, max_vertices=30)
+    graph = tmp_path / "g.txt"
+    graph.write_text(format_edge_list(G))
+    docs = {}
+    for method in ("semi-fundamental", "simple"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["basis", "--method", method, str(graph)]) == 0
+        docs[method] = json.loads(stdout.getvalue())
+    fcm = fundamental_cycle_matrix(G, forest_from_edges(G, docs["simple"]["tree"]))
+    passes = []
+    triangular = certificate._triangular_determinant
+
+    def spied(*args):
+        passes.append(triangular(*args))
+        return passes[-1]
+
+    def verify(doc, pass_on):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(
+            certificate, "_triangular_determinant", spied if pass_on else lambda *args: None
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", str(graph), str(path)])
+        return code, out.getvalue()
+
+    for doc in docs.values():
+        passes.clear()
+        assert verify(doc, True) == verify(doc, False)
+        assert passes == [2 ** (G.n - 1)]
+    names = []
+    for name, doc in _tampered_documents(docs["semi-fundamental"], docs["simple"], fcm):
+        names.append(name)
+        passes.clear()
+        assert verify(doc, True) == verify(doc, False), name
+        # a dropped cycle leaves the component unmatched, and a doubled edge
+        # without its multiplier is no cycle: neither reaches the pass
+        assert passes == ([] if name in ("dropped", "multiplier-1") else [None]), name
+    assert len(names) == 10
+
+
+def _one_changed(basis, j, edges, tag):
+    """The basis's edge sets and tags with entry j replaced."""
+    cycles, tags = list(basis.cycles), list(basis.provenance)
+    cycles[j], tags[j] = frozenset(edges), tag
+    return cycles, tags
+
+
+def test_triangular_pass_refuses_columns_its_tags_misdescribe():
+    """Columns whose tags would give a wrong determinant if a check were
+    skipped: each makes the pass fail, and the fallback finds the same
+    determinant as dense Bareiss."""
+    seen = set()
+    for seed in range(20):
+        G = gen(steps=21, seed=800 + seed, max_vertices=10)
+        T = spanning_forest(G)
+        fcm = fundamental_cycle_matrix(G, T)
+        cases = []
+        simple = simple_basis(G, T)
+        doubled = [j for j, tag in enumerate(simple.provenance) if tag.kind == "doubled"]
+        if len(doubled) > 1:
+            # two doubled columns on the same two tree edges: the first is
+            # nonzero at the second's t, which is no pivot yet
+            i, j = doubled[:2]
+            both = simple.cycles[i] | simple.cycles[j]
+            cycles, tags = _one_changed(simple, i, both, simple.provenance[i])
+            cycles[j] = both
+            cases.append(("doubled-not-triangular", cycles, tags))
+            # a doubled column that is zero at its own t, and nonzero only
+            # at an earlier pivot
+            zero = _one_changed(simple, j, simple.cycles[i], simple.provenance[j])
+            cases.append(("doubled-zero-pivot", *zero))
+        # a doubled column at a non-tree edge e: twice the fundamental
+        # cycle of e, whose map is 2 at e alone
+        e, cycle = next(iter(fcm.cycles.items()))
+        last = doubled[-1] if doubled else None
+        if last is not None:
+            off = _one_changed(simple, last, cycle, Provenance("doubled", t=e))
+            cases.append(("pivot-off-the-tree", *off))
+        semi = semi_fundamental_basis(G, T)[0]
+        pivots = set()
+        for j, tag in enumerate(semi.provenance):
+            if tag.kind != "semi-fundamental":
+                continue
+            # an empty column tagged with e = f, whose cycle's other tree
+            # edges are earlier pivots, would pass every other check
+            for e, cycle in fcm.cycles.items():
+                if tag.t in cycle and cycle - {e} <= pivots | {tag.t}:
+                    bad = _one_changed(semi, j, (), tag._replace(e=e, f=e))
+                    cases.append(("semi-e-equals-f", *bad))
+                    break
+            pivots.add(tag.t)
+        for name, cycles, tags in cases:
+            seen.add(name)
+            assert certificate._triangular_determinant(fcm, cycles, tags) is None, (seed, name)
+            vectors = [dict.fromkeys(c, tag.multiplier) for c, tag in zip(cycles, tags)]
+            assert _peeled(G, fcm, vectors) == dense(G, vectors), (seed, name)
+    assert seen == {
+        "doubled-not-triangular",
+        "doubled-zero-pivot",
+        "pivot-off-the-tree",
+        "semi-e-equals-f",
+    }

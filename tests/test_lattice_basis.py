@@ -43,7 +43,7 @@ from cyclelattice.multigraph import (
     tree_paths,
 )
 from cyclelattice.oracle import IntegerMatrix, exact_determinant
-from cyclelattice.topo_extension import gen
+from cyclelattice.topo_extension import compatible_chain, gen
 
 
 def _tag_counts(basis) -> tuple[int, int]:
@@ -185,6 +185,27 @@ class TestExpressInSimpleBasis:
         T = spanning_forest(k4)
         with pytest.raises(MembershipError):
             express_in_simple_basis(k4, T, {0: 1})
+
+    def test_series_pass_runs_once(self, monkeypatch):
+        """The bridges and series classes are found once, by the
+        3-edge-connectivity check, for a member and a non-member alike."""
+        G = gen(steps=61, seed=3, max_vertices=30)
+        T = spanning_forest(G)
+        calls = []
+        series = cycle_structure.bridges_and_series_classes
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+
+        for module in (cycle_structure, lattice_basis):
+            monkeypatch.setattr(module, "bridges_and_series_classes", counted)
+        cycle = max(fundamental_cycle_matrix(G, T).cycles.values(), key=len)
+        express_in_simple_basis(G, T, dict.fromkeys(cycle, 3))
+        assert len(calls) == 1
+        with pytest.raises(MembershipError, match="odd incidence sum"):
+            express_in_simple_basis(G, T, {min(T.tree_edges): 1})
+        assert len(calls) == 2
 
     @given(st.data())
     def test_reassembly_on_random_members(self, data):
@@ -637,3 +658,54 @@ def test_provenance_is_a_tuple_of_its_fields():
     assert tag._replace(kind="lifted").label() == "lifted"
     assert Provenance("doubled", t=2).label() == "doubled(t=2)"
     assert Provenance("extension", step=1, case="B").label() == "extension(step=1,kind=B)"
+
+
+def test_provenance_parse_inverts_label():
+    """Every kind of tag reads back from its label, the tags of the bases of
+    each method and of a lifted basis included."""
+    tags = {
+        Provenance("fundamental", e=7),
+        Provenance("fundamental"),
+        Provenance("semi-fundamental", e=3, f=4, t=0),
+        Provenance("extension", step=1, case="B"),
+        Provenance("lifted"),
+        Provenance("doubled", t=2),
+        Provenance("doubled"),
+    }
+    G = gen(steps=41, seed=2, max_vertices=20)
+    tags.update(semi_fundamental_basis(G)[0].provenance, simple_basis(G).provenance)
+    tags.update(compatible_chain(G, keep_prefixes=False).final_basis.provenance)
+    tags.update(semi_fundamental_basis(parse_edge_list(K4_SUBDIVIDED))[0].provenance)
+    assert {tag.kind for tag in tags} == set(lattice_basis._KINDS)
+    for tag in tags:
+        assert Provenance.parse(tag.label()) == tag
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        None,
+        7,
+        ["fundamental(e=1)"],
+        "",
+        "cycle",
+        "Fundamental(e=1)",
+        "fundamental(e=1",
+        "fundamental(e=x)",
+        "fundamental(e=01)",
+        "fundamental(e= 1)",
+        "fundamental(e=1,e=2)",
+        "fundamental(f=1)",
+        "fundamental()",
+        "semi-fundamental(e=1,f=2)",
+        "semi-fundamental(t=3,e=1,f=2)",
+        "semi-fundamental(e=None,f=None,t=None)",
+        "extension(step=1)",
+        "extension(step=one,kind=A)",
+        "doubled(t=2)x",
+        "doubled(t=" + "9" * 5000 + ")",
+        "lifted(e=1)",
+    ],
+)
+def test_provenance_parse_gives_none_for_labels_no_tag_writes(label):
+    assert Provenance.parse(label) is None
