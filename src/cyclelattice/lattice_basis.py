@@ -168,8 +168,10 @@ def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> CycleBasis:
     its column matrix is block triangular [[2I, A], [0, I]], so the
     determinant is 2^(n-1) by inspection.
     """
-    require_three_edge_connected(G)
-    return _simple_3ec(G, T if T is not None else spanning_forest(G))
+    if T is None:
+        T = spanning_forest(G)
+    require_three_edge_connected(cosimplify(G, forest=T))
+    return _simple_3ec(G, T)
 
 
 def _simple_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
@@ -301,7 +303,7 @@ def express_in_simple_basis(
     (p_t - S_t)/2 where S_t sums p over the fundamental cut of t minus t;
     cut parity of lattice members makes the division exact.
     """
-    require_three_edge_connected(G)
+    require_three_edge_connected(cosimplify(G, forest=T))
     p = G.support(p)
     # G is 3-edge-connected: no bridge, and no series class of two edges
     member = _membership(G, p, SeriesPartition(frozenset(), ()))

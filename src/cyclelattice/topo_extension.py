@@ -41,7 +41,7 @@ TREE_REBUILD_GROWTH = 3 / 2
 RANK_GAP = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSplit:
     """Division of edge `old` into `first` and `second` by a new vertex.
 
@@ -55,7 +55,7 @@ class EdgeSplit:
     vertex: VertexId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionStep:
     """One topological one-edge extension of kind A, B or C."""
 
@@ -176,10 +176,10 @@ class _GrownGraph:
         self.incidence[u][e] = v
         self.incidence[v][e] = u
 
-    def check(self, step: ExtensionStep):
-        """ArgumentError unless the step applies to this graph."""
+    def check(self, step: ExtensionStep, splits: tuple[EdgeSplit, ...]):
+        """ArgumentError unless the step, whose splits() are `splits`,
+        applies to this graph."""
         ends, incidence = self.ends, self.incidence
-        splits = step.splits()
         new_ids = [step.new_edge]
         for split in splits:
             new_ids.extend((split.first, split.second))
@@ -192,7 +192,7 @@ class _GrownGraph:
         for e in new_ids:
             if e in ends:
                 raise ArgumentError(f"new edge id {e} already exists")
-        if len({s.vertex for s in splits}) != len(splits):
+        if len(splits) == 2 and splits[0].vertex == splits[1].vertex:
             raise ArgumentError("split vertices collide")
         for x in step.endpoints[len(splits):]:
             if x not in incidence:
@@ -200,9 +200,10 @@ class _GrownGraph:
 
     def apply(self, step: ExtensionStep):
         """Apply one extension step in place; surviving edges keep their ids."""
-        self.check(step)
+        splits = step.splits()
+        self.check(step, splits)
         ends, incidence = self.ends, self.incidence
-        for split in step.splits():
+        for split in splits:
             u, v = ends.pop(split.old)
             del incidence[u][split.old]
             incidence[v].pop(split.old, None)  # already gone when old is a loop
@@ -370,9 +371,9 @@ class _SequenceBuilder:
         return rid
 
     def _add_top_edge(self, rid, ends, gpath, gverts):
-        te = _TopEdge(ends, list(gpath), list(gverts))
-        self.top[rid] = te
-        for gv in te.gverts[1:-1]:
+        # the lists are fresh, and nothing changes them
+        self.top[rid] = _TopEdge(ends, gpath, gverts)
+        for gv in gverts[1:-1]:
             self.on_edge[gv] = rid
 
     def _split_at(self, gv: VertexId) -> EdgeSplit:
@@ -389,27 +390,22 @@ class _SequenceBuilder:
 
     # -- coverage ------------------------------------------------------------
 
-    def _bump(self, v: VertexId, amount: int):
-        old = self.deg[v]
-        self.deg[v] = old + amount
-        if old < 3 <= self.deg[v]:
-            for e in self.G.incidence[v]:
-                if e not in self.covered:
-                    self.sweep_queue.append(e)
-
     def _cover(self, edges):
+        """Cover the edges.  A vertex whose degree reaches 3 queues its
+        uncovered edges for the sweep; one with uncovered edges left after
+        its first covered edge becomes active."""
+        G, covered, deg, uncovered = self.G, self.covered, self.deg, self.uncovered
         for e in edges:
-            self.covered.add(e)
-            u, v = self.G.edges[e]
-            if u == v:
-                self._bump(u, 2)
-            else:
-                self._bump(u, 1)
-                self._bump(v, 1)
-            for x in {u, v}:
-                self.uncovered[x] -= 1
+            covered.add(e)
+            u, v = G.edges[e]
+            for x in (u, v) if u != v else (u,):
+                old = deg[x]
+                deg[x] = old + 1 + (u == v)  # a loop counts twice
+                if old < 3 <= deg[x]:
+                    self.sweep_queue.extend(f for f in G.incidence[x] if f not in covered)
+                uncovered[x] -= 1
                 # counts only fall, so this holds at x's first covered edge only
-                if 0 < self.uncovered[x] == len(self.G.incidence[x]) - 1:
+                if 0 < uncovered[x] == len(G.incidence[x]) - 1:
                     heappush(self.active_heap, x)
 
     # -- phase 0: first cycle ------------------------------------------------
@@ -428,21 +424,18 @@ class _SequenceBuilder:
 
     # -- path search -----------------------------------------------------------
 
-    def _allowed_landing(self, v: VertexId):
-        if self.h_is_cycle or self.deg[v] >= 3:
-            return lambda w: True
-        qv = self.on_edge[v]
-        return lambda w: self.on_edge.get(w) != qv
-
     def _search_from(self, v: VertexId):
         """Shortest uncovered path from v to an admissible vertex of H.
 
-        A landing edge back onto v itself can coincide with the tree path
-        only when that path is the landing edge alone; such edges are
-        retried with the edge banned, which finds any second route.
+        Unless H is a cycle, a path from a vertex of degree 2 may not land
+        inside the suppressed path that vertex lies on.  A landing edge back
+        onto v itself can coincide with the tree path only when that path
+        is the landing edge alone; such edges are retried with the edge
+        banned, which finds any second route.
         """
-        G = self.G
-        allowed = self._allowed_landing(v)
+        G, covered, deg, on_edge = self.G, self.covered, self.deg, self.on_edge
+        # the suppressed path v lies on, or None when v may land anywhere
+        own = None if self.h_is_cycle or deg[v] >= 3 else on_edge[v]
         parent: dict[VertexId, tuple[VertexId, EdgeId]] = {}
         seen = {v}
         queue = deque([v])
@@ -450,10 +443,10 @@ class _SequenceBuilder:
         while queue:
             x = queue.popleft()
             for e, y in G.incidence[x].items():
-                if e in self.covered:
+                if e in covered:
                     continue
-                if self.deg[y] > 0:
-                    if not allowed(y):
+                if deg[y] > 0:
+                    if own is not None and on_edge.get(y) == own:
                         continue
                     if y == v and parent.get(x) == (v, e):
                         retry.append(e)
@@ -700,7 +693,7 @@ def _extending_cycles(
     parent: ParentMap | None,
     rank: dict[VertexId, int] | None,
     index: int | None = None,
-) -> list[frozenset[EdgeId]]:
+) -> list[list[EdgeId]]:
     """The cycles extending a basis across `step`, read off the graph before it.
 
     Each cycle closes a route between two vertices of that graph: the new
@@ -709,31 +702,29 @@ def _extending_cycles(
     matching halves.  A route is the path of the spanning tree `parent`
     (which spans the graph), walked by `rank`, when that path avoids every
     divided edge, and otherwise a shortest path avoiding them; with no
-    tree, always the latter.  `index` names the step in errors.
+    tree, always the latter.  Each cycle is a fresh list of its edges: the
+    route, then the halves, then the new edge.  `index` names the step in
+    errors.
     """
     e = step.new_edge
     sf, sg = step.split_f, step.split_g
     if step.kind == "A":
         a, b = step.endpoints
         if a == b:
-            return [frozenset({e})]
-        routes = [(a, b, ())]
+            return [[e]]
+        ends, halves, banned = [(a, b)], [()], set()
     elif step.kind == "B":
         b = step.endpoints[1]
         u1, u2 = grown.ends[sf.old]
-        routes = [(u1, b, (sf.first,)), (u2, b, (sf.second,))]
+        ends, halves, banned = [(u1, b), (u2, b)], [(sf.first,), (sf.second,)], {sf.old}
     else:
         (u1, u2), (w1, w2) = grown.ends[sf.old], grown.ends[sg.old]
-        routes = [
-            (u1, w1, (sf.first, sg.first)),
-            (u2, w2, (sf.second, sg.second)),
-            (u1, w2, (sf.first, sg.second)),
-        ]
-    banned = {split.old for split in step.splits()}
-    ends = [(s_end, t_end) for s_end, t_end, _ in routes]
-    paths = [None] * len(routes) if parent is None else tree_paths(parent, rank, ends)
+        ends = [(u1, w1), (u2, w2), (u1, w2)]
+        halves = [(sf.first, sg.first), (sf.second, sg.second), (sf.first, sg.second)]
+        banned = {sf.old, sg.old}
+    paths = [None] * len(ends) if parent is None else tree_paths(parent, rank, ends)
     cycles = []
-    for (s_end, t_end, halves), path in zip(routes, paths):
+    for (s_end, t_end), route_halves, path in zip(ends, halves, paths):
         if path is None or not banned.isdisjoint(path):
             path = _bfs_path(grown.incidence, s_end, t_end, banned=banned)
         if path is None:
@@ -741,7 +732,9 @@ def _extending_cycles(
                 f"no route from {s_end} to {t_end} avoiding the divided edges at "
                 + _at_step(index, step, grown)
             )
-        cycles.append(frozenset(path) | {*halves, e})
+        path.extend(route_halves)
+        path.append(e)
+        cycles.append(path)
     return cycles
 
 
@@ -765,14 +758,14 @@ def extend_basis(
     if basis is not None and len(basis.cycles) != H.m:
         raise ArgumentError("basis size does not match the graph")
     grown = _GrownGraph(H)
-    grown.check(step)
+    grown.check(step, step.splits())
     parent = rank = None
     if tree_edges is not None:
         T = forest_from_edges(H, tree_edges)
         if T is None or len(T.component_roots) != 1:
             raise ArgumentError(f"tree edges are not one spanning tree of a graph with n={H.n}")
         parent, rank = T.parents, T.depth
-    return _extending_cycles(grown, step, parent, rank)
+    return [frozenset(c) for c in _extending_cycles(grown, step, parent, rank)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -783,9 +776,10 @@ class CompatibleChain:
     in the edge ids of the k-th grown graph (entry 0, the base's, is empty),
     and `bases` and `graphs` replay one basis and one graph per grown graph
     from them on first access; otherwise `added` and `bases` are empty and
-    `graphs` is None.  `final_basis` is always present, translated into the
-    target graph's edge ids; its `tree` is the maintained spanning tree of
-    the fully grown graph, also translated.
+    `graphs` is None, and the chain holds each cycle once.  `final_basis`
+    is always present, in the target graph's edge ids, each cycle
+    translated at the step that adds it; its `tree` is the maintained
+    spanning tree of the fully grown graph, also translated.
     """
 
     sequence: ExtensionSequence
@@ -883,19 +877,34 @@ def _spaced_ranks(parent: ParentMap) -> dict[VertexId, int]:
 def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
     """compatible_chain along seq (built here when None), with no 3EC check.
 
-    Fills seq.grown_edges from the chain's own replay.
+    Before the first step, `image` maps every edge id the steps use to the
+    target edges it grows into, read off the splits in reverse from
+    seq.edge_map.  Each step's cycles go through it at that step, so the
+    final basis holds one target-id set per cycle; the grown-id sets of
+    `added` are built only when prefixes are kept.  Fills seq.grown_edges
+    from the chain's own replay.
     """
     if seq is None:
         seq = _SequenceBuilder(G).build()
+    edge_map = seq.edge_map
+    image = {x: (g,) for x, g in edge_map.items()}
+    for step in reversed(seq.steps):
+        for split in step.splits():
+            image[split.old] = image[split.first] + image[split.second]
     grown = seq._base()
     tree = _ChainTree(seq.base_vertex)
+    cycles: list[frozenset[EdgeId]] = []
     tags: list[Provenance] = []
     # per grown graph, the cycles its step adds, in that graph's edge ids
     added: list[tuple[frozenset[EdgeId], ...]] = [()]
 
     for i, step in enumerate(seq.steps):
-        added.append(tuple(_extending_cycles(grown, step, tree.parent, tree.rank, i)))
-        tags.extend([Provenance("extension", step=i, case=step.kind)] * len(added[-1]))
+        new = _extending_cycles(grown, step, tree.parent, tree.rank, i)
+        for c in new:
+            cycles.append(frozenset(chain.from_iterable(map(image.__getitem__, c))))
+        tags.extend([Provenance("extension", step=i, case=step.kind)] * len(new))
+        if keep_prefixes:
+            added.append(tuple(map(frozenset, new)))
         grown.apply(step)
         tree.follow(grown, step)
         if len(tree.parent) != len(grown.incidence):
@@ -905,22 +914,11 @@ def _chain_3ec(G: Multigraph, keep_prefixes: bool, seq=None) -> CompatibleChain:
             )
     seq.__dict__["grown_edges"] = grown.ends  # fills the cached property
 
-    edge_map = seq.edge_map
-    # every edge id ever used -> the target edges it grows into
-    image = {x: (g,) for x, g in edge_map.items()}
-    for step in reversed(seq.steps):
-        for split in step.splits():
-            image[split.old] = image[split.first] + image[split.second]
-    final_cycles = tuple(
-        frozenset(chain.from_iterable(map(image.__getitem__, cyc)))
-        for new in added
-        for cyc in new
-    )
     final_tree_edges = frozenset(edge_map[up[1]] for up in tree.parent.values() if up is not None)
     final_tree = SpanningForest(
         parent_graph=G, tree_edges=final_tree_edges, component_roots=(min(G.vertices),)
     )
-    final = CycleBasis(final_cycles, tuple(tags), tree=final_tree, sequence=seq)
+    final = CycleBasis(tuple(cycles), tuple(tags), tree=final_tree, sequence=seq)
     return CompatibleChain(seq, final, added=tuple(added) if keep_prefixes else ())
 
 

@@ -918,6 +918,7 @@ GOLDEN_INPUTS = {
     "c3": lambda: C3_TEXT,
     "core50": lambda: _core_with_pendants(50),
     "gen300": lambda: format_edge_list(gen(201, 7, max_vertices=100)),
+    "gen3000": lambda: format_edge_list(gen(2001, 7, max_vertices=1000)),
     "disconnected": lambda: DISCONNECTED_TEXT,
     "labeled": lambda: LABELED_TEXT,
 }
@@ -968,6 +969,9 @@ OUTPUT_GOLDENS = {
     "gen300-extend": (0, "a8122a7d465df5d299c0b522e44e77a1a5832ba99fd06f918d5dde5c8f510067"),
     "gen300-hull-char3": (0, "ec1032ffc48f94f893d25cb9f53d3dcec05a9e4349cd877eedb0b360d8841a1c"),
     "gen300-hull-group": (0, "88fbf0dedc04dc689082399069f4c0f4540e5cd45d47305bcc03a5cc2ded203a"),
+    "gen3000-basis-topo": (0, "896001691c058687045ee87806cfe06d9f3f56b127d8144af086d50318d95eec"),
+    "gen3000-verify-topo": (0, "b96abb6c1f8e9ad35aecbc3758cba0728bf3cd9643a3ce2eeda78417ca6862c4"),
+    "gen3000-extend": (0, "ad898e1655b85ee8ecb25b25d48622eb5eebc52e77b060f2bd851ffb213192b4"),
     "disconnected-analyze": (0, "bfc74515cf2e2ffd56c71d02a144a5f2c22efb51abd105de447c2ac68b279b4b"),
     "labeled-analyze": (0, "108616fc28fb85313ef4848ac9c1d07e3b53699a38d0737355645ede44d1f485"),
     "labeled-basis-simple": (0, "eac8300d313f07c0f01807c0013cb586f2aff98360dce509d4784c953db1d9d6"),
@@ -1001,6 +1005,8 @@ SEQUENCE_GOLDENS = {
     "labeled-basis-topo": "9bfecbaa45ceb75604459916fee010430be7f9d30029684c1bcd4a435720d091",
     "k4-extend": "ac68b7ca8a7362c7c8dc5fafbadaab04bb53588edee8f5771190e2259dd3c9a2",
     "gen300-extend": "b5dfc4bef6de3f4af896db9ed6de7ecce5cc1f07793dc60f3941a145b31eb5b8",
+    "gen3000-basis-topo": "2c230eb8071a924427742234caa06b08cb76c7aa00d227d692965a57a38939bc",
+    "gen3000-extend": "4ca20bf785bdf2da91063ad29e1a8cb50bf273700a4382ac4df1c30d632f6db5",
 }
 
 

@@ -492,6 +492,32 @@ def test_hand_built_forest_that_is_no_forest_is_rejected(k4):
             three_edge_connectivity_witness(cosimplify(k4, forest=F))
 
 
+def test_simple_basis_checks_3_edge_connectivity_on_its_one_forest(monkeypatch):
+    """simple_basis and express_in_simple_basis check their precondition on
+    the forest they build on: no forest is searched when T is given, and
+    one when simple_basis builds its own."""
+    G = gen(61, 3, max_vertices=30)
+    T = spanning_forest(G)
+    p = dict.fromkeys(simple_basis(G, T).cycles[-1], 1)
+    searched = []
+    bfs = multigraph.bfs_parents
+
+    def counted(*args):
+        searched.append(args[0])
+        return bfs(*args)
+
+    for module in (multigraph, cycle_structure):
+        monkeypatch.setattr(module, "bfs_parents", counted)
+    for call, expected in (
+        (lambda: simple_basis(G, T), 0),
+        (lambda: simple_basis(G), 1),
+        (lambda: express_in_simple_basis(G, T, p), 0),
+    ):
+        searched.clear()
+        call()
+        assert len(searched) == expected
+
+
 class TestLiftBasis:
     @staticmethod
     def semi(H, T_H):
