@@ -8,10 +8,12 @@ that determinant exactly without a dense m x m elimination:
 - The generic path applies the unimodular row operation
   x -> (x_N, x_T - F x_N), where F is the fundamental-cycle matrix of a
   spanning tree.  Fundamental cycles become unit columns and doubled tree
-  edges singleton 2s.  It first tries one triangular pass read off the
-  vectors' tags (see _triangular_determinant): the semi-fundamental and
-  simple bases pass it as emitted, with no column of a fundamental or
-  semi-fundamental cycle mapped.  When the pass fails, it maps every
+  edges singleton 2s.  It first tries one triangular pass that reads each
+  column's pivot off its edge set and multiplier (see
+  _triangular_determinant): the semi-fundamental and simple bases pass it
+  as emitted, with no column of a fundamental or semi-fundamental cycle
+  mapped.  A provenance label is output, never input: certification reads
+  edge sets and multipliers only.  When the pass fails, it maps every
   column, expands along singleton rows and columns and passes only the
   residual block, at most RESIDUAL_CAP square, to the dense determinant.
 - The chain path replays the steps of an extension sequence backwards.  When
@@ -26,10 +28,9 @@ that determinant exactly without a dense m x m elimination:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
 from math import prod
-from typing import NamedTuple
 
 from .cycle_structure import (
     Cosimplification,
@@ -39,7 +40,7 @@ from .cycle_structure import (
     is_simple_cycle,
 )
 from .errors import ArgumentError, CapacityError
-from .lattice_basis import CycleBasis, Provenance
+from .lattice_basis import CycleBasis
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -81,7 +82,8 @@ class ComponentCertificate:
 class Certificate:
     """Exact |det| of a set of vectors, per component of the cosimplification.
 
-    determinant is the product over the components.  in_cycle_space is
+    determinant is the product over the components, or 0 when some vector
+    lies in no single component (see certify).  in_cycle_space is
     False when some vector is nonzero on a bridge or unequal across a series
     class; there are then no components and the determinant is 0.  size is
     the rank of the lattice, the edge count of the cosimplification.
@@ -92,17 +94,6 @@ class Certificate:
     size: int
     components: tuple[ComponentCertificate, ...]
     in_cycle_space: bool = True
-
-
-class _Columns(NamedTuple):
-    """The vectors lying in one component, in order.  Where tags[j] is not
-    None, column j is tags[j].multiplier on the edges supports[j] holds (a
-    set, or a dict's keys), and the tag is the triangular pass's hint;
-    vectors() lists every column as a dict, for the paths that read them."""
-
-    supports: Sequence[Collection[EdgeId]]
-    tags: Sequence[Provenance | None]
-    vectors: Callable[[], list[dict[EdgeId, int]]]
 
 
 def certify(
@@ -119,7 +110,9 @@ def certify(
     base vertex maps to.  Both hints change only how fast the answer comes, never
     the answer: edges that do not form a spanning forest of G are replaced
     by spanning_forest(G), and a sequence that does not replay or does not
-    match the vectors falls back to the generic path.  Raises ArgumentError
+    match the vectors falls back to the generic path.  A vector that lies
+    in no single component, the zero vector or one nonzero in two, makes
+    the determinant 0 and certified False.  Raises ArgumentError
     on a nonzero entry at an edge G lacks, and CapacityError when the
     generic path leaves a residual block above RESIDUAL_CAP that the
     component's own sequence cannot certify.
@@ -130,51 +123,53 @@ def certify(
 
 
 def _certify_vectors(
-    cos: Cosimplification,
-    images: list[dict[EdgeId, int] | None],
-    sequences,
-    hints: Sequence[Provenance | None] | None = None,
+    cos: Cosimplification, images: list[dict[EdgeId, int] | None], sequences
 ) -> Certificate:
     """certify of vectors given by their images under cos.project, on a
     cosimplification of their graph built on the forest certify would take:
-    each image matched to its component, with its hint, and each sequence to
-    the component its base vertex maps to.  hints holds, per image, None or
-    a tag whose multiplier is every value of the image (see _Columns); no
-    image has a tag when it is omitted.  A vector without an image is out
-    of the cycle space."""
+    each image matched to its component as the one value it holds on its
+    edges (the image itself when it holds more; see _vectors), and each
+    sequence to the component its base vertex maps to.  A vector without an
+    image is out of the cycle space; one whose image lies in no single
+    component, being zero or nonzero in two, makes the determinant 0."""
     hat = cos.hat_graph
     if any(image is None for image in images):
         return Certificate(0, False, hat.m, (), in_cycle_space=False)
 
     home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
     members: dict[VertexId, tuple[list, list]] = {key: ([], []) for key in home_of.values()}
-    for image, hint in zip(images, hints or [None] * len(images), strict=True):
+    straddling = False
+    for image in images:
         homes = {home_of[hat.edges[e][0]] for e in image}
-        if len(homes) == 1:
-            vecs, tags = members[homes.pop()]
-            vecs.append(image)
-            tags.append(hint)
+        if len(homes) != 1:
+            straddling = True
+            continue
+        supports, multipliers = members[homes.pop()]
+        values = set(image.values())
+        mult = values.pop() if len(values) == 1 else None
+        supports.append(image if mult is None else frozenset(image))
+        multipliers.append(mult)
     sequence_at = {home_of.get(seq.vertex_map.get(seq.base_vertex)): seq for seq in sequences}
     parts = {
-        key: (_Columns(vecs, tags, vecs.copy), sequence_at.get(key), None)
-        for key, (vecs, tags) in members.items()
+        key: (supports, multipliers, sequence_at.get(key), None)
+        for key, (supports, multipliers) in members.items()
     }
-    return _certify_parts(cos, parts)
+    cert = _certify_parts(cos, parts)
+    return replace(cert, determinant=0, certified=False) if straddling else cert
 
 
 def certify_components(cos: Cosimplification, bases: list[CycleBasis]) -> Certificate:
     """certify of bases built on cos.components, one per component in order,
-    before they are lifted to cos.parent: each basis's entries on its
-    component, tagged by its provenance, along the basis's extension
-    sequence when it has one, with no forest to check and nothing to
-    project.  A basis built on the component's own forest lends the generic
-    path its fundamental-cycle matrix, so the matrix is not built again.
-    Its vectors() are built only for a path that needs them."""
+    before they are lifted to cos.parent: each basis's edge sets on its
+    component with their multipliers, along the basis's extension sequence
+    when it has one, with no forest to check and nothing to project.  A
+    basis built on the component's own forest lends the generic path its
+    fundamental-cycle matrix, so the matrix is not built again."""
     parts = {}
     for (H, T_H), basis in zip(cos.components, bases, strict=True):
         fcm = basis.matrix if basis.tree is T_H else None
-        columns = _Columns(basis.cycles, basis.provenance, basis.vectors)
-        parts[H.vertices[0]] = (columns, basis.sequence, fcm)
+        multipliers = [tag.multiplier for tag in basis.provenance]
+        parts[H.vertices[0]] = (basis.cycles, multipliers, basis.sequence, fcm)
     return _certify_parts(cos, parts)
 
 
@@ -182,24 +177,25 @@ def _certify_parts(cos: Cosimplification, parts: dict) -> Certificate:
     """The vectors lying in each component of the cosimplification, certified
     along the sequence hinted there and on the generic path with the
     fundamental-cycle matrix given there: parts maps the least vertex of
-    every component with edges to (_Columns, sequence or None, matrix or
-    None).  A vertex without edges is a component of its own, with no
-    vectors and determinant 1."""
+    every component with edges to (supports, multipliers, sequence or None,
+    matrix or None), the columns as _vectors reads them.  A vertex without
+    edges is a component of its own, with no vectors and determinant 1."""
     results = {v: ComponentCertificate(1, 0, 1, "generic") for v in cos.isolated_vertices}
     for H, T_H in cos.components:
         key = H.vertices[0]
-        columns, sequence, fcm = parts[key]
-        if len(columns.tags) != H.m:
+        supports, multipliers, sequence, fcm = parts[key]
+        if len(supports) != H.m:
             results[key] = ComponentCertificate(H.n, H.m, 0, "unmatched")
             continue
         det, kind = None, "chain"
         if sequence is not None:
-            det = _chain_determinant(H, columns.vectors(), sequence)
+            det = _chain_determinant(H, _vectors(supports, multipliers), sequence)
         if det is None:
             try:
-                det, kind = _generic_determinant(H, T_H, columns, fcm), "generic"
+                det, kind = _generic_determinant(H, T_H, supports, multipliers, fcm), "generic"
             except CapacityError:
-                det = _chain_determinant(H, columns.vectors(), _SequenceBuilder(H).build())
+                vectors = _vectors(supports, multipliers)
+                det = _chain_determinant(H, vectors, _SequenceBuilder(H).build())
                 if det is None:
                     raise
         results[key] = ComponentCertificate(H.n, H.m, det, kind)
@@ -208,12 +204,22 @@ def _certify_parts(cos: Cosimplification, parts: dict) -> Certificate:
     return Certificate(determinant, all(r.ok for r in ordered), cos.hat_graph.m, ordered)
 
 
+def _vectors(supports: Sequence, multipliers: Sequence[int | None]) -> list[dict[EdgeId, int]]:
+    """The columns as dicts: column j is multipliers[j] on the edges of the
+    set supports[j], or where multipliers[j] is None, supports[j] itself,
+    a dict."""
+    return [
+        s if mult is None else dict.fromkeys(s, mult)
+        for s, mult in zip(supports, multipliers, strict=True)
+    ]
+
+
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
     """`certify` of the basis's vectors on its tree and along its sequence as
-    (|det|, certified); (0, False) when a member not tagged doubled is not a
+    (|det|, certified); (0, False) when a member of multiplier 1 is not a
     simple cycle of G."""
     entries = zip(basis.cycles, basis.provenance)
-    if not all(tag.kind == "doubled" or is_simple_cycle(G, c) for c, tag in entries):
+    if not all(tag.multiplier != 1 or is_simple_cycle(G, c) for c, tag in entries):
         return 0, False
     sequences = () if basis.sequence is None else (basis.sequence,)
     tree = None if basis.tree is None else basis.tree.tree_edges
@@ -229,22 +235,24 @@ def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
 def _generic_determinant(
     H: Multigraph,
     T_H: SpanningForest,
-    columns: _Columns,
+    supports: Sequence,
+    multipliers: Sequence[int | None],
     fcm: FundamentalCycleMatrix | None = None,
 ) -> int:
-    """|det| of the square matrix with these columns, rows indexed by H's edges.
+    """|det| of the square matrix of these columns (see _vectors), rows
+    indexed by H's edges.
 
     T_H is a spanning tree of the connected graph H; fcm, when given, its
     fundamental-cycle matrix.  The triangular pass takes the place of
-    mapping and peeling every column whenever the tags let it.
+    mapping and peeling every column whenever the columns let it.
     """
     if fcm is None:
         fcm = fundamental_cycle_matrix(H, T_H)
-    det = _triangular_determinant(fcm, columns.supports, columns.tags)
+    det = _triangular_determinant(fcm, supports, multipliers)
     if det is not None:
         factor, rows, cols = det, [], []
     else:
-        mapped = [_reduced(fcm.cycles, vec) for vec in columns.vectors()]
+        mapped = [_reduced(fcm.cycles, vec) for vec in _vectors(supports, multipliers)]
         factor, rows, cols = _peel(H.sorted_edges, mapped)
     if factor == 0:
         return 0
@@ -271,68 +279,57 @@ def _reduced(cycles: dict[EdgeId, frozenset[EdgeId]], vec: Mapping[EdgeId, int])
 
 def _triangular_determinant(
     fcm: FundamentalCycleMatrix,
-    supports: Sequence[Collection[EdgeId]],
-    tags: Sequence[Provenance | None],
+    supports: Sequence[frozenset[EdgeId]],
+    multipliers: Sequence[int | None],
 ) -> int | None:
-    """|det| of the columns tags[j].multiplier on supports[j], read off the
-    tags in one pass, or None when a tag is missing or a check fails.
+    """|det| of the columns multipliers[j] on supports[j], in one pass read
+    off the columns, or None when a multiplier is None or a check fails.
 
-    Under x -> (x_N, x_T - F x_N), a column tagged fundamental(e) that is
-    e's fundamental cycle becomes the unit column at e.  One tagged
-    semi-fundamental(e,f,t) that is the symmetric difference of the cycles
-    of two non-tree edges e != f becomes 1 at e and f and -2 on the tree
-    edges the two cycles share, so set checks stand in for its map.  Any
-    other column whose tag names a t is mapped.  Suppose every non-tree
-    edge has one fundamental column, and every other column is nonzero at
-    its own tree edge t and zero at the t of every column after it.  Then
-    the matrix is [[I, X], [0, Y]] up to the order of its columns, with Y
-    triangular, and |det| is the product of the |pivots|.  The checks hold
-    for any vectors and any tags, so a tag changes how fast the answer
-    comes, never the answer.  The state is the pivots seen so far.
+    Under x -> (x_N, x_T - F x_N), a column of multiplier 1 that is the
+    fundamental cycle of a non-tree edge e, looked up among the cycles,
+    becomes the unit column at e.  One whose non-tree edges, support - tree,
+    are e and f, and that is the symmetric difference of their cycles,
+    becomes 1 at e and f and -2 on the tree edges the two cycles share, so
+    set checks stand in for its map.  Any other column is mapped.  Suppose
+    every non-tree edge has one unit column, and every other column is
+    nonzero at exactly one tree edge that is no earlier column's pivot, its
+    own pivot.  Then the matrix is [[I, X], [0, Y]] up to the order of its
+    columns, with Y triangular, and |det| is the product of the |pivots|.
+    The state is the non-tree edges without a unit column yet and the
+    pivots seen so far.
     """
     cycles, tree = fcm.cycles, fcm.tree.tree_edges
-    unused = set(cycles)  # the non-tree edges without a fundamental column yet
+    edge_of = {cycle: e for e, cycle in cycles.items()}
+    unused = set(cycles)
     pivots: set[EdgeId] = set()
     det = 1
-    for support, tag in zip(supports, tags, strict=True):
-        if tag is None:
+    for support, mult in zip(supports, multipliers, strict=True):
+        if mult is None:
             return None
-        e, f, t = tag.e, tag.f, tag.t
-        if tag.kind == "fundamental" and e is not None:
-            if e not in unused or not _same_edges(support, cycles[e]):
-                return None
-            unused.remove(e)
-            continue
-        if t not in tree or t in pivots:  # a pivot is a tree edge, used once
+        if mult == 1:
+            e = edge_of.get(support)
+            if e in unused:
+                unused.remove(e)
+                continue
+            off = support - tree
+            if len(off) == 2:
+                e, f = off
+                # the mapped column is -2 on the shared tree edges: one new
+                # pivot, and otherwise earlier ones
+                fresh = (cycles[e] & cycles[f]) - pivots
+                if len(fresh) == 1 and support == cycles[e] ^ cycles[f]:
+                    pivots |= fresh
+                    det *= 2
+                    continue
+        y = _reduced(cycles, dict.fromkeys(support, mult))
+        fresh = [r for r in y if r in tree and r not in pivots]
+        if len(fresh) != 1:
             return None
-        if tag.kind == "semi-fundamental" and e is not None and f is not None:
-            if e == f or e not in cycles or f not in cycles:
-                return None
-            shared = cycles[e] & cycles[f]
-            # the mapped column is -2 on shared, which must hold t and
-            # otherwise only earlier pivots
-            if t not in shared or len(shared - pivots) != 1:
-                return None
-            if not _same_edges(support, cycles[e] ^ cycles[f]):
-                return None
-            pivot = 2
-        else:
-            y = _reduced(cycles, dict.fromkeys(support, tag.multiplier))
-            pivot = y.get(t, 0)
-            if not pivot:
-                return None
-            if any(r in tree and r != t and r not in pivots for r in y):
-                return None
-        pivots.add(t)
-        det *= abs(pivot)
+        pivots.add(fresh[0])
+        det *= abs(y[fresh[0]])
     if unused or len(pivots) != len(tree):
         return None
     return det
-
-
-def _same_edges(support: Collection[EdgeId], edges: frozenset[EdgeId]) -> bool:
-    """Does support, whose members are distinct, hold exactly these edges?"""
-    return len(support) == len(edges) and edges.issuperset(support)
 
 
 def _peel(

@@ -278,16 +278,6 @@ def _entry_image(cos: Cosimplification, idx: int, entry) -> tuple[str | None, di
     return None if cycle else f"entry {idx} is not a cycle", image
 
 
-def _entry_hint(entry: dict) -> Provenance | None:
-    """The tag an entry's provenance label names, as a hint to certify: None
-    when the label names no tag, a tag of another multiplier, or one that
-    names no edge (lifted, extension), which no check reads."""
-    tag = Provenance.parse(entry.get("provenance"))
-    if tag is None or tag.multiplier != entry.get("multiplier", 1):
-        return None
-    return tag if tag.e is not None or tag.t is not None else None
-
-
 def _document_forest(G: Multigraph, T: SpanningForest, tree) -> SpanningForest:
     """The forest verify certifies on: the document's tree when it is a list
     of integer ids that forms a spanning forest of G, else T, the forest G
@@ -317,17 +307,16 @@ def _verify_checks(cos: Cosimplification, candidate: dict):
     for the later checks to judge."""
     G = cos.parent
     entries = candidate["cycles"]
-    images, hints = [], []
+    images = []
     for idx, entry in enumerate(entries):
         problem, image = _entry_image(cos, idx, entry)
         if problem:
             yield "entries-are-cycles", False, problem
             return
         images.append(image)
-        hints.append(_entry_hint(entry))
     yield "entries-are-cycles", True, f"{len(entries)} entries"
     try:
-        cert = _certify_vectors(cos, images, _document_sequences(candidate), hints)
+        cert = _certify_vectors(cos, images, _document_sequences(candidate))
     except CapacityError as exc:
         yield "determinant", False, str(exc)
         return

@@ -40,11 +40,6 @@ from .multigraph import (
 from .oracle import IntegerMatrix, enumerate_cycles, hnf_lattices_equal
 
 
-_KINDS = ("fundamental", "semi-fundamental", "extension", "lifted", "doubled")
-# the field names of a label, and the Provenance fields they fill
-_FIELDS = {"e": "e", "f": "f", "t": "t", "step": "step", "kind": "case"}
-
-
 class Provenance(NamedTuple):
     """How a basis element was obtained."""
 
@@ -66,30 +61,6 @@ class Provenance(NamedTuple):
             return f"doubled(t={self.t})"
         return self.kind
 
-    @classmethod
-    def parse(cls, label) -> Provenance | None:
-        """The tag whose label() is label, with every field the label names
-        set, or None when there is none: a label read back from a document
-        is only a hint, so an unknown kind, a field that is missing or not
-        an integer (kind= excepted) or any text label() would not write is
-        no tag."""
-        if not isinstance(label, str):
-            return None
-        kind, bracket, rest = label.partition("(")
-        if kind not in _KINDS or (bracket and not rest.endswith(")")):
-            return None
-        fields = {}
-        for item in rest[:-1].split(",") if bracket else ():
-            name, _, value = item.partition("=")
-            if name not in _FIELDS:
-                return None
-            try:
-                fields[_FIELDS[name]] = value if name == "kind" else int(value)
-            except ValueError:
-                return None
-        tag = cls(kind, **fields)
-        return tag if tag.label() == label else None
-
     @property
     def multiplier(self) -> int:
         """The factor on the entry's edge set: 2 for a doubled edge set."""
@@ -103,9 +74,9 @@ class CycleBasis:
     An entry is a cycle, or a doubled edge set (a tree edge of the simple
     basis, or its series class once lifted) whose vector carries the tag's
     multiplier 2.  tree, and the ExtensionSequence of a chain's basis, are
-    certify's hints; matrix, the fundamental-cycle matrix of tree that a
-    construction read, and provenance, which the triangular pass reads,
-    are certify_components's.
+    certify's hints, and matrix, the fundamental-cycle matrix of tree that
+    a construction read, is certify_components's.  Of provenance,
+    certification reads each tag's multiplier only; the rest is output.
     """
 
     cycles: tuple[frozenset[EdgeId], ...]

@@ -430,6 +430,35 @@ def test_non_3ec_graphs_are_certified_per_component():
         certify(G, [{99: 1}])
 
 
+# two K4s joined by the bridge 4-5: edges 0-5 and 6-11 are the two cores
+TWO_K4_TEXT = (
+    "8 13\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n4 5\n"
+)
+
+
+def test_a_vector_in_no_single_component_makes_the_determinant_zero():
+    """A zero vector, or one nonzero in two components, lies in no
+    component.  Next to a whole basis it makes |det| 0, not the basis's."""
+    K4 = parse_edge_list(K4_TEXT)
+    basis = simple_basis(K4)
+    assert certify(K4, basis.vectors()).determinant == 8
+    cert = certify(K4, basis.vectors() + [{}])
+    assert (cert.determinant, cert.certified, cert.size) == (0, False, 6)
+    G = parse_edge_list(TWO_K4_TEXT)
+    basis = semi_fundamental_basis(G)[0]
+    assert certify_cycle_basis(G, basis) == (64, True)
+    # the triangles 1-2-3 and 5-6-7 as one vector
+    both = dict.fromkeys([0, 1, 3, 6, 7, 9], 1)
+    cert = certify(G, basis.vectors() + [both])
+    assert (cert.determinant, cert.certified, cert.size) == (0, False, 12)
+    empty = dataclasses.replace(
+        basis,
+        cycles=(*basis.cycles, frozenset()),
+        provenance=(*basis.provenance, Provenance("doubled")),
+    )
+    assert certify_cycle_basis(G, empty) == (0, False)
+
+
 def test_certify_projects_each_vector_once(monkeypatch):
     """certify maps Cosimplification.project over its vectors, in order,
     also when the first has no image."""
@@ -725,12 +754,18 @@ def _peeled(H, fcm, vectors):
     return abs(factor * exact_determinant(block))
 
 
+def _multipliers(tags):
+    return [tag.multiplier for tag in tags]
+
+
 def _three_ways(H, T_H, basis):
-    """The basis's |det| from the triangular pass on its own tags (None when
-    the pass fails), from the fallback, and from dense Bareiss."""
+    """The basis's |det| from the triangular pass on its edge sets and
+    multipliers (None when the pass fails), from the fallback, and from
+    dense Bareiss."""
     fcm = fundamental_cycle_matrix(H, T_H)
     vectors = basis.vectors()
-    triangular = certificate._triangular_determinant(fcm, basis.cycles, basis.provenance)
+    multipliers = _multipliers(basis.provenance)
+    triangular = certificate._triangular_determinant(fcm, basis.cycles, multipliers)
     return triangular, _peeled(H, fcm, vectors), dense(H, vectors)
 
 
@@ -795,43 +830,72 @@ def test_triangular_pass_agrees_on_every_component_of_a_reduction(seed):
         assert certify_components(cos, bases).certified
 
 
+def _document(graph, method):
+    """The basis document `basis --method method` writes for the graph file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["basis", "--method", method, str(graph)]) == 0
+    doc = json.loads(stdout.getvalue())
+    assert doc["certified"] is True
+    return doc
+
+
+def _accepted(tmp_path, graph, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()) as verdict:
+        assert main(["verify", str(graph), str(path)]) == 0
+    return json.loads(verdict.getvalue())["accepted"]
+
+
 def test_semi_and_simple_bases_certify_without_peeling(monkeypatch, tmp_path):
-    """With _peel made to raise, the semi-fundamental and simple bases at
-    m=3000 and their documents still certify: the triangular pass took
-    every component."""
+    """With _peel made to raise, the semi-fundamental and simple bases
+    certify on every path: basis and verify at m=3000, verify of the lifted
+    documents of a graph that is not 3-edge-connected, and certify and
+    certify_cycle_basis at m=3000.  The triangular pass took every
+    component."""
 
     def no_peel(*args):
         raise AssertionError("peeled")
 
     monkeypatch.setattr(certificate, "_peel", no_peel)
+    graph = tmp_path / "g.txt"
     for seed in range(2):
-        graph = tmp_path / "g.txt"
-        graph.write_text(format_edge_list(gen(2001, seed, max_vertices=1000)))
+        G = gen(2001, seed, max_vertices=1000)
+        graph.write_text(format_edge_list(G))
         for method in ("semi-fundamental", "simple"):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                assert main(["basis", "--method", method, str(graph)]) == 0
-            assert json.loads(stdout.getvalue())["certified"] is True
-            doc = tmp_path / "doc.json"
-            doc.write_text(stdout.getvalue())
-            with contextlib.redirect_stdout(io.StringIO()) as verdict:
-                assert main(["verify", str(graph), str(doc)]) == 0
-            assert json.loads(verdict.getvalue())["accepted"] is True
+            assert _accepted(tmp_path, graph, _document(graph, method))
+        T = spanning_forest(G)
+        for basis in (semi_fundamental_basis(G, T)[0], simple_basis(G, T)):
+            cert = certify(G, basis.vectors(), tree=T.tree_edges)
+            assert (cert.determinant, cert.certified) == (2 ** (G.n - 1), True)
+            assert certify_cycle_basis(G, basis) == (2 ** (G.n - 1), True)
+    for seed in range(3):
+        G = _subdivided_cores_with_pendants(700 + seed)
+        graph.write_text(format_edge_list(G))
+        for method in ("semi-fundamental", "simple"):
+            doc = _document(graph, method)
+            assert any(entry["provenance"] == "lifted" for entry in doc["cycles"])
+            assert _accepted(tmp_path, graph, doc)
 
 
-def _retagged(entry, **fields):
-    """The entry with these fields of its tag replaced."""
-    tag = Provenance.parse(entry["provenance"])._replace(**fields)
-    return {**entry, "provenance": tag.label()}
+def _relabelled(entry, tag, **fields):
+    """The entry labelled as its tag with these fields replaced."""
+    return {**entry, "provenance": tag._replace(**fields).label()}
+
+
+# the tampered documents whose edge sets and multipliers are the original's
+LABEL_ONLY = ("wrong-t", "repeated-t", "wrong-e", "wrong-f")
 
 
 def _tampered_documents(semi, simple, fcm):
     """(name, document) for one change each to a semi-fundamental and a
-    simple document built on the tree of fcm: the tags of the first
-    entries, which are fundamental, and of the first and last
-    semi-fundamental entries are read."""
+    simple document built on the tree of fcm: to the labels or the edge
+    sets of the first entries, which are fundamental, and of the first and
+    last semi-fundamental entries, or to a multiplier."""
     entries = semi["cycles"]
-    tags = [Provenance.parse(e["provenance"]) for e in entries]
+    tags = _semi_fundamental_3ec(fcm.tree.parent_graph, fcm.tree).provenance
+    assert [tag.label() for tag in tags] == [e["provenance"] for e in entries]
     semi_at = [j for j, tag in enumerate(tags) if tag.kind == "semi-fundamental"]
     first, last = semi_at[0], semi_at[-1]
 
@@ -847,14 +911,15 @@ def _tampered_documents(semi, simple, fcm):
     swapped = list(entries)
     swapped[i], swapped[j] = entries[j], entries[i]
     yield "swapped", {**semi, "cycles": swapped}
+    # labels that name the wrong edges
     outside = min(fcm.tree.tree_edges - shared(last))
-    yield "wrong-t", changed(last, _retagged(entries[last], t=outside))
-    yield "repeated-t", changed(last, _retagged(entries[last], t=tags[first].t))
+    yield "wrong-t", changed(last, _relabelled(entries[last], tags[last], t=outside))
+    yield "repeated-t", changed(last, _relabelled(entries[last], tags[last], t=tags[first].t))
     other = next(e for e in fcm.cycles if e not in (tags[last].e, tags[last].f))
-    yield "wrong-e", changed(last, _retagged(entries[last], e=other))
-    yield "wrong-f", changed(last, _retagged(entries[last], f=other))
+    yield "wrong-e", changed(last, _relabelled(entries[last], tags[last], e=other))
+    yield "wrong-f", changed(last, _relabelled(entries[last], tags[last], f=other))
     yield "dropped", {**semi, "cycles": entries[:last] + entries[last + 1 :]}
-    # edge sets that are not what their tags say
+    # edge sets that are not what their labels say
     yield "semi-edges", changed(last, {**entries[last], "edges": entries[first]["edges"]})
     yield "fundamental-edges", changed(0, {**entries[0], "edges": entries[1]["edges"]})
     doubled = next(j for j, e in enumerate(simple["cycles"]) if e.get("multiplier") == 2)
@@ -867,18 +932,15 @@ def _tampered_documents(semi, simple, fcm):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tampered_documents_fall_back_to_the_same_verdict(monkeypatch, tmp_path, seed):
-    """Each tampered document fails the triangular pass (when certification
-    is reached at all) and gets the verdict and determinant of verify
-    without the pass, which maps and peels every column."""
+    """A tampered document whose labels alone changed passes the triangular
+    pass and gets the original's verdict: no label is read.  Each other one
+    fails the pass (when certification is reached at all) and gets the
+    verdict and determinant of verify without the pass, which maps and
+    peels every column."""
     G = gen(steps=61, seed=seed, max_vertices=30)
     graph = tmp_path / "g.txt"
     graph.write_text(format_edge_list(G))
-    docs = {}
-    for method in ("semi-fundamental", "simple"):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(["basis", "--method", method, str(graph)]) == 0
-        docs[method] = json.loads(stdout.getvalue())
+    docs = {method: _document(graph, method) for method in ("semi-fundamental", "simple")}
     fcm = fundamental_cycle_matrix(G, forest_from_edges(G, docs["simple"]["tree"]))
     passes = []
     triangular = certificate._triangular_determinant
@@ -897,18 +959,24 @@ def test_tampered_documents_fall_back_to_the_same_verdict(monkeypatch, tmp_path,
             code = main(["verify", str(graph), str(path)])
         return code, out.getvalue()
 
-    for doc in docs.values():
+    verdicts = {}
+    for method, doc in docs.items():
         passes.clear()
-        assert verify(doc, True) == verify(doc, False)
+        verdicts[method] = verify(doc, True)
+        assert verdicts[method] == verify(doc, False)
         assert passes == [2 ** (G.n - 1)]
     names = []
     for name, doc in _tampered_documents(docs["semi-fundamental"], docs["simple"], fcm):
         names.append(name)
         passes.clear()
         assert verify(doc, True) == verify(doc, False), name
-        # a dropped cycle leaves the component unmatched, and a doubled edge
-        # without its multiplier is no cycle: neither reaches the pass
-        assert passes == ([] if name in ("dropped", "multiplier-1") else [None]), name
+        if name in LABEL_ONLY:
+            assert verify(doc, True) == verdicts["semi-fundamental"], name
+            assert passes == [2 ** (G.n - 1)] * 2, name
+        else:
+            # a dropped cycle leaves the component unmatched, and a doubled
+            # edge without its multiplier is no cycle: neither reaches the pass
+            assert passes == ([] if name in ("dropped", "multiplier-1") else [None]), name
     assert len(names) == 10
 
 
@@ -920,9 +988,10 @@ def _one_changed(basis, j, edges, tag):
 
 
 def test_triangular_pass_refuses_columns_its_tags_misdescribe():
-    """Columns whose tags would give a wrong determinant if a check were
-    skipped: each makes the pass fail, and the fallback finds the same
-    determinant as dense Bareiss."""
+    """Columns, built in place of a basis's own, that would give a wrong
+    determinant if a check were skipped: each makes the pass on the edge
+    sets and multipliers fail, and the fallback finds the same determinant
+    as dense Bareiss."""
     seen = set()
     for seed in range(20):
         G = gen(steps=21, seed=800 + seed, max_vertices=10)
@@ -955,22 +1024,39 @@ def test_triangular_pass_refuses_columns_its_tags_misdescribe():
         for j, tag in enumerate(semi.provenance):
             if tag.kind != "semi-fundamental":
                 continue
-            # an empty column tagged with e = f, whose cycle's other tree
-            # edges are earlier pivots, would pass every other check
+            # an empty column in place of a semi-fundamental one, tagged
+            # with e = f for an e whose cycle's other tree edges are
+            # earlier pivots: it has no non-tree edge and maps to zero
             for e, cycle in fcm.cycles.items():
                 if tag.t in cycle and cycle - {e} <= pivots | {tag.t}:
                     bad = _one_changed(semi, j, (), tag._replace(e=e, f=e))
                     cases.append(("semi-e-equals-f", *bad))
                     break
             pivots.add(tag.t)
+        # the first fundamental and semi-fundamental cycles, each with a
+        # tree edge added that neither holds: their non-tree edges are
+        # the same, but their maps are no unit column and no -2s
+        for kind in ("fundamental", "semi-fundamental"):
+            j, tag = next((j, tag) for j, tag in enumerate(semi.provenance) if tag.kind == kind)
+            held = fcm.cycles[tag.e] | fcm.cycles[tag.f if tag.f is not None else tag.e]
+            outside = sorted(fcm.tree.tree_edges - held)
+            if outside:
+                more = semi.cycles[j] | {outside[0]}
+                cases.append((f"{kind}-with-a-tree-edge", *_one_changed(semi, j, more, tag)))
         for name, cycles, tags in cases:
             seen.add(name)
-            assert certificate._triangular_determinant(fcm, cycles, tags) is None, (seed, name)
-            vectors = [dict.fromkeys(c, tag.multiplier) for c, tag in zip(cycles, tags)]
+            multipliers = _multipliers(tags)
+            assert certificate._triangular_determinant(fcm, cycles, multipliers) is None, (
+                seed,
+                name,
+            )
+            vectors = [dict.fromkeys(c, mult) for c, mult in zip(cycles, multipliers)]
             assert _peeled(G, fcm, vectors) == dense(G, vectors), (seed, name)
     assert seen == {
         "doubled-not-triangular",
         "doubled-zero-pivot",
         "pivot-off-the-tree",
         "semi-e-equals-f",
+        "fundamental-with-a-tree-edge",
+        "semi-fundamental-with-a-tree-edge",
     }
