@@ -46,6 +46,7 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
+    collector_paused,
     forest_from_edges,
     spanning_forest,
 )
@@ -83,10 +84,11 @@ class Certificate:
     """Exact |det| of a set of vectors, per component of the cosimplification.
 
     determinant is the product over the components, or 0 when some vector
-    lies in no single component (see certify).  in_cycle_space is
-    False when some vector is nonzero on a bridge or unequal across a series
-    class; there are then no components and the determinant is 0.  size is
-    the rank of the lattice, the edge count of the cosimplification.
+    lies in no single component (see certify); straddling counts those
+    vectors.  in_cycle_space is False when some vector is nonzero on a
+    bridge or unequal across a series class; there are then no components
+    and the determinant is 0.  size is the rank of the lattice, the edge
+    count of the cosimplification.
     """
 
     determinant: int
@@ -94,8 +96,10 @@ class Certificate:
     size: int
     components: tuple[ComponentCertificate, ...]
     in_cycle_space: bool = True
+    straddling: int = 0
 
 
+@collector_paused
 def certify(
     G: Multigraph,
     vectors: list[dict[EdgeId, int]],
@@ -138,11 +142,11 @@ def _certify_vectors(
 
     home_of = {v: H.vertices[0] for H, _ in cos.components for v in H.vertices}
     members: dict[VertexId, tuple[list, list]] = {key: ([], []) for key in home_of.values()}
-    straddling = False
+    straddling = 0
     for image in images:
         homes = {home_of[hat.edges[e][0]] for e in image}
         if len(homes) != 1:
-            straddling = True
+            straddling += 1
             continue
         supports, multipliers = members[homes.pop()]
         values = set(image.values())
@@ -155,7 +159,9 @@ def _certify_vectors(
         for key, (supports, multipliers) in members.items()
     }
     cert = _certify_parts(cos, parts)
-    return replace(cert, determinant=0, certified=False) if straddling else cert
+    if straddling:
+        return replace(cert, determinant=0, certified=False, straddling=straddling)
+    return cert
 
 
 def certify_components(cos: Cosimplification, bases: list[CycleBasis]) -> Certificate:
@@ -214,6 +220,7 @@ def _vectors(supports: Sequence, multipliers: Sequence[int | None]) -> list[dict
     ]
 
 
+@collector_paused
 def certify_cycle_basis(G: Multigraph, basis: CycleBasis) -> tuple[int, bool]:
     """`certify` of the basis's vectors on its tree and along its sequence as
     (|det|, certified); (0, False) when a member of multiplier 1 is not a

@@ -11,7 +11,6 @@ JSON.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 from math import gcd
@@ -40,6 +39,7 @@ from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
     Multigraph,
     SpanningForest,
+    collector_paused,
     forest_from_edges,
     format_edge_list,
     parse_edge_list,
@@ -324,10 +324,14 @@ def _verify_checks(cos: Cosimplification, candidate: dict):
         yield "rational-cycle-space", False, "entry violates bridge/series structure"
         return
     yield "cardinality", len(entries) == cert.size, f"{len(entries)} entries, expected {cert.size}"
-    yield "determinant", cert.certified, "; ".join(
+    details = [
         f"|det|={decimal(c.determinant)} expected {decimal(c.expected)}"
         for c in cert.components
-    ) or "no components"
+    ]
+    if cert.straddling:
+        lies = "entry lies" if cert.straddling == 1 else "entries lie"
+        details.append(f"{cert.straddling} {lies} in no single component")
+    yield "determinant", cert.certified, "; ".join(details) or "no components"
     if G.m <= HNF_ORACLE_EDGE_LIMIT:
         vectors = [dict.fromkeys(e["edges"], e.get("multiplier", 1)) for e in entries]
         yield "hnf-lattice-equality", matches_all_cycles_lattice(G, vectors), "exact"
@@ -443,24 +447,14 @@ _COMMANDS = {
 _PARSER = _build_parser()
 
 
+@collector_paused
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The cyclic garbage collector is paused for the command: the commands
-    create no reference cycles, yet the collector would keep traversing
-    their long-lived containers.  The caller's collector state comes back
+    The cyclic garbage collector is paused for the command (see
+    multigraph.collector_paused); the caller's collector state comes back
     on every exit.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _run(argv: list[str] | None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

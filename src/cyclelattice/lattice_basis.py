@@ -33,6 +33,7 @@ from .multigraph import (
     Multigraph,
     SpanningForest,
     VertexId,
+    collector_paused,
     edge_disjoint_paths,
     spanning_forest,
     tree_paths,
@@ -131,6 +132,7 @@ def three_edge_connected_rank(G: Multigraph) -> int:
     return G.n - min(G.n, 1)
 
 
+@collector_paused
 def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> CycleBasis:
     """Basis from fundamental cycles plus 2*chi_t for every tree edge.
 
@@ -441,6 +443,7 @@ def _semi_fundamental_3ec(G: Multigraph, T: SpanningForest) -> CycleBasis:
     return CycleBasis(tuple(cycles), tuple(tags), tree=T, matrix=fcm)
 
 
+@collector_paused
 def semi_fundamental_basis(
     G: Multigraph, T: SpanningForest | None = None
 ) -> tuple[CycleBasis, list[tuple[EdgeId, EdgeId, EdgeId]]]:

@@ -8,11 +8,13 @@ id embed canonically across such graphs.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain
+from typing import TypeVar
 
 from .errors import ArgumentError, CapacityError, ParseError, StructureError
 
@@ -24,6 +26,32 @@ ParentMap = dict[VertexId, tuple[VertexId, EdgeId] | None]
 # the most vertices a document header may declare: numeric documents fill
 # in ids 1..n, so n alone decides what parsing allocates
 VERTEX_BOUND = 10**6
+
+_Call = TypeVar("_Call", bound=Callable)
+
+
+def collector_paused(func: _Call) -> _Call:
+    """func, run with Python's cyclic garbage collector paused.
+
+    The package's constructions and certificates allocate many containers
+    and create no reference cycles, so a collection during them would only
+    traverse live objects.  The collector is switched back on at every exit,
+    a raise included, when the caller had it on; when it is already off, as
+    in a nested call or a CLI command, the call costs one gc.isenabled().
+    This is the package's one home of gc.disable and gc.enable.
+    """
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +237,7 @@ def tree_paths(
         yield up
 
 
+@collector_paused
 def parse_edge_list(text: str) -> Multigraph:
     """Parse an edge-list document.
 

@@ -27,6 +27,7 @@ from .multigraph import (
     SpanningForest,
     VertexId,
     bfs_parents,
+    collector_paused,
     forest_from_edges,
     tree_depths,
     tree_paths,
@@ -603,6 +604,7 @@ class _SequenceBuilder:
         )
 
 
+@collector_paused
 def extension_sequence(G: Multigraph) -> ExtensionSequence:
     """Decompose a 3-edge-connected graph into a replayable growth sequence.
 
@@ -807,6 +809,7 @@ class CompatibleChain:
         return tuple(bases)
 
 
+@collector_paused
 def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleChain:
     """Grow G from a vertex and extend a cycle basis at every step.
 

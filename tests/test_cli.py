@@ -241,6 +241,29 @@ class TestVerify:
         check = {"name": "entries-are-cycles", "passed": False, "detail": detail}
         assert verdict == {"accepted": False, "checks": [check], "format": 2}
 
+    def test_determinant_detail_names_an_entry_in_no_single_component(
+        self, capsys, tmp_path
+    ):
+        # two K4s, on edges 0..5 and 6..11, joined by the bridge 12
+        graph = tmp_path / "two-k4.txt"
+        graph.write_text(
+            "8 13\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+            "5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n4 5\n"
+        )
+        doc = json.loads(run(capsys, "basis", "--method", "semi-fundamental", str(graph))[1])
+        doc["cycles"].append({"edges": [0, 6], "multiplier": 2})
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(doc))
+        code, verdict = run_json(capsys, "verify", str(graph), str(path))
+        assert code == 3
+        checks = {c.pop("name"): c for c in verdict["checks"]}
+        assert checks["cardinality"] == {"passed": False, "detail": "13 entries, expected 12"}
+        assert checks["determinant"] == {
+            "passed": False,
+            "detail": "|det|=8 expected 8; |det|=8 expected 8; "
+            "1 entry lies in no single component",
+        }
+
     def test_doubled_bridge_is_outside_the_cycle_space(self, capsys, tmp_path):
         text = _core_with_pendants(50)
         bridge = min(cosimplify(parse_edge_list(text)).partition.bridges)
