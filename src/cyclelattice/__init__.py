@@ -26,6 +26,7 @@ from .lattice_basis import (
     CycleBasis,
     MembershipResult,
     Provenance,
+    build_per_component,
     double_edge_combination,
     express_in_simple_basis,
     indicator_matrix,

@@ -30,9 +30,10 @@ from .lattice_basis import (
     Provenance,
     _semi_fundamental_3ec,
     _simple_3ec,
+    build_first,
+    build_per_component,
     indicator_matrix,
     matches_all_cycles_lattice,
-    per_component,
     require_three_edge_connected,
 )
 from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
@@ -192,14 +193,17 @@ _CONSTRUCTIONS = {
     "simple": _simple_3ec,
     "topological": lambda H, _T_H: _chain_3ec(H, keep_prefixes=False).final_basis,
 }
+# the methods whose construction completes only on a 3-edge-connected graph
+_PROVING = {"semi-fundamental", "topological"}
 
 
 def cmd_basis(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     if args.tree_seed is not None:
         T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
-    cos = cosimplify(G, forest=T)
-    built, bases = per_component(cos, _CONSTRUCTIONS[args.method])
+    cos, built, bases = build_per_component(
+        G, T, _CONSTRUCTIONS[args.method], proves_3ec=args.method in _PROVING
+    )
     entries = [_entry(edges, tag) for edges, tag in built]
     cert = certify_components(cos, bases)
     doc = {
@@ -367,9 +371,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_extend(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
-    cos = cosimplify(G, forest=T)
-    require_three_edge_connected(cos)
-    chain = _chain_3ec(G, keep_prefixes=True)
+    cos, chain = build_first(G, T, lambda H, _T: _chain_3ec(H, keep_prefixes=True))
+    if chain is None:
+        require_three_edge_connected(cos)
+        chain = _chain_3ec(G, keep_prefixes=True)
     cert = certify_components(cos, [chain.final_basis] if cos.components else [])
     doc = {
         "sequence": chain.sequence.to_json(),

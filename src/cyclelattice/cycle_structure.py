@@ -396,6 +396,13 @@ def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplif
     return Cosimplification(G, T, partition, hat, projection, section)
 
 
+def identity_cosimplification(G: Multigraph, T: SpanningForest) -> Cosimplification:
+    """The cosimplification of G on its forest T when G is already known to
+    be 3-edge-connected: nothing deleted or contracted, with no cut pass."""
+    _require_forest_of(G, T)
+    return Cosimplification(G, T, SeriesPartition(frozenset(), ()), G, {}, {})
+
+
 def _contract_forest_edges(
     G: Multigraph, T: SpanningForest, delete: Iterable[EdgeId], contract: set[EdgeId]
 ) -> Multigraph:

@@ -19,10 +19,12 @@ from .cycle_structure import (
     bridges_and_series_classes,
     cosimplify,
     fundamental_cycle_matrix,
+    identity_cosimplification,
     three_edge_connectivity_witness,
 )
 from .errors import (
     ArgumentError,
+    CycleLatticeError,
     InternalError,
     MembershipError,
     PreconditionError,
@@ -451,25 +453,83 @@ def semi_fundamental_basis(
 
     The semi-fundamental cycles come from pairs of fundamental cycles whose
     intersection shrinks to a single tree edge inside successive tree-edge
-    contractions; the (t, e, f) of their tags witness this.  They are built
-    per component of the cosimplification (see per_component).
+    contractions; the (t, e, f) of their tags witness this.  On a connected
+    graph the construction completes exactly when the graph is
+    3-edge-connected, so it runs on G first, with no cut pass, and per
+    component of the cosimplification only when that fails (see
+    build_per_component).
     """
     if T is None:
         T = spanning_forest(G)
     if len(T.component_roots) > 1:
         raise StructureError("graph is not connected")
-    entries, bases = per_component(cosimplify(G, forest=T), _semi_fundamental_3ec)
+    _, entries, bases = build_per_component(G, T, _semi_fundamental_3ec, proves_3ec=True)
     cycles = tuple(cyc for cyc, _ in entries)
     tags = tuple(tag for _, tag in entries)
     semi = [tag for basis in bases for tag in basis.provenance if tag.kind == "semi-fundamental"]
     return CycleBasis(cycles, tags, tree=T), [(tag.t, tag.e, tag.f) for tag in semi]
 
 
+def _min_degree_three(G: Multigraph) -> bool:
+    """Has G a vertex, and every vertex three or more incident edges (a loop
+    counting once)?  A 3-edge-connected graph with two or more vertices
+    passes, so a graph that fails is sent straight to the cut pass.  The
+    scan stops at the first vertex of fewer edges."""
+    return bool(G.n) and all(len(edges) >= 3 for edges in G.incidence.values())
+
+
+def build_first(G: Multigraph, T: SpanningForest, construct):
+    """(cos, result): construct(G, T), whose completing proves G
+    3-edge-connected, tried before any cut pass.
+
+    The build is tried when T is one tree and every vertex of G has three
+    or more edges.  When it completes, cos is G's identity cosimplification,
+    with no bridges_and_series_classes call.  When it was not tried, or
+    failed with a CycleLatticeError, cos is cosimplify(G, forest=T) and
+    result None; when that shows G 3-edge-connected after all, the build's
+    own error is raised, so a construction bug stays visible.
+    """
+    if len(T.component_roots) == 1 and _min_degree_three(G):
+        try:
+            result = construct(G, T)
+        except CycleLatticeError as exc:  # re-raised below on a 3EC graph
+            error = exc
+        else:
+            return identity_cosimplification(G, T), result
+        cos = cosimplify(G, forest=T)
+        if cos.three_edge_connected:
+            raise error
+        return cos, None
+    return cosimplify(G, forest=T), None
+
+
+def build_per_component(G: Multigraph, T: SpanningForest, construct, proves_3ec: bool):
+    """(cos, entries, bases): per_component of construct on the
+    cosimplification cos of G on its forest T.
+
+    This is the one place that asks "3-edge-connected? else cosimplify"
+    for a construction.  When the construction proves the precondition by
+    completing (proves_3ec: the semi-fundamental and topological ones), it
+    is tried on the whole graph first (see build_first), and on success its
+    one basis is returned with the identity cosimplification; the others
+    cosimplify first.
+    """
+    if proves_3ec:
+        cos, basis = build_first(G, T, construct)
+        if basis is not None:
+            return cos, basis.entries(), [basis]
+    else:
+        cos = cosimplify(G, forest=T)
+    return (cos, *per_component(cos, construct))
+
+
 def per_component(cos: Cosimplification, construct):
     """Build on each component of the cosimplification, lift to its parent.
 
-    construct(H, T_H) receives every component H of cos that has edges,
-    with the restriction T_H of its forest, and returns a CycleBasis of H.
+    build_per_component calls it unless a construction completed on the
+    whole graph.  construct(H, T_H) receives every component H of cos that
+    has edges, with the restriction T_H of its forest, and returns a
+    CycleBasis of H.
     H is 3-edge-connected by construction, so construct need not check it.
     Returns the lifted (edge set, Provenance) entries of all bases in
     component order, and the bases as built (for

@@ -275,6 +275,13 @@ def parse_edge_list(text: str) -> Multigraph:
 
     us = [parts[0] for parts in body]
     vs = [parts[1] for parts in body]
+    # Each distinct token is converted once, and not int() per token though
+    # that parses faster: the edge ends and `vertices` then share one int
+    # object per vertex (unless ids 1..n fill in isolated vertices), so every
+    # later dict lookup by vertex matches on identity before it compares
+    # values.  Converting every token made each reduce_non3ec benchmark
+    # command about 1.2 ms slower end to end, with identical outputs (2 vCPU,
+    # Python 3.11.7).
     tokens = list(dict.fromkeys(chain.from_iterable(zip(us, vs))))
     try:
         vertex_of = {t: int(t) for t in tokens}  # vacuously numeric when edgeless

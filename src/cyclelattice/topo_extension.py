@@ -18,8 +18,13 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 
-from .errors import ArgumentError, InternalError, StructureError
-from .lattice_basis import CycleBasis, Provenance, require_three_edge_connected
+from .errors import ArgumentError, CycleLatticeError, InternalError, StructureError
+from .lattice_basis import (
+    CycleBasis,
+    Provenance,
+    _min_degree_three,
+    require_three_edge_connected,
+)
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -817,7 +822,22 @@ def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleCha
     the chain maintains (see _ChainTree): every kind-A cycle, and every
     kind-B or kind-C route whose tree path avoids the divided edges; the
     other routes are shortest paths.
+
+    A sequence of A/B/C steps grows only 3-edge-connected graphs, so a
+    chain that covers every edge of G, all of whose vertices have three or
+    more edges, proves G 3-edge-connected.  Such a G is built first, with
+    no cut pass; require_three_edge_connected runs only when the build
+    fails with a CycleLatticeError, to explain why, or for a graph with a
+    vertex of fewer edges.  On a 3-edge-connected graph the build's own
+    error is raised.
     """
+    if _min_degree_three(G):
+        try:
+            return _chain_3ec(G, keep_prefixes)
+        except CycleLatticeError as exc:  # re-raised below on a 3EC graph
+            error = exc
+        require_three_edge_connected(G)
+        raise error
     return _chain_3ec(G, keep_prefixes, extension_sequence(G))
 
 
