@@ -16,7 +16,12 @@ import sys
 from math import gcd
 
 from .certificate import _certify_vectors, certify_components
-from .cycle_structure import Cosimplification, cosimplify, is_simple_cycle
+from .cycle_structure import (
+    Cosimplification,
+    cosimplify,
+    identity_cosimplification,
+    is_simple_cycle,
+)
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -30,11 +35,10 @@ from .lattice_basis import (
     Provenance,
     _semi_fundamental_3ec,
     _simple_3ec,
-    build_first,
     build_per_component,
     indicator_matrix,
     matches_all_cycles_lattice,
-    require_three_edge_connected,
+    per_component,
 )
 from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
 from .multigraph import (
@@ -48,7 +52,7 @@ from .multigraph import (
     tree_parts,
 )
 from .oracle import decimal, enumerate_cycles, smith_invariants
-from .topo_extension import ExtensionSequence, _chain_3ec, gen
+from .topo_extension import ExtensionSequence, _chain_3ec, compatible_chain, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
 # hull --verify enumerates every cycle, so it takes graphs of at most 23
@@ -193,17 +197,18 @@ _CONSTRUCTIONS = {
     "simple": _simple_3ec,
     "topological": lambda H, _T_H: _chain_3ec(H, keep_prefixes=False).final_basis,
 }
-# the methods whose construction completes only on a 3-edge-connected graph
-_PROVING = {"semi-fundamental", "topological"}
 
 
 def cmd_basis(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     if args.tree_seed is not None:
         T = spanning_forest(G, prefer_root=_resolve_vertex(G, args.tree_seed))
-    cos, built, bases = build_per_component(
-        G, T, _CONSTRUCTIONS[args.method], proves_3ec=args.method in _PROVING
-    )
+    construct = _CONSTRUCTIONS[args.method]
+    if args.method == "simple":  # it completes on any graph, so it proves nothing
+        cos = cosimplify(G, forest=T)
+        built, bases = per_component(cos, construct)
+    else:
+        cos, built, bases = build_per_component(G, T, construct)
     entries = [_entry(edges, tag) for edges, tag in built]
     cert = certify_components(cos, bases)
     doc = {
@@ -371,10 +376,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_extend(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
-    cos, chain = build_first(G, T, lambda H, _T: _chain_3ec(H, keep_prefixes=True))
-    if chain is None:
-        require_three_edge_connected(cos)
-        chain = _chain_3ec(G, keep_prefixes=True)
+    chain = compatible_chain(G)
+    cos = identity_cosimplification(G, T)
     cert = certify_components(cos, [chain.final_basis] if cos.components else [])
     doc = {
         "sequence": chain.sequence.to_json(),

@@ -435,19 +435,20 @@ def _contract_forest_edges(
     return Multigraph(vertices=vertices, edges=edges, labels=labels)
 
 
-def three_edge_connectivity_witness(G: Multigraph | Cosimplification) -> tuple[str, object] | None:
+def three_edge_connectivity_witness(
+    G: Multigraph, T: SpanningForest | None = None
+) -> tuple[str, object] | None:
     """None when 3-edge-connected, else (kind, witness) naming the failure.
 
     kind is "disconnected" (witness: component count), "bridge" (witness:
     edge id) or "series" (witness: a nontrivial class).  Single-vertex
-    graphs, with or without loops, count as 3-edge-connected.  G may be
-    given by its cosimplification, whose forest and partition then answer.
+    graphs, with or without loops, count as 3-edge-connected.  The answer
+    is read off one cut pass on the forest T (spanning_forest(G) when none
+    is given), and it does not depend on T; nothing is contracted.
     """
-    if isinstance(G, Cosimplification):
-        T, partition = G.forest, G.partition
-    else:
+    if T is None:
         T = spanning_forest(G)
-        partition = bridges_and_series_classes(G, T)
+    partition = bridges_and_series_classes(G, T)
     if len(T.component_roots) > 1:
         return ("disconnected", len(T.component_roots))
     if partition.bridges:

@@ -112,9 +112,9 @@ class MembershipResult:
         return self.is_member
 
 
-def require_three_edge_connected(G: Multigraph | Cosimplification):
-    """PreconditionError naming why G (or a cosimplification's parent) fails."""
-    witness = three_edge_connectivity_witness(G)
+def require_three_edge_connected(G: Multigraph, T: SpanningForest | None = None):
+    """PreconditionError naming why G fails, read off the cut pass on T."""
+    witness = three_edge_connectivity_witness(G, T)
     if witness is None:
         return
     kind, detail = witness
@@ -145,7 +145,7 @@ def simple_basis(G: Multigraph, T: SpanningForest | None = None) -> CycleBasis:
     """
     if T is None:
         T = spanning_forest(G)
-    require_three_edge_connected(cosimplify(G, forest=T))
+    require_three_edge_connected(G, T)
     return _simple_3ec(G, T)
 
 
@@ -278,7 +278,7 @@ def express_in_simple_basis(
     (p_t - S_t)/2 where S_t sums p over the fundamental cut of t minus t;
     cut parity of lattice members makes the division exact.
     """
-    require_three_edge_connected(cosimplify(G, forest=T))
+    require_three_edge_connected(G, T)
     p = G.support(p)
     # G is 3-edge-connected: no bridge, and no series class of two edges
     member = _membership(G, p, SeriesPartition(frozenset(), ()))
@@ -453,17 +453,15 @@ def semi_fundamental_basis(
 
     The semi-fundamental cycles come from pairs of fundamental cycles whose
     intersection shrinks to a single tree edge inside successive tree-edge
-    contractions; the (t, e, f) of their tags witness this.  On a connected
-    graph the construction completes exactly when the graph is
-    3-edge-connected, so it runs on G first, with no cut pass, and per
-    component of the cosimplification only when that fails (see
-    build_per_component).
+    contractions; the (t, e, f) of their tags witness this.  The
+    construction runs on G first, and per component of the
+    cosimplification only when that fails (see build_per_component).
     """
     if T is None:
         T = spanning_forest(G)
     if len(T.component_roots) > 1:
         raise StructureError("graph is not connected")
-    _, entries, bases = build_per_component(G, T, _semi_fundamental_3ec, proves_3ec=True)
+    _, entries, bases = build_per_component(G, T, _semi_fundamental_3ec)
     cycles = tuple(cyc for cyc, _ in entries)
     tags = tuple(tag for _, tag in entries)
     semi = [tag for basis in bases for tag in basis.provenance if tag.kind == "semi-fundamental"]
@@ -478,48 +476,49 @@ def _min_degree_three(G: Multigraph) -> bool:
     return bool(G.n) and all(len(edges) >= 3 for edges in G.incidence.values())
 
 
-def build_first(G: Multigraph, T: SpanningForest, construct):
-    """(cos, result): construct(G, T), whose completing proves G
-    3-edge-connected, tried before any cut pass.
+def _build_or_explain(G: Multigraph, build):
+    """build(), whose completing proves G 3-edge-connected, or the
+    PreconditionError of require_three_edge_connected(G).
 
-    The build is tried when T is one tree and every vertex of G has three
-    or more edges.  When it completes, cos is G's identity cosimplification,
-    with no bridges_and_series_classes call.  When it was not tried, or
-    failed with a CycleLatticeError, cos is cosimplify(G, forest=T) and
-    result None; when that shows G 3-edge-connected after all, the build's
-    own error is raised, so a construction bug stays visible.
+    When G passes the degree screen, build() runs before any cut pass, and
+    the cut pass runs only to explain a CycleLatticeError it raises; on a
+    3-edge-connected G the build's own error is raised, so a construction
+    bug stays visible.  Otherwise the cut pass runs first.
     """
+    if not _min_degree_three(G):
+        require_three_edge_connected(G)
+        return build()
+    try:
+        return build()
+    except CycleLatticeError as exc:  # re-raised below on a 3EC graph
+        error = exc
+    require_three_edge_connected(G)
+    raise error
+
+
+def build_per_component(G: Multigraph, T: SpanningForest, construct):
+    """(cos, entries, bases): construct(G, T) as one basis, or per_component
+    of construct on the cosimplification cos of G on its forest T.
+
+    This is the one home of "build first, else cosimplify" for the
+    constructions whose completing proves the graph 3-edge-connected: the
+    semi-fundamental and topological ones.  When T is one tree and G passes
+    the degree screen, construct(G, T) is tried first; when it completes,
+    cos is G's identity cosimplification, with no cut pass.  Otherwise, or
+    after a CycleLatticeError, G is cosimplified; when that shows G
+    3-edge-connected after all, the build's own error is raised.
+    """
+    error = None
     if len(T.component_roots) == 1 and _min_degree_three(G):
         try:
-            result = construct(G, T)
+            basis = construct(G, T)
         except CycleLatticeError as exc:  # re-raised below on a 3EC graph
             error = exc
         else:
-            return identity_cosimplification(G, T), result
-        cos = cosimplify(G, forest=T)
-        if cos.three_edge_connected:
-            raise error
-        return cos, None
-    return cosimplify(G, forest=T), None
-
-
-def build_per_component(G: Multigraph, T: SpanningForest, construct, proves_3ec: bool):
-    """(cos, entries, bases): per_component of construct on the
-    cosimplification cos of G on its forest T.
-
-    This is the one place that asks "3-edge-connected? else cosimplify"
-    for a construction.  When the construction proves the precondition by
-    completing (proves_3ec: the semi-fundamental and topological ones), it
-    is tried on the whole graph first (see build_first), and on success its
-    one basis is returned with the identity cosimplification; the others
-    cosimplify first.
-    """
-    if proves_3ec:
-        cos, basis = build_first(G, T, construct)
-        if basis is not None:
-            return cos, basis.entries(), [basis]
-    else:
-        cos = cosimplify(G, forest=T)
+            return identity_cosimplification(G, T), basis.entries(), [basis]
+    cos = cosimplify(G, forest=T)
+    if error is not None and cos.three_edge_connected:
+        raise error
     return (cos, *per_component(cos, construct))
 
 
@@ -527,9 +526,9 @@ def per_component(cos: Cosimplification, construct):
     """Build on each component of the cosimplification, lift to its parent.
 
     build_per_component calls it unless a construction completed on the
-    whole graph.  construct(H, T_H) receives every component H of cos that
-    has edges, with the restriction T_H of its forest, and returns a
-    CycleBasis of H.
+    whole graph, and `basis --method simple` always.  construct(H, T_H)
+    receives every component H of cos that has edges, with the restriction
+    T_H of its forest, and returns a CycleBasis of H.
     H is 3-edge-connected by construction, so construct need not check it.
     Returns the lifted (edge set, Provenance) entries of all bases in
     component order, and the bases as built (for

@@ -18,13 +18,8 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
 
-from .errors import ArgumentError, CycleLatticeError, InternalError, StructureError
-from .lattice_basis import (
-    CycleBasis,
-    Provenance,
-    _min_degree_three,
-    require_three_edge_connected,
-)
+from .errors import ArgumentError, InternalError, StructureError
+from .lattice_basis import CycleBasis, Provenance, _build_or_explain
 from .multigraph import (
     EdgeId,
     Multigraph,
@@ -617,10 +612,11 @@ def extension_sequence(G: Multigraph) -> ExtensionSequence:
     of each partial union yields one-edge extensions; paths rooted at a
     degree-2 vertex of a non-cycle partial graph may not land inside the
     same suppressed path, and single edges between branch vertices are swept
-    in after every search.
+    in after every search.  The peeling covers every edge exactly when G is
+    3-edge-connected, so it runs first and the cut pass only explains a
+    failure (see lattice_basis._build_or_explain).
     """
-    require_three_edge_connected(G)
-    return _SequenceBuilder(G).build()
+    return _build_or_explain(G, lambda: _SequenceBuilder(G).build())
 
 
 def _bfs_path(
@@ -821,24 +817,11 @@ def compatible_chain(G: Multigraph, keep_prefixes: bool = True) -> CompatibleCha
     The extending cycles close along a spanning tree of the grown graph that
     the chain maintains (see _ChainTree): every kind-A cycle, and every
     kind-B or kind-C route whose tree path avoids the divided edges; the
-    other routes are shortest paths.
-
-    A sequence of A/B/C steps grows only 3-edge-connected graphs, so a
-    chain that covers every edge of G, all of whose vertices have three or
-    more edges, proves G 3-edge-connected.  Such a G is built first, with
-    no cut pass; require_three_edge_connected runs only when the build
-    fails with a CycleLatticeError, to explain why, or for a graph with a
-    vertex of fewer edges.  On a 3-edge-connected graph the build's own
-    error is raised.
+    other routes are shortest paths.  A/B/C steps grow only
+    3-edge-connected graphs, so a chain that covers G proves G
+    3-edge-connected; see lattice_basis._build_or_explain.
     """
-    if _min_degree_three(G):
-        try:
-            return _chain_3ec(G, keep_prefixes)
-        except CycleLatticeError as exc:  # re-raised below on a 3EC graph
-            error = exc
-        require_three_edge_connected(G)
-        raise error
-    return _chain_3ec(G, keep_prefixes, extension_sequence(G))
+    return _build_or_explain(G, lambda: _chain_3ec(G, keep_prefixes))
 
 
 class _ChainTree:

@@ -1,9 +1,10 @@
 """The semi-fundamental and topological constructions certify
 3-edge-connectivity by completing, so they are tried before the cut pass.
 
-The premise: on a connected multigraph, `_semi_fundamental_3ec` and
-`_chain_3ec` complete exactly when the graph is 3-edge-connected, by
-`is_three_edge_connected` and by networkx's minimum cut.  The corpus is
+The premise: on a connected multigraph, `_semi_fundamental_3ec`,
+`_chain_3ec` and the sequence builder alone complete exactly when the
+graph is 3-edge-connected, by `is_three_edge_connected` and by networkx's
+minimum cut.  The corpus is
 seeded.  Its hard class joins two `gen` blocks by one to three edges, so
 every vertex has three or more edges while one or two joining edges make a
 bridge or a series pair.  The rest are random multigraphs with loops and
@@ -11,11 +12,13 @@ parallel edges, `gen` graphs with an edge subdivided or deleted, and the
 degenerate graphs: no vertex, one vertex, and an isolated vertex.
 
 The entry points that try first (`semi_fundamental_basis`,
-`compatible_chain`, CLI `basis` and `extend`) must give what the cut pass
-first gives: the same result, or the same exception type and message.  The
-reference runs the same entry point with the degree screen that admits a
-graph to the first try forced off, which is the path every graph took
-before the try existed.
+`compatible_chain`, `extension_sequence`, CLI `basis` and `extend`) must
+give what the cut pass first gives: the same result, or the same exception
+type and message.  The reference runs the same entry point with the degree
+screen that admits a graph to the first try forced off in
+`lattice_basis`, its one home, which is the path every graph took before
+the try existed.  The simple basis proves nothing by completing, so it
+checks first, on the cut pass alone.
 """
 
 import contextlib
@@ -28,15 +31,26 @@ import pytest
 from cyclelattice import cycle_structure, lattice_basis, topo_extension
 from cyclelattice.cli import main
 from cyclelattice.cycle_structure import is_three_edge_connected
-from cyclelattice.errors import CycleLatticeError
-from cyclelattice.lattice_basis import _semi_fundamental_3ec, semi_fundamental_basis
+from cyclelattice.errors import CycleLatticeError, PreconditionError
+from cyclelattice.lattice_basis import (
+    _semi_fundamental_3ec,
+    express_in_simple_basis,
+    semi_fundamental_basis,
+    simple_basis,
+)
 from cyclelattice.multigraph import (
     Multigraph,
     format_edge_list,
     parse_edge_list,
     spanning_forest,
 )
-from cyclelattice.topo_extension import _chain_3ec, compatible_chain, gen
+from cyclelattice.topo_extension import (
+    _chain_3ec,
+    _SequenceBuilder,
+    compatible_chain,
+    extension_sequence,
+    gen,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_SEED = "cyclelattice-build-first-corpus"
@@ -149,7 +163,8 @@ def test_constructions_complete_exactly_on_3ec_graphs():
         T = spanning_forest(G)
         semi = _completes(lambda: _semi_fundamental_3ec(G, T))
         chain = _completes(lambda: _chain_3ec(G, keep_prefixes=False))
-        assert semi == chain == expected, (kind, format_edge_list(G))
+        peeled = _completes(lambda: _SequenceBuilder(G).build())
+        assert semi == chain == peeled == expected, (kind, format_edge_list(G))
         answers.setdefault(kind, set()).add(expected)
     assert all(seen == {True, False} for seen in answers.values()), answers
 
@@ -178,8 +193,7 @@ def _cut_pass_first(monkeypatch):
     """No graph passes the degree screen inside, so every entry point runs
     the cut pass before it builds."""
     with monkeypatch.context() as patch:
-        for module in (lattice_basis, topo_extension):
-            patch.setattr(module, "_min_degree_three", lambda G: False)
+        patch.setattr(lattice_basis, "_min_degree_three", lambda G: False)
         yield
 
 
@@ -213,6 +227,7 @@ def _library_outcomes(G):
         _outcome(lambda: _semi(G)),
         _outcome(lambda: _chain(G, keep_prefixes=False)),
         _outcome(lambda: _chain(G, keep_prefixes=True)),
+        _outcome(lambda: extension_sequence(G).to_json()),
     )
 
 
@@ -231,7 +246,9 @@ def test_library_entry_points_match_the_cut_pass_first(monkeypatch, part):
 CLI_COMMANDS = (
     ["basis", "--method", "semi-fundamental"],
     ["basis", "--method", "topological"],
+    ["basis", "--method", "simple"],
     ["extend"],
+    ["extend", "--verify"],
 )
 
 
@@ -245,9 +262,9 @@ def _cli_outcomes(capsys, path):
 
 
 def test_cli_commands_match_the_cut_pass_first(capsys, tmp_path, monkeypatch):
-    """basis with both proving methods and extend write the same stdout and
-    stderr and exit with the same code, on every CLI_STRIDE-th graph of the
-    corpus and on the degenerate ones."""
+    """basis with every method, extend and extend --verify write the same
+    stdout and stderr and exit with the same code, on every CLI_STRIDE-th
+    graph of the corpus and on the degenerate ones."""
     graphs = [G for _, G in CORPUS[::CLI_STRIDE]] + DEGENERATE
     codes = set()
     for i, G in enumerate(graphs):
@@ -299,23 +316,69 @@ def _r0_text() -> str:
 def test_series_pass_count(capsys, tmp_path, monkeypatch, name, expected):
     """On gen(2001, 7, max_vertices=1000) no entry point that tries first
     runs the cut pass.  On reduce_non3ec's r0, which has vertices of one
-    and two edges, each runs it once, as every one did before the try."""
+    and two edges, each runs it once, as every one did before the try.
+    basis --method simple, whose construction completes on any graph,
+    runs it once on both."""
     text = format_edge_list(gen(2001, 7, max_vertices=1000)) if name == "gen" else _r0_text()
     path = tmp_path / f"{name}.txt"
     path.write_text(text)
     calls = {
         "semi_fundamental_basis": lambda: semi_fundamental_basis(parse_edge_list(text)),
         "compatible_chain": lambda: compatible_chain(parse_edge_list(text), keep_prefixes=False),
+        "extension_sequence": lambda: extension_sequence(parse_edge_list(text)),
     }
     for command in CLI_COMMANDS:
-        calls[command[-1]] = lambda command=command: main([*command, str(path)])
+        calls[" ".join(command)] = lambda command=command: main([*command, str(path)])
     results = {label: _series_passes(monkeypatch, call) for label, call in calls.items()}
     capsys.readouterr()
     counts = {label: count for label, (count, _) in results.items()}
-    assert counts == dict.fromkeys(calls, expected)
+    assert counts == {**dict.fromkeys(calls, expected), "basis --method simple": 1}
     outcomes = {label: outcome for label, (_, outcome) in results.items()}
-    # r0 is not 3-edge-connected: the chain refuses it, and extend exits 2
+    # r0 is not 3-edge-connected: the chain and the sequence refuse it, and
+    # extend exits 2
     refused = name == "r0"
     assert outcomes["compatible_chain"][0] == ("PreconditionError" if refused else "ok")
-    assert outcomes["extend"] == ("ok", 2 if refused else 0)
-    assert outcomes["semi-fundamental"] == outcomes["topological"] == ("ok", 0)
+    assert outcomes["extension_sequence"][0] == ("PreconditionError" if refused else "ok")
+    assert outcomes["extend"] == outcomes["extend --verify"] == ("ok", 2 if refused else 0)
+    for method in ("semi-fundamental", "topological", "simple"):
+        assert outcomes[f"basis --method {method}"] == ("ok", 0)
+
+
+# graph and the reason the cut pass gives for it
+NOT_3EC = {
+    "c3": (
+        lambda: Multigraph((1, 2, 3), {0: (1, 2), 1: (2, 3), 2: (3, 1)}),
+        "nontrivial series class [0, 1, 2]",
+    ),
+    "k4-bridge-k4": (  # two K4s joined by the bridge 12
+        lambda: Multigraph(
+            tuple(range(1, 9)),
+            dict(enumerate(K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES] + [(4, 5)])),
+        ),
+        "bridge edge 12",
+    ),
+    "r0": (lambda: parse_edge_list(_r0_text()), "bridge edge 2200"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_3EC)
+def test_simple_basis_refuses_without_contracting(monkeypatch, name):
+    """On a graph that is not 3-edge-connected, simple_basis and
+    express_in_simple_basis raise the cut pass's PreconditionError without
+    contracting anything: no cosimplification is built only to refuse."""
+    build, message = NOT_3EC[name]
+    G = build()
+    contracted = []
+    original = cycle_structure._contract_forest_edges
+
+    def counted(*args):
+        contracted.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(cycle_structure, "_contract_forest_edges", counted)
+    T = spanning_forest(G)
+    for call in (lambda: simple_basis(G), lambda: express_in_simple_basis(G, T, {})):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == f"not 3-edge-connected: {message}"
+    assert contracted == []

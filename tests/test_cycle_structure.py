@@ -288,7 +288,7 @@ def _assert_identity_read_off_the_partition(G, forest):
             assert cos.projection == {} and cos.section == {}
             assert all(cos.lift_edges([e]) == {e} for e in G.edges)
         connected = len(cos.forest.component_roots) <= 1
-        assert (three_edge_connectivity_witness(cos) is None) == (single and connected)
+        assert (three_edge_connectivity_witness(G, cos.forest) is None) == (single and connected)
         assert (three_edge_connectivity_witness(G) is None) == (single and connected)
 
 

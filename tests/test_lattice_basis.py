@@ -489,7 +489,7 @@ def test_hand_built_forest_that_is_no_forest_is_rejected(k4):
         with pytest.raises(StructureError, match="do not form a forest"):
             simple_basis(k4, F)
         with pytest.raises(StructureError, match="do not form a forest"):
-            three_edge_connectivity_witness(cosimplify(k4, forest=F))
+            three_edge_connectivity_witness(k4, F)
 
 
 def test_simple_basis_checks_3_edge_connectivity_on_its_one_forest(monkeypatch):
