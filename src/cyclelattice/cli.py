@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from .certificate import _certify_vectors, certify_components
 from .cycle_structure import (
@@ -36,11 +35,10 @@ from .lattice_basis import (
     _semi_fundamental_3ec,
     _simple_3ec,
     build_per_component,
-    indicator_matrix,
     matches_all_cycles_lattice,
     per_component,
 )
-from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report
+from .linear_hull import AbelianGroupSpec, FieldSpec, hull_report, span_dimension, span_group
 from .multigraph import (
     Multigraph,
     SpanningForest,
@@ -51,15 +49,10 @@ from .multigraph import (
     spanning_forest,
     tree_parts,
 )
-from .oracle import decimal, enumerate_cycles, smith_invariants
+from .oracle import decimal
 from .topo_extension import ExtensionSequence, _chain_3ec, compatible_chain, gen
 
 HNF_ORACLE_EDGE_LIMIT = 14
-# hull --verify enumerates every cycle, so it takes graphs of at most 23
-# edges.  There the enumeration and the Smith form take about 0.1 s (K7 plus
-# two parallel edges: 1922 cycles), and every graph whose A^E has at most
-# 10^7 elements for some A stays in range (2^23 <= 10^7 < 2^24).
-HULL_ORACLE_EDGE_LIMIT = 23
 # Version of the JSON documents; format 1 had no "format" key (see README).
 DOCUMENT_FORMAT = 2
 
@@ -398,31 +391,33 @@ def cmd_extend(args: argparse.Namespace) -> tuple[dict, bool]:
     return doc, doc["chain"]["certified"] or not args.verify
 
 
+def _certified_invariants(cos: Cosimplification) -> list[int] | None:
+    """The invariant factors of the cycle lattice of cos.parent, m-n+1 1s
+    and n-1 2s per component, once a semi-fundamental basis per component
+    certifies (else None).  Every cycle lies in L_T = {x : x_T = F x_N mod
+    2}, of det 2^(n-1), so a basis of cycles of that |det| spans L_T; bridges
+    carry no cycle and lifting along series classes is a primitive
+    embedding, so the parent's factors are the components'."""
+    cert = certify_components(cos, [_semi_fundamental_3ec(H, T_H) for H, T_H in cos.components])
+    if not cert.certified:
+        return None
+    return [d for c in cert.components for d in [1] * (c.m - c.n + 1) + [2] * (c.n - 1)]
+
+
 def cmd_hull(args: argparse.Namespace) -> tuple[dict, bool]:
     G, T = _load_connected(args.input)
     if (args.char is None) == (args.group is None):
         raise ArgumentError("hull needs exactly one of --char or --group")
     K = FieldSpec(args.char) if args.char is not None else None
     A = AbelianGroupSpec.parse(args.group) if args.group is not None else None
-    doc = hull_report(cosimplify(G, forest=T), K, A)
+    cos = cosimplify(G, forest=T)
+    doc = hull_report(cos, K, A)
     verified = False
-    if args.verify:
-        if G.m > HULL_ORACLE_EDGE_LIMIT:
-            raise CapacityError(
-                f"hull --verify enumerates cycles only up to {HULL_ORACLE_EDGE_LIMIT} "
-                f"edges; the graph has {G.m}"
-            )
-        # the cycles span the sum of d*A over their invariant factors d: over
-        # a field, one dimension per d it does not divide, and per cyclic
-        # factor q of A, a cyclic group of order q / gcd(d, q)
-        invariants = smith_invariants(indicator_matrix(G, enumerate_cycles(G)))
+    if args.verify and (invariants := _certified_invariants(cos)) is not None:
         if K is not None:
-            p = K.characteristic
-            verified = sum(1 for d in invariants if not p or d % p) == doc["dimension"]
+            verified = span_dimension(invariants, K) == doc["dimension"]
         else:
-            orders = [q // gcd(d, q) for d in invariants for q in A.cyclic_factors]
-            span = AbelianGroupSpec(tuple(q for q in orders if q > 1))
-            verified = span.describe() == doc["factors"]
+            verified = span_group(invariants, A).describe() == doc["factors"]
     doc["verified"] = verified
     return doc, verified or not args.verify
 

@@ -296,10 +296,14 @@ def bridges_and_series_classes(
     to its word.  Equal signatures give equal labels and a zero signature
     a zero label, so when every label is nonzero and no two are equal, the
     same holds for the signatures: every edge is a class of its own, and
-    that one-sided answer is exact.  A zero or repeated label, or an end
-    the tree does not reach, leaves the answer to the exact bits, whose
-    pass raises CapacityError when its estimated size (n+m)*ceil(k/8)
-    bytes, k the number of non-tree edges, is past EXACT_PASS_BYTES.
+    that one-sided answer is exact.  When the labels fail only by some
+    zeros, the nonzero ones all distinct, the zero-label edges are the
+    bridges and every other edge is a class of its own exactly when
+    _label_bridges confirms it (one bridge, a pendant edge say, costs no
+    exact bits).  Any other zero or repeated label, or an end the tree does
+    not reach, leaves the answer to the exact bits, whose pass raises
+    CapacityError when its estimated size (n+m)*ceil(k/8) bytes, k the
+    number of non-tree edges, is past EXACT_PASS_BYTES.
     """
     if T is None:
         T = spanning_forest(G)
@@ -309,8 +313,12 @@ def bridges_and_series_classes(
     k = len(non_tree)
     if k > LABEL_BITS and len(T.component_roots) == 1:
         labels, unjoined = _cut_labels(G, T, non_tree, _random_labels(k))
-        if not unjoined and _nonzero_and_distinct(labels):
-            return SeriesPartition(frozenset(), ())
+        if not unjoined:
+            if _nonzero_and_distinct(labels):
+                return SeriesPartition(frozenset(), ())
+            bridges = _label_bridges(G, T, non_tree, labels)
+            if bridges is not None:
+                return SeriesPartition(bridges, ())
     size = (G.n + G.m) * -(-k // 8)
     if size > EXACT_PASS_BYTES:
         raise CapacityError(
@@ -371,6 +379,33 @@ def _cut_labels(
 def _nonzero_and_distinct(label: dict[EdgeId, int]) -> bool:
     values = label.values()
     return 0 not in values and len(set(values)) == len(label)
+
+
+def _label_bridges(
+    G: Multigraph, T: SpanningForest, non_tree: list[EdgeId], label: dict[EdgeId, int]
+) -> frozenset[EdgeId] | None:
+    """Z, the edges of label 0, when they are exactly the bridges and the
+    nonzero labels are distinct; else None.
+
+    A zero signature gives a zero label, so Z holds every bridge, and
+    distinct nonzero labels come from distinct nonzero signatures.  A tree
+    edge is a bridge exactly when no non-tree edge's forest path crosses
+    it, so Z is the bridge set when it lies in the forest and every
+    non-tree edge joins two vertices of one part of T - Z: one pass over
+    the parent map, parents first, names each vertex's part.
+    """
+    zero = frozenset(e for e, x in label.items() if not x)
+    if len(set(label.values())) != len(label) - len(zero) + 1 or not zero <= T.tree_edges:
+        return None
+    part: dict[VertexId, VertexId] = {}
+    for v, up in T.parents.items():
+        part[v] = v if up is None or up[1] in zero else part[up[0]]
+    ends = G.edges
+    for e in non_tree:
+        u, v = ends[e]
+        if part[u] != part[v]:
+            return None
+    return zero
 
 
 def cosimplify(G: Multigraph, forest: SpanningForest | None = None) -> Cosimplification:

@@ -8,9 +8,10 @@ group A the hull is (2A)^(n-1) + A^(m-n+1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from math import isqrt
+from math import gcd, isqrt
 
 from .cycle_structure import Cosimplification, fundamental_cycle_matrix
 from .errors import ArgumentError, InternalError
@@ -102,39 +103,43 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return (p, k) if q == 1 else None
 
 
+def span_dimension(invariants: list[int], K: FieldSpec) -> int:
+    """Dimension of the K-span of a lattice with these invariant factors:
+    one per factor d that the characteristic p does not divide (every d
+    when p = 0).  This and span_group are the one home of the span rule."""
+    p = K.characteristic
+    return sum(1 for d in invariants if not p or d % p)
+
+
+def span_group(invariants: list[int], A: AbelianGroupSpec) -> AbelianGroupSpec:
+    """Primary decomposition of the A-span of a lattice with these
+    invariant factors: the sum of the d*A, one cyclic factor q / gcd(d, q)
+    per factor d and per cyclic factor q of A, the trivial ones dropped."""
+    orders: list[int] = []
+    for d, count in Counter(invariants).items():
+        for q in A.cyclic_factors:
+            orders += [q // gcd(d, q)] * count
+    return AbelianGroupSpec(cyclic_factors=tuple(q for q in orders if q > 1))
+
+
+def _closed_form(m: int, r: int) -> list[int]:
+    """Invariant factors of the cycle lattice of 3-edge-connected components
+    with m edges in all and r = n - #components: m - r 1s and r 2s."""
+    return [1] * (m - r) + [2] * r
+
+
 def hull_dimension(G: Multigraph, K: FieldSpec) -> int:
-    """Dimension of the K-span of cycle vectors: m, or m-n+1 when char 2
-    (with no vertex, n-1 reads 0)."""
-    return _dimension(G.m, three_edge_connected_rank(G), K)
-
-
-def _dimension(m: int, r: int, K: FieldSpec) -> int:
-    """hull_dimension summed over 3-edge-connected components: m edges in
-    all, and r = n - #components."""
-    return m - r if K.characteristic == 2 else m
+    """Dimension of the K-span of cycle vectors: m, or m-n+1 when char 2."""
+    return span_dimension(_closed_form(G.m, three_edge_connected_rank(G)), K)
 
 
 def hull_group_structure(G: Multigraph, A: AbelianGroupSpec) -> AbelianGroupSpec:
     """Primary decomposition of the A-span of cycle vectors.
 
     Each odd-primary factor contributes m copies of itself; each factor of
-    order 2^k contributes m-n+1 copies of 2^k and n-1 copies of 2^(k-1),
-    the trivial factors being dropped (with no vertex, n-1 reads 0).
+    order 2^k contributes m-n+1 copies of 2^k and n-1 copies of 2^(k-1).
     """
-    return _group_structure(G.m, three_edge_connected_rank(G), A)
-
-
-def _group_structure(m: int, r: int, A: AbelianGroupSpec) -> AbelianGroupSpec:
-    """hull_group_structure summed over components, as in _dimension."""
-    out: list[int] = []
-    for q in A.cyclic_factors:
-        if q % 2 == 0:
-            out.extend([q] * (m - r))
-            if q // 2 > 1:
-                out.extend([q // 2] * r)
-        else:
-            out.extend([q] * m)
-    return AbelianGroupSpec(cyclic_factors=tuple(out))
+    return span_group(_closed_form(G.m, three_edge_connected_rank(G)), A)
 
 
 def hull_basis_mod_p(G: Multigraph, K: FieldSpec, source: CycleBasis) -> list[dict[int, int]]:
@@ -144,7 +149,7 @@ def hull_basis_mod_p(G: Multigraph, K: FieldSpec, source: CycleBasis) -> list[di
     fundamental cycles do (the rest of the lattice collapses), so the
     source must carry a spanning tree.
     """
-    r = three_edge_connected_rank(G)
+    expected = hull_dimension(G, K)
     p = K.characteristic
     if p == 0:
         raise ArgumentError("reduction needs a positive characteristic")
@@ -156,7 +161,6 @@ def hull_basis_mod_p(G: Multigraph, K: FieldSpec, source: CycleBasis) -> list[di
             raise ArgumentError("characteristic-2 reduction needs a tree-based source")
         fcm = fundamental_cycle_matrix(G, tree)
         vectors = [dict.fromkeys(cyc, 1) for cyc in fcm.cycles.values()]
-    expected = _dimension(G.m, r, K)
     order = list(G.sorted_edges)
     rank = rank_mod_p(IntegerMatrix.from_vectors(vectors, order), p)
     if rank != expected:
@@ -169,19 +173,19 @@ def hull_basis_mod_p(G: Multigraph, K: FieldSpec, source: CycleBasis) -> list[di
 def hull_report(cos: Cosimplification, K: FieldSpec | None, A: AbelianGroupSpec | None) -> dict:
     """Hull summary for a connected graph, given by its cosimplification.
 
-    The closed-form dimensions assume a 3-edge-connected graph; they are
-    summed over the components of the cosimplification (a lattice
-    isomorphism), and the report is flagged as derived unless the graph
-    itself is 3-edge-connected.
+    The span rule is applied to the closed-form invariant factors of the
+    components of the cosimplification (a lattice isomorphism), and the
+    report is flagged as derived unless the graph itself is
+    3-edge-connected.
     """
     hat = cos.hat_graph
-    rank = hat.n - cos.hat_component_count
+    invariants = _closed_form(hat.m, hat.n - cos.hat_component_count)
     report: dict = {"derived": not cos.three_edge_connected}
     if K is not None:
         report["characteristic"] = K.characteristic
-        report["dimension"] = _dimension(hat.m, rank, K)
+        report["dimension"] = span_dimension(invariants, K)
     if A is not None:
-        spec = _group_structure(hat.m, rank, A)
+        spec = span_group(invariants, A)
         report["group"] = ",".join(A.describe())
         report["factors"] = spec.describe()
         report["order"] = decimal(spec.order)

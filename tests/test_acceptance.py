@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import gcd
 
 from cyclelattice.certificate import certify, certify_cycle_basis
+from cyclelattice.cli import _certified_invariants
 from cyclelattice.cycle_structure import cosimplify, is_three_edge_connected
 from cyclelattice.lattice_basis import (
     indicator_matrix,
@@ -19,7 +20,7 @@ from cyclelattice.lattice_basis import (
     semi_fundamental_basis,
     simple_basis,
 )
-from cyclelattice.linear_hull import AbelianGroupSpec, hull_report
+from cyclelattice.linear_hull import AbelianGroupSpec, hull_report, span_group
 from cyclelattice.multigraph import (
     SpanningForest,
     parse_edge_list,
@@ -43,6 +44,10 @@ C3 = parse_edge_list("3 3\n1 2\n2 3\n3 1\n")
 P2 = parse_edge_list("2 1\na b\n")
 TRI_PENDANT = parse_edge_list("4 4\n1 2\n2 3\n3 1\n3 4\n")
 TWO_LOOPS = parse_edge_list("1 2\nv v\nv v\n")
+# K4 on 2..5 with 2-3 and 4-5 subdivided, plus pendant bridges at 5, 2, 7, 4
+SUBDIVIDED_WITH_PENDANTS = parse_edge_list(
+    "11 13\n1 5\n2 6\n6 3\n2 4\n2 5\n3 4\n3 5\n4 7\n7 8\n8 5\n2 9\n7 10\n4 11\n"
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -294,6 +299,28 @@ def test_criterion_7_hull_group_structure():
         or f"Smith invariants give hull_report's factors over C2, C3, C4, C2+C2, C9 "
         f"on {len(corpus)} instances; B3/C4=32, B3/C2=4, loop/C4=4",
     )
+
+
+def test_certified_invariants_are_the_smith_invariants():
+    """hull --verify reads the invariant factors off certified bases; on
+    the small corpus and on graphs that are not 3-edge-connected they are
+    those of the Smith form of every enumerated cycle, and so are their
+    spans over the groups of criterion 7."""
+    groups = [(2,), (3,), (4,), (2, 2), (9,)]
+    corpus = _small_corpus() + [C3, TRI_PENDANT, P2, SUBDIVIDED_WITH_PENDANTS]
+    mismatches = []
+    for index, G in enumerate(corpus):
+        expected = smith_invariants(indicator_matrix(G, enumerate_cycles(G)))
+        certified = _certified_invariants(cosimplify(G))
+        if certified is None or sorted(certified) != expected:
+            mismatches.append((index, certified, expected))
+            continue
+        for factors in groups:
+            A = AbelianGroupSpec(factors)
+            spans = [q // gcd(d, q) for d in expected for q in factors]
+            if span_group(certified, A) != AbelianGroupSpec(tuple(q for q in spans if q > 1)):
+                mismatches.append((index, factors))
+    assert not mismatches, mismatches[:3]
 
 
 def test_criterion_8_membership_characterization():

@@ -655,18 +655,18 @@ class TestLargeNumbers:
 
 
 class TestCapacity:
-    """An oracle that cannot run is a capacity error, not a failed check."""
+    """hull --verify certifies at any size: past what an enumeration of the
+    cycles could list, it answers instead of refusing."""
 
-    def test_hull_char_verify_past_the_edge_limit_exits_2(self, capsys, tmp_path):
+    def test_hull_verify_past_23_edges_answers(self, capsys, tmp_path):
         code, out = run(capsys, "gen", "--steps", "16", "--seed", "3")
         graph = tmp_path / "g.txt"
         graph.write_text(out.split("\n", 1)[1])
         assert parse_edge_list(graph.read_text()).m == 31
-        assert main(["hull", "--char", "3", "--verify", str(graph)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "23 edges" in captured.err
+        for spec in (["--char", "3"], ["--char", "2"], ["--group", "2^2,3"]):
+            code, doc = run_json(capsys, "hull", *spec, "--verify", str(graph))
+            assert code == 0 and doc["verified"] is True, spec
+        assert capsys.readouterr().err == ""
 
     def test_hull_group_verify_on_k4_plus_a_parallel_edge(self, capsys, tmp_path):
         # |A|^m = 12^7 elements: past what a closure of the span could list
@@ -676,20 +676,42 @@ class TestCapacity:
         assert code == 0 and doc["verified"] is True
         assert doc["factors"] == ["2", "2", "2", "3", "3", "3", "3", "3", "3", "3"] + ["2^2"] * 4
 
-    def test_hull_group_verify_checks_the_cap_before_enumerating(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_hull_never_enumerates_cycles(self, capsys, tmp_path, monkeypatch):
+        """A spy in every module that binds enumerate_cycles sees no call."""
         graph = tmp_path / "g.txt"
         graph.write_text(format_edge_list(gen(16, 3)))
         calls = []
-        monkeypatch.setattr(cli, "enumerate_cycles", lambda *a, **k: calls.append(a) or [])
-        for spec in (["--group", "2"], ["--char", "3"]):
-            assert main(["hull", *spec, "--verify", str(graph)]) == 2
-            assert calls == []
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "23 edges" in captured.err
+        for info in pkgutil.iter_modules(cyclelattice.__path__):
+            module = importlib.import_module(f"cyclelattice.{info.name}")
+            if hasattr(module, "enumerate_cycles"):
+                monkeypatch.setattr(module, "enumerate_cycles", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cyclelattice, "enumerate_cycles", lambda *a, **k: calls.append(a))
+        for path in (str(graph), self._pendant_gen(tmp_path, 40)):
+            for spec in (["--group", "2"], ["--char", "3"]):
+                for verify in ([], ["--verify"]):
+                    code, doc = run_json(capsys, "hull", *spec, *verify, path)
+                    assert code == 0 and doc["verified"] is bool(verify)
+        assert calls == []
+
+    @staticmethod
+    def _pendant_gen(tmp_path, steps: int) -> str:
+        """A gen graph plus one pendant edge at its least vertex, as a file."""
+        G = gen(steps, 7, max_vertices=steps // 2)
+        leaf, e = max(G.vertices) + 1, max(G.edges) + 1
+        G = Multigraph(G.vertices + (leaf,), {**G.edges, e: (G.vertices[0], leaf)})
+        path = tmp_path / f"pendant{steps}.txt"
+        path.write_text(format_edge_list(G))
+        return str(path)
+
+    def test_hull_verify_on_a_large_graph_with_a_pendant_edge(self, capsys, tmp_path):
+        path = self._pendant_gen(tmp_path, 2001)
+        G = parse_edge_list(Path(path).read_text())
+        assert G.m == 3001
+        code, doc = run_json(capsys, "hull", "--char", "2", "--verify", path)
+        assert (code, doc["verified"], doc["derived"]) == (0, True, True)
+        assert doc["dimension"] == G.m - G.n + 1  # the bridge spans nothing
+        code, doc = run_json(capsys, "hull", "--group", "2^2,3", "--verify", path)
+        assert (code, doc["verified"], doc["derived"]) == (0, True, True)
 
 
 def _core_with_pendants(pendants: int) -> str:

@@ -327,8 +327,10 @@ class TestDifferentialOracles:
 
 class TestLabels:
     """Past LABEL_BITS non-tree edges on one tree, the cut pass first runs
-    on random words, and its one-edge-classes answer is taken only when it
-    is exact; everything else goes to the exact bits."""
+    on random words.  Its answer is taken only when it is exact: every label
+    nonzero and distinct (one-edge classes), or the zero labels confirmed
+    as the bridges with the nonzero ones distinct; everything else goes to
+    the exact bits."""
 
     @pytest.mark.parametrize("variant", ["as is", "subdivided", "pendant", "doubled"])
     @settings(max_examples=2)
@@ -375,6 +377,58 @@ class TestLabels:
         monkeypatch.setattr(cycle_structure, "_random_labels", faulty)
         passes = self._count_passes(monkeypatch)
         part = bridges_and_series_classes(G)
+        assert len(passes) == 2  # the labels, then the exact bits
+        assert part.bridges == expected.bridges
+        assert part.nontrivial_classes == expected.nontrivial_classes
+
+    @staticmethod
+    def _with_pendants(shape):
+        """gen(81, 5, max_vertices=40) plus pendant edges: "one" at vertex 0,
+        "two" at vertices 0 and 1, "path" a path of two edges from 0."""
+        G = gen(81, 5, max_vertices=40)
+        edges, n, e = dict(G.edges), G.n, max(G.edges) + 1
+        ends = {"one": [(0, n)], "two": [(0, n), (1, n + 1)], "path": [(0, n), (n, n + 1)]}
+        for u, v in ends[shape]:
+            edges[e] = (u, v)
+            e += 1
+        vertices = tuple(range(n + 1 + (shape != "one")))
+        return Multigraph(vertices, edges)
+
+    @pytest.mark.parametrize("shape, bridges", [("one", 1), ("two", 2), ("path", 2)])
+    def test_pendant_bridges_answer_in_one_label_pass(self, monkeypatch, shape, bridges):
+        G = self._with_pendants(shape)
+        assert G.m - G.n + 1 > cycle_structure.LABEL_BITS
+        with pytest.MonkeyPatch.context() as patch:  # the exact bits alone
+            patch.setattr(cycle_structure, "LABEL_BITS", 10**9)
+            expected = bridges_and_series_classes(G)
+        passes = self._count_passes(monkeypatch)
+        part = bridges_and_series_classes(G)
+        assert len(passes) == 1
+        assert part.bridges == expected.bridges and len(part.bridges) == bridges
+        assert part.nontrivial_classes == expected.nontrivial_classes == ()
+        _assert_bridges_match_networkx(G, spanning_forest(G))
+
+    def test_a_pendant_bridge_needs_no_exact_pass_bytes(self, monkeypatch):
+        monkeypatch.setattr(cycle_structure, "EXACT_PASS_BYTES", 0)
+        part = bridges_and_series_classes(self._with_pendants("one"))
+        assert len(part.bridges) == 1 and part.nontrivial_classes == ()
+
+    def test_a_zero_label_on_a_non_bridge_goes_to_the_exact_bits(self, monkeypatch):
+        G = self._with_pendants("one")
+        T = spanning_forest(G)
+        expected = bridges_and_series_classes(G, T)
+        cut_labels = cycle_structure._cut_labels
+        passes = []
+
+        def zeroed(*args):
+            label, unjoined = cut_labels(*args)
+            if not passes:  # the labels: zero one tree edge that is no bridge
+                label[min(T.tree_edges - expected.bridges)] = 0
+            passes.append(args[3])
+            return label, unjoined
+
+        monkeypatch.setattr(cycle_structure, "_cut_labels", zeroed)
+        part = bridges_and_series_classes(G, T)
         assert len(passes) == 2  # the labels, then the exact bits
         assert part.bridges == expected.bridges
         assert part.nontrivial_classes == expected.nontrivial_classes
